@@ -58,17 +58,32 @@ class Camera {
     return {(dims.nx - 1) * 0.5, (dims.ny - 1) * 0.5, (dims.nz - 1) * 0.5};
   }
 
-  /// Orthographic ray through pixel (px, py), in voxel coordinates. The ray
-  /// origin lies outside the volume; direction is unit length.
-  util::Ray ray_for(int px, int py, const field::Dims& dims) const noexcept {
+  /// The view of a volume of given dims, evaluated once: basis vectors,
+  /// image-plane half-extent and the pixel-to-ray mapping. Renderers take
+  /// one per frame instead of re-deriving it (trig, sqrt) per pixel.
+  struct Basis {
+    util::Vec3 center, right, up, dir;
+    double half_extent = 0.0;
+    double back = 0.0;  ///< Origin distance behind the image plane.
+    int width = 0, height = 0;
+
+    /// Orthographic ray through pixel (px, py), in voxel coordinates. The
+    /// ray origin lies outside the volume; direction is unit length.
+    util::Ray ray(int px, int py) const noexcept {
+      const double u = ((px + 0.5) / width * 2.0 - 1.0) * half_extent;
+      const double v = (1.0 - (py + 0.5) / height * 2.0) * half_extent;
+      return {center + right * u + up * v - dir * back, dir};
+    }
+  };
+
+  Basis basis(const field::Dims& dims) const noexcept {
     const double he = half_extent(dims);
-    const util::Vec3 c = center(dims);
-    const util::Vec3 dir = view_dir();
-    const double u = ((px + 0.5) / width_ * 2.0 - 1.0) * he;
-    const double v = (1.0 - (py + 0.5) / height_ * 2.0) * he;
-    const util::Vec3 origin =
-        c + right_dir() * u + up_dir() * v - dir * (2.0 * he * zoom_ + 1.0);
-    return {origin, dir};
+    return {center(dims), right_dir(), up_dir(), view_dir(), he,
+            2.0 * he * zoom_ + 1.0, width_, height_};
+  }
+
+  util::Ray ray_for(int px, int py, const field::Dims& dims) const noexcept {
+    return basis(dims).ray(px, py);
   }
 
   /// Depth of a point along the view direction (for subvolume ordering).

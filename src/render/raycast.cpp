@@ -2,115 +2,237 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <stdexcept>
 
 namespace tvviz::render {
 
 namespace {
-/// Screen-space bounding box (pixel rect) of a voxel box under `camera`.
+
+/// Entries of the specular table over n.h in [0, 1]. Interpolating
+/// x^24 between them errs by < 1e-4, well under one 8-bit level.
+constexpr int kSpecularSize = 1024;
+
+bool positive_finite(double v) noexcept { return std::isfinite(v) && v > 0.0; }
+
+/// Screen-space bounding box (pixel rect) of a voxel box under `view`.
 /// Returns false if the box projects outside the frame entirely.
-bool screen_bounds(const field::Box& box, const field::Dims& dims,
-                   const Camera& camera, int& px0, int& py0, int& px1,
-                   int& py1) {
-  const double he = camera.half_extent(dims);
-  const util::Vec3 c = camera.center(dims);
-  const util::Vec3 right = camera.right_dir();
-  const util::Vec3 up = camera.up_dir();
+bool screen_bounds(const field::Box& box, const Camera::Basis& view, int& px0,
+                   int& py0, int& px1, int& py1) {
+  const double he = view.half_extent;
   double umin = 1e300, umax = -1e300, vmin = 1e300, vmax = -1e300;
   for (int corner = 0; corner < 8; ++corner) {
     const util::Vec3 p{
         static_cast<double>((corner & 1) ? box.hi[0] - 1 : box.lo[0]),
         static_cast<double>((corner & 2) ? box.hi[1] - 1 : box.lo[1]),
         static_cast<double>((corner & 4) ? box.hi[2] - 1 : box.lo[2])};
-    const util::Vec3 d = p - c;
-    const double u = d.dot(right);
-    const double v = d.dot(up);
+    const util::Vec3 d = p - view.center;
+    const double u = d.dot(view.right);
+    const double v = d.dot(view.up);
     umin = std::min(umin, u);
     umax = std::max(umax, u);
     vmin = std::min(vmin, v);
     vmax = std::max(vmax, v);
   }
-  // Invert the pixel mapping of Camera::ray_for.
+  // Invert the pixel mapping of Camera::Basis::ray.
   const auto to_px = [&](double u) {
-    return (u / he + 1.0) * 0.5 * camera.width() - 0.5;
+    return (u / he + 1.0) * 0.5 * view.width - 0.5;
   };
   const auto to_py = [&](double v) {
-    return (1.0 - v / he) * 0.5 * camera.height() - 0.5;
+    return (1.0 - v / he) * 0.5 * view.height - 0.5;
   };
   px0 = std::max(0, static_cast<int>(std::floor(to_px(umin))) - 1);
-  px1 = std::min(camera.width(), static_cast<int>(std::ceil(to_px(umax))) + 2);
+  px1 = std::min(view.width, static_cast<int>(std::ceil(to_px(umax))) + 2);
   py0 = std::max(0, static_cast<int>(std::floor(to_py(vmax))) - 1);
-  py1 = std::min(camera.height(), static_cast<int>(std::ceil(to_py(vmin))) + 2);
+  py1 = std::min(view.height, static_cast<int>(std::ceil(to_py(vmin))) + 2);
   return px0 < px1 && py0 < py1;
 }
-}  // namespace
 
-Rgba RayCaster::march(const util::Ray& ray, double t0, double t1,
-                      const Subvolume& sub, const TransferFunction& tf) const {
-  Rgba acc;  // premultiplied, front-to-back
-  const double step = options_.step;
-  const util::Vec3 light = options_.light_dir.normalized();
-  // Half-open [t0, t1): a sample landing exactly on a shared subvolume plane
-  // belongs to the far box, so parallel renders tile the serial result.
-  for (double t = t0; t < t1; t += step) {
-    const util::Vec3 p = ray.at(t);
-    if (sub.skipper) {
-      const util::Vec3 local{p.x - sub.storage_box.lo[0],
-                             p.y - sub.storage_box.lo[1],
-                             p.z - sub.storage_box.lo[2]};
-      if (sub.skipper->invisible_at(local.x, local.y, local.z)) {
+/// Transfer-function colour and opacity for one LUT entry, with the
+/// opacity correction for this render's step folded into `alpha`.
+struct Classified {
+  double r = 0.0, g = 0.0, b = 0.0, alpha = 0.0;
+};
+
+/// The sample's cell: trilinear corner weights (x fastest) and, per axis,
+/// the clamped voxel offsets of planes x0-1 .. x0+2 (y and z pre-multiplied
+/// by their strides). Corners use entries 1..2, central differences 0..3.
+struct Cell {
+  double w[8];
+  std::ptrdiff_t x[4], y[4], z[4];
+};
+
+/// Everything one render() holds constant across its rays and samples.
+struct Pass {
+  const RenderOptions& opt;
+  const std::vector<double>& specular;  ///< RayCaster::specular_.
+  util::Vec3 light;                     ///< Unit vector toward the light.
+  util::Vec3 half;    ///< Blinn half-vector: one view direction per frame.
+  double flat_lum;    ///< Luminance where the gradient vanishes.
+  std::vector<Classified> lut;  ///< kLutSize entries plus a copy of the last.
+
+  const float* voxels;
+  int nx, ny, nz;
+  std::ptrdiff_t row, slice;  ///< Strides of y and z.
+  double lo[3];               ///< Storage-box origin in global coordinates.
+  const BlockVisibility* skipper;
+
+  Cell cell(double x, double y, double z) const noexcept {
+    const int x0 = static_cast<int>(std::floor(x));
+    const int y0 = static_cast<int>(std::floor(y));
+    const int z0 = static_cast<int>(std::floor(z));
+    const double fx = x - x0, fy = y - y0, fz = z - z0;
+    Cell c{};
+    for (int k = 0; k < 4; ++k) {
+      c.x[k] = std::clamp(x0 - 1 + k, 0, nx - 1);
+      c.y[k] = std::clamp(y0 - 1 + k, 0, ny - 1) * row;
+      c.z[k] = std::clamp(z0 - 1 + k, 0, nz - 1) * slice;
+    }
+    int i = 0;
+    for (int dz = 0; dz <= 1; ++dz)
+      for (int dy = 0; dy <= 1; ++dy)
+        for (int dx = 0; dx <= 1; ++dx)
+          c.w[i++] = (dx ? fx : 1.0 - fx) * (dy ? fy : 1.0 - fy) *
+                     (dz ? fz : 1.0 - fz);
+    return c;
+  }
+
+  double voxel(std::ptrdiff_t index) const noexcept {
+    return static_cast<double>(voxels[index]);
+  }
+
+  /// Trilinear value: the same weights, order and clamping as
+  /// field::Volume::sample.
+  double value(const Cell& c) const noexcept {
+    double v = 0.0;
+    int i = 0;
+    for (int dz = 1; dz <= 2; ++dz)
+      for (int dy = 1; dy <= 2; ++dy)
+        for (int dx = 1; dx <= 2; ++dx)
+          v += c.w[i++] * voxel(c.z[dz] + c.y[dy] + c.x[dx]);
+    return v;
+  }
+
+  /// Trilinear interpolation of the corners' central differences. Equal to
+  /// field::Volume::gradient (sample(x+1) - sample(x-1), ...): shifting by
+  /// a whole voxel keeps the fractional weights, so each of its six
+  /// trilinear samples is these weights over corners shifted by one plane.
+  util::Vec3 gradient(const Cell& c) const noexcept {
+    util::Vec3 g;
+    int i = 0;
+    for (int dz = 1; dz <= 2; ++dz)
+      for (int dy = 1; dy <= 2; ++dy)
+        for (int dx = 1; dx <= 2; ++dx) {
+          const double w = c.w[i++];
+          const std::ptrdiff_t yz = c.y[dy] + c.z[dz];
+          const std::ptrdiff_t xz = c.x[dx] + c.z[dz];
+          const std::ptrdiff_t xy = c.x[dx] + c.y[dy];
+          g.x += w * (voxel(yz + c.x[dx + 1]) - voxel(yz + c.x[dx - 1]));
+          g.y += w * (voxel(xz + c.y[dy + 1]) - voxel(xz + c.y[dy - 1]));
+          g.z += w * (voxel(xy + c.z[dz + 1]) - voxel(xy + c.z[dz - 1]));
+        }
+    return g;
+  }
+
+  /// TransferFunction::sample_lut with the folded alpha: the same index
+  /// and blend, so colours match it exactly and alpha is exactly 0
+  /// wherever sample_lut's is (the padding entry makes v = 1 blend with
+  /// weight 0 instead of branching).
+  Classified classify(double v) const noexcept {
+    const double x =
+        std::clamp(v, 0.0, 1.0) * (TransferFunction::kLutSize - 1);
+    const auto i = static_cast<std::size_t>(x);
+    const double t = x - static_cast<double>(i);
+    const Classified& a = lut[i];
+    const Classified& b = lut[i + 1];
+    return {a.r + t * (b.r - a.r), a.g + t * (b.g - a.g),
+            a.b + t * (b.b - a.b), a.alpha + t * (b.alpha - a.alpha)};
+  }
+
+  double specular_at(double ndh) const noexcept {
+    const double x = std::min(ndh, 1.0) * (kSpecularSize - 1);
+    const auto i = static_cast<std::size_t>(x);
+    const double t = x - static_cast<double>(i);
+    return specular[i] + t * (specular[i + 1] - specular[i]);
+  }
+
+  Rgba march(const util::Ray& ray, double t0, double t1,
+             std::size_t& samples) const noexcept {
+    Rgba acc;  // premultiplied, front-to-back
+    const double step = opt.step;
+    // Opacity-weighted view depth (the 2.5D plane the warping viewer
+    // reprojects): for the orthographic camera p.dot(view_dir) is
+    // origin.dot(dir) + t.
+    const double depth0 = ray.origin.dot(ray.direction);
+    // Half-open [t0, t1): a sample landing exactly on a shared subvolume
+    // plane belongs to the far box, so parallel renders tile the serial
+    // result.
+    for (double t = t0; t < t1; t += step) {
+      const util::Vec3 p = ray.at(t);
+      const util::Vec3 local{p.x - lo[0], p.y - lo[1], p.z - lo[2]};
+      if (skipper && skipper->invisible_at(local.x, local.y, local.z)) {
         // Leap to this block's exit, then snap back onto the global sample
         // grid: every skipped sample classifies to zero opacity, so the
         // image is bit-identical with or without leaping.
-        const double t_exit =
-            sub.skipper->block_exit(local, ray.direction, t);
+        const double t_exit = skipper->block_exit(local, ray.direction, t);
         const double snapped = std::ceil(t_exit / step) * step;
         t = std::max(snapped, t + step) - step;  // loop adds one step
         continue;
       }
-    }
-    const double value = sub.sample_global(p.x, p.y, p.z);
-    ++samples_;
-    // LUT lookup: the per-sample binary search over control points is the
-    // hot loop's dominant scalar cost; space-leap classification uses the
-    // same LUT (max_alpha_lut), so leaping stays bit-identical.
-    const auto cp = tf.sample_lut(value);
-    if (cp.alpha <= 0.0) continue;
-    // Opacity correction: control-point alpha is per unit sample distance.
-    const double alpha = 1.0 - std::pow(1.0 - cp.alpha, step);
-    double r = cp.r, g = cp.g, b = cp.b;
-    if (options_.shading) {
-      const util::Vec3 grad = sub.gradient_global(p.x, p.y, p.z);
-      const double len = grad.length();
-      if (len > 1e-8) {
-        const util::Vec3 n = grad / len;
-        const double ndl = std::abs(n.dot(light));
-        const util::Vec3 h = (light - ray.direction).normalized();
-        const double ndh = std::abs(n.dot(h));
-        const double lum = options_.ambient + options_.diffuse * ndl;
-        const double spec =
-            options_.specular * std::pow(ndh, options_.specular_exp);
-        r = util::clamp01(r * lum + spec);
-        g = util::clamp01(g * lum + spec);
-        b = util::clamp01(b * lum + spec);
-      } else {
-        const double lum = options_.ambient + 0.5 * options_.diffuse;
-        r *= lum;
-        g *= lum;
-        b *= lum;
+      const Cell c = cell(local.x, local.y, local.z);
+      ++samples;
+      const Classified s = classify(value(c));
+      if (s.alpha <= 0.0) continue;
+      double r = s.r, g = s.g, b = s.b;
+      if (opt.shading) {
+        const util::Vec3 grad = gradient(c);
+        const double len = grad.length();
+        if (len > 1e-8) {
+          const double inv = 1.0 / len;
+          const double ndl = std::abs(grad.dot(light)) * inv;
+          const double ndh = std::abs(grad.dot(half)) * inv;
+          const double lum = opt.ambient + opt.diffuse * ndl;
+          const double spec = specular_at(ndh);
+          r = util::clamp01(r * lum + spec);
+          g = util::clamp01(g * lum + spec);
+          b = util::clamp01(b * lum + spec);
+        } else {
+          r *= flat_lum;
+          g *= flat_lum;
+          b *= flat_lum;
+        }
       }
+      const double w = (1.0 - acc.a) * s.alpha;
+      acc.r += w * r;
+      acc.g += w * g;
+      acc.b += w * b;
+      acc.a += w;
+      acc.z += w * (depth0 + t);
+      if (acc.a >= opt.early_termination) break;
     }
-    const double w = (1.0 - acc.a) * alpha;
-    acc.r += w * r;
-    acc.g += w * g;
-    acc.b += w * b;
-    acc.a += w;
-    // Opacity-weighted view depth (the 2.5D plane the warping viewer
-    // reprojects). For the orthographic camera p.dot(view_dir) is simply
-    // origin.dot(dir) + t — no per-sample dot product needed.
-    acc.z += w * (ray.origin.dot(ray.direction) + t);
-    if (acc.a >= options_.early_termination) break;
+    return acc;
   }
-  return acc;
+};
+
+}  // namespace
+
+RayCaster::RayCaster(RenderOptions options)
+    : options_(options), light_(options.light_dir.normalized()) {
+  if (!positive_finite(options_.step))
+    throw std::invalid_argument("RayCaster: step must be finite and > 0");
+  if (!positive_finite(options_.early_termination))
+    throw std::invalid_argument(
+        "RayCaster: early_termination must be finite and > 0");
+  if (!std::isfinite(options_.specular_exp) || options_.specular_exp < 0.0)
+    throw std::invalid_argument(
+        "RayCaster: specular_exp must be finite and >= 0");
+  specular_.reserve(kSpecularSize + 1);
+  for (int i = 0; i < kSpecularSize; ++i)
+    specular_.push_back(
+        options_.specular *
+        std::pow(static_cast<double>(i) / (kSpecularSize - 1),
+                 options_.specular_exp));
+  specular_.push_back(specular_.back());
 }
 
 PartialImage RayCaster::render(const Subvolume& sub,
@@ -118,8 +240,9 @@ PartialImage RayCaster::render(const Subvolume& sub,
                                const Camera& camera,
                                const TransferFunction& tf) const {
   samples_ = 0;
+  const Camera::Basis view = camera.basis(global_dims);
   int px0, py0, px1, py1;
-  if (!screen_bounds(sub.render_box, global_dims, camera, px0, py0, px1, py1)) {
+  if (!screen_bounds(sub.render_box, view, px0, py0, px1, py1)) {
     PartialImage empty(0, 0, 0, 0);
     empty.set_depth(1e300);
     return empty;
@@ -139,9 +262,36 @@ PartialImage RayCaster::render(const Subvolume& sub,
   for (int axis = 0; axis < 3; ++axis)
     if (domain.hi[axis] < extent[axis]) ++domain.hi[axis];
 
+  const field::Dims& dims = sub.data.dims();
+  Pass pass{.opt = options_,
+            .specular = specular_,
+            .light = light_,
+            .half = (light_ - view.dir).normalized(),
+            .flat_lum = options_.ambient + 0.5 * options_.diffuse,
+            .lut = {},
+            .voxels = sub.data.data().data(),
+            .nx = dims.nx,
+            .ny = dims.ny,
+            .nz = dims.nz,
+            .row = static_cast<std::ptrdiff_t>(dims.nx),
+            .slice = static_cast<std::ptrdiff_t>(dims.nx) * dims.ny,
+            .lo = {static_cast<double>(sub.storage_box.lo[0]),
+                   static_cast<double>(sub.storage_box.lo[1]),
+                   static_cast<double>(sub.storage_box.lo[2])},
+            .skipper = sub.skipper.get()};
+  // Control-point alpha is per unit sample distance; fold the correction
+  // 1 - (1 - alpha)^step into the table. 0 maps to exactly 0, so a sample
+  // the leap classifier calls invisible still contributes nothing.
+  pass.lut.reserve(TransferFunction::kLutSize + 1);
+  for (const auto& e : tf.lut())
+    pass.lut.push_back(
+        {e.r, e.g, e.b, 1.0 - std::pow(1.0 - e.alpha, options_.step)});
+  pass.lut.push_back(pass.lut.back());
+
+  std::size_t samples = 0;
   for (int py = py0; py < py1; ++py) {
     for (int px = px0; px < px1; ++px) {
-      const util::Ray ray = camera.ray_for(px, py, global_dims);
+      const util::Ray ray = view.ray(px, py);
       double t0, t1;
       if (!intersect_box(ray, domain, t0, t1)) continue;
       t0 = std::max(t0, 0.0);
@@ -149,9 +299,10 @@ PartialImage RayCaster::render(const Subvolume& sub,
       // Snap the first sample to a global step grid so adjacent subvolumes
       // sample the same points and parallel == serial compositing holds.
       const double snapped = std::ceil(t0 / options_.step) * options_.step;
-      out.at(px - px0, py - py0) = march(ray, snapped, t1, sub, tf);
+      out.at(px - px0, py - py0) = pass.march(ray, snapped, t1, samples);
     }
   }
+  samples_ = samples;
   return out;
 }
 

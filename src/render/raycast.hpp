@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "field/volume.hpp"
 #include "render/camera.hpp"
@@ -38,17 +39,6 @@ struct Subvolume {
     box.hi[2] = volume.dims().nz;
     return Subvolume{std::move(volume), box, box, nullptr};
   }
-
-  /// Sample at global voxel coordinates (clamps inside storage).
-  double sample_global(double x, double y, double z) const noexcept {
-    return data.sample(x - storage_box.lo[0], y - storage_box.lo[1],
-                       z - storage_box.lo[2]);
-  }
-
-  util::Vec3 gradient_global(double x, double y, double z) const noexcept {
-    return data.gradient(x - storage_box.lo[0], y - storage_box.lo[1],
-                         z - storage_box.lo[2]);
-  }
 };
 
 struct RenderOptions {
@@ -64,10 +54,12 @@ struct RenderOptions {
 
 class RayCaster {
  public:
-  explicit RayCaster(RenderOptions options = {}) : options_(options) {}
+  /// Throws std::invalid_argument unless `step` and `early_termination` are
+  /// finite and > 0 and `specular_exp` is finite and >= 0 (a step <= 0 never
+  /// reaches the ray's exit; NaN snaps every ray start to NaN).
+  explicit RayCaster(RenderOptions options = {});
 
   const RenderOptions& options() const noexcept { return options_; }
-  RenderOptions& options() noexcept { return options_; }
 
   /// Render `sub.render_box` of the global volume `global_dims` as seen by
   /// `camera`. The result covers only the screen-space bounding box of the
@@ -87,10 +79,11 @@ class RayCaster {
   std::size_t last_sample_count() const noexcept { return samples_; }
 
  private:
-  Rgba march(const util::Ray& ray, double t0, double t1, const Subvolume& sub,
-             const TransferFunction& tf) const;
-
   RenderOptions options_;
+  util::Vec3 light_;               ///< options_.light_dir, normalized.
+  /// specular * x^specular_exp on a uniform grid over x = n.h in [0, 1],
+  /// plus a copy of the last entry so interpolation needs no bounds branch.
+  std::vector<double> specular_;
   mutable std::size_t samples_ = 0;
 };
 

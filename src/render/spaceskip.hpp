@@ -27,9 +27,6 @@ class BlockVisibility {
   /// True if the block containing local voxel coordinates (x, y, z) cannot
   /// contribute (max classified opacity is zero).
   bool invisible_at(double x, double y, double z) const {
-    const auto [lo, hi] = grid_.range_at(x, y, z);
-    (void)lo;
-    (void)hi;
     return !visible_[block_index(x, y, z)];
   }
 

@@ -30,9 +30,10 @@ class TransferFunction {
   ControlPoint sample(double v) const noexcept;
 
   /// LUT evaluation of sample(): linear interpolation between kLutSize
-  /// precomputed entries. This is what the ray-march hot loop uses; it can
-  /// differ from sample() only inside the 1/(kLutSize-1)-wide cell around a
-  /// control point, and is exactly 0 wherever all covering entries are 0.
+  /// precomputed entries. It can differ from sample() only inside the
+  /// 1/(kLutSize-1)-wide cell around a control point, and is exactly 0
+  /// wherever all covering entries are 0. The ray caster blends the same
+  /// entries (lut()) the same way, with its opacity correction folded in.
   ControlPoint sample_lut(double v) const noexcept;
 
   /// Upper bound of sample_lut(v).alpha over v in [lo, hi] (max over the
@@ -42,6 +43,9 @@ class TransferFunction {
   double max_alpha_lut(double lo, double hi) const noexcept;
 
   const std::vector<ControlPoint>& points() const noexcept { return points_; }
+
+  /// The kLutSize entries sample_lut() interpolates, at v = i / (kLutSize-1).
+  const std::vector<ControlPoint>& lut() const noexcept { return lut_; }
 
   /// "Hot body" map for the jet dataset: transparent below a threshold, then
   /// blue -> orange -> white with rising opacity. Sparse-looking images.

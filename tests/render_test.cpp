@@ -3,10 +3,13 @@
 // and the shear-warp baseline.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 
 #include "codec/depth_plane.hpp"
@@ -363,6 +366,301 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(true, false),
                        ::testing::Values(0.6, 2.2)));
 
+/// Every RenderOptions value the constructor must reject, one case each: a
+/// step <= 0 never reaches the ray's exit (a negative one hangs march), a
+/// NaN one snaps every ray start to NaN, and the tables built from
+/// `specular_exp` need a finite, non-negative exponent.
+struct RejectedOption {
+  const char* name;
+  double RenderOptions::*field;
+  double value;
+};
+
+class RenderOptionsValidation
+    : public ::testing::TestWithParam<RejectedOption> {};
+
+TEST_P(RenderOptionsValidation, ConstructorThrows) {
+  RenderOptions opt;
+  opt.*GetParam().field = GetParam().value;
+  EXPECT_THROW(RayCaster{opt}, std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    RejectedValues, RenderOptionsValidation,
+    ::testing::Values(
+        RejectedOption{"StepNegative", &RenderOptions::step, -0.8},
+        RejectedOption{"StepZero", &RenderOptions::step, 0.0},
+        RejectedOption{"StepNaN", &RenderOptions::step, kNaN},
+        RejectedOption{"StepInfinite", &RenderOptions::step, kInf},
+        RejectedOption{"EarlyTerminationZero",
+                       &RenderOptions::early_termination, 0.0},
+        RejectedOption{"EarlyTerminationNegative",
+                       &RenderOptions::early_termination, -0.5},
+        RejectedOption{"EarlyTerminationNaN",
+                       &RenderOptions::early_termination, kNaN},
+        RejectedOption{"EarlyTerminationInfinite",
+                       &RenderOptions::early_termination, kInf},
+        RejectedOption{"SpecularExpNegative", &RenderOptions::specular_exp,
+                       -1.0},
+        RejectedOption{"SpecularExpNaN", &RenderOptions::specular_exp, kNaN},
+        RejectedOption{"SpecularExpInfinite", &RenderOptions::specular_exp,
+                       kInf}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
+
+TEST(RayCaster, AcceptsBoundaryOptions) {
+  RenderOptions opt;
+  opt.early_termination = 2.0;  // "never terminate", used by tiling tests
+  opt.specular_exp = 0.0;
+  opt.step = 1e-3;
+  EXPECT_NO_THROW(RayCaster{opt});
+}
+
+// ------------------------------------------------- frozen reference ----
+// The ray caster as it was before its per-render tables, kept verbatim as
+// the oracle RenderReference.* holds the renderer to: the camera basis
+// recomputed per pixel, seven trilinear fetches per shaded sample (value
+// plus a six-tap central-difference gradient), std::pow for the opacity
+// correction and the specular term, the half-vector normalized per sample.
+
+util::Ray reference_ray_for(const Camera& cam, int px, int py,
+                            const Dims& dims) {
+  const double he = cam.half_extent(dims);
+  const util::Vec3 c = cam.center(dims);
+  const util::Vec3 dir = cam.view_dir();
+  const double u = ((px + 0.5) / cam.width() * 2.0 - 1.0) * he;
+  const double v = (1.0 - (py + 0.5) / cam.height() * 2.0) * he;
+  const util::Vec3 origin = c + cam.right_dir() * u + cam.up_dir() * v -
+                            dir * (2.0 * he * cam.zoom() + 1.0);
+  return {origin, dir};
+}
+
+bool reference_screen_bounds(const Box& box, const Dims& dims,
+                             const Camera& camera, int& px0, int& py0,
+                             int& px1, int& py1) {
+  const double he = camera.half_extent(dims);
+  const util::Vec3 c = camera.center(dims);
+  const util::Vec3 right = camera.right_dir();
+  const util::Vec3 up = camera.up_dir();
+  double umin = 1e300, umax = -1e300, vmin = 1e300, vmax = -1e300;
+  for (int corner = 0; corner < 8; ++corner) {
+    const util::Vec3 p{
+        static_cast<double>((corner & 1) ? box.hi[0] - 1 : box.lo[0]),
+        static_cast<double>((corner & 2) ? box.hi[1] - 1 : box.lo[1]),
+        static_cast<double>((corner & 4) ? box.hi[2] - 1 : box.lo[2])};
+    const util::Vec3 d = p - c;
+    const double u = d.dot(right);
+    const double v = d.dot(up);
+    umin = std::min(umin, u);
+    umax = std::max(umax, u);
+    vmin = std::min(vmin, v);
+    vmax = std::max(vmax, v);
+  }
+  const auto to_px = [&](double u) {
+    return (u / he + 1.0) * 0.5 * camera.width() - 0.5;
+  };
+  const auto to_py = [&](double v) {
+    return (1.0 - v / he) * 0.5 * camera.height() - 0.5;
+  };
+  px0 = std::max(0, static_cast<int>(std::floor(to_px(umin))) - 1);
+  px1 = std::min(camera.width(), static_cast<int>(std::ceil(to_px(umax))) + 2);
+  py0 = std::max(0, static_cast<int>(std::floor(to_py(vmax))) - 1);
+  py1 = std::min(camera.height(), static_cast<int>(std::ceil(to_py(vmin))) + 2);
+  return px0 < px1 && py0 < py1;
+}
+
+Rgba reference_march(const util::Ray& ray, double t0, double t1,
+                     const Subvolume& sub, const TransferFunction& tf,
+                     const RenderOptions& options, std::size_t& samples) {
+  Rgba acc;
+  const double step = options.step;
+  const util::Vec3 light = options.light_dir.normalized();
+  for (double t = t0; t < t1; t += step) {
+    const util::Vec3 p = ray.at(t);
+    if (sub.skipper) {
+      const util::Vec3 local{p.x - sub.storage_box.lo[0],
+                             p.y - sub.storage_box.lo[1],
+                             p.z - sub.storage_box.lo[2]};
+      if (sub.skipper->invisible_at(local.x, local.y, local.z)) {
+        const double t_exit =
+            sub.skipper->block_exit(local, ray.direction, t);
+        const double snapped = std::ceil(t_exit / step) * step;
+        t = std::max(snapped, t + step) - step;
+        continue;
+      }
+    }
+    const double value =
+        sub.data.sample(p.x - sub.storage_box.lo[0],
+                        p.y - sub.storage_box.lo[1],
+                        p.z - sub.storage_box.lo[2]);
+    ++samples;
+    const auto cp = tf.sample_lut(value);
+    if (cp.alpha <= 0.0) continue;
+    const double alpha = 1.0 - std::pow(1.0 - cp.alpha, step);
+    double r = cp.r, g = cp.g, b = cp.b;
+    if (options.shading) {
+      const util::Vec3 grad =
+          sub.data.gradient(p.x - sub.storage_box.lo[0],
+                            p.y - sub.storage_box.lo[1],
+                            p.z - sub.storage_box.lo[2]);
+      const double len = grad.length();
+      if (len > 1e-8) {
+        const util::Vec3 n = grad / len;
+        const double ndl = std::abs(n.dot(light));
+        const util::Vec3 h = (light - ray.direction).normalized();
+        const double ndh = std::abs(n.dot(h));
+        const double lum = options.ambient + options.diffuse * ndl;
+        const double spec =
+            options.specular * std::pow(ndh, options.specular_exp);
+        r = util::clamp01(r * lum + spec);
+        g = util::clamp01(g * lum + spec);
+        b = util::clamp01(b * lum + spec);
+      } else {
+        const double lum = options.ambient + 0.5 * options.diffuse;
+        r *= lum;
+        g *= lum;
+        b *= lum;
+      }
+    }
+    const double w = (1.0 - acc.a) * alpha;
+    acc.r += w * r;
+    acc.g += w * g;
+    acc.b += w * b;
+    acc.a += w;
+    acc.z += w * (ray.origin.dot(ray.direction) + t);
+    if (acc.a >= options.early_termination) break;
+  }
+  return acc;
+}
+
+PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
+                              const Camera& camera, const TransferFunction& tf,
+                              const RenderOptions& options,
+                              std::size_t& samples) {
+  samples = 0;
+  int px0, py0, px1, py1;
+  if (!reference_screen_bounds(sub.render_box, global_dims, camera, px0, py0,
+                               px1, py1)) {
+    PartialImage empty(0, 0, 0, 0);
+    empty.set_depth(1e300);
+    return empty;
+  }
+  PartialImage out(px0, py0, px1 - px0, py1 - py0);
+  const util::Vec3 box_center{
+      (sub.render_box.lo[0] + sub.render_box.hi[0] - 1) * 0.5,
+      (sub.render_box.lo[1] + sub.render_box.hi[1] - 1) * 0.5,
+      (sub.render_box.lo[2] + sub.render_box.hi[2] - 1) * 0.5};
+  out.set_depth(camera.depth_of(box_center));
+  Box domain = sub.render_box;
+  const int extent[3] = {global_dims.nx, global_dims.ny, global_dims.nz};
+  for (int axis = 0; axis < 3; ++axis)
+    if (domain.hi[axis] < extent[axis]) ++domain.hi[axis];
+  for (int py = py0; py < py1; ++py) {
+    for (int px = px0; px < px1; ++px) {
+      const util::Ray ray = reference_ray_for(camera, px, py, global_dims);
+      double t0, t1;
+      if (!render::intersect_box(ray, domain, t0, t1)) continue;
+      t0 = std::max(t0, 0.0);
+      if (t0 > t1) continue;
+      const double snapped = std::ceil(t0 / options.step) * options.step;
+      out.at(px - px0, py - py0) =
+          reference_march(ray, snapped, t1, sub, tf, options, samples);
+    }
+  }
+  return out;
+}
+
+/// Render the whole volume and four ghost-1 slabs of `desc` (so border
+/// cells exercise the clamped offsets) with shading on, leaping on and off,
+/// from two azimuths and two zooms; each part must come within 45 dB of
+/// the oracle and evaluate exactly the oracle's samples (same points along
+/// every ray, same leap decisions).
+void expect_matches_reference(const field::DatasetDesc& desc,
+                              const TransferFunction& tf) {
+  constexpr int kSize = 48;
+  const VolumeF whole = field::generate(desc, 1);
+  const Dims dims = whole.dims();
+  const RenderOptions opt;  // shading on
+  const RayCaster caster(opt);
+  for (const bool leaping : {false, true})
+    for (const double azimuth : {0.6, 2.2})
+      for (const double zoom : {1.0, 1.7}) {
+        const Camera cam(kSize, kSize, azimuth, 0.3, zoom);
+        std::vector<Subvolume> parts{Subvolume::whole(whole)};
+        for (const Box& box : field::decompose_slabs(dims, 4)) {
+          Subvolume sub;
+          sub.storage_box = field::with_ghost(box, dims, 1);
+          sub.data = field::generate_box(desc, 1, sub.storage_box);
+          sub.render_box = box;
+          parts.push_back(std::move(sub));
+        }
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+          SCOPED_TRACE(::testing::Message()
+                       << "leaping=" << leaping << " az=" << azimuth
+                       << " zoom=" << zoom << " part=" << i);
+          Subvolume& sub = parts[i];
+          if (leaping) sub.attach_skipper(tf);
+          std::size_t ref_samples = 0;
+          const PartialImage ref =
+              reference_render(sub, dims, cam, tf, opt, ref_samples);
+          const PartialImage got = caster.render(sub, dims, cam, tf);
+          EXPECT_EQ(caster.last_sample_count(), ref_samples);
+          ASSERT_EQ(got.x0(), ref.x0());
+          ASSERT_EQ(got.y0(), ref.y0());
+          ASSERT_EQ(got.width(), ref.width());
+          ASSERT_EQ(got.height(), ref.height());
+          EXPECT_EQ(got.depth(), ref.depth());
+          Image ref_img(kSize, kSize), got_img(kSize, kSize);
+          ref.splat_to(ref_img);
+          got.splat_to(got_img);
+          EXPECT_GE(render::psnr(ref_img, got_img), 45.0);
+        }
+      }
+}
+
+TEST(RenderReference, JetFireMatchesOracle) {
+  expect_matches_reference(field::scaled(field::turbulent_jet_desc(), 4, 2),
+                           TransferFunction::fire());
+}
+
+TEST(RenderReference, VortexDenseMatchesOracle) {
+  expect_matches_reference(
+      field::scaled(field::turbulent_vortex_desc(), 4, 2),
+      TransferFunction::dense_cool_warm());
+}
+
+TEST(RenderReference, ShockMatchesOracle) {
+  expect_matches_reference(field::scaled(field::shock_mixing_desc(), 8, 2),
+                           TransferFunction::shock());
+}
+
+TEST(RenderReference, RayFromBasisIsBitIdenticalToRayFor) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Dims dims : {Dims{32, 32, 26}, Dims{80, 32, 32}})
+    for (const double azimuth : {0.6, 2.2})
+      for (const double zoom : {1.0, 1.7}) {
+        const Camera cam(48, 40, azimuth, 0.3, zoom);
+        const Camera::Basis view = cam.basis(dims);
+        int mismatches = 0;
+        for (int py = 0; py < cam.height(); ++py)
+          for (int px = 0; px < cam.width(); ++px) {
+            const util::Ray a = view.ray(px, py);
+            const util::Ray b = reference_ray_for(cam, px, py, dims);
+            const double got[6] = {a.origin.x,    a.origin.y,
+                                   a.origin.z,    a.direction.x,
+                                   a.direction.y, a.direction.z};
+            const double want[6] = {b.origin.x,    b.origin.y,
+                                    b.origin.z,    b.direction.x,
+                                    b.direction.y, b.direction.z};
+            for (int k = 0; k < 6; ++k)
+              mismatches += bits(got[k]) != bits(want[k]) ? 1 : 0;
+          }
+        EXPECT_EQ(mismatches, 0) << "az=" << azimuth << " zoom=" << zoom;
+      }
+}
+
 // ----------------------------------------------------------- shearwarp ----
 
 TEST(ClassifiedVolume, CoverageAndSpans) {
@@ -462,8 +760,9 @@ TEST(DepthChannel, RayCasterDepthsLieInsideTheVolume) {
   const double center_depth = cam.depth_of(cam.center(vol.dims()));
   const double radius = cam.half_extent(vol.dims());
   int hits = 0;
-  for (int y = 0; y < 32; ++y)
-    for (int x = 0; x < 32; ++x) {
+  // The partial covers only the volume's footprint (30x30 here).
+  for (int y = 0; y < part.height(); ++y)
+    for (int x = 0; x < part.width(); ++x) {
       const Rgba& p = part.at(x, y);
       if (p.a < 0.05) continue;
       ++hits;

@@ -9,10 +9,7 @@
 //     threads, losslessly (every client sees every step + the shutdown);
 //   * per-client fan-out cost is flat in the client count: us/client/step
 //     at the large count stays within the gate's budget of the small-count
-//     cost (`fanout_scaling_ratio`, gated by tools/bench_gate.py);
-//   * apples-to-apples against the legacy thread-per-connection transport
-//     on the same workload (`legacy_vs_epoll_ratio`; the legacy run uses
-//     the small client count — it spawns ~2 threads per viewer).
+//     cost (`fanout_scaling_ratio`, gated by tools/bench_gate.py).
 //
 // The WAN leg is analytic: loopback measures the hub's own per-client
 // cost, and the report folds in the paper's link presets
@@ -21,7 +18,7 @@
 // benches use, with no sleeps distorting the scaling measurement.
 //
 //   ./ablation_hub_epoll [--clients 10000] [--small-clients 500]
-//                        [--steps 16] [--bytes 4096] [--skip-legacy]
+//                        [--steps 16] [--bytes 4096]
 //                        [--json BENCH_hub_epoll.json]
 #include <netinet/in.h>
 #include <sys/epoll.h>
@@ -102,12 +99,10 @@ struct RunResult {
   double us_per_client_step = 0.0;
 };
 
-/// One swarm run against a fresh hub on the given transport.
-RunResult run_swarm(const std::string& name,
-                    hub::HubConfig::TcpTransport transport, int clients,
-                    int steps, std::size_t frame_bytes) {
+/// One swarm run against a fresh hub.
+RunResult run_swarm(const std::string& name, int clients, int steps,
+                    std::size_t frame_bytes) {
   hub::HubConfig cfg;
-  cfg.tcp_transport = transport;
   cfg.max_clients = static_cast<std::size_t>(clients) + 8;
   cfg.client_queue_frames = static_cast<std::size_t>(steps) + 4;
   cfg.cache_steps = 4;
@@ -368,7 +363,6 @@ int main(int argc, char** argv) {
   const int small = static_cast<int>(flags.get_int("small-clients", 500));
   const int steps = static_cast<int>(flags.get_int("steps", 16));
   const auto bytes = static_cast<std::size_t>(flags.get_int("bytes", 4096));
-  const bool skip_legacy = flags.has("skip-legacy");
   const std::string json_path = flags.get("json", "");
 
   const int clients = cap_clients(requested);
@@ -377,33 +371,17 @@ int main(int argc, char** argv) {
                 requested);
 
   std::vector<RunResult> runs;
-  runs.push_back(run_swarm("epoll-small",
-                           hub::HubConfig::TcpTransport::kEpoll,
-                           std::min(small, clients), steps, bytes));
+  runs.push_back(
+      run_swarm("epoll-small", std::min(small, clients), steps, bytes));
   print_run(runs.back());
-  runs.push_back(run_swarm("epoll-large",
-                           hub::HubConfig::TcpTransport::kEpoll, clients,
-                           steps, bytes));
+  runs.push_back(run_swarm("epoll-large", clients, steps, bytes));
   print_run(runs.back());
-  if (!skip_legacy) {
-    runs.push_back(run_swarm(
-        "legacy-small", hub::HubConfig::TcpTransport::kThreadPerConnection,
-        std::min(small, clients), steps, bytes));
-    print_run(runs.back());
-  }
 
   const double small_cost = runs[0].us_per_client_step;
   const double large_cost = runs[1].us_per_client_step;
   const double scaling =
       small_cost > 0.0 ? large_cost / small_cost : 0.0;
-  const double legacy_ratio =
-      (!skip_legacy && small_cost > 0.0 && runs.size() > 2)
-          ? runs[2].us_per_client_step / small_cost
-          : 0.0;
   std::printf("\nfanout_scaling_ratio (epoll large/small): %.3f\n", scaling);
-  if (!skip_legacy)
-    std::printf("legacy_vs_epoll_ratio (same client count): %.3f\n",
-                legacy_ratio);
 
   // Analytic WAN leg: what each remote viewer would add per frame on the
   // paper's two wide-area paths (latency + bytes/bandwidth; link.hpp).
@@ -442,7 +420,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"fanout_scaling_ratio\": %.4f,\n", scaling);
-    std::fprintf(f, "  \"legacy_vs_epoll_ratio\": %.4f,\n", legacy_ratio);
     std::fprintf(f,
                  "  \"wan_model\": {\"%s_ms_per_frame\": %.3f, "
                  "\"%s_ms_per_frame\": %.3f}\n",

@@ -9,17 +9,15 @@
 //     client stays within 10% of the single-client baseline, and the slow
 //     client's loss shows up as counted step skips, not as stalls.
 //
-// The same workload runs on any of the hub's three client transports
+// The same workload runs on either of the hub's client transports
 // (--transport): `inproc` attaches ClientPorts directly (the original
-// form), `tcp-epoll` and `tcp-threads` put a real HubTcpServer in front and
-// attach HubTcpViewer sockets, selecting the readiness-loop or the legacy
-// thread-per-connection accept path — the apples-to-apples ablation for
-// DESIGN.md §14. Over TCP the slow client is simulated by stalling its
-// read loop for the modeled link time (its identity and skip accounting
-// still live server-side).
+// form), `tcp-epoll` puts a real HubTcpServer (DESIGN.md §14) in front and
+// attaches HubTcpViewer sockets. Over TCP the slow client is simulated by
+// stalling its read loop for the modeled link time (its identity and skip
+// accounting still live server-side).
 //
 //   ./ablation_hub_fanout [--steps 60] [--period-ms 4] [--bytes 16384]
-//                         [--transport inproc|tcp-epoll|tcp-threads]
+//                         [--transport inproc|tcp-epoll]
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -37,7 +35,7 @@ using namespace tvviz;
 
 namespace {
 
-enum class Transport { kInproc, kTcpEpoll, kTcpThreads };
+enum class Transport { kInproc, kTcpEpoll };
 
 struct ClientRun {
   std::string id;
@@ -62,9 +60,6 @@ RunResult run_fanout(Transport transport, int clients, int steps,
   hub::HubConfig cfg;
   cfg.cache_steps = 16;
   cfg.client_queue_frames = 6;
-  cfg.tcp_transport = transport == Transport::kTcpThreads
-                          ? hub::HubConfig::TcpTransport::kThreadPerConnection
-                          : hub::HubConfig::TcpTransport::kEpoll;
 
   std::unique_ptr<hub::FrameHub> local;
   std::unique_ptr<hub::HubTcpServer> server;
@@ -197,11 +192,8 @@ int main(int argc, char** argv) {
     transport = Transport::kInproc;
   } else if (transport_name == "tcp-epoll") {
     transport = Transport::kTcpEpoll;
-  } else if (transport_name == "tcp-threads") {
-    transport = Transport::kTcpThreads;
   } else {
-    std::fprintf(stderr,
-                 "unknown --transport %s (inproc|tcp-epoll|tcp-threads)\n",
+    std::fprintf(stderr, "unknown --transport %s (inproc|tcp-epoll)\n",
                  transport_name.c_str());
     return 1;
   }

@@ -1,16 +1,18 @@
-// Distributed viewer: the §4.1 framework over REAL sockets. A daemon
-// server listens on localhost; a renderer endpoint connects and streams
-// compressed frames; a display endpoint connects, decodes, and steers the
-// view through the control backchannel — three independent actors speaking
-// the wire protocol, exactly how a multi-machine deployment would.
+// Distributed viewer: the §4.1 framework over REAL sockets. The display
+// daemon (a FrameHub behind a HubTcpServer) listens on localhost; a
+// renderer endpoint connects and streams compressed frames; a display
+// endpoint connects, decodes, and steers the view through the control
+// backchannel — three independent actors speaking the wire protocol,
+// exactly how a multi-machine deployment would.
 //
 //   ./distributed_viewer [--steps 10] [--size 128] [--codec jpeg+lzo]
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
 #include "codec/image_codec.hpp"
 #include "field/generators.hpp"
-#include "net/tcp.hpp"
+#include "hub/tcp_hub.hpp"
 #include "render/raycast.hpp"
 #include "util/flags.hpp"
 #include "util/timer.hpp"
@@ -23,12 +25,16 @@ int main(int argc, char** argv) {
   const int size = static_cast<int>(flags.get_int("size", 128));
   const std::string codec_name = flags.get("codec", "jpeg+lzo");
 
-  net::TcpDaemonServer server;
+  hub::HubConfig config;
+  // One lossless display: a queue bound the run cannot reach.
+  config.client_queue_frames = static_cast<std::size_t>(std::max(1, steps));
+  hub::HubTcpServer server(0, config);
   std::printf("display daemon listening on 127.0.0.1:%d\n", server.port());
 
   // ---- the display client -------------------------------------------------
+  // Connected (hello acknowledged) before the renderer sends anything.
+  hub::HubTcpViewer display(server.port());
   std::thread display_thread([&] {
-    net::TcpDisplayLink display(server.port());
     const auto codec = codec::make_image_codec(codec_name, 75);
     util::WallTimer clock;
     std::size_t bytes = 0;
@@ -55,7 +61,6 @@ int main(int argc, char** argv) {
   });
 
   // ---- the parallel renderer (stand-in: one node) --------------------------
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   net::TcpRendererLink renderer(server.port());
   const auto desc = field::scaled(field::turbulent_jet_desc(), 3, steps);
   const auto codec = codec::make_image_codec(codec_name, 75);

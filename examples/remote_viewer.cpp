@@ -47,7 +47,9 @@ int main(int argc, char** argv) {
   cfg.image_width = cfg.image_height =
       static_cast<int>(flags.get_int("size", 128));
   cfg.codec = flags.get("codec", "jpeg+lzo");
-  cfg.parallel_compression = flags.get_bool("parallel-compression", false);
+  const bool pieces = flags.get_bool("parallel-compression", false);
+  if (pieces)
+    cfg.compression = core::SessionConfig::Compression::kParallelPieces;
   cfg.azimuth_per_step = flags.get_double("spin", 0.05);
   cfg.keep_frames = true;
 
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
               cfg.dataset.dims.nz, cfg.dataset.steps, cfg.processors,
               cfg.groups, cfg.image_width, cfg.image_height,
               cfg.codec.c_str(),
-              cfg.parallel_compression ? " (parallel compression)" : "");
+              pieces ? " (parallel compression)" : "");
 
   const core::SessionResult result = core::run_session(cfg);
 

@@ -1,9 +1,9 @@
 // RemoteVizSession: the real end-to-end system (not the simulator). A vmp
 // cluster renders the time series in L processor groups with binary-swap
 // compositing; group leaders compress frames and ship them through the
-// display daemon; a display client decompresses, records timing, and feeds
-// user-control events back (§5: events are buffered and affect only later
-// frames).
+// display daemon (a hub::FrameHub, in process or over localhost TCP); a
+// display client decompresses, records timing, and feeds user-control
+// events back (§5: events are buffered and affect only later frames).
 #pragma once
 
 #include <filesystem>
@@ -39,8 +39,6 @@ struct SessionConfig {
   ///    "collectively compress" variant; JPEG-based, `codec` is ignored).
   enum class Compression { kAssembled, kParallelPieces, kCollective };
   Compression compression = Compression::kAssembled;
-  /// Back-compat alias for kParallelPieces.
-  bool parallel_compression = false;
   /// Build a per-subvolume min-max block structure each step and leap over
   /// transparent blocks (§7.1 preprocessing; identical images, less work).
   bool space_leaping = true;
@@ -82,14 +80,18 @@ struct SessionConfig {
   /// events (returns events to send toward the renderer).
   std::function<std::vector<net::ControlEvent>(int step, const render::Image&)>
       on_frame;
-  /// Route every frame and control event through a real TCP daemon on
-  /// localhost instead of the in-process relay — the deployable transport.
+  /// Every frame and control event crosses one hub::FrameHub, the display
+  /// daemon. With use_tcp it runs behind a HubTcpServer on localhost and
+  /// every endpoint talks to it over a real socket — the deployable
+  /// transport; otherwise it runs in process.
   bool use_tcp = false;
-  /// Serve the stream through the multi-client FrameHub instead of the
-  /// single-client daemon. With use_tcp the hub runs behind a HubTcpServer
-  /// on localhost; otherwise in process. The primary client (decodes,
+  /// Apply the hub_* fan-out settings below. The primary client (decodes,
   /// records metrics, runs on_frame, acks steps) is joined by
   /// `hub_clients - 1` auxiliary viewers that drain and count frames.
+  /// Off, the primary is the only viewer and its queue bound is
+  /// effective_steps() x processors messages — more than any session
+  /// queues, so no frame is ever dropped — and the hub_* fields are
+  /// ignored.
   bool use_hub = false;
   int hub_clients = 1;
   std::size_t hub_cache_steps = 32;   ///< Frame-cache ring (resume window).
@@ -114,8 +116,8 @@ struct SessionConfig {
   /// and the primary client runs a render::Warper — each arriving frame is
   /// first predicted by forward-reprojecting the previous 2.5D frame to the
   /// new step's camera, and the warp's hole ratio and PSNR against the real
-  /// decode are recorded in the result. Requires use_hub and kAssembled
-  /// compression (the depth plane only exists for whole gathered frames).
+  /// decode are recorded in the result. Requires kAssembled compression
+  /// (the depth plane only exists for whole gathered frames).
   bool use_warp = false;
 };
 
@@ -133,7 +135,7 @@ struct SessionResult {
   std::uint64_t wire_bytes = 0;          ///< Compressed bytes shipped.
   std::uint64_t raw_bytes = 0;           ///< Uncompressed RGB equivalent.
   int control_events_applied = 0;
-  /// Per-client delivery/drop/resume stats when use_hub (empty otherwise).
+  /// Per-client delivery/drop/resume stats; the primary viewer first.
   std::vector<hub::ClientStats> hub_client_stats;
   int adaptive_codec_switches = 0;  ///< When adaptive_target_frame_s > 0.
   // Warp-quality accounting of the primary viewer (use_warp; see

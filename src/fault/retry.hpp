@@ -1,7 +1,7 @@
 // Recovery policies for the wide-area transport: capped exponential backoff
 // with deterministic jitter, and the attempt-counting helper the retry call
-// sites (TcpConnection::connect_local_retry, the daemon's display pump,
-// HubTcpViewer's reconnect loop) share. Every wait and every give-up is
+// sites (TcpConnection::connect_local_retry and HubTcpViewer's reconnect
+// loop) share. Every wait and every give-up is
 // visible in the `net.retry.*` counters, and the jitter comes from a caller
 // -supplied util::Rng so a seeded run replays bit-identically.
 #pragma once

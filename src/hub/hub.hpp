@@ -1,6 +1,9 @@
-// FrameHub: the multi-client session broker. It sits where DisplayDaemon
-// sits — between the parallel renderer's interface and the display side of
-// §4.1 — but serves N viewers from one renderer stream:
+// FrameHub: the display daemon of §4.1. It sits between the parallel
+// renderer's interface and the display side, relays every frame forward,
+// and broadcasts control events from any client back to every renderer
+// interface. One hub serves one viewer or N viewers from one renderer
+// stream (core::run_session always runs one, in process or behind
+// hub/tcp_hub.hpp's HubTcpServer):
 //
 //  * every compressed frame is stored once in a reference-counted
 //    FrameCache and fanned out to the clients by shared pointer, so the
@@ -8,15 +11,13 @@
 //    are attached;
 //  * each client has its own bounded send queue with a newest-frame-wins
 //    drop policy: a slow client loses its own oldest frames (counted) and
-//    never stalls the renderer or the other clients;
+//    never stalls the renderer or the other clients. A bound no session
+//    can reach makes a client lossless;
 //  * clients carry liveness state (acks, heartbeats); a configurable idle
 //    timeout reaps dead clients, and a returning client reconnects by id
 //    and is resumed from the cache starting after its last acked step;
 //  * per-client LinkModel throttling simulates heterogeneous WAN paths in
 //    process (the real-socket form lives in hub/tcp_hub.hpp).
-//
-// Control events flow back from any client and are broadcast to every
-// renderer interface, exactly like the single-client daemon.
 #pragma once
 
 #include <atomic>
@@ -49,12 +50,6 @@ struct HubConfig {
   /// renegotiation) — exercised by the chaos suite.
   std::uint32_t max_protocol_version = net::kProtocolVersion;
 
-  /// TCP front-end architecture (hub/tcp_hub.hpp). kEpoll is the default:
-  /// one readiness loop plus a fixed worker pool, O(1) threads for any
-  /// client count. kThreadPerConnection is the legacy shape, kept for the
-  /// apples-to-apples ablation (bench/ablation_hub_fanout --transport).
-  enum class TcpTransport { kEpoll, kThreadPerConnection };
-  TcpTransport tcp_transport = TcpTransport::kEpoll;
   /// I/O deadline installed on accepted hub sockets; a display that stops
   /// reading long enough to stall a worker mid-send is evicted
   /// (net.hub.stalled_evictions) instead of wedging the pool. 0 = none.
@@ -92,12 +87,13 @@ struct ClientStats {
 
 class FrameHub {
  public:
-  /// Renderer-side connection; same shape as DisplayDaemon::RendererPort so
-  /// session code can drive either transport through one adapter.
+  /// Renderer-side connection: the renderer interface of §4.1.
   class RendererPort {
    public:
     void send(net::NetMessage msg);
     std::optional<net::ControlEvent> poll_control();
+    /// Control events waiting for poll_control().
+    std::size_t buffered_control() const { return control_.size(); }
 
     /// Invoked (from the hub's broadcast path) after control events become
     /// available via poll_control(), and once when the hub shuts the control

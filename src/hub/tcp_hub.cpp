@@ -39,9 +39,8 @@ obs::Counter& stalled_evictions_ctr() {
   return c;
 }
 
-/// Shared hello validation for both transports: refusals get a kError frame
-/// and count net.hub.hello_rejected; a non-hello first message is dropped
-/// silently (exactly the legacy behavior).
+/// Hello validation: refusals get a kError frame and count
+/// net.hub.hello_rejected; a non-hello first message is dropped silently.
 std::optional<HelloInfo> validate_hello(TcpConnection& conn,
                                         const NetMessage& first,
                                         std::uint32_t max_version) {
@@ -91,9 +90,27 @@ NetMessage outbound_frame(const NetMessage& msg, bool wants_depth) {
   return net::strip_depth(msg);
 }
 
+/// The owner handoff behind every socket write. The job that set `owned`
+/// (schedule_drain / schedule_control_drain) is the socket's only writer
+/// until it clears the flag, and it clears the flag only once `drain` has
+/// emptied its queue. A delivery landing mid-drain sees the flag set and
+/// schedules nothing; the owner picks that work up because, after
+/// releasing, it re-checks `has_work` and takes the flag back if it can.
+/// `drain` returns false once the session was evicted: the flag then stays
+/// set and the session never drains again.
+template <typename Drain, typename HasWork>
+void drain_as_owner(std::atomic<bool>& owned, Drain drain, HasWork has_work) {
+  for (;;) {
+    if (!drain()) return;
+    owned.store(false);
+    if (!has_work()) return;
+    if (owned.exchange(true)) return;  // a fresh job already owns the socket
+  }
+}
+
 }  // namespace
 
-/// Epoll-mode per-connection record. `role` and the port pointers are
+/// Per-connection record. `role` and the port pointers are
 /// written only inside the serialized read chain (one-shot arm -> worker
 /// job -> rearm): consecutive reads of one socket are ordered through the
 /// job queue, so they need no lock of their own. `role` is additionally
@@ -113,25 +130,16 @@ struct HubTcpServer::Session {
   std::shared_ptr<FrameHub::ClientPort> client_port;
   /// First evict wins; everything downstream of the exchange is idempotent.
   std::atomic<bool> dead{false};
-  /// Collapses ready-callback storms into at most one queued drain job.
+  /// Drain ownership of the socket's outbound side (see drain_as_owner):
+  /// set while a drain job is queued or running, so at most one job writes
+  /// to the socket and ready-callback storms collapse into that one job.
+  /// A display socket carries only frame drains, a renderer socket only
+  /// control drains.
   std::atomic<bool> drain_scheduled{false};
   std::atomic<bool> control_scheduled{false};
   /// v4 capability: frames keep their depth plane on the way out. Written
   /// once in handle_hello before the first drain, read by drain jobs.
   std::atomic<bool> wants_depth{false};
-};
-
-/// Legacy-mode per-connection record (std::list keeps nodes stable while
-/// the serve thread runs). `done` is the reap signal: the accept thread
-/// joins and erases finished sessions between accepts.
-struct HubTcpServer::ThreadSession {
-  explicit ThreadSession(std::shared_ptr<TcpConnection> conn_in)
-      : conn(std::move(conn_in)) {}
-  std::shared_ptr<TcpConnection> conn;
-  std::atomic<bool> done{false};
-  /// Display sockets stay open through shutdown's flush; see shutdown().
-  std::atomic<bool> is_display{false};
-  std::thread thread;
 };
 
 HubTcpServer::HubTcpServer(int port, HubConfig config)
@@ -158,29 +166,6 @@ HubTcpServer::HubTcpServer(int port, HubConfig config)
     ::close(listen_fd_);
     throw std::runtime_error("hub: listen failed");
   }
-  if (config_.tcp_transport == HubConfig::TcpTransport::kEpoll)
-    start_epoll();
-  else
-    accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-HubTcpServer::~HubTcpServer() { shutdown(); }
-
-std::size_t HubTcpServer::active_sessions() const {
-  if (loop_) {
-    util::LockGuard lock(sessions_mutex_);
-    return sessions_.size();
-  }
-  util::LockGuard lock(threads_mutex_);
-  std::size_t n = 0;
-  for (const auto& s : thread_sessions_)
-    if (!s.done.load()) ++n;
-  return n;
-}
-
-// ------------------------------------------------- epoll transport ----
-
-void HubTcpServer::start_epoll() {
   // The loop thread must never block in accept(): drain with non-blocking
   // accepts until EAGAIN, then re-arm. Accepted sockets stay blocking
   // (TcpConnection's deadline machinery handles them).
@@ -199,6 +184,13 @@ void HubTcpServer::start_epoll() {
   for (std::size_t i = 0; i < n; ++i)
     pool_.emplace_back([this] { worker_loop(); });
   loop_thread_ = std::thread([this] { loop_->run(); });
+}
+
+HubTcpServer::~HubTcpServer() { shutdown(); }
+
+std::size_t HubTcpServer::active_sessions() const {
+  util::LockGuard lock(sessions_mutex_);
+  return sessions_.size();
 }
 
 void HubTcpServer::worker_loop() {
@@ -393,36 +385,42 @@ void HubTcpServer::schedule_drain(const std::shared_ptr<Session>& session) {
 }
 
 void HubTcpServer::drain_display(const std::shared_ptr<Session>& session) {
-  // Clear-then-drain: a delivery landing after the clear schedules a fresh
-  // job; one landing before it is picked up by this loop. No lost wakeups.
-  session->drain_scheduled.store(false);
-  if (session->dead.load()) return;
-  auto port = session->client_port;
-  if (!port) return;
+  const auto& port = session->client_port;
   const bool wants_depth = session->wants_depth.load();
-  while (auto msg = port->try_next()) {
-    try {
-      session->conn->send_message(outbound_frame(*msg, wants_depth));
-    } catch (const net::TimeoutError&) {
-      // Zero bytes accepted within the deadline: the viewer stopped
-      // reading. Evict it instead of letting it pin a worker.
-      stalled_evictions_ctr().add(1);
-      evict(session);
-      return;
-    } catch (const net::SendDeadlineError&) {
-      // Same stall, caught mid-frame: the connection is already shut
-      // (stream desynchronized), but the cause is still a stalled reader.
-      stalled_evictions_ctr().add(1);
-      evict(session);
-      return;
-    } catch (const std::exception&) {
-      evict(session);
-      return;
-    }
-  }
-  // Closed and fully flushed (hub shutdown, reap, or reconnect takeover):
-  // this drain is the last act of the session.
-  if (port->closed() && port->buffered() == 0) evict(session);
+  drain_as_owner(
+      session->drain_scheduled,
+      [&] {
+        if (session->dead.load()) return false;
+        while (auto msg = port->try_next()) {
+          try {
+            session->conn->send_message(outbound_frame(*msg, wants_depth));
+          } catch (const net::TimeoutError&) {
+            // Zero bytes accepted within the deadline: the viewer stopped
+            // reading. Evict it instead of letting it pin a worker.
+            stalled_evictions_ctr().add(1);
+            evict(session);
+            return false;
+          } catch (const net::SendDeadlineError&) {
+            // Same stall, caught mid-frame: the connection is already shut
+            // (stream desynchronized), but the cause is still a stalled
+            // reader.
+            stalled_evictions_ctr().add(1);
+            evict(session);
+            return false;
+          } catch (const std::exception&) {
+            evict(session);
+            return false;
+          }
+        }
+        // Closed and fully flushed (hub shutdown, reap, or reconnect
+        // takeover): this drain is the last act of the session.
+        if (port->closed() && port->buffered() == 0) {
+          evict(session);
+          return false;
+        }
+        return true;
+      },
+      [&] { return port->buffered() > 0 || port->closed(); });
 }
 
 void HubTcpServer::schedule_control_drain(
@@ -435,21 +433,25 @@ void HubTcpServer::schedule_control_drain(
 
 void HubTcpServer::drain_renderer_control(
     const std::shared_ptr<Session>& session) {
-  session->control_scheduled.store(false);
-  if (session->dead.load()) return;
-  auto port = session->renderer_port;
-  if (!port) return;
-  while (auto event = port->poll_control()) {
-    NetMessage msg;
-    msg.type = MsgType::kControl;
-    msg.payload = event->serialize();
-    try {
-      session->conn->send_message(msg);
-    } catch (const std::exception&) {
-      evict(session);
-      return;
-    }
-  }
+  const auto& port = session->renderer_port;
+  drain_as_owner(
+      session->control_scheduled,
+      [&] {
+        if (session->dead.load()) return false;
+        while (auto event = port->poll_control()) {
+          NetMessage msg;
+          msg.type = MsgType::kControl;
+          msg.payload = event->serialize();
+          try {
+            session->conn->send_message(msg);
+          } catch (const std::exception&) {
+            evict(session);
+            return false;
+          }
+        }
+        return true;
+      },
+      [&] { return port->buffered_control() > 0; });
 }
 
 void HubTcpServer::evict(const std::shared_ptr<Session>& session) {
@@ -464,274 +466,43 @@ void HubTcpServer::evict(const std::shared_ptr<Session>& session) {
   sessions_gauge().set(static_cast<std::int64_t>(sessions_.size()));
 }
 
-// ------------------------------------- legacy thread-per-connection ----
-
-void HubTcpServer::accept_loop() {
-  double backoff_ms = 1.0;
-  while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      const int err = errno;
-      // Only a dead listener (shutdown, EBADF/EINVAL) stops the loop;
-      // transient failures are counted and retried — EMFILE-class ones
-      // after a capped backoff so the retry doesn't spin.
-      if (!running_.load() || !net::accept_should_retry(err)) return;
-      accept_errors_ctr().add(1);
-      if (net::accept_error_needs_backoff(err)) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-        backoff_ms = std::min(backoff_ms * 2.0, 100.0);
-      }
-      continue;
-    }
-    backoff_ms = 1.0;
-    reap_finished_sessions();
-    auto conn = std::make_shared<TcpConnection>(fd);
-    if (config_.tcp_io_timeout_ms > 0.0)
-      conn->set_io_timeout_ms(config_.tcp_io_timeout_ms);
-    util::LockGuard lock(threads_mutex_);
-    ThreadSession& session = thread_sessions_.emplace_back(std::move(conn));
-    // The handshake (a blocking read) runs on the serve thread, never here:
-    // a client that connects and goes silent must not block the next
-    // accept.
-    session.thread = std::thread([this, &session] { serve_connection(session); });
-  }
-}
-
-void HubTcpServer::reap_finished_sessions() {
-  std::vector<std::thread> finished;
-  {
-    util::LockGuard lock(threads_mutex_);
-    for (auto it = thread_sessions_.begin(); it != thread_sessions_.end();) {
-      if (it->done.load()) {
-        finished.push_back(std::move(it->thread));
-        it = thread_sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& t : finished)
-    if (t.joinable()) t.join();
-}
-
-void HubTcpServer::serve_connection(ThreadSession& session) {
-  const auto conn = session.conn;
-  std::optional<NetMessage> first;
-  try {
-    first = conn->recv_message();
-  } catch (const std::exception&) {
-    first.reset();  // malformed first frame: drop, keep serving others
-  }
-  if (first) {
-    if (auto info = validate_hello(*conn, *first, max_version_)) {
-      if (info->role == "renderer") {
-        serve_renderer(conn);
-      } else {
-        session.is_display.store(true);
-        serve_display(conn, std::move(*info));
-      }
-    }
-  }
-  session.done.store(true);
-}
-
-void HubTcpServer::serve_renderer(std::shared_ptr<TcpConnection> conn) {
-  auto port = hub_.connect_renderer();
-  std::atomic<bool> reading{true};
-  std::thread writer([&] {
-    while (reading.load() && running_.load()) {
-      bool sent = false;
-      while (auto event = port->poll_control()) {
-        NetMessage msg;
-        msg.type = MsgType::kControl;
-        msg.payload = event->serialize();
-        try {
-          conn->send_message(msg);
-        } catch (const std::exception&) {
-          return;
-        }
-        sent = true;
-      }
-      if (!sent) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
-  while (running_.load()) {
-    std::optional<NetMessage> msg;
-    try {
-      msg = conn->recv_message();
-    } catch (const std::exception&) {
-      // Malformed wire data or a socket error mid-stream: treat it as a
-      // disconnect. An uncaught throw here would std::terminate the whole
-      // hub process on one misbehaving renderer.
-      break;
-    }
-    if (!msg) break;
-    port->send(std::move(*msg));
-  }
-  reading.store(false);
-  writer.join();
-  hub_.disconnect_renderer(*port);
-}
-
-void HubTcpServer::serve_display(std::shared_ptr<TcpConnection> conn,
-                                 HelloInfo info) {
-  ClientOptions options;
-  options.id = info.client_id;
-  options.queue_frames = info.queue_frames;
-  options.wants_frame_refs = info.wants_frame_refs && info.version >= 3;
-  const bool wants_depth = info.wants_depth && info.version >= 4;
-  if (info.last_acked_step >= 0) {
-    // An explicit resume point also applies to ids the hub has never seen
-    // (e.g. the hub restarted and lost its registry but the cache refilled).
-    options.replay_cache = true;
-    options.replay_after_step = info.last_acked_step;
-  }
-  std::shared_ptr<FrameHub::ClientPort> port;
-  try {
-    port = hub_.connect_client(std::move(options));
-  } catch (const std::exception& e) {
-    try {
-      conn->send_message(net::make_error(e.what()));
-    } catch (const std::exception&) {
-    }
-    return;
-  }
-  if (info.last_acked_step >= 0) port->ack(info.last_acked_step);
-  {
-    NetMessage ok;
-    ok.type = MsgType::kHelloAck;
-    ok.codec = port->id();  // the identity the hub filed this client under
-    try {
-      conn->send_message(ok);
-    } catch (const std::exception&) {
-      hub_.disconnect_client(*port);
-      return;
-    }
-  }
-  // Reader: acks, heartbeats and control events from the viewer. A dead
-  // socket detaches the port here so the writer's blocking next() wakes up
-  // — otherwise an idle disconnected session would linger until the next
-  // frame tried to flow (the churn regression). Shutdown is the exception:
-  // the port must stay open for the writer's flush of the queue tail.
-  std::thread reader([&] {
-    while (running_.load()) {
-      std::optional<NetMessage> msg;
-      try {
-        msg = conn->recv_message();
-      } catch (const std::exception&) {
-        if (running_.load()) hub_.disconnect_client(*port);
-        return;
-      }
-      if (!msg) {
-        if (running_.load()) hub_.disconnect_client(*port);
-        return;
-      }
-      switch (msg->type) {
-        case MsgType::kAck:
-          port->ack(msg->frame_index);
-          break;
-        case MsgType::kHeartbeat:
-          port->heartbeat();
-          break;
-        case MsgType::kControl:
-          port->send_control(net::ControlEvent::deserialize(msg->payload));
-          break;
-        case MsgType::kFrameFetch:
-          try {
-            port->request_content(net::parse_frame_fetch(*msg));
-          } catch (const std::exception&) {
-            if (running_.load()) hub_.disconnect_client(*port);
-            return;  // malformed fetch: same exit as any wire error
-          }
-          break;
-        default:
-          // Same contract as the epoll path: never swallow an unknown
-          // message type silently (wire-switch-default, DESIGN.md §18).
-          TVVIZ_LOG(kWarn) << "hub: ignoring unexpected message type "
-                           << static_cast<int>(msg->type)
-                           << " from display client " << port->id();
-          break;
-      }
-    }
-  });
-  // Writer: the client's queue onto the socket. Runs past running_ going
-  // false so a shutdown flushes the queue tail (next() returns nullptr once
-  // the port is closed *and* drained).
-  for (;;) {
-    auto msg = port->next();
-    if (!msg) break;
-    try {
-      conn->send_message(outbound_frame(*msg, wants_depth));
-    } catch (const std::exception&) {
-      break;
-    }
-  }
-  // Socket gone or port closed: detach without forgetting, so this id can
-  // reconnect and resume from its last acked step.
-  hub_.disconnect_client(*port);
-  conn->shutdown();
-  reader.join();
-}
-
 // -------------------------------------------------------- shutdown ----
 
 void HubTcpServer::shutdown() {
   if (!running_.exchange(false)) return;
-  if (loop_) loop_->remove(listen_fd_);
+  loop_->remove(listen_fd_);
   ::shutdown(listen_fd_, SHUT_RDWR);
   ::close(listen_fd_);
-  if (loop_) {
-    // Order matters for the flush guarantee: first stop the inflow by
-    // shutting the renderer (and still-handshaking) sockets, then drain the
-    // hub into the client queues — closing each port fires its ready
-    // callback, queueing a final flush drain — and only then retire the
-    // workers: jobs_.close() lets them finish every queued flush over the
-    // still-open display sockets before exiting.
-    std::vector<std::shared_ptr<Session>> snapshot;
-    {
-      util::LockGuard lock(sessions_mutex_);
-      snapshot.reserve(sessions_.size());
-      for (auto& [fd, s] : sessions_) snapshot.push_back(s);
-    }
-    for (auto& s : snapshot)
-      if (s->role.load() != Session::Role::kDisplay) s->conn->shutdown();
-    hub_.shutdown();
-    jobs_.close();
-    for (auto& t : pool_)
-      if (t.joinable()) t.join();
-    loop_->stop();
-    if (loop_thread_.joinable()) loop_thread_.join();
-    // Anything not evicted by its flush drain (e.g. a socket that was
-    // already broken): close it now.
-    snapshot.clear();
-    {
-      util::LockGuard lock(sessions_mutex_);
-      for (auto& [fd, s] : sessions_) snapshot.push_back(s);
-      sessions_.clear();
-      sessions_gauge().set(0);
-    }
-    for (auto& s : snapshot) s->conn->shutdown();
-    return;
-  }
-  // Legacy: same ordering with per-connection threads. Display sockets stay
-  // open so their writer loops can flush the queue tails.
+  // Order matters for the flush guarantee: first stop the inflow by
+  // shutting the renderer (and still-handshaking) sockets, then drain the
+  // hub into the client queues — closing each port fires its ready
+  // callback, queueing a final flush drain — and only then retire the
+  // workers: jobs_.close() lets them finish every queued flush over the
+  // still-open display sockets before exiting.
+  std::vector<std::shared_ptr<Session>> snapshot;
   {
-    util::LockGuard lock(threads_mutex_);
-    for (auto& s : thread_sessions_)
-      if (!s.is_display.load()) s.conn->shutdown();
+    util::LockGuard lock(sessions_mutex_);
+    snapshot.reserve(sessions_.size());
+    for (auto& [fd, s] : sessions_) snapshot.push_back(s);
   }
+  for (auto& s : snapshot)
+    if (s->role.load() != Session::Role::kDisplay) s->conn->shutdown();
   hub_.shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::list<ThreadSession> rest;
+  jobs_.close();
+  for (auto& t : pool_)
+    if (t.joinable()) t.join();
+  loop_->stop();
+  if (loop_thread_.joinable()) loop_thread_.join();
+  // Anything not evicted by its flush drain (e.g. a socket that was
+  // already broken): close it now.
+  snapshot.clear();
   {
-    util::LockGuard lock(threads_mutex_);
-    rest.splice(rest.begin(), thread_sessions_);
+    util::LockGuard lock(sessions_mutex_);
+    for (auto& [fd, s] : sessions_) snapshot.push_back(s);
+    sessions_.clear();
+    sessions_gauge().set(0);
   }
-  for (auto& s : rest) {
-    if (s.thread.joinable()) s.thread.join();
-    s.conn->shutdown();
-  }
+  for (auto& s : snapshot) s->conn->shutdown();
 }
 
 // -------------------------------------------------------- HubTcpViewer ----
@@ -747,8 +518,9 @@ HubTcpViewer::HubTcpViewer(int port, Options options)
   std::uint64_t jitter_seed = util::fnv1a(options_.client_id, 0x76696577ULL);
   retry_rng_ = util::Rng(util::splitmix64(jitter_seed));
   if (options_.auto_reconnect) {
-    // First contact under the policy too: an injected refused connect (or a
-    // hub still starting up) is ridden out here rather than thrown.
+    // First contact under the policy too: an injected refused connect, a
+    // hub still starting up, or a handshake cut off mid-frame is ridden out
+    // here rather than thrown. A refusal (kError) still fails fast.
     fault::Backoff backoff(options_.retry, retry_rng_.fork());
     std::exception_ptr last;
     std::shared_ptr<TcpConnection> conn;
@@ -756,6 +528,8 @@ HubTcpViewer::HubTcpViewer(int port, Options options)
       try {
         conn = connect_and_handshake();
       } catch (const net::SocketError&) {
+        last = std::current_exception();
+      } catch (const net::WireError&) {
         last = std::current_exception();
       }
     }

@@ -1,18 +1,17 @@
-// The FrameHub behind a listening socket: the wide-area deployment of the
-// multi-client broker. Renderer processes connect exactly as they do to the
-// single-client TcpDaemonServer (v1 hellos still work); display clients
-// speak the v2 capability handshake, carrying a stable client id, a resume
-// point, and queue preferences, and get back a kHelloAck (or a kError frame
-// explaining why they were refused).
+// The FrameHub behind a listening socket: the display daemon of §4.1 served
+// over TCP, and the wide-area deployment of the multi-client broker.
+// Renderer processes connect with net::TcpRendererLink (the v1 hello);
+// display clients speak the v2 capability handshake, carrying a stable
+// client id, a resume point, and queue preferences, and get back a
+// kHelloAck (or a kError frame explaining why they were refused).
 //
-// Transport architecture (HubConfig::tcp_transport, DESIGN.md §14): the
-// default is a readiness-based core — one epoll loop thread owns the
-// listening socket and every connection, and a small fixed worker pool does
-// the blocking work (hello parsing, fan-out sends), so thread count is O(1)
-// in the client count and a stalled or silent client can never occupy the
-// accept path. The legacy thread-per-connection shape is kept behind
-// kThreadPerConnection for the apples-to-apples ablation
-// (bench/ablation_hub_fanout --transport).
+// Transport architecture (DESIGN.md §14): a readiness-based core — one
+// epoll loop thread owns the listening socket and every connection, and a
+// small fixed worker pool does the blocking work (hello parsing, fan-out
+// sends), so thread count is O(1) in the client count and a stalled or
+// silent client can never occupy the accept path. Each socket has at most
+// one writer at a time: a drain job owns its session's outbound side until
+// the queue it drains is empty.
 //
 // The viewer endpoint owns the WAN recovery story: with auto_reconnect it
 // rides out refused connects, mid-frame disconnects and handshake version
@@ -23,7 +22,6 @@
 
 #include <atomic>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,21 +51,18 @@ class HubTcpServer {
   /// Transport sessions currently tracked (sockets not yet evicted). The
   /// churn regression test asserts this stays bounded — disconnected
   /// clients are reaped, not accumulated until shutdown.
-  std::size_t active_sessions() const
-      TVVIZ_EXCLUDES(sessions_mutex_, threads_mutex_);
+  std::size_t active_sessions() const TVVIZ_EXCLUDES(sessions_mutex_);
 
   /// Stop accepting, flush queued frames to the display sockets, close
   /// every connection, join all threads.
-  void shutdown() TVVIZ_EXCLUDES(sessions_mutex_, threads_mutex_);
+  void shutdown() TVVIZ_EXCLUDES(sessions_mutex_);
 
  private:
-  // ----- epoll transport (default) -----------------------------------
   /// Per-connection record. `role` and the ports are written only by the
   /// serialized read chain (one-shot arm -> worker job -> rearm); `role` is
   /// atomic because shutdown() classifies sessions from another thread.
   struct Session;
 
-  void start_epoll();
   void worker_loop();
   /// Listener readiness (loop thread): accept until EAGAIN; transient
   /// errors retry (net.hub.accept_errors), fd-exhaustion re-arms after a
@@ -86,18 +81,6 @@ class HubTcpServer {
   void evict(const std::shared_ptr<Session>& session)
       TVVIZ_EXCLUDES(sessions_mutex_);
 
-  // ----- legacy thread-per-connection transport -----------------------
-  struct ThreadSession;
-
-  void accept_loop() TVVIZ_EXCLUDES(threads_mutex_);
-  void serve_connection(ThreadSession& session);
-  void serve_renderer(std::shared_ptr<net::TcpConnection> conn);
-  void serve_display(std::shared_ptr<net::TcpConnection> conn,
-                     net::HelloInfo info);
-  /// Join and erase sessions whose serve thread has finished (called from
-  /// the accept thread between accepts — the reap that keeps churn bounded).
-  void reap_finished_sessions() TVVIZ_EXCLUDES(threads_mutex_);
-
   FrameHub hub_;
   HubConfig config_;
   std::uint32_t max_version_ = net::kProtocolVersion;
@@ -105,7 +88,6 @@ class HubTcpServer {
   int port_ = 0;
   std::atomic<bool> running_{true};
 
-  // Epoll transport state.
   std::unique_ptr<net::EventLoop> loop_;
   std::thread loop_thread_;
   net::BlockingQueue<std::function<void()>> jobs_;
@@ -115,16 +97,10 @@ class HubTcpServer {
       TVVIZ_GUARDED_BY(sessions_mutex_);
   /// Loop-thread only: current listener re-arm backoff after fd exhaustion.
   double accept_backoff_ms_ = 0.0;
-
-  // Legacy transport state.
-  std::thread accept_thread_;
-  mutable util::Mutex threads_mutex_;
-  std::list<ThreadSession> thread_sessions_ TVVIZ_GUARDED_BY(threads_mutex_);
 };
 
-/// Display-side endpoint speaking the v2 hub handshake. Compare
-/// net::TcpDisplayLink, the v1 single-client form (which the hub also
-/// accepts, minus resume/acks).
+/// Display-side endpoint speaking the v2 hub handshake (the hub also
+/// accepts a v1 display hello, minus resume/acks).
 class HubTcpViewer {
  public:
   struct Options {

@@ -1,6 +1,7 @@
-// Bounded blocking queue used by the display daemon and its endpoints.
-// The bound models the daemon's image buffer (§6: "the display daemon uses
-// an image buffer to cope with faster rendering rates").
+// Bounded blocking queue: the hub inbox, renderer control queues and the
+// codec tile pool. A bound models a buffer that blocks its producer (§6:
+// "the display daemon uses an image buffer to cope with faster rendering
+// rates").
 #pragma once
 
 #include <chrono>

@@ -17,7 +17,6 @@
 #include <stdexcept>
 
 #include "fault/fault.hpp"
-#include "net/event_loop.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -391,217 +390,6 @@ void TcpConnection::shutdown() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-// ------------------------------------------------------ TcpDaemonServer ----
-
-TcpDaemonServer::TcpDaemonServer(int port, std::size_t display_buffer_frames)
-    : daemon_(display_buffer_frames) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw SocketError("tcp: socket() failed");
-  const int one = 1;
-  if (::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) !=
-      0) {
-    ::close(listen_fd_);
-    throw_errno("setsockopt(SO_REUSEADDR)");
-  }
-  sockaddr_in addr = loopback(port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    ::close(listen_fd_);
-    throw SocketError("tcp: bind failed");
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    throw SocketError("tcp: listen failed");
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-TcpDaemonServer::~TcpDaemonServer() { shutdown(); }
-
-void TcpDaemonServer::shutdown() {
-  if (!running_.exchange(false)) return;
-  // Closing the listening socket unblocks accept().
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  daemon_.shutdown();
-  {
-    util::LockGuard lock(threads_mutex_);
-    for (auto& c : connections_) c->shutdown();
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  util::LockGuard lock(threads_mutex_);
-  for (auto& t : workers_)
-    if (t.joinable()) t.join();
-}
-
-void TcpDaemonServer::accept_loop() {
-  double backoff_ms = 1.0;
-  while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      const int err = errno;
-      // Only a dead listener (shutdown, EBADF) stops the loop. Transient
-      // failures — a connection aborted in the backlog, a signal, or fd
-      // exhaustion — are counted and retried, the EMFILE-class ones after a
-      // capped backoff so the retry doesn't spin at 100% CPU.
-      if (!running_.load() || !accept_should_retry(err)) return;
-      static obs::Counter& errors = obs::counter("net.tcp.accept_errors");
-      errors.add(1);
-      if (accept_error_needs_backoff(err)) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-        backoff_ms = std::min(backoff_ms * 2.0, 100.0);
-      }
-      continue;
-    }
-    backoff_ms = 1.0;
-    auto conn = std::make_shared<TcpConnection>(fd);
-    // Role handshake. A malformed first frame now throws; drop the
-    // connection rather than the whole accept loop.
-    std::optional<NetMessage> first;
-    try {
-      first = conn->recv_message();
-    } catch (const std::exception&) {
-      continue;  // drop
-    }
-    if (!first || first->type != MsgType::kHello) continue;  // drop
-    // Version/capability check. An endpoint from the future (or a corrupt
-    // hello) is told *why* it is being refused with a kError frame instead
-    // of a silent close, so the operator of the newer viewer sees
-    // "unsupported protocol version 7" rather than a dead socket.
-    static obs::Counter& rejected = obs::counter("net.tcp.hello_rejected");
-    const auto refuse = [&](const std::string& reason) {
-      rejected.add(1);
-      try {
-        conn->send_message(make_error(reason));
-      } catch (const std::exception&) {
-      }
-    };
-    HelloInfo info;
-    try {
-      info = parse_hello(*first);
-    } catch (const std::exception& e) {
-      refuse(std::string("malformed hello: ") + e.what());
-      continue;
-    }
-    if (info.version == 0 || info.version > kProtocolVersion) {
-      refuse("unsupported protocol version " + std::to_string(info.version) +
-             " (this daemon speaks 1.." + std::to_string(kProtocolVersion) +
-             ")");
-      continue;
-    }
-    if (info.role != "renderer" && info.role != "display") {
-      refuse("unknown endpoint role '" + info.role +
-             "' (expected 'renderer' or 'display')");
-      continue;
-    }
-    util::LockGuard lock(threads_mutex_);
-    connections_.push_back(conn);
-    if (info.role == "renderer")
-      workers_.emplace_back([this, conn] { serve_renderer(conn); });
-    else
-      workers_.emplace_back([this, conn] { serve_display(conn); });
-  }
-}
-
-void TcpDaemonServer::serve_renderer(std::shared_ptr<TcpConnection> conn) {
-  auto port = daemon_.connect_renderer();
-  // Writer: forward buffered control events toward the renderer.
-  std::atomic<bool> reading{true};
-  std::thread writer([&] {
-    while (reading.load() && running_.load()) {
-      bool sent = false;
-      while (auto event = port->poll_control()) {
-        NetMessage msg;
-        msg.type = MsgType::kControl;
-        msg.payload = event->serialize();
-        try {
-          conn->send_message(msg);
-        } catch (const std::exception&) {
-          return;
-        }
-        sent = true;
-      }
-      if (!sent)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
-  // Reader: frames from the renderer into the daemon. A renderer dying
-  // mid-frame (WireError) or a socket failure is a disconnect, not a
-  // std::terminate of the whole server.
-  while (running_.load()) {
-    std::optional<NetMessage> msg;
-    try {
-      msg = conn->recv_message();
-    } catch (const std::exception&) {
-      break;
-    }
-    if (!msg) break;
-    port->send(std::move(*msg));
-  }
-  reading.store(false);
-  writer.join();
-}
-
-void TcpDaemonServer::serve_display(std::shared_ptr<TcpConnection> conn) {
-  auto port = daemon_.connect_display();
-  if (display_retry_.io_timeout_ms > 0.0)
-    conn->set_io_timeout_ms(display_retry_.io_timeout_ms);
-  // Reader: control events from the display client (exceptions = client
-  // disconnected; the writer notices the broken socket on its next frame).
-  std::thread reader([&] {
-    while (running_.load()) {
-      std::optional<NetMessage> msg;
-      try {
-        msg = conn->recv_message();
-      } catch (const TimeoutError&) {
-        // Control traffic is sparse; idle is not a disconnect. Safe to retry:
-        // recv_message only surfaces TimeoutError when zero bytes of the
-        // frame were consumed (partial progress is a WireError instead).
-        continue;
-      } catch (const std::exception&) {
-        return;
-      }
-      if (!msg) return;
-      if (msg->type == MsgType::kControl)
-        port->send_control(ControlEvent::deserialize(msg->payload));
-    }
-  });
-  // Writer: relay frames to the display client. A stalled client (per-op
-  // deadline expired) gets the policy's backoff-and-retry before the frame
-  // — and the client — is given up on; a broken socket ends the relay
-  // immediately. Retrying the same frame is safe because send_message only
-  // surfaces TimeoutError when zero bytes of it reached the wire — a
-  // deadline expiring mid-frame closes the connection with a SocketError
-  // (the receiver's framing would desynchronize on a resend).
-  util::Rng retry_rng(0xd15f1a6ULL ^ static_cast<std::uint64_t>(conn->fd()));
-  bool socket_alive = true;
-  while (socket_alive && running_.load()) {
-    auto msg = port->next();
-    if (!msg) break;  // daemon shut down
-    fault::Backoff backoff(display_retry_, retry_rng.fork());
-    bool sent = false;
-    while (!sent && backoff.next()) {
-      try {
-        conn->send_message(*msg);
-        sent = true;
-      } catch (const TimeoutError&) {
-        static obs::Counter& stalls = obs::counter("net.retry.display_stalls");
-        stalls.add(1);
-      } catch (const std::exception&) {
-        socket_alive = false;
-        break;
-      }
-    }
-    if (!sent) break;  // attempts exhausted or socket gone
-  }
-  conn->shutdown();  // unblock the reader
-  reader.join();
-}
-
 // ------------------------------------------------------ client endpoints ----
 
 TcpRendererLink::TcpRendererLink(int port)
@@ -613,7 +401,7 @@ TcpRendererLink::TcpRendererLink(int port)
       try {
         msg = conn_->recv_message();
       } catch (const std::exception&) {
-        return;  // daemon gone or stream desynchronized: stop polling
+        return;  // hub gone or stream desynchronized: stop polling
       }
       if (!msg) return;
       if (msg->type != MsgType::kControl) continue;
@@ -637,23 +425,5 @@ void TcpRendererLink::close() {
 }
 
 TcpRendererLink::~TcpRendererLink() { close(); }
-
-TcpDisplayLink::TcpDisplayLink(int port)
-    : conn_(TcpConnection::connect_local(port)) {
-  conn_->send_message(hello("display"));
-}
-
-void TcpDisplayLink::send_control(const ControlEvent& event) {
-  NetMessage msg;
-  msg.type = MsgType::kControl;
-  msg.payload = event.serialize();
-  conn_->send_message(msg);
-}
-
-void TcpDisplayLink::close() {
-  if (conn_) conn_->shutdown();
-}
-
-TcpDisplayLink::~TcpDisplayLink() { close(); }
 
 }  // namespace tvviz::net

@@ -1,12 +1,11 @@
-// Real TCP transport for the §4.1 framework: the display daemon served
-// over sockets, with renderer and display endpoints connecting from other
-// processes (or machines). This is what an actual deployment of the
-// paper's system uses; the in-process DisplayDaemon remains the transport
-// for single-process sessions and tests.
+// Real TCP transport for the §4.1 framework: the framed message socket
+// every endpoint speaks, and the renderer-side link. The display daemon
+// served over sockets is hub::HubTcpServer (hub/tcp_hub.hpp); its display
+// endpoint is hub::HubTcpViewer.
 //
 // Wire protocol: each frame is [u32 little-endian length][NetMessage body
 // per serialize_message]. The first message on every connection must be a
-// kHello whose codec field carries the role: "renderer" or "display".
+// kHello naming the role: "renderer" or "display".
 //
 // Failure behavior (see net/errors.hpp): syscall failures throw
 // SocketError, a peer dying mid-frame throws WireError, and an expired
@@ -16,14 +15,13 @@
 // drop, delay, corrupt, truncate or refuse deterministically.
 #pragma once
 
-#include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault/retry.hpp"
-#include "net/daemon.hpp"
 #include "net/errors.hpp"
 #include "net/protocol.hpp"
 #include "util/mutex.hpp"
@@ -98,49 +96,6 @@ class TcpConnection {
   std::shared_ptr<fault::ConnectionFaults> faults_;
 };
 
-/// The display daemon behind a listening socket. Accepts any number of
-/// renderer and display connections (§4.1) and bridges them onto an
-/// in-process DisplayDaemon.
-class TcpDaemonServer {
- public:
-  /// Listen on 127.0.0.1:`port` (0 = ephemeral; see port()).
-  explicit TcpDaemonServer(int port = 0, std::size_t display_buffer_frames = 8);
-  ~TcpDaemonServer();
-
-  int port() const noexcept { return port_; }
-  DisplayDaemon& daemon() noexcept { return daemon_; }
-
-  /// Recovery policy of the renderer->display pump: a display socket too
-  /// slow to accept a frame within the policy's io_timeout_ms is retried
-  /// with backoff instead of dropped on the first stall (and dropped for
-  /// real once the attempts are exhausted). The default policy has no
-  /// timeout, i.e. the pre-fault-injection blocking behavior.
-  void set_display_retry(const fault::RetryPolicy& policy) {
-    display_retry_ = policy;
-  }
-
-  /// Stop accepting, close every connection, join all threads. Joins
-  /// worker threads, so the lock is taken and released around each wait —
-  /// never held while joining.
-  void shutdown() TVVIZ_EXCLUDES(threads_mutex_);
-
- private:
-  void accept_loop() TVVIZ_EXCLUDES(threads_mutex_);
-  void serve_renderer(std::shared_ptr<TcpConnection> conn);
-  void serve_display(std::shared_ptr<TcpConnection> conn);
-
-  DisplayDaemon daemon_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  fault::RetryPolicy display_retry_{};
-  std::atomic<bool> running_{true};
-  std::thread accept_thread_;
-  util::Mutex threads_mutex_;
-  std::vector<std::thread> workers_ TVVIZ_GUARDED_BY(threads_mutex_);
-  std::vector<std::shared_ptr<TcpConnection>> connections_
-      TVVIZ_GUARDED_BY(threads_mutex_);
-};
-
 /// Renderer-side endpoint over TCP: send frames, poll control events.
 class TcpRendererLink {
  public:
@@ -148,8 +103,8 @@ class TcpRendererLink {
 
   void send(const NetMessage& msg) { conn_->send_message(msg); }
 
-  /// Non-blocking-ish control poll: events the daemon pushed since the
-  /// last call (drained by a background reader thread).
+  /// Non-blocking-ish control poll: events the hub pushed since the last
+  /// call (drained by a background reader thread).
   std::optional<ControlEvent> poll_control() TVVIZ_EXCLUDES(mutex_);
 
   void close();
@@ -160,23 +115,6 @@ class TcpRendererLink {
   std::thread reader_;
   util::Mutex mutex_;
   std::vector<ControlEvent> pending_ TVVIZ_GUARDED_BY(mutex_);
-};
-
-/// Display-side endpoint over TCP.
-class TcpDisplayLink {
- public:
-  explicit TcpDisplayLink(int port);
-
-  /// Blocking receive; std::nullopt when the daemon closes.
-  std::optional<NetMessage> next() { return conn_->recv_message(); }
-
-  void send_control(const ControlEvent& event);
-
-  void close();
-  ~TcpDisplayLink();
-
- private:
-  std::unique_ptr<TcpConnection> conn_;
 };
 
 }  // namespace tvviz::net

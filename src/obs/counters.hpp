@@ -4,8 +4,8 @@
 // registry mutex is only taken to resolve a name to its counter, which call
 // sites do once (function-local static reference).
 //
-//   static obs::Counter& frames = obs::counter("net.daemon.frames_relayed");
-//   frames.add(1);
+//   static obs::Counter& steps = obs::counter("net.hub.steps_relayed");
+//   steps.add(1);
 //
 // Naming scheme: dot-separated, "<subsystem>.<object>.<quantity>", with
 // units as suffix where not obvious ("_us", "_bytes"). Counters only ever

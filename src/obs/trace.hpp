@@ -1,6 +1,6 @@
 // Lightweight span tracing for the input -> render -> composite -> compress
 // -> send -> display pipeline. Spans are fixed-size event records written
-// into per-lane ring buffers (one lane per thread — vmp rank, daemon relay,
+// into per-lane ring buffers (one lane per thread — vmp rank, hub relay,
 // display client — or an explicitly named lane for virtual-time traces from
 // the discrete-event simulator). The exporter emits Chrome trace_event JSON
 // loadable in chrome://tracing or Perfetto.

@@ -1,6 +1,6 @@
 #include "util/flags.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
 
 namespace tvviz::util {
@@ -35,16 +35,33 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// The whole of `text` as a T, or std::invalid_argument naming the flag.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text,
+               const char* kind) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end)
+    throw std::invalid_argument("--" + name + ": '" + text + "' is not " +
+                                kind);
+  return value;
+}
+
+}  // namespace
+
 std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
   const auto s = get(name, "");
   if (s.empty()) return fallback;
-  return std::strtoll(s.c_str(), nullptr, 10);
+  return parse_number<std::int64_t>(name, s, "an integer");
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto s = get(name, "");
   if (s.empty()) return fallback;
-  return std::strtod(s.c_str(), nullptr);
+  return parse_number<double>(name, s, "a number");
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {

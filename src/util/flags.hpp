@@ -1,5 +1,6 @@
 // Tiny command-line flag parser for the benchmark harnesses and examples.
-// Accepts --name=value and --name value; unknown flags are reported.
+// Accepts --name=value and --name value; unknown flags are reported, and a
+// numeric flag whose value is not entirely a number is an error.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,8 @@ class Flags {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Throw std::invalid_argument naming the flag when its value is not
+  /// entirely a (decimal) number.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

@@ -289,7 +289,7 @@ TEST(FaultKinds, CorruptFrameNeverSurvivesUnnoticed) {
 // ----------------------------------------------- connect refusal + retry ----
 
 TEST(FaultRecovery, ConnectRetryRidesOutInjectedRefusals) {
-  net::TcpDaemonServer server;
+  hub::HubTcpServer server;
   FaultPlan plan;
   plan.refuse_connects(2);
   ScopedFaultPlan scoped(plan);
@@ -305,15 +305,14 @@ TEST(FaultRecovery, ConnectRetryRidesOutInjectedRefusals) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, FaultKind::kRefuseConnect);
   EXPECT_EQ(events[1].kind, FaultKind::kRefuseConnect);
-  // Close our half first: the daemon's accept loop is waiting for this
-  // connection's hello, and a clean EOF is what lets it get back to
-  // accept() — where shutdown() can then unblock it.
+  // The hub still waits for this connection's hello; a clean EOF lets it
+  // evict the session before shutdown().
   conn.reset();
   server.shutdown();
 }
 
 TEST(FaultRecovery, ConnectRetryGivesUpAfterMaxAttempts) {
-  net::TcpDaemonServer server;
+  hub::HubTcpServer server;
   FaultPlan plan;
   plan.refuse_connects(10);
   ScopedFaultPlan scoped(plan);

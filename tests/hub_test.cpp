@@ -805,28 +805,20 @@ bool eventually(Pred done, double timeout_s = 10.0) {
   return true;
 }
 
-constexpr hub::HubConfig::TcpTransport kBothTransports[] = {
-    hub::HubConfig::TcpTransport::kEpoll,
-    hub::HubConfig::TcpTransport::kThreadPerConnection};
-
 TEST(HubTcp, SilentClientDoesNotBlockHandshake) {
   // Regression: the accept path used to read the hello synchronously, so a
   // client that connected and then said nothing wedged every later connect
-  // behind it. The handshake now happens off the accept path on both
-  // transports; a silent peer costs a session slot, never the listener.
-  for (const auto transport : kBothTransports) {
-    HubConfig cfg;
-    cfg.tcp_transport = transport;
-    hub::HubTcpServer server(0, cfg);
-    auto silent = net::TcpConnection::connect_local(server.port());
-    const auto start = std::chrono::steady_clock::now();
-    hub::HubTcpViewer viewer(server.port());
-    const std::chrono::duration<double> took =
-        std::chrono::steady_clock::now() - start;
-    EXPECT_LT(took.count(), 5.0);
-    EXPECT_FALSE(viewer.assigned_id().empty());
-    server.shutdown();
-  }
+  // behind it. The handshake now happens off the accept path; a silent peer
+  // costs a session slot, never the listener.
+  hub::HubTcpServer server;
+  auto silent = net::TcpConnection::connect_local(server.port());
+  const auto start = std::chrono::steady_clock::now();
+  hub::HubTcpViewer viewer(server.port());
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 5.0);
+  EXPECT_FALSE(viewer.assigned_id().empty());
+  server.shutdown();
 }
 
 TEST(HubTcp, ListenerSurvivesFdExhaustion) {
@@ -881,31 +873,27 @@ TEST(HubTcp, ListenerSurvivesFdExhaustion) {
 TEST(HubTcp, ConnectionChurnKeepsStateBounded) {
   // Regression: per-connection state (threads, renderer/display lists) grew
   // monotonically — disconnects were only reaped at shutdown, so a
-  // connect/disconnect churn leaked a thread per visit. Both transports
-  // must reap as they go.
-  for (const auto transport : kBothTransports) {
-    HubConfig cfg;
-    cfg.tcp_transport = transport;
-    hub::HubTcpServer server(0, cfg);
-    constexpr int kCycles = 1000;
-    for (int i = 0; i < kCycles; ++i) {
-      hub::HubTcpViewer::Options options;
-      options.client_id = "churn" + std::to_string(i % 4);
-      hub::HubTcpViewer viewer(server.port(), options);
-      viewer.close();
-      if (i % 100 == 99) {
-        // Reaping lags a disconnect by at most the in-flight sessions, never
-        // by the visit count.
-        EXPECT_LE(server.active_sessions(), 64u) << "cycle " << i;
-        EXPECT_LE(server.hub().connected_clients(), 8u) << "cycle " << i;
-      }
+  // connect/disconnect churn leaked a thread per visit. Sessions must be
+  // reaped as they go.
+  hub::HubTcpServer server;
+  constexpr int kCycles = 1000;
+  for (int i = 0; i < kCycles; ++i) {
+    hub::HubTcpViewer::Options options;
+    options.client_id = "churn" + std::to_string(i % 4);
+    hub::HubTcpViewer viewer(server.port(), options);
+    viewer.close();
+    if (i % 100 == 99) {
+      // Reaping lags a disconnect by at most the in-flight sessions, never
+      // by the visit count.
+      EXPECT_LE(server.active_sessions(), 64u) << "cycle " << i;
+      EXPECT_LE(server.hub().connected_clients(), 8u) << "cycle " << i;
     }
-    EXPECT_TRUE(eventually([&] { return server.active_sessions() == 0; }))
-        << "sessions never drained: " << server.active_sessions();
-    EXPECT_TRUE(
-        eventually([&] { return server.hub().connected_clients() == 0; }));
-    server.shutdown();
   }
+  EXPECT_TRUE(eventually([&] { return server.active_sessions() == 0; }))
+      << "sessions never drained: " << server.active_sessions();
+  EXPECT_TRUE(
+      eventually([&] { return server.hub().connected_clients() == 0; }));
+  server.shutdown();
 }
 
 // ------------------------------------------------------------ seeded chaos --
@@ -946,6 +934,100 @@ TEST(HubChaos, LatencyChaosFanOutStaysLossless) {
     }
   }
   server.shutdown();
+}
+
+TEST(HubChaos, StrictOrderAcrossWorkerCounts) {
+  // The delivery invariant every transport test leans on: each viewer gets
+  // every step exactly once, in increasing order, bit-intact — from the
+  // in-process hub and from the TCP hub at every worker-pool size. With two
+  // or more workers, two drain jobs used to write one socket at once and
+  // viewers saw steps 0,1,3,4,5,2; latency chaos widens that window.
+  std::uint64_t seed = 1;
+  if (const char* env = std::getenv("TVVIZ_FAULT_SEED"))
+    seed = std::strtoull(env, nullptr, 10);
+  constexpr int kSteps = 64;
+  constexpr int kViewers = 4;
+  util::Rng payload_rng(seed);
+  std::vector<util::Bytes> payloads;
+  for (int s = 0; s < kSteps; ++s) {
+    util::Bytes body(256);
+    for (auto& b : body) b = static_cast<std::uint8_t>(payload_rng());
+    payloads.push_back(std::move(body));
+  }
+  const auto step_msg = [&](int s) {
+    NetMessage msg = frame_msg(s, {});
+    msg.payload = payloads[static_cast<std::size_t>(s)];
+    return msg;
+  };
+  HubConfig cfg;
+  cfg.client_queue_frames = 2 * kSteps;  // lossless: order is all that's left
+
+  // One viewer's stream, in arrival order.
+  struct Received {
+    std::vector<int> steps;
+    std::vector<util::Bytes> payloads;
+    void add(const NetMessage& msg) {
+      steps.push_back(msg.frame_index);
+      payloads.emplace_back(msg.payload.begin(), msg.payload.end());
+    }
+  };
+  const auto expect_strict_order = [&](const std::vector<Received>& got) {
+    std::vector<int> want(kSteps);
+    for (int s = 0; s < kSteps; ++s) want[static_cast<std::size_t>(s)] = s;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].steps, want) << "viewer " << k;
+      if (got[k].steps == want) {
+        EXPECT_EQ(got[k].payloads, payloads) << "viewer " << k;
+      }
+    }
+  };
+
+  {
+    SCOPED_TRACE("in-process FrameHub");
+    FrameHub hub(cfg);
+    std::vector<std::shared_ptr<FrameHub::ClientPort>> viewers;
+    for (int k = 0; k < kViewers; ++k) viewers.push_back(hub.connect_client());
+    auto renderer = hub.connect_renderer();
+    for (int s = 0; s < kSteps; ++s) renderer->send(step_msg(s));
+    std::vector<Received> got(kViewers);
+    for (int k = 0; k < kViewers; ++k)
+      for (int s = 0; s < kSteps; ++s) {
+        const auto msg = viewers[static_cast<std::size_t>(k)]->next_for(
+            std::chrono::seconds(10));
+        if (!msg) break;
+        got[static_cast<std::size_t>(k)].add(*msg);
+      }
+    expect_strict_order(got);
+    hub.shutdown();
+  }
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("HubTcpServer, tcp_workers=" + std::to_string(workers));
+    fault::ScopedFaultPlan scoped(
+        fault::FaultPlan::latency_chaos(seed, /*rate=*/0.5, /*max_ms=*/2.0));
+    cfg.tcp_workers = workers;
+    hub::HubTcpServer server(0, cfg);
+    hub::HubTcpViewer::Options o;
+    o.retry.io_timeout_ms = 10000.0;  // a lost frame fails, not hangs
+    std::vector<std::unique_ptr<hub::HubTcpViewer>> viewers;
+    for (int k = 0; k < kViewers; ++k)
+      viewers.push_back(std::make_unique<hub::HubTcpViewer>(server.port(), o));
+    net::TcpRendererLink renderer(server.port());
+    for (int s = 0; s < kSteps; ++s) renderer.send(step_msg(s));
+    std::vector<Received> got(kViewers);
+    for (int k = 0; k < kViewers; ++k)
+      for (int s = 0; s < kSteps; ++s) {
+        std::optional<NetMessage> msg;
+        try {
+          msg = viewers[static_cast<std::size_t>(k)]->next();
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "viewer " << k << ": " << e.what();
+        }
+        if (!msg) break;
+        got[static_cast<std::size_t>(k)].add(*msg);
+      }
+    expect_strict_order(got);
+    server.shutdown();
+  }
 }
 
 TEST(HubChaos, DropChaosAutoReconnectViewerCollectsEveryStep) {

@@ -1,12 +1,13 @@
 // Tests for the network layer: link models and presets, the X-display and
 // daemon transport models, the blocking queue, the wire protocol, and the
-// display daemon relay with control-event backchannel.
+// display daemon (hub::FrameHub in its single-viewer role) with its
+// control-event backchannel.
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "hub/hub.hpp"
 #include "obs/counters.hpp"
-#include "net/daemon.hpp"
 #include "net/errors.hpp"
 #include "net/link.hpp"
 #include "net/protocol.hpp"
@@ -15,10 +16,10 @@
 namespace tvviz {
 namespace {
 
+using hub::FrameHub;
 using net::BlockingQueue;
 using net::ControlEvent;
 using net::ControlKind;
-using net::DisplayDaemon;
 using net::LinkModel;
 using net::MsgType;
 using net::NetMessage;
@@ -170,32 +171,49 @@ TEST(Protocol, WireSizeAccountsForFraming) {
 }
 
 // -------------------------------------------------------------- daemon ----
+// The §4.1 display daemon is hub::FrameHub. These cases pin the contract of
+// the role run_session gives it without use_hub: viewers whose queue bound
+// no run reaches, so the daemon relays losslessly and in order.
 
-TEST(Daemon, RelaysFramesToDisplay) {
-  DisplayDaemon daemon;
-  auto renderer = daemon.connect_renderer();
-  auto display = daemon.connect_display();
+hub::ClientOptions lossless_viewer() {
+  hub::ClientOptions options;
+  options.queue_frames = 1024;
+  return options;
+}
 
+NetMessage frame(int step) {
   NetMessage msg;
   msg.type = MsgType::kFrame;
-  msg.frame_index = 3;
+  msg.frame_index = step;
+  return msg;
+}
+
+TEST(Daemon, RelaysFramesToDisplay) {
+  FrameHub daemon;
+  auto renderer = daemon.connect_renderer();
+  auto display = daemon.connect_client(lossless_viewer());
+  obs::Counter& bytes_in = obs::counter("net.hub.bytes_in");
+  const auto bytes_before = bytes_in.value();
+
+  NetMessage msg = frame(3);
   msg.codec = "raw";
   msg.payload = {1, 2, 3};
   renderer->send(msg);
 
-  const auto got = display->next();
-  ASSERT_TRUE(got.has_value());
+  const hub::FramePtr got = display->next();
+  ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->frame_index, 3);
   EXPECT_EQ(got->payload, (util::Bytes{1, 2, 3}));
-  EXPECT_EQ(daemon.frames_relayed(), 1u);
-  EXPECT_GT(daemon.bytes_relayed(), 3u);
+  daemon.shutdown();  // joins the relay: its counts are final
+  EXPECT_EQ(daemon.steps_relayed(), 1u);
+  EXPECT_GT(bytes_in.value() - bytes_before, 3u);
 }
 
 TEST(Daemon, BroadcastsControlToAllRenderers) {
-  DisplayDaemon daemon;
+  FrameHub daemon;
   auto r1 = daemon.connect_renderer();
   auto r2 = daemon.connect_renderer();
-  auto display = daemon.connect_display();
+  auto display = daemon.connect_client(lossless_viewer());
 
   ControlEvent e;
   e.kind = ControlKind::kSetColorMap;
@@ -203,7 +221,7 @@ TEST(Daemon, BroadcastsControlToAllRenderers) {
   display->send_control(e);
 
   // Control events travel through the relay thread; poll briefly.
-  const auto wait_for = [](DisplayDaemon::RendererPort& port) {
+  const auto wait_for = [](FrameHub::RendererPort& port) {
     for (int i = 0; i < 200; ++i) {
       if (auto ev = port.poll_control()) return ev;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -219,34 +237,30 @@ TEST(Daemon, BroadcastsControlToAllRenderers) {
 }
 
 TEST(Daemon, MultipleDisplaysEachGetFrames) {
-  DisplayDaemon daemon;
+  FrameHub daemon;
   auto renderer = daemon.connect_renderer();
-  auto d1 = daemon.connect_display();
-  auto d2 = daemon.connect_display();
-
-  NetMessage msg;
-  msg.type = MsgType::kFrame;
-  msg.frame_index = 1;
-  renderer->send(msg);
-  EXPECT_TRUE(d1->next().has_value());
-  EXPECT_TRUE(d2->next().has_value());
+  auto d1 = daemon.connect_client(lossless_viewer());
+  auto d2 = daemon.connect_client(lossless_viewer());
+  renderer->send(frame(1));
+  EXPECT_NE(d1->next(), nullptr);
+  EXPECT_NE(d2->next(), nullptr);
 }
 
 TEST(Daemon, ShutdownUnblocksDisplay) {
-  DisplayDaemon daemon;
-  auto display = daemon.connect_display();
-  std::optional<NetMessage> got = NetMessage{};
+  FrameHub daemon;
+  auto display = daemon.connect_client(lossless_viewer());
+  hub::FramePtr got = std::make_shared<const NetMessage>();
   std::thread consumer([&] { got = display->next(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   daemon.shutdown();
   consumer.join();
-  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(got, nullptr);
 }
 
 TEST(Daemon, SubImagePiecesCountOneFrame) {
-  DisplayDaemon daemon;
+  FrameHub daemon;
   auto renderer = daemon.connect_renderer();
-  auto display = daemon.connect_display();
+  auto display = daemon.connect_client(lossless_viewer());
   for (int piece = 0; piece < 4; ++piece) {
     NetMessage msg;
     msg.type = MsgType::kSubImage;
@@ -255,41 +269,37 @@ TEST(Daemon, SubImagePiecesCountOneFrame) {
     msg.piece_count = 4;
     renderer->send(msg);
   }
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(display->next().has_value());
-  EXPECT_EQ(daemon.frames_relayed(), 1u);
+  for (int i = 0; i < 4; ++i) ASSERT_NE(display->next(), nullptr);
+  daemon.shutdown();
+  EXPECT_EQ(daemon.steps_relayed(), 1u);
 }
 
 TEST(Daemon, TryNextPollerTerminatesAfterShutdown) {
-  // Regression companion to TryPopDistinguishesEmptyFromClosed at the
-  // DisplayPort level: a non-blocking poller must observe every buffered
-  // frame and then learn, unambiguously, that the daemon is gone.
-  DisplayDaemon daemon;
+  // A non-blocking poller must observe every buffered frame and then learn,
+  // unambiguously, that the daemon is gone: try_next() reports "nothing
+  // now" and closed() tells "never again" apart from it.
+  FrameHub daemon;
   auto renderer = daemon.connect_renderer();
-  auto display = daemon.connect_display();
-  for (int i = 0; i < 3; ++i) {
-    NetMessage msg;
-    msg.type = MsgType::kFrame;
-    msg.frame_index = i;
-    renderer->send(msg);
-  }
-  // Let the relay move the frames into the display buffer before shutdown.
+  auto display = daemon.connect_client(lossless_viewer());
+  for (int i = 0; i < 3; ++i) renderer->send(frame(i));
+  // Let the relay move the frames into the display queue before shutdown.
   while (display->buffered() < 3)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   daemon.shutdown();
 
   int frames_seen = 0;
   std::thread poller([&] {
-    NetMessage out;
     for (;;) {
-      const net::TryPopResult r = display->try_next(out);
-      if (r == net::TryPopResult::kClosed) return;
-      if (r == net::TryPopResult::kItem)
+      if (display->try_next()) {
         ++frames_seen;
-      else
+      } else if (display->closed()) {
+        return;
+      } else {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     }
   });
-  poller.join();  // hangs forever if kClosed is never reported
+  poller.join();  // hangs forever if the closed state is never reported
   EXPECT_EQ(frames_seen, 3);
   EXPECT_TRUE(display->closed());
 }
@@ -513,15 +523,10 @@ TEST(Daemon, ShutdownFlushesQueuedTailFrames) {
   // silently dropping the tail frames of a run. Everything the renderers
   // handed over before shutdown must reach the display.
   for (int round = 0; round < 20; ++round) {
-    DisplayDaemon daemon;
+    FrameHub daemon;
     auto renderer = daemon.connect_renderer();
-    auto display = daemon.connect_display();
-    for (int i = 0; i < 5; ++i) {
-      NetMessage msg;
-      msg.type = MsgType::kFrame;
-      msg.frame_index = i;
-      renderer->send(msg);
-    }
+    auto display = daemon.connect_client(lossless_viewer());
+    for (int i = 0; i < 5; ++i) renderer->send(frame(i));
     daemon.shutdown();  // must flush, not truncate
     int seen = 0;
     int last = -1;
@@ -535,13 +540,13 @@ TEST(Daemon, ShutdownFlushesQueuedTailFrames) {
 }
 
 TEST(Daemon, ShutdownKeepsFlushingToSlowButAliveDisplay) {
-  // Regression: the shutdown drain gave each display a single 50 ms grace
+  // Regression: the shutdown drain gave each display a single grace period
   // per frame and then dropped it, so a display that was still consuming —
-  // just slowly — lost tail frames once its small buffer filled. As long
-  // as the consumer makes progress, the flush must keep going.
-  DisplayDaemon daemon(2);  // tiny buffer: the drain must wait on the consumer
+  // just slowly — lost tail frames. A closed viewer keeps every frame
+  // queued before the close until it has read them all.
+  FrameHub daemon;
   auto renderer = daemon.connect_renderer();
-  auto display = daemon.connect_display();
+  auto display = daemon.connect_client(lossless_viewer());
   constexpr int kFrames = 6;
   std::atomic<int> seen{0};
   std::thread consumer([&] {
@@ -550,29 +555,25 @@ TEST(Daemon, ShutdownKeepsFlushingToSlowButAliveDisplay) {
       std::this_thread::sleep_for(std::chrono::milliseconds(60));
     }
   });
-  for (int i = 0; i < kFrames; ++i) {
-    NetMessage msg;
-    msg.type = MsgType::kFrame;
-    msg.frame_index = i;
-    renderer->send(msg);
-  }
+  for (int i = 0; i < kFrames; ++i) renderer->send(frame(i));
   daemon.shutdown();  // must flush every frame to the slow-but-live display
   consumer.join();
   EXPECT_EQ(seen.load(), kFrames);
 }
 
 TEST(Daemon, ThrottleDelaysForwarding) {
-  DisplayDaemon daemon;
+  FrameHub daemon;
   // 1 kB payload at 10 kB/s, scaled 1:1 -> ~0.1 s delay.
-  daemon.set_wan_throttle(LinkModel{"slow", 0.0, 10000.0}, 1.0);
+  hub::ClientOptions options = lossless_viewer();
+  options.link = LinkModel{"slow", 0.0, 10000.0};
+  options.link_time_scale = 1.0;
   auto renderer = daemon.connect_renderer();
-  auto display = daemon.connect_display();
-  NetMessage msg;
-  msg.type = MsgType::kFrame;
+  auto display = daemon.connect_client(options);
+  NetMessage msg = frame(0);
   msg.payload = util::Bytes(1000);
   const auto t0 = std::chrono::steady_clock::now();
   renderer->send(msg);
-  ASSERT_TRUE(display->next().has_value());
+  ASSERT_NE(display->next(), nullptr);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -368,8 +368,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Every RenderOptions value the constructor must reject, one case each: a
 /// step <= 0 never reaches the ray's exit (a negative one hangs march), a
-/// NaN one snaps every ray start to NaN, and the tables built from
-/// `specular_exp` need a finite, non-negative exponent.
+/// NaN one snaps every ray start to NaN (RayCaster.RejectsNaNStep), and the
+/// tables built from `specular_exp` need a finite, non-negative exponent.
 struct RejectedOption {
   const char* name;
   double RenderOptions::*field;
@@ -393,7 +393,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         RejectedOption{"StepNegative", &RenderOptions::step, -0.8},
         RejectedOption{"StepZero", &RenderOptions::step, 0.0},
-        RejectedOption{"StepNaN", &RenderOptions::step, kNaN},
         RejectedOption{"StepInfinite", &RenderOptions::step, kInf},
         RejectedOption{"EarlyTerminationZero",
                        &RenderOptions::early_termination, 0.0},
@@ -409,6 +408,15 @@ INSTANTIATE_TEST_SUITE_P(
         RejectedOption{"SpecularExpInfinite", &RenderOptions::specular_exp,
                        kInf}),
     [](const auto& param_info) { return std::string(param_info.param.name); });
+
+// ctest lists each case above with gtest's byte dump of its parameter, which
+// starts with the address of `name` and so changes from run to run under
+// ASLR. The NaN step keeps a fixed test name as a plain test.
+TEST(RayCaster, RejectsNaNStep) {
+  RenderOptions opt;
+  opt.step = kNaN;
+  EXPECT_THROW(RayCaster{opt}, std::invalid_argument);
+}
 
 TEST(RayCaster, AcceptsBoundaryOptions) {
   RenderOptions opt;

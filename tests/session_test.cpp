@@ -42,6 +42,12 @@ TEST(Session, DeliversEveryFrame) {
   EXPECT_GT(result.wire_bytes, 0u);
   // Compression must actually compress on the wire.
   EXPECT_LT(result.wire_bytes, result.raw_bytes / 4);
+  // Without use_hub the primary is the hub's only viewer, and no step of
+  // the run was dropped on its way there.
+  ASSERT_EQ(result.hub_client_stats.size(), 1u);
+  EXPECT_EQ(result.hub_client_stats[0].id, "primary");
+  EXPECT_EQ(result.hub_client_stats[0].steps_skipped, 0u);
+  EXPECT_EQ(result.hub_client_stats[0].last_acked_step, 5);
 }
 
 TEST(Session, TimelinesOrderedPerFrame) {
@@ -83,7 +89,7 @@ TEST(Session, ParallelCompressionMatchesAssembled) {
   cfg.codec = "lzo";  // lossless so the two paths must agree exactly
   cfg.dataset.steps = 2;
   const SessionResult assembled = core::run_session(cfg);
-  cfg.parallel_compression = true;
+  cfg.compression = SessionConfig::Compression::kParallelPieces;
   const SessionResult pieces = core::run_session(cfg);
   ASSERT_EQ(assembled.displayed.size(), pieces.displayed.size());
   for (std::size_t i = 0; i < assembled.displayed.size(); ++i) {
@@ -106,7 +112,7 @@ TEST(Session, SubImagePiecesCompressWorseThanWholeFrame) {
   cfg.dataset.steps = 3;
   cfg.image_width = cfg.image_height = 96;
   const SessionResult assembled = core::run_session(cfg);
-  cfg.parallel_compression = true;
+  cfg.compression = SessionConfig::Compression::kParallelPieces;
   const SessionResult pieces = core::run_session(cfg);
   EXPECT_GT(pieces.wire_bytes, assembled.wire_bytes);
 }
@@ -225,23 +231,26 @@ TEST(Session, InvalidConfigThrows) {
 TEST(Session, WarpViewerRecordsQuality) {
   // The trans-Pacific orbit preset with the TCP transport swapped out for the
   // in-process hub: depth containers reach the viewer intact and every frame
-  // after the first is predicted by reprojection before the real one lands.
+  // after the first is predicted by reprojection before the real one lands
+  // — with the hub's fan-out settings applied or not.
   SessionConfig cfg = core::trans_pacific_orbit_preset();
   cfg.use_tcp = false;
   cfg.dataset.steps = 4;
   cfg.keep_frames = true;
-  const SessionResult result = core::run_session(cfg);
-  EXPECT_EQ(result.displayed.size(), 4u);
-  EXPECT_EQ(result.warp_frames, 3);
-  EXPECT_LE(result.warp_mean_hole_ratio, 0.15);
-  EXPECT_GT(result.warp_mean_psnr, 10.0);
+  for (const bool use_hub : {true, false}) {
+    SCOPED_TRACE(use_hub ? "use_hub" : "lone viewer");
+    cfg.use_hub = use_hub;
+    const SessionResult result = core::run_session(cfg);
+    EXPECT_EQ(result.displayed.size(), 4u);
+    EXPECT_EQ(result.warp_frames, 3);
+    EXPECT_LE(result.warp_mean_hole_ratio, 0.15);
+    EXPECT_GT(result.warp_mean_psnr, 10.0);
+  }
 }
 
 TEST(Session, UseWarpRequiresHubAndAssembled) {
-  SessionConfig no_hub = small_config();
-  no_hub.use_warp = true;  // but use_hub stays false
-  EXPECT_THROW(core::run_session(no_hub), std::invalid_argument);
-
+  // Every session runs a hub now, so only the assembled-compression rule
+  // is left to reject (WarpViewerRecordsQuality covers use_hub off).
   SessionConfig pieces = core::trans_pacific_orbit_preset();
   pieces.use_tcp = false;
   pieces.compression = SessionConfig::Compression::kParallelPieces;

@@ -4,10 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
 
 #include "compositing/binary_swap.hpp"
 #include "compositing/over.hpp"
-#include "net/daemon.hpp"
+#include "hub/hub.hpp"
 #include "render/raycast.hpp"
 #include "render/transfer.hpp"
 #include "util/rng.hpp"
@@ -80,10 +81,15 @@ TEST(VmpStress, ManySmallBarriers) {
 }
 
 TEST(DaemonStress, ManyFramesThroughBoundedBuffer) {
-  net::DisplayDaemon daemon(/*display_buffer_frames=*/4);
-  auto renderer = daemon.connect_renderer();
-  auto display = daemon.connect_display();
+  // The display daemon (hub::FrameHub) under a producer racing its viewer:
+  // with the lossless bound run_session gives a lone viewer (one message
+  // per step here, so `kFrames`), every frame arrives once, in FIFO order.
+  hub::FrameHub daemon;
   constexpr int kFrames = 500;
+  hub::ClientOptions options;
+  options.queue_frames = kFrames;
+  auto renderer = daemon.connect_renderer();
+  auto display = daemon.connect_client(options);
   std::thread producer([&] {
     for (int i = 0; i < kFrames; ++i) {
       net::NetMessage msg;
@@ -94,12 +100,14 @@ TEST(DaemonStress, ManyFramesThroughBoundedBuffer) {
     }
   });
   for (int i = 0; i < kFrames; ++i) {
-    const auto msg = display->next();
-    ASSERT_TRUE(msg.has_value());
-    ASSERT_EQ(msg->frame_index, i);  // FIFO through the bounded buffer
+    const hub::FramePtr msg = display->next();
+    ASSERT_NE(msg, nullptr);
+    ASSERT_EQ(msg->frame_index, i);  // FIFO through the bounded queue
   }
   producer.join();
-  EXPECT_EQ(daemon.frames_relayed(), static_cast<std::uint64_t>(kFrames));
+  daemon.shutdown();  // joins the relay: its counts are final
+  EXPECT_EQ(daemon.steps_relayed(), static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(daemon.stats_for(display->id()).steps_skipped, 0u);
 }
 
 TEST(RenderEdge, DegenerateGeometry) {

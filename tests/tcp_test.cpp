@@ -1,6 +1,6 @@
-// Tests for the real-socket transport: framing, the daemon served over
-// TCP, multi-client relaying, and the control backchannel — the deployable
-// form of the §4.1 framework.
+// Tests for the real-socket transport: framing, the display daemon (the
+// FrameHub behind a HubTcpServer) served over TCP, multi-client relaying,
+// and the control backchannel — the deployable form of the §4.1 framework.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -8,14 +8,16 @@
 
 #include <atomic>
 #include <cerrno>
-#include <thread>
-
 #include <cstdlib>
+#include <filesystem>
+#include <thread>
 
 #include "codec/image_codec.hpp"
 #include "core/session.hpp"
 #include "fault/fault.hpp"
 #include "field/generators.hpp"
+#include "field/store.hpp"
+#include "hub/tcp_hub.hpp"
 #include "net/errors.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp.hpp"
@@ -26,12 +28,12 @@
 namespace tvviz {
 namespace {
 
+using hub::HubTcpServer;
+using hub::HubTcpViewer;
 using net::ControlEvent;
 using net::ControlKind;
 using net::MsgType;
 using net::NetMessage;
-using net::TcpDaemonServer;
-using net::TcpDisplayLink;
 using net::TcpRendererLink;
 
 TEST(Protocol, MessageSerializationRoundTrip) {
@@ -53,11 +55,11 @@ TEST(Protocol, MessageSerializationRoundTrip) {
 }
 
 TEST(Tcp, FramesFlowRendererToDisplay) {
-  TcpDaemonServer server;
-  TcpDisplayLink display(server.port());
+  // The viewer's constructor returns after the hello-ack, so it is
+  // registered before the renderer's first frame can reach the hub.
+  HubTcpServer server;
+  HubTcpViewer display(server.port());
   TcpRendererLink renderer(server.port());
-  // Give the server a moment to register the display connection.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   for (int i = 0; i < 3; ++i) {
     NetMessage msg;
@@ -77,14 +79,14 @@ TEST(Tcp, FramesFlowRendererToDisplay) {
 }
 
 TEST(Tcp, LargePayloadIntegrity) {
-  TcpDaemonServer server;
-  TcpDisplayLink display(server.port());
+  HubTcpServer server;
+  HubTcpViewer display(server.port());
   TcpRendererLink renderer(server.port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   util::Rng rng(7);
   NetMessage msg;
   msg.type = MsgType::kFrame;
+  msg.frame_index = 0;  // the hub relays time steps; -1 is "no step"
   util::Bytes big(3 << 20);  // 3 MB: spans many TCP segments
   for (auto& b : big) b = static_cast<std::uint8_t>(rng());
   const util::Bytes sent = big;
@@ -97,11 +99,12 @@ TEST(Tcp, LargePayloadIntegrity) {
 }
 
 TEST(Tcp, ControlEventsFlowBack) {
-  TcpDaemonServer server;
+  HubTcpServer server;
   TcpRendererLink renderer(server.port());
+  // A renderer gets no hello-ack: give the hub time to register it before
+  // the broadcast goes out.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  TcpDisplayLink display(server.port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  HubTcpViewer display(server.port());
 
   ControlEvent e;
   e.kind = ControlKind::kSetColorMap;
@@ -120,11 +123,10 @@ TEST(Tcp, ControlEventsFlowBack) {
 }
 
 TEST(Tcp, MultipleDisplaysEachReceive) {
-  TcpDaemonServer server;
-  TcpDisplayLink d1(server.port());
-  TcpDisplayLink d2(server.port());
+  HubTcpServer server;
+  HubTcpViewer d1(server.port());
+  HubTcpViewer d2(server.port());
   TcpRendererLink renderer(server.port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
 
   NetMessage msg;
   msg.type = MsgType::kFrame;
@@ -139,7 +141,7 @@ TEST(Tcp, MultipleDisplaysEachReceive) {
 }
 
 TEST(Tcp, CompressedFrameRoundTripOverSockets) {
-  // The full §4.1 path for real: render -> JPEG+LZO -> socket -> daemon ->
+  // The full §4.1 path for real: render -> JPEG+LZO -> socket -> hub ->
   // socket -> decode.
   render::Image frame(48, 48);
   for (int y = 0; y < 48; ++y)
@@ -148,13 +150,13 @@ TEST(Tcp, CompressedFrameRoundTripOverSockets) {
                 static_cast<std::uint8_t>(y * 5), 100);
   const auto codec = codec::make_image_codec("jpeg+lzo", 85);
 
-  TcpDaemonServer server;
-  TcpDisplayLink display(server.port());
+  HubTcpServer server;
+  HubTcpViewer display(server.port());
   TcpRendererLink renderer(server.port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   NetMessage msg;
   msg.type = MsgType::kFrame;
+  msg.frame_index = 0;
   msg.codec = "jpeg+lzo";
   msg.payload = codec->encode(frame);
   renderer.send(msg);
@@ -167,9 +169,8 @@ TEST(Tcp, CompressedFrameRoundTripOverSockets) {
 }
 
 TEST(Tcp, ServerShutdownUnblocksClients) {
-  auto server = std::make_unique<TcpDaemonServer>();
-  TcpDisplayLink display(server->port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto server = std::make_unique<HubTcpServer>();
+  HubTcpViewer display(server->port());
   std::optional<NetMessage> got = NetMessage{};
   std::thread waiter([&] { got = display.next(); });
   server->shutdown();
@@ -180,10 +181,10 @@ TEST(Tcp, ServerShutdownUnblocksClients) {
 TEST(Tcp, ConnectToClosedPortThrows) {
   int dead_port;
   {
-    TcpDaemonServer server;
+    HubTcpServer server;
     dead_port = server.port();
   }
-  EXPECT_THROW(TcpDisplayLink link(dead_port), std::runtime_error);
+  EXPECT_THROW(HubTcpViewer viewer(dead_port), std::runtime_error);
 }
 
 TEST(Tcp, RecvErrorThrowsInsteadOfFakingClose) {
@@ -214,7 +215,7 @@ TEST(Tcp, SendErrorThrowsDescriptively) {
 TEST(Tcp, MalformedHandshakeDoesNotKillServer) {
   // A client that speaks garbage on connect must be dropped without taking
   // the accept loop (and with it every later client) down.
-  TcpDaemonServer server;
+  HubTcpServer server;
   {
     auto bad = net::TcpConnection::connect_local(server.port());
     const std::uint8_t junk[8] = {4, 0, 0, 0, 0xEE, 0xFF, 0x01, 0x02};
@@ -224,9 +225,8 @@ TEST(Tcp, MalformedHandshakeDoesNotKillServer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   // The server must still serve a well-behaved pair.
-  TcpDisplayLink display(server.port());
+  HubTcpViewer display(server.port());
   TcpRendererLink renderer(server.port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
   NetMessage msg;
   msg.type = MsgType::kFrame;
   msg.frame_index = 11;
@@ -240,7 +240,7 @@ TEST(Tcp, MalformedHandshakeDoesNotKillServer) {
 TEST(Tcp, UnknownProtocolVersionGetsDescriptiveError) {
   // An endpoint from the future must be told why it is refused — a kError
   // frame naming the version range — not just see a dead socket.
-  TcpDaemonServer server;
+  HubTcpServer server;
   auto conn = net::TcpConnection::connect_local(server.port());
   net::HelloInfo info;
   info.version = 7;
@@ -256,7 +256,7 @@ TEST(Tcp, UnknownProtocolVersionGetsDescriptiveError) {
 }
 
 TEST(Tcp, UnknownRoleGetsDescriptiveError) {
-  TcpDaemonServer server;
+  HubTcpServer server;
   auto conn = net::TcpConnection::connect_local(server.port());
   net::HelloInfo info;
   info.role = "espresso-machine";
@@ -273,7 +273,7 @@ TEST(Tcp, HelloFuzzDoesNotKillServer) {
   // Throw random framed bytes and random hello capability payloads at the
   // handshake: every one must be refused or dropped connection-locally,
   // and a well-behaved pair must still be served afterwards.
-  TcpDaemonServer server;
+  HubTcpServer server;
   util::Rng rng(20260805);
   for (int i = 0; i < 40; ++i) {
     auto bad = net::TcpConnection::connect_local(server.port());
@@ -301,9 +301,8 @@ TEST(Tcp, HelloFuzzDoesNotKillServer) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  TcpDisplayLink display(server.port());
+  HubTcpViewer display(server.port());
   TcpRendererLink renderer(server.port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
   NetMessage msg;
   msg.type = MsgType::kFrame;
   msg.frame_index = 23;
@@ -386,14 +385,31 @@ TEST(Tcp, RecvMessageNeverCopiesThePayload) {
 }
 
 TEST(Tcp, SessionControlEventsOverSockets) {
+  // The event on_frame returns for step 1 must reach the renderer while
+  // steps remain to apply it to. The order is structural, not a matter of
+  // the run lasting long enough: the renderer reads steps from a store
+  // that on_frame fills one step ahead of the display, so it cannot run
+  // ahead of the viewer, and the event (sent right after on_frame(1)) has
+  // the round trips of steps 2..7 to cross the hub the other way.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tvviz_tcp_control_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const auto desc = field::scaled(field::turbulent_jet_desc(), 8, 8);
+  field::VolumeStore store(dir);
+  store.write(0, field::generate(desc, 0));
+
   core::SessionConfig cfg;
-  cfg.dataset = field::scaled(field::turbulent_jet_desc(), 8, 8);
+  cfg.dataset = desc;
   cfg.processors = 2;
   cfg.groups = 1;
   cfg.image_width = cfg.image_height = 24;
   cfg.codec = "raw";
   cfg.use_tcp = true;
-  cfg.on_frame = [](int step, const render::Image&) {
+  cfg.store_dir = dir;
+  cfg.wait_for_store = true;
+  cfg.on_frame = [&](int step, const render::Image&) {
+    if (step + 1 < desc.steps)
+      store.write(step + 1, field::generate(desc, step + 1));
     std::vector<net::ControlEvent> events;
     if (step == 1) {
       net::ControlEvent e;
@@ -404,6 +420,7 @@ TEST(Tcp, SessionControlEventsOverSockets) {
     return events;
   };
   const auto result = core::run_session(cfg);
+  std::filesystem::remove_all(dir);
   EXPECT_EQ(result.frames.size(), 8u);
   EXPECT_GT(result.control_events_applied, 0);
 }
@@ -446,18 +463,17 @@ TEST(Tcp, PartialFrameBodyIsAWireError) {
 TEST(TcpChaos, LatencyChaosDeliversEveryFrameIntact) {
   // Latency-only chaos (the CI chaos job re-runs this under several
   // TVVIZ_FAULT_SEED values): every send is delayed and receives may stall,
-  // but no byte is ever lost — so the whole daemon pipeline must still
-  // deliver every frame bit-identical, just late.
+  // but no byte is ever lost — so the whole hub pipeline must still
+  // deliver every frame bit-identical, in order, just late.
   std::uint64_t seed = 1;
   if (const char* env = std::getenv("TVVIZ_FAULT_SEED"))
     seed = std::strtoull(env, nullptr, 10);
   fault::ScopedFaultPlan scoped(
       fault::FaultPlan::latency_chaos(seed, /*rate=*/1.0, /*max_ms=*/2.0));
 
-  TcpDaemonServer server;
-  TcpDisplayLink display(server.port());
+  HubTcpServer server;
+  HubTcpViewer display(server.port());
   TcpRendererLink renderer(server.port());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   util::Rng payload_rng(seed);
   std::vector<util::Bytes> sent;

@@ -255,6 +255,30 @@ TEST(Flags, FallbacksAndTypes) {
   EXPECT_EQ(flags.get("missing2", "dflt"), "dflt");
 }
 
+TEST(Flags, JunkNumbersThrowNamingTheFlag) {
+  // Regression: "--size abc" used to parse as 0 and "--size 12x" as 12.
+  const char* argv[] = {"prog", "--size=abc", "--steps=12x", "--scale=",
+                        "--rate=0.5s", "--neg=-3", "--exp=2e3", "--bare"};
+  util::Flags flags(8, argv);
+  for (const char* name : {"size", "steps", "bare"}) {
+    try {
+      (void)flags.get_int(name, 0);
+      ADD_FAILURE() << "--" << name << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)flags.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("exp", 0), std::invalid_argument);
+  // An empty value falls back, like an absent flag.
+  EXPECT_EQ(flags.get_int("scale", 4), 4);
+  EXPECT_EQ(flags.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(flags.get_double("neg", 0.0), -3.0);
+  EXPECT_DOUBLE_EQ(flags.get_double("exp", 0.0), 2000.0);
+}
+
 TEST(Flags, TracksUnusedFlags) {
   const char* argv[] = {"prog", "--used=1", "--typo=2"};
   util::Flags flags(3, argv);

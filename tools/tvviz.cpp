@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "codec/image_codec.hpp"
@@ -39,6 +41,23 @@
 using namespace tvviz;
 
 namespace {
+
+/// A command line the subcommand cannot honour: main() exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Every subcommand calls this once it has read all of its flags and before
+/// it starts work: a flag it never read is a typo or belongs to another
+/// subcommand, and running on would silently ignore it.
+void reject_unused(const util::Flags& flags) {
+  const auto unused = flags.unused();
+  if (unused.empty()) return;
+  std::string names;
+  for (const auto& name : unused)
+    names += (names.empty() ? "--" : ", --") + name;
+  throw UsageError("unknown flag " + names);
+}
 
 field::DatasetDesc dataset_from_flags(const util::Flags& flags) {
   const std::string name = flags.get("dataset", "jet");
@@ -71,7 +90,8 @@ render::TransferFunction colormap_for(const field::DatasetDesc& desc) {
   }
 }
 
-int cmd_info(const util::Flags&) {
+int cmd_info(const util::Flags& flags) {
+  reject_unused(flags);
   std::printf("datasets (paper presets; shrink with --scale/--steps):\n");
   for (const auto& desc :
        {field::turbulent_jet_desc(), field::turbulent_vortex_desc(),
@@ -95,19 +115,20 @@ int cmd_materialize(const util::Flags& flags) {
   const std::filesystem::path dir = flags.get("dir", "data");
   const int stripes = static_cast<int>(flags.get_int("stripes", 0));
   const bool delta = flags.get_bool("delta", false);
+  const bool quantize = flags.get_bool("quantize", false);
+  const int key_interval = static_cast<int>(flags.get_int("key-interval", 16));
+  reject_unused(flags);
   util::WallTimer timer;
   std::size_t bytes = 0;
   std::string layout = "raw steps";
   if (delta) {
-    const auto precision = flags.get_bool("quantize", false)
+    const auto precision = quantize
                                ? field::DeltaVolumeStore::Precision::kQuantized8
                                : field::DeltaVolumeStore::Precision::kFloat32;
-    field::DeltaVolumeStore store(
-        dir, static_cast<int>(flags.get_int("key-interval", 16)), 5, precision);
+    field::DeltaVolumeStore store(dir, key_interval, 5, precision);
     const auto [raw, stored] = store.materialize(desc);
     bytes = stored;
-    layout = "differential (" +
-             std::string(flags.get_bool("quantize", false) ? "8-bit" : "float") +
+    layout = "differential (" + std::string(quantize ? "8-bit" : "float") +
              ", " + std::to_string(static_cast<int>(
                         100.0 * (1.0 - static_cast<double>(stored) / raw))) +
              "% smaller)";
@@ -132,12 +153,16 @@ int cmd_render(const util::Flags& flags) {
   const int size = static_cast<int>(flags.get_int("size", 256));
   const std::string out = flags.get("out", "frame.ppm");
   const std::string renderer = flags.get("renderer", "raycast");
-
-  const auto volume = field::generate(desc, step);
-  const auto tf = colormap_for(desc);
   const render::Camera camera(size, size, flags.get_double("azimuth", 0.6),
                               flags.get_double("elevation", 0.35),
                               flags.get_double("zoom", 1.0));
+  const bool space_leap = flags.get_bool("space-leap", true);
+  const std::string codec_name = flags.get("codec", "jpeg+lzo");
+  const int quality = static_cast<int>(flags.get_int("quality", 75));
+  reject_unused(flags);
+
+  const auto volume = field::generate(desc, step);
+  const auto tf = colormap_for(desc);
   util::WallTimer timer;
   render::Image frame;
   if (renderer == "shearwarp") {
@@ -145,15 +170,12 @@ int cmd_render(const util::Flags& flags) {
     frame = sw.render(sw.preprocess(volume, tf), camera);
   } else {
     render::RayCaster caster;
-    frame = caster.render_full(volume, camera, tf,
-                               flags.get_bool("space-leap", true));
+    frame = caster.render_full(volume, camera, tf, space_leap);
   }
   const double t = timer.seconds();
   frame.write_ppm(out);
 
-  const std::string codec_name = flags.get("codec", "jpeg+lzo");
-  const auto codec = codec::make_image_codec(
-      codec_name, static_cast<int>(flags.get_int("quality", 75)));
+  const auto codec = codec::make_image_codec(codec_name, quality);
   const auto packed = codec->encode(frame);
   std::printf("%s step %d -> %s (%dx%d, %s, %.2f s); %s: %zu bytes "
               "(%.1f%% reduction)\n",
@@ -191,7 +213,9 @@ int cmd_play(const util::Flags& flags) {
   if (flags.get("compression", "") == "collective")
     cfg.compression = core::SessionConfig::Compression::kCollective;
   const bool save = flags.has("outdir");
+  const std::filesystem::path outdir = flags.get("outdir", "frames");
   cfg.keep_frames = save;
+  reject_unused(flags);
 
   const auto result = core::run_session(cfg);
   std::printf("frames: %zu | startup %.3f s | overall %.3f s | "
@@ -203,7 +227,6 @@ int cmd_play(const util::Flags& flags) {
               static_cast<double>(result.raw_bytes) /
                   static_cast<double>(std::max<std::uint64_t>(1, result.wire_bytes)));
   if (save) {
-    const std::filesystem::path outdir = flags.get("outdir", "frames");
     std::filesystem::create_directories(outdir);
     for (std::size_t i = 0; i < result.displayed.size(); ++i) {
       char name[32];
@@ -235,6 +258,7 @@ int cmd_hub(const util::Flags& flags) {
   cfg.hub_heartbeat_timeout_s = flags.get_double("heartbeat-timeout", 0.0);
   cfg.hub_slow_client_scale = flags.get_double("slow-client", 0.0);
   cfg.adaptive_target_frame_s = flags.get_double("adaptive", 0.0);
+  reject_unused(flags);
 
   const auto result = core::run_session(cfg);
   std::printf("frames: %zu | startup %.3f s | overall %.3f s | "
@@ -275,12 +299,13 @@ int cmd_relay(const util::Flags& flags) {
       static_cast<std::size_t>(flags.get_int("cache-steps", 32));
   cfg.hub.client_queue_frames =
       static_cast<std::size_t>(flags.get_int("queue-frames", 8));
+  // Serve until the root signs off (or --duration seconds, for scripting).
+  const double duration = flags.get_double("duration", 0.0);
+  reject_unused(flags);
   relay::EdgeHub edge(cfg);
   std::printf("edge '%s' up: upstream 127.0.0.1:%d -> viewers on port %d\n",
               edge.upstream_id().c_str(), upstream, edge.port());
 
-  // Serve until the root signs off (or --duration seconds, for scripting).
-  const double duration = flags.get_double("duration", 0.0);
   util::WallTimer clock;
   while (!edge.stream_ended() &&
          (duration <= 0.0 || clock.seconds() < duration))
@@ -312,6 +337,7 @@ int cmd_sweep(const util::Flags& flags) {
                   : core::StageCosts::rwcp_paper();
   cfg.codec = core::CodecProfile::paper(flags.get("codec", "jpeg+lzo"));
   cfg.io_servers = static_cast<int>(flags.get_int("io-servers", 1));
+  reject_unused(flags);
 
   std::printf("%-6s %-12s %-12s %-12s\n", "L", "overall", "startup",
               "inter-frame");
@@ -335,8 +361,10 @@ int cmd_sweep(const util::Flags& flags) {
 
 int cmd_analyze(const util::Flags& flags) {
   const auto desc = dataset_from_flags(flags);
-  const auto summary = field::TemporalSummary::analyze(
-      desc, static_cast<int>(flags.get_int("probes", 1024)));
+  const int probes = static_cast<int>(flags.get_int("probes", 1024));
+  const int budget = static_cast<int>(flags.get_int("budget", 8));
+  reject_unused(flags);
+  const auto summary = field::TemporalSummary::analyze(desc, probes);
   std::printf("%s: %d steps, total change %.3f\n",
               field::dataset_name(desc.kind), summary.steps(),
               summary.total_change());
@@ -344,7 +372,6 @@ int cmd_analyze(const util::Flags& flags) {
   for (int s = 0; s < summary.steps(); ++s)
     std::printf("%.3f ", summary.delta(s));
   std::printf("\n");
-  const int budget = static_cast<int>(flags.get_int("budget", 8));
   const auto plan = summary.select_budget(budget);
   std::printf("preview plan (budget %d): ", budget);
   for (int s : plan) std::printf("%d ", s);
@@ -356,6 +383,7 @@ int cmd_codecs(const util::Flags& flags) {
   const auto desc = dataset_from_flags(flags);
   const int size = static_cast<int>(flags.get_int("size", 256));
   const int quality = static_cast<int>(flags.get_int("quality", 75));
+  reject_unused(flags);
   render::RayCaster caster;
   const auto frame =
       caster.render_full(field::generate(desc, desc.steps / 2),
@@ -422,13 +450,6 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.get("trace", "");
   const std::string counters_out = flags.get("counters-json", "");
   if (!trace_out.empty()) obs::enable_tracing(true);
-  // Seeded latency-only chaos for any command that opens TCP connections
-  // (play --tcp, hub --tcp): frames are delayed/stalled, never lost.
-  std::optional<fault::ScopedFaultPlan> chaos;
-  const auto fault_seed =
-      static_cast<std::uint64_t>(flags.get_int("fault-seed", 0));
-  if (fault_seed != 0)
-    chaos.emplace(fault::FaultPlan::latency_chaos(fault_seed));
   const auto dump_observability = [&] {
     if (!trace_out.empty()) {
       if (obs::write_chrome_trace_file(trace_out))
@@ -446,6 +467,13 @@ int main(int argc, char** argv) {
     }
   };
   try {
+    // Seeded latency-only chaos for any command that opens TCP connections
+    // (play --tcp, hub --tcp): frames are delayed/stalled, never lost.
+    std::optional<fault::ScopedFaultPlan> chaos;
+    const auto fault_seed =
+        static_cast<std::uint64_t>(flags.get_int("fault-seed", 0));
+    if (fault_seed != 0)
+      chaos.emplace(fault::FaultPlan::latency_chaos(fault_seed));
     int rc = 2;
     if (command == "info")
       rc = cmd_info(flags);
@@ -472,6 +500,9 @@ int main(int argc, char** argv) {
     }
     dump_observability();
     return rc;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "tvviz %s: %s\n", command.c_str(), e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tvviz %s: %s\n", command.c_str(), e.what());
     return 1;

@@ -1,7 +1,7 @@
 // Ablation: the event-driven hub core at wide-area fan-out scale. A
 // single-threaded epoll client swarm drives the HubTcpServer with
 // thousands of simulated viewers over real loopback sockets — each one
-// completes the v2 capability handshake, receives every streamed step, and
+// completes the hello handshake, receives every streamed step, and
 // disconnects — while the hub runs its own readiness loop + worker pool.
 // The claims under test:
 //

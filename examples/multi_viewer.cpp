@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
 
   // ---- the renderer (stand-in: one node) ----------------------------------
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  net::TcpRendererLink renderer(server.port());  // v1 hello, still accepted
+  net::TcpRendererLink renderer(server.port());
   const auto desc = field::scaled(field::turbulent_jet_desc(), 3, steps);
   const auto codec = codec::make_image_codec(codec_name, 75);
   const auto tf = render::TransferFunction::fire();

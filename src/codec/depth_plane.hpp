@@ -1,5 +1,6 @@
-// Wire codec for the protocol-v4 depth plane (render/warp.hpp): the
-// per-pixel view depths that turn a color frame into a warpable 2.5D frame.
+// Wire codec for the depth plane of a depth-container frame
+// (render/warp.hpp): the per-pixel view depths that turn a color frame into
+// a warpable 2.5D frame.
 //
 // Layout: depths are quantized to u16 against the frame's own [near, far]
 // range (background keeps a reserved sentinel), the little-endian u16 plane

@@ -194,7 +194,6 @@ SessionResult run_session(const SessionConfig& cfg) {
   std::vector<std::unique_ptr<RendererPortIface>> ports;
   for (int g = 0; g < cfg.groups; ++g) {
     if (hub_server) {
-      // Renderers speak the v1 hello; the hub accepts both versions.
       auto port = std::make_unique<TcpRendererPort>();
       port->link = std::make_unique<net::TcpRendererLink>(hub_server->port());
       ports.push_back(std::move(port));
@@ -212,8 +211,8 @@ SessionResult run_session(const SessionConfig& cfg) {
     if (hub_server) {
       hub::HubTcpViewer::Options vo;
       vo.client_id = id;
-      // v4 capability: without it the hub strips depth containers down to
-      // their color half before they reach this viewer.
+      // Without the depth capability the hub strips depth containers down
+      // to their color half before they reach this viewer.
       vo.wants_depth = wants_depth;
       auto dp = std::make_unique<HubTcpDisplayPort>();
       dp->viewer = std::make_unique<hub::HubTcpViewer>(hub_server->port(), vo);
@@ -250,9 +249,6 @@ SessionResult run_session(const SessionConfig& cfg) {
       }
     });
   }
-  // A TCP renderer gets no hello-ack: give the hub time to register every
-  // renderer connection before a control broadcast can go out.
-  if (hub_server) std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
   util::WallTimer clock;
   util::Mutex records_mutex;
@@ -594,7 +590,7 @@ SessionResult run_session(const SessionConfig& cfg) {
         // 2.5D path: gather at full float precision (the z channel dies in
         // the 8-bit splat), encode color through the normal image codec and
         // the depth plane through the SIMD row-delta codec, and ship both
-        // as one v4 depth-container frame.
+        // as one depth-container frame.
         const render::PartialImage full = compositing::gather_frame_float(
             group, slice, cfg.image_width, cfg.image_height);
         if (leader) {

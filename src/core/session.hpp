@@ -111,13 +111,13 @@ struct SessionConfig {
   /// results stay correct; timings shift). The chaos-testing knob behind
   /// `tvviz --fault-seed`.
   std::uint64_t fault_seed = 0;
-  /// Latency-hiding viewer (protocol v4): leaders ship depth-container
-  /// frames (color + the ray-caster's opacity-weighted termination depth)
-  /// and the primary client runs a render::Warper — each arriving frame is
-  /// first predicted by forward-reprojecting the previous 2.5D frame to the
-  /// new step's camera, and the warp's hole ratio and PSNR against the real
-  /// decode are recorded in the result. Requires kAssembled compression
-  /// (the depth plane only exists for whole gathered frames).
+  /// Latency-hiding viewer: leaders ship depth-container frames (color +
+  /// the ray-caster's opacity-weighted termination depth) and the primary
+  /// client runs a render::Warper — each arriving frame is first predicted
+  /// by forward-reprojecting the previous 2.5D frame to the new step's
+  /// camera, and the warp's hole ratio and PSNR against the real decode
+  /// are recorded in the result. Requires kAssembled compression (the
+  /// depth plane only exists for whole gathered frames).
   bool use_warp = false;
 };
 

@@ -41,7 +41,7 @@ struct FrameHub::ClientState {
   net::LinkModel link{};
   double link_scale = 0.0;
   /// Immutable after connect: image traffic goes out as kFrameRef
-  /// advertisements instead of full frames (protocol v3 relay peers).
+  /// advertisements instead of full frames (relay peers).
   bool wants_refs = false;
   /// Per-client stream for the link's fault events (loss/stall sampling),
   /// seeded from the client id so a named client replays identically.

@@ -44,11 +44,6 @@ struct HubConfig {
   std::size_t max_clients = 64;
   /// Reap a client idle (no pop/ack/heartbeat) longer than this. 0 = never.
   double heartbeat_timeout_s = 0.0;
-  /// Highest protocol version this hub's TCP front end accepts (see
-  /// hub/tcp_hub.hpp). Lowering it below net::kProtocolVersion simulates an
-  /// older server, which newer viewers must downgrade to (handshake
-  /// renegotiation) — exercised by the chaos suite.
-  std::uint32_t max_protocol_version = net::kProtocolVersion;
 
   /// I/O deadline installed on accepted hub sockets; a display that stops
   /// reading long enough to stall a worker mid-send is evicted
@@ -69,7 +64,7 @@ struct ClientOptions {
   /// resume): every cached step > replay_after_step is queued on connect.
   bool replay_cache = false;
   int replay_after_step = -1;
-  /// Frame-by-reference delivery (protocol v3, the relay tree): this client
+  /// Frame-by-reference delivery (the relay tree): this client
   /// keeps its own content-addressed cache, so image traffic — live and
   /// replayed — is queued as kFrameRef advertisements; the client answers
   /// with request_content() only on a cache miss.

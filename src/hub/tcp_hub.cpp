@@ -39,35 +39,43 @@ obs::Counter& stalled_evictions_ctr() {
   return c;
 }
 
-/// Hello validation: refusals get a kError frame and count
-/// net.hub.hello_rejected; a non-hello first message is dropped silently.
-std::optional<HelloInfo> validate_hello(TcpConnection& conn,
-                                        const NetMessage& first,
-                                        std::uint32_t max_version) {
-  if (first.type != MsgType::kHello) return std::nullopt;
+/// Send `reason` as a kError and count net.hub.hello_rejected. The caller
+/// then evicts the session.
+void refuse_hello(TcpConnection& conn, const std::string& reason) {
   static obs::Counter& rejected = obs::counter("net.hub.hello_rejected");
-  const auto refuse = [&](const std::string& reason) {
-    rejected.add(1);
-    try {
-      conn.send_message(net::make_error(reason));
-    } catch (const std::exception&) {
-    }
-  };
+  rejected.add(1);
+  try {
+    conn.send_message(net::make_error(reason));
+  } catch (const std::exception&) {
+  }
+}
+
+/// The first message of every connection must be a well-formed hello of
+/// this protocol version from a known role; anything else is refused.
+std::optional<HelloInfo> validate_hello(TcpConnection& conn,
+                                        const NetMessage& first) {
+  if (first.type != MsgType::kHello) {
+    refuse_hello(conn, "expected a hello first, got message type " +
+                           std::to_string(static_cast<int>(first.type)));
+    return std::nullopt;
+  }
   HelloInfo info;
   try {
     info = net::parse_hello(first);
   } catch (const std::exception& e) {
-    refuse(std::string("malformed hello: ") + e.what());
+    refuse_hello(conn, std::string("malformed hello: ") + e.what());
     return std::nullopt;
   }
-  if (info.version == 0 || info.version > max_version) {
-    refuse("unsupported protocol version " + std::to_string(info.version) +
-           " (this hub speaks 1.." + std::to_string(max_version) + ")");
+  if (info.version != net::kProtocolVersion) {
+    refuse_hello(conn, "unsupported protocol version " +
+                           std::to_string(info.version) +
+                           " (this hub speaks " +
+                           std::to_string(net::kProtocolVersion) + ")");
     return std::nullopt;
   }
   if (info.role != "renderer" && info.role != "display") {
-    refuse("unknown endpoint role '" + info.role +
-           "' (expected 'renderer' or 'display')");
+    refuse_hello(conn, "unknown endpoint role '" + info.role +
+                           "' (expected 'renderer' or 'display')");
     return std::nullopt;
   }
   return info;
@@ -78,8 +86,8 @@ obs::Counter& depth_stripped_ctr() {
   return c;
 }
 
-/// Depth-container frames leave the hub intact only toward viewers that
-/// announced the v4 wants_depth capability; everyone else gets the color
+/// Depth-container frames leave the hub intact only toward viewers whose
+/// hello set the depth capability; everyone else gets the color
 /// half (a zero-copy payload view, no re-encode). kFrameData is never
 /// rewritten — fetched bodies must still hash to the advertised ContentId
 /// at the receiving edge.
@@ -134,18 +142,18 @@ struct HubTcpServer::Session {
   /// set while a drain job is queued or running, so at most one job writes
   /// to the socket and ready-callback storms collapse into that one job.
   /// A display socket carries only frame drains, a renderer socket only
-  /// control drains.
-  std::atomic<bool> drain_scheduled{false};
-  std::atomic<bool> control_scheduled{false};
-  /// v4 capability: frames keep their depth plane on the way out. Written
-  /// once in handle_hello before the first drain, read by drain jobs.
+  /// control drains. Both start set: the handshake owns the socket until
+  /// its reply is out, so nothing is written ahead of the hello-ack.
+  std::atomic<bool> drain_scheduled{true};
+  std::atomic<bool> control_scheduled{true};
+  /// Depth capability: frames keep their depth plane on the way out.
+  /// Written once in handle_hello before the first drain, read by drain
+  /// jobs.
   std::atomic<bool> wants_depth{false};
 };
 
 HubTcpServer::HubTcpServer(int port, HubConfig config)
-    : hub_(config),
-      config_(config),
-      max_version_(config.max_protocol_version) {
+    : hub_(config), config_(config) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("hub: socket() failed");
   const int one = 1;
@@ -271,7 +279,20 @@ void HubTcpServer::on_readable(const std::shared_ptr<Session>& session) {
       handle_hello(session, std::move(*msg));
       return;  // rearms (or evicts) itself
     case Session::Role::kRenderer:
-      session->renderer_port->send(std::move(*msg));
+      switch (msg->type) {
+        case MsgType::kFrame:
+        case MsgType::kSubImage:
+        case MsgType::kShutdown:
+          session->renderer_port->send(std::move(*msg));
+          break;
+        default:
+          // Anything else would fan out to every viewer as if the hub had
+          // sent it (a kError ends a relay edge's stream).
+          TVVIZ_LOG(kWarn) << "hub: dropping message type "
+                           << static_cast<int>(msg->type)
+                           << " from renderer fd=" << session->fd;
+          break;
+      }
       break;
     case Session::Role::kDisplay:
       switch (msg->type) {
@@ -282,8 +303,13 @@ void HubTcpServer::on_readable(const std::shared_ptr<Session>& session) {
           session->client_port->heartbeat();
           break;
         case MsgType::kControl:
-          session->client_port->send_control(
-              net::ControlEvent::deserialize(msg->payload));
+          try {
+            session->client_port->send_control(
+                net::ControlEvent::deserialize(msg->payload));
+          } catch (const std::exception&) {
+            evict(session);  // malformed event: treat like any wire error
+            return;
+          }
           break;
         case MsgType::kFrameFetch:
           // The reply rides the client's own queue (normal drain path), so
@@ -298,8 +324,8 @@ void HubTcpServer::on_readable(const std::shared_ptr<Session>& session) {
           break;
         default:
           // A display endpoint has no business sending frame/hello types;
-          // log rather than drop silently so a protocol-v5 sender is
-          // visible (wire-switch-default, DESIGN.md §18).
+          // log rather than drop silently so an unexpected type is visible
+          // (wire-switch-default, DESIGN.md §18).
           TVVIZ_LOG(kWarn) << "hub: ignoring unexpected message type "
                            << static_cast<int>(msg->type)
                            << " from display fd=" << session->fd;
@@ -312,68 +338,68 @@ void HubTcpServer::on_readable(const std::shared_ptr<Session>& session) {
 
 void HubTcpServer::handle_hello(const std::shared_ptr<Session>& session,
                                 NetMessage first) {
-  auto info = validate_hello(*session->conn, first, max_version_);
+  auto info = validate_hello(*session->conn, first);
   if (!info) {
     evict(session);
     return;
   }
+  // Wire the session into the hub first, then ack: a control event or frame
+  // sent once the client's handshake returns reaches it. The drains start
+  // owned (Session), so whatever arrives before the ack waits behind it.
+  const bool renderer = info->role == "renderer";
   std::weak_ptr<Session> ws = session;
-  if (info->role == "renderer") {
+  NetMessage ack;
+  ack.type = MsgType::kHelloAck;
+  if (renderer) {
     session->renderer_port = hub_.connect_renderer();
     session->renderer_port->set_control_callback([this, ws] {
       if (auto s = ws.lock()) schedule_control_drain(s);
     });
-    session->role.store(Session::Role::kRenderer);
-    loop_->rearm(session->fd, net::kEventRead);
-    return;
-  }
-  ClientOptions options;
-  options.id = info->client_id;
-  options.queue_frames = info->queue_frames;
-  // The capability byte is only meaningful from a peer that actually
-  // speaks the v3 exchange; a v2 hello with stray trailing bytes must not
-  // switch its stream to advertisements it cannot resolve.
-  options.wants_frame_refs = info->wants_frame_refs && info->version >= 3;
-  // v4 capability, same rule: only honored from a peer that speaks v4.
-  session->wants_depth.store(info->wants_depth && info->version >= 4);
-  if (info->last_acked_step >= 0) {
-    // An explicit resume point also applies to ids the hub has never seen
-    // (e.g. the hub restarted and lost its registry but the cache refilled).
-    options.replay_cache = true;
-    options.replay_after_step = info->last_acked_step;
-  }
-  std::shared_ptr<FrameHub::ClientPort> port;
-  try {
-    port = hub_.connect_client(std::move(options));
-  } catch (const std::exception& e) {
-    try {
-      session->conn->send_message(net::make_error(e.what()));
-    } catch (const std::exception&) {
+  } else {
+    ClientOptions options;
+    options.id = info->client_id;
+    options.queue_frames = info->queue_frames;
+    options.wants_frame_refs = info->wants_frame_refs;
+    if (info->last_acked_step >= 0) {
+      // An explicit resume point also applies to ids the hub has never seen
+      // (e.g. the hub restarted and lost its registry but the cache
+      // refilled).
+      options.replay_cache = true;
+      options.replay_after_step = info->last_acked_step;
     }
-    evict(session);
-    return;
-  }
-  if (info->last_acked_step >= 0) port->ack(info->last_acked_step);
-  {
-    NetMessage ok;
-    ok.type = MsgType::kHelloAck;
-    ok.codec = port->id();  // the identity the hub filed this client under
     try {
-      session->conn->send_message(ok);
-    } catch (const std::exception&) {
-      hub_.disconnect_client(*port);
+      session->client_port = hub_.connect_client(std::move(options));
+    } catch (const std::exception& e) {
+      refuse_hello(*session->conn, e.what());
       evict(session);
       return;
     }
+    if (info->last_acked_step >= 0)
+      session->client_port->ack(info->last_acked_step);
+    session->wants_depth.store(info->wants_depth);
+    session->client_port->set_ready_callback([this, ws] {
+      if (auto s = ws.lock()) schedule_drain(s);
+    });
+    ack.codec = session->client_port->id();  // the identity it is filed under
   }
-  session->client_port = std::move(port);
-  session->role.store(Session::Role::kDisplay);
-  session->client_port->set_ready_callback([this, ws] {
-    if (auto s = ws.lock()) schedule_drain(s);
-  });
-  // The connect-time replay may already be queued; drain it now rather
-  // than waiting for the next live delivery.
-  schedule_drain(session);
+  try {
+    session->conn->send_message(ack);
+  } catch (const std::exception&) {
+    evict(session);
+    return;
+  }
+  session->role.store(renderer ? Session::Role::kRenderer
+                               : Session::Role::kDisplay);
+  // Hand the socket to the drains and pick up what queued meanwhile: an
+  // early control event, or a display's connect-time replay.
+  session->drain_scheduled.store(false);
+  session->control_scheduled.store(false);
+  if (renderer) {
+    if (session->renderer_port->buffered_control() > 0)
+      schedule_control_drain(session);
+  } else {
+    schedule_drain(session);
+  }
   loop_->rearm(session->fd, net::kEventRead);
 }
 
@@ -571,79 +597,27 @@ HubTcpViewer::HubTcpViewer(int port, Options options)
 }
 
 std::shared_ptr<TcpConnection> HubTcpViewer::connect_and_handshake() {
-  // The downgrade ladder: each "unsupported protocol version" refusal steps
-  // hello_version_ down one generation and retries on a fresh socket (the
-  // server closes after a kError). v4 -> v3 loses only the depth plane and
-  // v3 -> v2 only the frame-ref capability — both always taken; v2 -> v1
-  // loses identity and resume, so it is gated on allow_downgrade. The
-  // settled rung is sticky: later reconnects to the same server start where
-  // the ladder ended.
-  for (;;) {
-    auto conn = std::shared_ptr<TcpConnection>(
-        TcpConnection::connect_local(port_).release());
-    if (options_.retry.io_timeout_ms > 0.0)
-      conn->set_io_timeout_ms(options_.retry.io_timeout_ms);
-    const std::uint32_t version = hello_version_.load();
-    if (version >= 2) {
-      HelloInfo info;
-      info.version = version;
-      info.role = "display";
-      // A reconnect reclaims the identity the hub assigned on first contact
-      // and resumes after the newest step this viewer acked. assigned_id_
-      // is shared with assigned_id() callers on other threads, so snapshot
-      // it under the state lock.
-      {
-        util::LockGuard lock(state_mutex_);
-        info.client_id =
-            assigned_id_.empty() ? options_.client_id : assigned_id_;
-      }
-      info.last_acked_step = last_acked_.load();
-      info.queue_frames = options_.queue_frames;
-      info.wants_heartbeat = options_.heartbeat_interval_ms > 0;
-      info.wants_frame_refs = options_.wants_frame_refs && version >= 3;
-      info.wants_depth = options_.wants_depth && version >= 4;
-      conn->send_message(net::make_hello(info));
-    } else {
-      // Legacy v1 hello: role in the codec field, no capability payload.
-      NetMessage legacy;
-      legacy.type = MsgType::kHello;
-      legacy.codec = "display";
-      conn->send_message(legacy);
-    }
-    auto reply = conn->recv_message();
-    if (!reply)
-      throw net::SocketError("hub: server closed during handshake");
-    if (reply->type == MsgType::kError) {
-      const std::string text = net::error_text(*reply);
-      const bool version_refusal =
-          text.find("unsupported protocol version") != std::string::npos;
-      if (version_refusal && version > 2) {
-        static obs::Counter& downgrades =
-            obs::counter("net.retry.downgrades");
-        downgrades.add(1);
-        // One rung at a time (v4 -> v3 -> v2): a v3 hub refuses v4 but
-        // happily speaks v3, and the capability bytes degrade gracefully.
-        hello_version_.store(version - 1);
-        continue;
-      }
-      if (version_refusal && version == 2 && options_.allow_downgrade) {
-        static obs::Counter& downgrades =
-            obs::counter("net.retry.downgrades");
-        downgrades.add(1);
-        downgraded_.store(true);
-        hello_version_.store(1);
-        continue;
-      }
-      throw std::runtime_error("hub: refused: " + text);
-    }
-    if (reply->type != MsgType::kHelloAck)
-      throw std::runtime_error("hub: unexpected handshake reply");
-    {
-      util::LockGuard lock(state_mutex_);
-      assigned_id_ = reply->codec;
-    }
-    return conn;
+  std::shared_ptr<TcpConnection> conn = TcpConnection::connect_local(port_);
+  if (options_.retry.io_timeout_ms > 0.0)
+    conn->set_io_timeout_ms(options_.retry.io_timeout_ms);
+  HelloInfo hello;
+  hello.role = "display";
+  // A reconnect reclaims the identity the hub assigned on first contact and
+  // resumes after the newest step this viewer acked. assigned_id_ is shared
+  // with assigned_id() callers on other threads, so snapshot it under the
+  // state lock.
+  {
+    util::LockGuard lock(state_mutex_);
+    hello.client_id = assigned_id_.empty() ? options_.client_id : assigned_id_;
   }
+  hello.last_acked_step = last_acked_.load();
+  hello.queue_frames = options_.queue_frames;
+  hello.wants_frame_refs = options_.wants_frame_refs;
+  hello.wants_depth = options_.wants_depth;
+  std::string id = net::handshake(*conn, hello);
+  util::LockGuard lock(state_mutex_);
+  assigned_id_ = std::move(id);
+  return conn;
 }
 
 bool HubTcpViewer::reconnect() {

@@ -1,9 +1,10 @@
 // The FrameHub behind a listening socket: the display daemon of §4.1 served
 // over TCP, and the wide-area deployment of the multi-client broker.
-// Renderer processes connect with net::TcpRendererLink (the v1 hello);
-// display clients speak the v2 capability handshake, carrying a stable
-// client id, a resume point, and queue preferences, and get back a
-// kHelloAck (or a kError frame explaining why they were refused).
+// Renderer processes (net::TcpRendererLink) and display clients
+// (HubTcpViewer) open with the same hello (net::handshake) — a display's
+// carries a stable client id, a resume point, a queue bound and its
+// capabilities — and get back a kHelloAck, or a kError frame explaining
+// why they were refused.
 //
 // Transport architecture (DESIGN.md §14): a readiness-based core — one
 // epoll loop thread owns the listening socket and every connection, and a
@@ -14,10 +15,9 @@
 // the queue it drains is empty.
 //
 // The viewer endpoint owns the WAN recovery story: with auto_reconnect it
-// rides out refused connects, mid-frame disconnects and handshake version
-// mismatches (downgrading to the v1 hello when the server is older), and
-// resumes the stream from its last acked step — the §4.1 display never shows
-// a partial frame and never restarts the animation from zero.
+// rides out refused connects and mid-frame disconnects, and resumes the
+// stream from its last acked step — the §4.1 display never shows a partial
+// frame and never restarts the animation from zero.
 #pragma once
 
 #include <atomic>
@@ -83,7 +83,6 @@ class HubTcpServer {
 
   FrameHub hub_;
   HubConfig config_;
-  std::uint32_t max_version_ = net::kProtocolVersion;
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> running_{true};
@@ -99,8 +98,7 @@ class HubTcpServer {
   double accept_backoff_ms_ = 0.0;
 };
 
-/// Display-side endpoint speaking the v2 hub handshake (the hub also
-/// accepts a v1 display hello, minus resume/acks).
+/// Display-side endpoint of the hub.
 class HubTcpViewer {
  public:
   struct Options {
@@ -119,21 +117,14 @@ class HubTcpViewer {
     /// is installed on the socket, so a stalled hub surfaces as a
     /// TimeoutError instead of a hang).
     fault::RetryPolicy retry{};
-    /// When the server refuses the hello with "unsupported protocol
-    /// version", renegotiate down the ladder instead of failing
-    /// (net.retry.downgrades): v3 drops to v2 unconditionally (only the
-    /// frame-ref capability is lost); v2 drops to the legacy v1 hello only
-    /// with this set, because v1 carries no identity or resume point.
-    bool allow_downgrade = true;
-    /// Announce the v3 frame-ref capability: the hub sends kFrameRef
+    /// Announce the frame-ref capability: the hub sends kFrameRef
     /// advertisements instead of frame bodies and answers request_frame()
     /// with kFrameData. For relay edges (hub/relay.hpp), not end viewers —
     /// whoever sets this owns a content cache to resolve refs against.
     bool wants_frame_refs = false;
-    /// Announce the v4 depth capability: depth-container frames arrive
-    /// intact (for the render::Warper) instead of being stripped to their
-    /// color half at the hub. Silently dropped when the ladder settles
-    /// below v4.
+    /// Announce the depth capability: depth-container frames arrive intact
+    /// (for the render::Warper) instead of being stripped to their color
+    /// half at the hub.
     bool wants_depth = false;
   };
 
@@ -146,15 +137,6 @@ class HubTcpViewer {
   /// The identity the hub filed this client under (echoed or assigned).
   /// Resolved under the state lock: a concurrent reconnect may reassign it.
   std::string assigned_id() const TVVIZ_EXCLUDES(state_mutex_);
-
-  /// True once the handshake fell back to the v1 hello.
-  bool downgraded() const noexcept { return downgraded_.load(); }
-
-  /// Hello generation the last handshake settled on (4 unless the server
-  /// pushed the negotiation down the ladder).
-  std::uint32_t negotiated_version() const noexcept {
-    return hello_version_.load();
-  }
 
   /// Successful mid-stream recoveries so far (mirrors net.retry.reconnects
   /// for this endpoint; the relay layer folds deltas into
@@ -177,8 +159,8 @@ class HubTcpViewer {
   void send_control(const net::ControlEvent& event)
       TVVIZ_EXCLUDES(send_mutex_);
   /// Cache-miss reply to a kFrameRef: ask the hub for the body; it arrives
-  /// as a kFrameData on the normal next() stream. Requires a v3 handshake
-  /// with wants_frame_refs. A send failure under auto_reconnect is
+  /// as a kFrameData on the normal next() stream. Requires
+  /// wants_frame_refs. A send failure under auto_reconnect is
   /// swallowed — the reconnect replays the ref and the edge re-requests.
   void request_frame(net::ContentId content) TVVIZ_EXCLUDES(send_mutex_);
 
@@ -188,9 +170,9 @@ class HubTcpViewer {
   void close() TVVIZ_EXCLUDES(send_mutex_);
 
  private:
-  /// One connect + handshake attempt (including the v1 downgrade leg).
-  /// Returns the connected socket; updates assigned_id_/downgraded_. Does
-  /// I/O, so state_mutex_ must not be held on entry.
+  /// One connect + handshake attempt. Returns the connected socket;
+  /// updates assigned_id_. Does I/O, so state_mutex_ must not be held on
+  /// entry.
   std::shared_ptr<net::TcpConnection> connect_and_handshake()
       TVVIZ_EXCLUDES(state_mutex_);
   /// Backoff loop over connect_and_handshake; swaps conn_ on success.
@@ -204,11 +186,6 @@ class HubTcpViewer {
   std::string assigned_id_ TVVIZ_GUARDED_BY(state_mutex_);
   std::atomic<int> last_acked_{-1};
   std::atomic<bool> open_{true};
-  std::atomic<bool> downgraded_{false};
-  /// Hello generation for the next handshake; written only by the ladder in
-  /// connect_and_handshake, sticky across reconnects (a server that refused
-  /// v3 once is not offered it again).
-  std::atomic<std::uint32_t> hello_version_{net::kProtocolVersion};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   util::Rng retry_rng_{0x76696577ULL};  ///< Jitter stream for reconnects.

@@ -8,20 +8,25 @@
 
 namespace tvviz::net {
 
+namespace {
+
+// Capability bits of the hello mask.
+constexpr std::uint32_t kCapFrameRefs = 1u << 0;
+constexpr std::uint32_t kCapDepth = 1u << 1;
+
+}  // namespace
+
 util::Bytes HelloInfo::serialize() const {
   util::ByteWriter w(4 + util::varint_size(role.size()) + role.size() +
                      util::varint_size(client_id.size()) + client_id.size() +
-                     4 + 4 + 1 + 1 + 1);
+                     4 + 4 + 4);
   w.u32(version);
   w.str(role);
   w.str(client_id);
   w.u32(static_cast<std::uint32_t>(last_acked_step));
   w.u32(queue_frames);
-  w.u8(wants_heartbeat ? 1 : 0);
-  // v3 capability, strictly appended: v2 parsers ignore trailing bytes.
-  w.u8(wants_frame_refs ? 1 : 0);
-  // v4 capability, one more trailing byte; v3 parsers ignore it.
-  w.u8(wants_depth ? 1 : 0);
+  w.u32((wants_frame_refs ? kCapFrameRefs : 0u) |
+        (wants_depth ? kCapDepth : 0u));
   return w.take();
 }
 
@@ -30,42 +35,70 @@ HelloInfo HelloInfo::deserialize(std::span<const std::uint8_t> payload) {
     util::ByteReader r(payload);
     HelloInfo info;
     info.version = r.u32();
+    if (info.version != kProtocolVersion) return info;
     info.role = r.str();
     info.client_id = r.str();
     info.last_acked_step = static_cast<std::int32_t>(r.u32());
     info.queue_frames = r.u32();
-    info.wants_heartbeat = r.u8() != 0;
-    // Appended v3 capability; absent from a v2 sender's payload.
-    info.wants_frame_refs = read_trailing_capability(r);
-    // Appended v4 capability; absent from a v2/v3 sender's payload.
-    info.wants_depth = read_trailing_capability(r);
-    // Ignore trailing bytes: a *newer* client may append capabilities this
-    // build does not know; the version field governs compatibility.
+    const std::uint32_t caps = r.u32();
+    if (caps & ~(kCapFrameRefs | kCapDepth))
+      throw WireError("net: unknown hello capability bits in mask " +
+                      std::to_string(caps));
+    info.wants_frame_refs = (caps & kCapFrameRefs) != 0;
+    info.wants_depth = (caps & kCapDepth) != 0;
+    if (!r.done())
+      throw WireError("net: " + std::to_string(r.remaining()) +
+                      " trailing bytes after the hello");
     return info;
   } catch (const std::out_of_range&) {
-    throw WireError("net: truncated hello capability payload");
+    throw WireError("net: truncated hello payload (" +
+                    std::to_string(payload.size()) + " bytes)");
   }
 }
 
 HelloInfo parse_hello(const NetMessage& msg) {
   if (msg.type != MsgType::kHello)
     throw WireError("net: parse_hello on a non-hello message");
-  if (msg.payload.empty()) {
-    // Legacy v1 hello: the role travels in the codec field.
-    HelloInfo info;
-    info.version = 1;
-    info.role = msg.codec;
-    return info;
-  }
   return HelloInfo::deserialize(msg.payload);
 }
 
 NetMessage make_hello(const HelloInfo& info) {
   NetMessage msg;
   msg.type = MsgType::kHello;
-  msg.codec = info.role;
   msg.payload = info.serialize();
   return msg;
+}
+
+util::Bytes ControlEvent::serialize() const {
+  util::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.f64(azimuth);
+  w.f64(elevation);
+  w.f64(zoom);
+  w.str(name);
+  return w.take();
+}
+
+ControlEvent ControlEvent::deserialize(std::span<const std::uint8_t> data) {
+  try {
+    util::ByteReader r(data);
+    ControlEvent e;
+    const std::uint8_t raw_kind = r.u8();
+    if (raw_kind > static_cast<std::uint8_t>(ControlKind::kStop))
+      throw WireError("net: invalid control kind " + std::to_string(raw_kind));
+    e.kind = static_cast<ControlKind>(raw_kind);
+    e.azimuth = r.f64();
+    e.elevation = r.f64();
+    e.zoom = r.f64();
+    e.name = r.str();
+    if (!r.done())
+      throw WireError("net: " + std::to_string(r.remaining()) +
+                      " trailing bytes after the control event");
+    return e;
+  } catch (const std::out_of_range&) {
+    throw WireError("net: truncated control event (" +
+                    std::to_string(data.size()) + " bytes)");
+  }
 }
 
 NetMessage make_error(const std::string& message) {
@@ -167,7 +200,7 @@ NetMessage deserialize_frame(util::SharedBytes body) {
   return msg;
 }
 
-// ------------------------------------------------ frame-by-reference (v3) --
+// --------------------------------------------------- frame-by-reference --
 
 ContentId content_id_of(const NetMessage& msg) noexcept {
   return util::fnv1a(msg.payload, util::fnv1a(msg.codec));
@@ -246,7 +279,7 @@ NetMessage make_frame_data(const NetMessage& frame) {
   return data;
 }
 
-// ------------------------------------------------------ depth planes (v4) --
+// --------------------------------------------------------- depth planes --
 
 namespace {
 

@@ -12,25 +12,21 @@
 namespace tvviz::net {
 
 enum class MsgType : std::uint8_t {
-  kHello = 0,        ///< Endpoint registration (payload: role string or HelloInfo).
+  kHello = 0,        ///< Endpoint registration (HelloInfo payload).
   kFrame = 1,        ///< Complete compressed frame for one time step.
   kSubImage = 2,     ///< One compressed sub-image piece (parallel compression).
   kControl = 3,      ///< User-control event toward the renderer.
   kShutdown = 4,     ///< Orderly teardown.
-  // Protocol v2 (the multi-client frame hub). A v1 endpoint never sends or
-  // receives these; v2 servers keep speaking v1 to legacy single-client
-  // viewers, so the additions are strictly backward compatible.
-  kHelloAck = 5,     ///< Server accepts a hello (payload: HelloInfo echo).
+  kHelloAck = 5,     ///< Hub accepts a hello (codec: the client id it assigned).
   kHeartbeat = 6,    ///< Client liveness beacon (empty payload).
   kAck = 7,          ///< Client acknowledges display of frame_index.
   kError = 8,        ///< Descriptive failure (payload: UTF-8 message), then close.
-  // Protocol v3 (the relay tree). Frames travel by reference between hubs
-  // that keep content-addressed caches: the upstream hub advertises a frame
-  // with kFrameRef (step + ContentId + size, no payload bytes); the
+  // Frame-by-reference (the relay tree). Frames travel by reference between
+  // hubs that keep content-addressed caches: the upstream hub advertises a
+  // frame with kFrameRef (step + ContentId + size, no payload bytes); the
   // downstream edge answers kFrameFetch only when its cache misses and the
   // payload itself crosses the wire once, as kFrameData. Sent only to peers
-  // that announced wants_frame_refs in a v3 hello, so v1/v2 endpoints never
-  // see them.
+  // whose hello carries the frame-refs capability bit.
   kFrameRef = 9,     ///< Frame advertisement by content id (FrameRefInfo payload).
   kFrameFetch = 10,  ///< Cache-miss request for a ContentId (8-byte payload).
   kFrameData = 11,   ///< Fetched frame body; header mirrors the original frame.
@@ -40,14 +36,9 @@ enum class MsgType : std::uint8_t {
 inline constexpr std::uint8_t kMaxMsgType =
     static_cast<std::uint8_t>(MsgType::kFrameData);
 
-/// Version of the hello/capability handshake this build speaks. v1 is the
-/// legacy role-string hello ("renderer"/"display" in the codec field); v2
-/// adds the HelloInfo payload (client identity, resume point, heartbeats);
-/// v3 adds frame-by-reference transport (wants_frame_refs capability and
-/// the kFrameRef/kFrameFetch/kFrameData exchange); v4 adds the depth-plane
-/// extension (wants_depth capability and the kFrame depth container) for
-/// the image-warping viewer.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// Version of the hello handshake. Every endpoint ships from this repo, so
+/// there is one generation: a hub refuses a hello of any other version.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Stable identity of one encoded frame payload: FNV-1a over the codec-name
 /// bytes then the payload bytes (see content_id_of). Computed once at cache
@@ -55,40 +46,33 @@ inline constexpr std::uint32_t kProtocolVersion = 4;
 /// an integrity check on fetched bodies.
 using ContentId = std::uint64_t;
 
-/// Read one optional trailing capability byte of a hello payload: absent
-/// (an older sender stopped writing before it) reads as false, present
-/// reads as its boolean value. This is the single sanctioned way to probe
-/// trailing hello bytes — every capability added this way negotiates
-/// identically, and tvviz-analyzer's hello-trailing-bytes check flags
-/// hand-rolled remaining()/u8() probes (DESIGN.md §18).
-inline bool read_trailing_capability(util::ByteReader& r) {
-  return r.remaining() > 0 && r.u8() != 0;
-}
-
-/// Capability payload of a v2 kHello (and the server's kHelloAck echo).
-/// A v1 hello has an empty payload; deserialize_hello maps it to version 1
-/// with the role taken from the message's codec field, so one parse path
-/// serves both generations.
+/// Payload of a kHello, the same fixed layout from renderers and viewers:
+///
+///   u32 version | str role | str client_id | u32 last_acked_step |
+///   u32 queue_frames | u32 capability mask
+///
+/// The capabilities travel as mask bits: bit 0 frame refs, bit 1 depth.
+/// Any other bit, a short payload or trailing bytes make the hello
+/// malformed.
 struct HelloInfo {
   std::uint32_t version = kProtocolVersion;
   std::string role;            ///< "renderer" or "display".
   std::string client_id;       ///< Stable viewer identity; empty = assign one.
   std::int32_t last_acked_step = -1;  ///< Resume point; -1 = from live stream.
   std::uint32_t queue_frames = 0;     ///< Requested send-queue bound; 0 = default.
-  bool wants_heartbeat = false;       ///< Client will send kHeartbeat beacons.
-  /// v3 capability, appended as a trailing byte (v2 parsers ignore trailing
-  /// bytes by contract): this display keeps a content-addressed cache and
-  /// wants frames advertised as kFrameRef instead of shipped in full.
+  /// This display keeps a content-addressed cache and wants frames
+  /// advertised as kFrameRef instead of shipped in full (relay edges).
   bool wants_frame_refs = false;
-  /// v4 capability, appended the same way (one more trailing byte): this
-  /// display runs a render::Warper and wants 2.5D depth-container frames.
-  /// Servers strip the depth plane for peers that did not announce it.
+  /// This display runs a render::Warper and wants 2.5D depth-container
+  /// frames. Hubs strip the depth plane for peers that did not ask for it.
   bool wants_depth = false;
 
   util::Bytes serialize() const;
+  /// Reads the version first. A hello of another version is returned with
+  /// only `version` set: its layout is not this version's to guess, and the
+  /// caller refuses it. Throws WireError on a malformed version-5 payload.
   static HelloInfo deserialize(std::span<const std::uint8_t> payload);
 };
-
 
 /// User-control events the display client can send (§5). They are buffered
 /// by the renderer and applied to the *next* frame; in-flight rendering is
@@ -106,26 +90,10 @@ struct ControlEvent {
   double azimuth = 0.0, elevation = 0.0, zoom = 1.0;
   std::string name;  ///< Colormap or codec name.
 
-  util::Bytes serialize() const {
-    util::ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.f64(azimuth);
-    w.f64(elevation);
-    w.f64(zoom);
-    w.str(name);
-    return w.take();
-  }
-
-  static ControlEvent deserialize(std::span<const std::uint8_t> data) {
-    util::ByteReader r(data);
-    ControlEvent e;
-    e.kind = static_cast<ControlKind>(r.u8());
-    e.azimuth = r.f64();
-    e.elevation = r.f64();
-    e.zoom = r.f64();
-    e.name = r.str();
-    return e;
-  }
+  util::Bytes serialize() const;
+  /// Throws WireError on a truncated payload, trailing bytes, or a kind
+  /// outside ControlKind.
+  static ControlEvent deserialize(std::span<const std::uint8_t> data);
 };
 
 /// Framed daemon message.
@@ -164,15 +132,11 @@ NetMessage deserialize_message(std::span<const std::uint8_t> data);
 /// an aliasing view into `body` (which stays alive as long as the payload).
 NetMessage deserialize_frame(util::SharedBytes body);
 
-/// Parse a kHello message of either generation: v2 from the HelloInfo
-/// payload, v1 from the legacy role-in-codec form (empty payload, mapped to
-/// version 1). Throws std::runtime_error on a malformed v2 payload.
-/// Validates nothing about the version itself — callers decide what to
-/// reject (and should answer an unsupported version with a kError frame).
+/// Parse a kHello (see HelloInfo::deserialize). Throws WireError on a
+/// non-hello message or a malformed payload.
 HelloInfo parse_hello(const NetMessage& msg);
 
-/// Build a v2 kHello carrying `info` (role mirrored into the codec field so
-/// v1 servers still understand the registration).
+/// Build a kHello carrying `info`.
 NetMessage make_hello(const HelloInfo& info);
 
 /// Build a kError frame whose payload is the UTF-8 `message`.
@@ -181,7 +145,7 @@ NetMessage make_error(const std::string& message);
 /// The payload of a kError frame as a string.
 std::string error_text(const NetMessage& msg);
 
-// ------------------------------------------------ frame-by-reference (v3) --
+// --------------------------------------------------- frame-by-reference --
 
 /// The ContentId of a frame message: util::fnv1a over the codec-name bytes,
 /// chained over the payload bytes. Including the codec keeps two encodings
@@ -221,7 +185,7 @@ ContentId parse_frame_fetch(const NetMessage& msg);
 /// ContentId rather than display it directly.
 NetMessage make_frame_data(const NetMessage& frame);
 
-// ------------------------------------------------------ depth planes (v4) --
+// --------------------------------------------------------- depth planes --
 //
 // A 2.5D frame travels as an ordinary kFrame whose payload is a container:
 //
@@ -232,8 +196,8 @@ NetMessage make_frame_data(const NetMessage& frame);
 // as trailing frame bytes — keeps parse_frame's no-trailing-bytes contract
 // intact and lets relays treat the container as an opaque cached body
 // (ContentId covers codec + payload as usual). A hub strips the plane for
-// any viewer that did not announce wants_depth, so pre-v4 decoders never
-// see the container codec name.
+// any viewer whose hello lacks the depth bit, so a plain decoder never sees
+// the container codec name.
 
 /// Codec-name prefix marking a depth-container frame.
 inline constexpr const char* kDepthCodecPrefix = "zd4+";

@@ -35,13 +35,6 @@ sockaddr_in loopback(int port) {
   return addr;
 }
 
-NetMessage hello(const char* role) {
-  NetMessage msg;
-  msg.type = MsgType::kHello;
-  msg.codec = role;
-  return msg;
-}
-
 double steady_now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -392,21 +385,34 @@ void TcpConnection::shutdown() {
 
 // ------------------------------------------------------ client endpoints ----
 
+std::string handshake(TcpConnection& conn, const HelloInfo& hello) {
+  conn.send_message(make_hello(hello));
+  const auto reply = conn.recv_message();
+  if (!reply) throw SocketError("tcp: hub closed during the handshake");
+  if (reply->type == MsgType::kError)
+    throw std::runtime_error("tcp: hub refused the hello: " +
+                             error_text(*reply));
+  if (reply->type != MsgType::kHelloAck)
+    throw std::runtime_error("tcp: hub answered the hello with message type " +
+                             std::to_string(static_cast<int>(reply->type)));
+  return reply->codec;
+}
+
 TcpRendererLink::TcpRendererLink(int port)
     : conn_(TcpConnection::connect_local(port)) {
-  conn_->send_message(hello("renderer"));
+  HelloInfo hello;
+  hello.role = "renderer";
+  handshake(*conn_, hello);
   reader_ = std::thread([this] {
-    while (true) {
-      std::optional<NetMessage> msg;
-      try {
-        msg = conn_->recv_message();
-      } catch (const std::exception&) {
-        return;  // hub gone or stream desynchronized: stop polling
+    try {
+      while (auto msg = conn_->recv_message()) {
+        if (msg->type != MsgType::kControl) continue;
+        ControlEvent event = ControlEvent::deserialize(msg->payload);
+        util::LockGuard lock(mutex_);
+        pending_.push_back(std::move(event));
       }
-      if (!msg) return;
-      if (msg->type != MsgType::kControl) continue;
-      util::LockGuard lock(mutex_);
-      pending_.push_back(ControlEvent::deserialize(msg->payload));
+    } catch (const std::exception&) {
+      // Hub gone, stream desynchronized, or a malformed event: stop polling.
     }
   });
 }

@@ -4,8 +4,9 @@
 // endpoint is hub::HubTcpViewer.
 //
 // Wire protocol: each frame is [u32 little-endian length][NetMessage body
-// per serialize_message]. The first message on every connection must be a
-// kHello naming the role: "renderer" or "display".
+// per serialize_message]. Every connection opens with one handshake
+// (net::handshake): the client sends a kHello naming its role, "renderer"
+// or "display", and the hub answers with a kHelloAck or a kError.
 //
 // Failure behavior (see net/errors.hpp): syscall failures throw
 // SocketError, a peer dying mid-frame throws WireError, and an expired
@@ -96,9 +97,18 @@ class TcpConnection {
   std::shared_ptr<fault::ConnectionFaults> faults_;
 };
 
+/// The client half of the hub handshake, the same for renderers and
+/// viewers: send `hello`, wait for the answer, and return the client id the
+/// hub's kHelloAck carries. Throws std::runtime_error with the hub's text
+/// when it refuses with a kError, SocketError when it closes first.
+std::string handshake(TcpConnection& conn, const HelloInfo& hello);
+
 /// Renderer-side endpoint over TCP: send frames, poll control events.
 class TcpRendererLink {
  public:
+  /// Returns once the hub acked the hello, so the hub delivers every
+  /// control event sent from then on. Throws std::runtime_error with the
+  /// hub's text when it refuses.
   explicit TcpRendererLink(int port);
 
   void send(const NetMessage& msg) { conn_->send_message(msg); }

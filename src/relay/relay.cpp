@@ -144,15 +144,6 @@ void EdgeHub::pump_loop() {
     }
 
     switch (msg->type) {
-      case MsgType::kFrame:
-      case MsgType::kSubImage:
-        // v2 fallback (upstream too old for refs): plain store-and-forward.
-        // A resume replay overlaps what this edge already injected (the ack
-        // floor trails the viewers, not the pump); re-injecting would
-        // double-deliver downstream, so already-passed steps are skipped.
-        if (msg->frame_index <= max_ready_step_) break;
-        inject(std::move(*msg));
-        break;
       case MsgType::kFrameRef:
         handle_ref(*msg);
         break;
@@ -169,9 +160,10 @@ void EdgeHub::pump_loop() {
       case MsgType::kError:
         return;  // fatal refusal mid-stream
       default:
-        // A root never sends hello/ack/control types downstream; log so a
-        // protocol-v5 message is visible instead of vanishing into the
-        // pump (wire-switch-default, DESIGN.md §18).
+        // The upstream hub sends every image to this edge as a kFrameRef
+        // (wants_frame_refs), and never hello/ack/control types; log so an
+        // unexpected type is visible instead of vanishing into the pump
+        // (wire-switch-default, DESIGN.md §18).
         TVVIZ_LOG(kWarn) << "relay: ignoring unexpected upstream message "
                          << "type " << static_cast<int>(msg->type);
         break;

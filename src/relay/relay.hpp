@@ -7,7 +7,7 @@
 //
 // An EdgeHub is pure composition of existing pieces:
 //
-//   * upstream: a HubTcpViewer speaking protocol v3 with wants_frame_refs —
+//   * upstream: a HubTcpViewer whose hello sets wants_frame_refs —
 //     auto-reconnect under the PR 4 retry/backoff policy, acking whole
 //     frames so a killed-and-restarted edge resumes from its last acked
 //     step (the root replays kFrameRef advertisements, and the edge fetches

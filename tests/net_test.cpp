@@ -162,6 +162,22 @@ TEST(Protocol, ControlEventRoundTrip) {
   EXPECT_EQ(out.name, "fire");
 }
 
+TEST(Protocol, ControlEventRejectsMalformedPayloads) {
+  // A control event arrives from a remote viewer: every malformed form is
+  // a WireError, never an out-of-range read or an out-of-range enum.
+  EXPECT_THROW(ControlEvent::deserialize({}), net::WireError);
+  util::Bytes bytes = ControlEvent{}.serialize();
+  const util::Bytes good = bytes;
+  bytes.pop_back();
+  EXPECT_THROW(ControlEvent::deserialize(bytes), net::WireError);
+  bytes = good;
+  bytes.push_back(0);
+  EXPECT_THROW(ControlEvent::deserialize(bytes), net::WireError);
+  bytes = good;
+  bytes[0] = static_cast<std::uint8_t>(ControlKind::kStop) + 1;
+  EXPECT_THROW(ControlEvent::deserialize(bytes), net::WireError);
+}
+
 TEST(Protocol, WireSizeAccountsForFraming) {
   NetMessage msg;
   msg.codec = "jpeg+lzo";
@@ -373,7 +389,6 @@ TEST(Protocol, SerializeReservesExactlyOnce) {
   info.role = "display";
   info.client_id = "viewer-with-a-long-stable-identity-string";
   info.queue_frames = 32;
-  info.wants_heartbeat = true;
   const auto hello = info.serialize();
   EXPECT_EQ(hello.capacity(), hello.size());
 }
@@ -435,22 +450,18 @@ TEST(ProtocolV4, HelloCarriesWantsDepthAndDegradesByTruncation) {
   info.wants_frame_refs = true;
   info.wants_depth = true;
   const auto echoed = net::parse_hello(net::make_hello(info));
-  EXPECT_EQ(echoed.version, 4u);
+  EXPECT_EQ(echoed.version, net::kProtocolVersion);
   EXPECT_TRUE(echoed.wants_frame_refs);
   EXPECT_TRUE(echoed.wants_depth);
 
-  // Trailing-byte contract: each older generation's payload is a strict
-  // prefix, and the missing capabilities default off.
-  auto hello = net::make_hello(info);
-  auto v3 = hello;
-  v3.payload = hello.payload.view(0, hello.payload.size() - 1);
-  EXPECT_TRUE(net::parse_hello(v3).wants_frame_refs);
-  EXPECT_FALSE(net::parse_hello(v3).wants_depth);
-  auto v2 = hello;
-  v2.payload = hello.payload.view(0, hello.payload.size() - 2);
-  EXPECT_FALSE(net::parse_hello(v2).wants_frame_refs);
-  EXPECT_FALSE(net::parse_hello(v2).wants_depth);
+  // The capabilities share one u32 mask, so a truncated hello no longer
+  // degrades to an older generation's capabilities: it is refused whole.
+  auto cut = net::make_hello(info);
+  cut.payload = cut.payload.view(0, cut.payload.size() - 1);
+  EXPECT_THROW(net::parse_hello(cut), std::runtime_error);
 }
+
+// ----------------------------------------------------- depth planes ----
 
 NetMessage color_frame(int step) {
   NetMessage msg;

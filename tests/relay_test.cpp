@@ -1,6 +1,5 @@
 // Tests for the relay-tree subsystem (PR 7): the util::fnv1a hash the
-// ContentId scheme is built on, the protocol-v3 frame-by-reference wire
-// forms, the FrameCache content index (plus step-arithmetic regressions),
+// ContentId scheme is built on, the frame-by-reference wire forms, the FrameCache content index (plus step-arithmetic regressions),
 // frame-ref delivery through the in-process hub, and the EdgeHub — a hub of
 // hubs whose edges serve their own viewers from a content-addressed cache,
 // so root egress scales with edges, not viewers. The RelayChaos suite
@@ -23,6 +22,7 @@
 #include "hub/tcp_hub.hpp"
 #include "net/errors.hpp"
 #include "net/protocol.hpp"
+#include "net/tcp.hpp"
 #include "obs/counters.hpp"
 #include "relay/relay.hpp"
 #include "util/hash.hpp"
@@ -92,7 +92,7 @@ TEST(Fnv1a, SpanAndStringViewOverloadsAgree) {
             util::fnv1a(std::string_view{"jpeg"}));
 }
 
-// ------------------------------------------------------------ protocol v3 --
+// ----------------------------------------------------- frame-by-reference --
 
 TEST(ProtocolV3, FrameRefRoundTripMirrorsFrameHeader) {
   NetMessage frame;
@@ -177,21 +177,17 @@ TEST(ProtocolV3, HelloCarriesWantsFrameRefsAndStaysV2Compatible) {
   info.wants_frame_refs = true;
   const auto echoed = net::parse_hello(net::make_hello(info));
   EXPECT_TRUE(echoed.wants_frame_refs);
+  EXPECT_FALSE(echoed.wants_depth);
   EXPECT_EQ(echoed.version, net::kProtocolVersion);
 
-  // A v2 hello lacks both capability trailing bytes (v3 wants_frame_refs,
-  // v4 wants_depth); the parser must default the capabilities off rather
-  // than reject the older payload.
-  auto v2 = net::make_hello(info);
-  v2.payload = v2.payload.view(0, v2.payload.size() - 2);
-  EXPECT_FALSE(net::parse_hello(v2).wants_frame_refs);
-  EXPECT_FALSE(net::parse_hello(v2).wants_depth);
-
-  // A v3 hello carries wants_frame_refs but stops short of wants_depth.
-  auto v3 = net::make_hello(info);
-  v3.payload = v3.payload.view(0, v3.payload.size() - 1);
-  EXPECT_TRUE(net::parse_hello(v3).wants_frame_refs);
-  EXPECT_FALSE(net::parse_hello(v3).wants_depth);
+  // Compatibility with older peers is now a refusal, not a degrade: the
+  // shorter payloads a v2 or v3 endpoint sent cut into the capability word
+  // and throw instead of parsing with the capabilities defaulted off.
+  for (const std::size_t cut : {1u, 2u}) {
+    auto older = net::make_hello(info);
+    older.payload = older.payload.view(0, older.payload.size() - cut);
+    EXPECT_THROW(net::parse_hello(older), std::runtime_error) << cut;
+  }
 }
 
 // --------------------------------------------------- FrameCache content ----
@@ -440,30 +436,32 @@ TEST(RelayTree, EdgesChainIntoDeeperTrees) {
   root.shutdown();
 }
 
-TEST(RelayTree, FallsBackToFullFramesAgainstAnOlderRoot) {
-  // A v2-only root refuses the edge's v3 hello; the downgrade ladder lands
-  // on v2 (losing only the ref capability) and the edge becomes a plain
-  // store-and-forward relay — viewers notice nothing.
-  HubConfig root_cfg;
-  root_cfg.max_protocol_version = 2;
-  hub::HubTcpServer root(0, root_cfg);
+TEST(RelayTree, RendererErrorDoesNotEndAnEdgeStream) {
+  // Regression: the root fanned a renderer's kError out to its viewers, and
+  // an edge's pump stops at a kError — so the edge's viewers got none of
+  // the frames that followed. The root now drops it at the renderer socket.
+  hub::HubTcpServer root;
   EdgeHubConfig cfg;
   cfg.upstream_port = root.port();
-  cfg.edge_id = "edge-v2";
+  cfg.edge_id = "edge-err";
   EdgeHub edge(cfg);
+  hub::HubTcpViewer::Options vo;
+  vo.retry.io_timeout_ms = 10000.0;  // a lost stream fails, not hangs
+  hub::HubTcpViewer viewer(edge.port(), vo);
 
-  hub::HubTcpViewer viewer(edge.port());
-  auto renderer = root.hub().connect_renderer();
-  constexpr int kSteps = 3;
+  net::TcpRendererLink renderer(root.port());
+  renderer.send(net::make_error("not a frame"));
+  constexpr int kSteps = 2;
   for (int s = 0; s < kSteps; ++s)
-    renderer->send(frame_msg(s, step_payload(s)));
+    renderer.send(frame_msg(s, step_payload(s)));
   for (int s = 0; s < kSteps; ++s) {
-    const auto got = viewer.next();
+    std::optional<NetMessage> got;
+    ASSERT_NO_THROW(got = viewer.next()) << "step " << s << " never arrived";
     ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->type, MsgType::kFrame);
     EXPECT_EQ(got->frame_index, s);
     EXPECT_EQ(got->payload, step_payload(s));
   }
-  EXPECT_EQ(edge.stats().refs_seen, 0u);  // nothing advertised, all shipped
   edge.shutdown();
   root.shutdown();
 }

@@ -99,11 +99,10 @@ TEST(Tcp, LargePayloadIntegrity) {
 }
 
 TEST(Tcp, ControlEventsFlowBack) {
+  // The renderer's constructor returns after the hello-ack, which the hub
+  // sends once the renderer is registered for control events.
   HubTcpServer server;
   TcpRendererLink renderer(server.port());
-  // A renderer gets no hello-ack: give the hub time to register it before
-  // the broadcast goes out.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
   HubTcpViewer display(server.port());
 
   ControlEvent e;
@@ -239,9 +238,11 @@ TEST(Tcp, MalformedHandshakeDoesNotKillServer) {
 
 TEST(Tcp, UnknownProtocolVersionGetsDescriptiveError) {
   // An endpoint from the future must be told why it is refused — a kError
-  // frame naming the version range — not just see a dead socket.
+  // frame naming its version and the one the hub speaks — not just see a
+  // dead socket.
   HubTcpServer server;
   auto conn = net::TcpConnection::connect_local(server.port());
+  conn->set_io_timeout_ms(10000.0);  // a missing reply fails, not hangs
   net::HelloInfo info;
   info.version = 7;
   info.role = "display";
@@ -251,6 +252,10 @@ TEST(Tcp, UnknownProtocolVersionGetsDescriptiveError) {
   ASSERT_EQ(reply->type, MsgType::kError);
   const std::string text = net::error_text(*reply);
   EXPECT_NE(text.find("unsupported protocol version 7"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("this hub speaks " +
+                      std::to_string(net::kProtocolVersion)),
+            std::string::npos)
       << text;
   server.shutdown();
 }

@@ -30,13 +30,7 @@
 //   wire-switch-default   Every `switch` over net::MsgType either handles
 //                         all enumerators or carries a default that
 //                         throws/logs/counts — a silent `default: break;`
-//                         hides the day protocol v5 adds a message type.
-//
-//   hello-trailing-bytes  Hello-parsing code (HelloInfo::deserialize,
-//                         parse_hello) reads trailing capability bytes only
-//                         through net::read_trailing_capability(); direct
-//                         remaining()/u8() probing forks the negotiation
-//                         logic version by version.
+//                         hides the day the protocol adds a message type.
 //
 //   loop-exception-escape A lambda registered on the loop or worker queue
 //                         must not let exceptions escape (std::terminate on
@@ -425,7 +419,7 @@ class WireSwitchCheck : public MatchFinder::MatchCallback {
 
     // A default exists: it must DO something observable (throw, log, count,
     // evict — any call). `default: break;` / `default: return;` is the
-    // silent fallthrough that swallows protocol-v5 messages.
+    // silent fallthrough that swallows a message type added later.
     const Stmt* sub = default_stmt->getSubStmt();
     const bool silent =
         sub == nullptr ||
@@ -438,34 +432,9 @@ class WireSwitchCheck : public MatchFinder::MatchCallback {
       reporter_.report(
           *result.SourceManager, default_stmt->getDefaultLoc(),
           "wire-switch-default",
-          "silent default in a switch over net::MsgType — when protocol v5 "
+          "silent default in a switch over net::MsgType — when the protocol "
           "adds a message this drops it without a trace; throw, log or "
           "count the unexpected type (DESIGN.md §18)");
-  }
-
- private:
-  Reporter& reporter_;
-};
-
-class HelloTrailingCheck : public MatchFinder::MatchCallback {
- public:
-  explicit HelloTrailingCheck(Reporter& reporter) : reporter_(reporter) {}
-
-  void run(const MatchFinder::MatchResult& result) override {
-    const auto* call = result.Nodes.getNodeAs<CXXMemberCallExpr>("call");
-    const auto* fn = result.Nodes.getNodeAs<FunctionDecl>("fn");
-    if (call == nullptr || fn == nullptr) return;
-    const std::string name = fn->getQualifiedNameAsString();
-    const bool hello_parser =
-        name.find("HelloInfo::deserialize") != std::string::npos ||
-        name.find("parse_hello") != std::string::npos;
-    if (!hello_parser) return;
-    reporter_.report(
-        *result.SourceManager, call->getExprLoc(), "hello-trailing-bytes",
-        "hello-parsing code probes the reader directly ('" + name +
-            "' calls ByteReader::remaining()) — read trailing capability "
-            "bytes through net::read_trailing_capability() so every "
-            "capability negotiates identically (DESIGN.md §18)");
   }
 
  private:
@@ -495,7 +464,6 @@ int main(int argc, const char** argv) {
   LambdaEscapeCheck lambda_escape(reporter);
   LoopCallbackCheck loop_callback(reporter);
   WireSwitchCheck wire_switch(reporter);
-  HelloTrailingCheck hello_trailing(reporter);
 
   MatchFinder finder;
   const auto shared_bytes_escape = cxxMemberCallExpr(
@@ -533,14 +501,6 @@ int main(int argc, const char** argv) {
       &loop_callback);
 
   finder.addMatcher(switchStmt().bind("switch"), &wire_switch);
-
-  finder.addMatcher(
-      cxxMemberCallExpr(
-          callee(cxxMethodDecl(hasName("remaining"),
-                               ofClass(hasName("::tvviz::util::ByteReader")))),
-          hasAncestor(functionDecl().bind("fn")))
-          .bind("call"),
-      &hello_trailing);
 
   const int status =
       tool.run(clang::tooling::newFrontendActionFactory(&finder).get());

@@ -32,7 +32,6 @@ CHECK_IDS = (
     "loop-blocking-call",
     "loop-this-capture",
     "wire-switch-default",
-    "hello-trailing-bytes",
     "loop-exception-escape",
 )
 FINDING_RE = re.compile(r"\[(" + "|".join(CHECK_IDS) + r")\]")

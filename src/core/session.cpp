@@ -23,6 +23,7 @@
 #include "net/tcp.hpp"
 #include "obs/trace.hpp"
 #include "render/warp.hpp"
+#include "util/log.hpp"
 #include "util/mutex.hpp"
 #include "util/timer.hpp"
 #include "vmp/communicator.hpp"
@@ -46,17 +47,23 @@ struct ViewState {
   std::string codec;
   bool stopped = false;
 
-  void apply(const net::ControlEvent& e) {
+  /// Throws std::invalid_argument, leaving the state unchanged, for an
+  /// event the renderers cannot honour: a view render::Camera rejects, or
+  /// an unknown colormap or codec.
+  void apply(const net::ControlEvent& e, int jpeg_quality) {
     switch (e.kind) {
       case net::ControlKind::kSetView:
+        render::Camera::check_view(e.azimuth, e.elevation, e.zoom);
         azimuth = e.azimuth;
         elevation = e.elevation;
         zoom = e.zoom;
         break;
       case net::ControlKind::kSetColorMap:
+        (void)colormap_by_name(e.name);
         colormap = e.name;
         break;
       case net::ControlKind::kSetCodec:
+        (void)codec::make_image_codec(e.name, jpeg_quality);
         codec = e.name;
         break;
       case net::ControlKind::kStop:
@@ -88,13 +95,18 @@ struct ViewState {
   }
 };
 
-/// Encode a binary-swap slice as a framed sub-image piece.
-util::Bytes pack_piece(int y0, const util::Bytes& encoded) {
-  util::ByteWriter w(encoded.size() + 8);
-  w.u32(static_cast<std::uint32_t>(y0));
-  w.varint(encoded.size());
-  w.raw(encoded);
-  return w.take();
+/// A binary-swap slice as a stand-alone opaque 8-bit image of its own rows.
+render::Image slice_rows(const compositing::FrameSlice& slice, int width) {
+  render::Image own(width, std::max(0, slice.image.height()));
+  for (int y = 0; y < own.height(); ++y)
+    for (int x = 0; x < width; ++x) {
+      const auto& px = slice.image.at(x, y);
+      const auto q = [](double v) {
+        return static_cast<std::uint8_t>(util::clamp01(v) * 255.0 + 0.5);
+      };
+      own.set(x, y, q(px.r), q(px.g), q(px.b), 255);
+    }
+  return own;
 }
 
 }  // namespace
@@ -176,11 +188,11 @@ SessionResult run_session(const SessionConfig& cfg) {
     hub_cfg.client_queue_frames = cfg.hub_queue_frames;
     hub_cfg.heartbeat_timeout_s = cfg.hub_heartbeat_timeout_s;
   } else {
-    // One lossless viewer: a step ships as at most `processors` messages,
-    // so no session fills this bound and newest-frame-wins never drops.
+    // One lossless viewer: a step ships as one message and every renderer
+    // port ends with one kShutdown, so no session fills this bound and
+    // newest-frame-wins never drops.
     hub_cfg.client_queue_frames =
-        static_cast<std::size_t>(steps) *
-        static_cast<std::size_t>(cfg.processors);
+        static_cast<std::size_t>(steps) + static_cast<std::size_t>(cfg.groups);
   }
   const int aux_clients = cfg.use_hub ? std::max(0, cfg.hub_clients - 1) : 0;
   std::unique_ptr<hub::FrameHub> local_hub;
@@ -241,9 +253,7 @@ SessionResult run_session(const SessionConfig& cfg) {
       while (auto msg = viewer->next()) {
         if (msg->type == net::MsgType::kShutdown) {
           if (++shutdowns >= groups) break;
-        } else if (msg->type == net::MsgType::kFrame ||
-                   (msg->type == net::MsgType::kSubImage &&
-                    msg->piece == msg->piece_count - 1)) {
+        } else if (msg->type == net::MsgType::kFrame) {
           viewer->ack(msg->frame_index);
         }
       }
@@ -280,13 +290,6 @@ SessionResult run_session(const SessionConfig& cfg) {
   };
   std::thread client([&] {
     obs::set_thread_lane("display");
-    // Sub-image reassembly state per step.
-    struct Pending {
-      render::Image frame;
-      int received = 0;
-      int expected = 0;
-    };
-    std::map<int, Pending> pending;
     int frames_done = 0;
     int shutdowns_seen = 0;
     const int total_frames = steps;
@@ -306,68 +309,59 @@ SessionResult run_session(const SessionConfig& cfg) {
         if (++shutdowns_seen >= cfg.groups) break;
         continue;
       }
+      if (msg->type != net::MsgType::kFrame) continue;
       obs::Span display_span("display", msg->frame_index);
 
-      render::Image* completed = nullptr;
-      if (msg->type == net::MsgType::kFrame) {
-        auto& slot = pending[msg->frame_index];
-        if (net::is_depth_frame(*msg)) {
-          // 2.5D frame: predict it first by warping the previous frame to
-          // this step's camera (what a live viewer would have shown while
-          // this frame was in flight), then decode the truth and measure
-          // how good the guess was.
-          const auto parts = net::split_depth_frame(*msg);
-          const auto codec =
-              codec::make_image_codec(parts.color.codec, cfg.jpeg_quality);
-          slot.frame = codec->decode(parts.color.payload);
-          if (warper) {
-            const render::Camera now = camera_of_step(msg->frame_index);
-            if (warper->has_frame()) {
-              const render::WarpResult wr = warper->warp(now);
-              ++warp_frames;
-              warp_hole_sum += wr.hole_ratio;
-              warp_psnr_sum += std::min(render::psnr(wr.image, slot.frame),
-                                        99.0);
-            }
-            render::DepthFrame df;
-            df.color = slot.frame;
-            df.depth = codec::decode_depth_plane(parts.depth_plane);
-            df.camera = now;
-            df.step = msg->frame_index;
-            warper->set_frame(std::move(df));
+      render::Image frame;
+      if (net::is_depth_frame(*msg)) {
+        // 2.5D frame: predict it first by warping the previous frame to
+        // this step's camera (what a live viewer would have shown while
+        // this frame was in flight), then decode the truth and measure how
+        // good the guess was.
+        const auto parts = net::split_depth_frame(*msg);
+        const auto codec =
+            codec::make_image_codec(parts.color.codec, cfg.jpeg_quality);
+        frame = codec->decode(parts.color.payload);
+        if (warper) {
+          const render::Camera now = camera_of_step(msg->frame_index);
+          if (warper->has_frame()) {
+            const render::WarpResult wr = warper->warp(now);
+            ++warp_frames;
+            warp_hole_sum += wr.hole_ratio;
+            warp_psnr_sum += std::min(render::psnr(wr.image, frame), 99.0);
           }
-        } else if (msg->codec == "collective-jpeg") {
-          slot.frame = compositing::collective_jpeg_decode(msg->payload);
-        } else {
-          const auto codec =
-              codec::make_image_codec(msg->codec, cfg.jpeg_quality);
-          slot.frame = codec->decode(msg->payload);
+          render::DepthFrame df;
+          df.color = frame;
+          df.depth = codec::decode_depth_plane(parts.depth_plane);
+          df.camera = now;
+          df.step = msg->frame_index;
+          warper->set_frame(std::move(df));
         }
-        completed = &slot.frame;
-      } else if (msg->type == net::MsgType::kSubImage) {
+      } else if (net::is_pieces_frame(*msg)) {
+        // Parallel compression: decode every node's piece on its own and
+        // copy its rows into place.
+        const auto parts = net::split_pieces_frame(*msg);
+        const auto codec =
+            codec::make_image_codec(parts.codec, cfg.jpeg_quality);
+        frame = render::Image(cfg.image_width, cfg.image_height);
+        for (const auto& piece : parts.pieces) {
+          const render::Image rows = codec->decode(piece.encoded);
+          for (int y = 0; y < rows.height(); ++y) {
+            // 64-bit: row0 comes off the wire and may sit near INT_MAX.
+            const std::int64_t fy = std::int64_t{piece.row0} + y;
+            if (fy < 0 || fy >= frame.height()) continue;
+            for (int x = 0; x < rows.width() && x < frame.width(); ++x) {
+              const auto* p = rows.pixel(x, y);
+              frame.set(x, static_cast<int>(fy), p[0], p[1], p[2], p[3]);
+            }
+          }
+        }
+      } else if (msg->codec == "collective-jpeg") {
+        frame = compositing::collective_jpeg_decode(msg->payload);
+      } else {
         const auto codec =
             codec::make_image_codec(msg->codec, cfg.jpeg_quality);
-        auto& slot = pending[msg->frame_index];
-        if (slot.expected == 0) {
-          slot.expected = msg->piece_count;
-          slot.frame = render::Image(cfg.image_width, cfg.image_height);
-        }
-        util::ByteReader r(msg->payload);
-        const int y0 = static_cast<int>(r.u32());
-        const std::size_t len = r.varint();
-        const render::Image piece = codec->decode(r.raw(len));
-        for (int y = 0; y < piece.height(); ++y) {
-          const int fy = y0 + y;
-          if (fy < 0 || fy >= slot.frame.height()) continue;
-          for (int x = 0; x < piece.width() && x < slot.frame.width(); ++x) {
-            const auto* p = piece.pixel(x, y);
-            slot.frame.set(x, fy, p[0], p[1], p[2], p[3]);
-          }
-        }
-        if (++slot.received < slot.expected) continue;
-        completed = &slot.frame;
-      } else {
-        continue;
+        frame = codec->decode(msg->payload);
       }
 
       const double now = clock.seconds();
@@ -383,12 +377,10 @@ SessionResult run_session(const SessionConfig& cfg) {
       }
       last_display_s = now;
       if (cfg.on_frame) {
-        for (const auto& event : cfg.on_frame(msg->frame_index, *completed))
+        for (const auto& event : cfg.on_frame(msg->frame_index, frame))
           display->send_control(event);
       }
-      if (cfg.keep_frames)
-        kept_frames[msg->frame_index] = std::move(*completed);
-      pending.erase(msg->frame_index);
+      if (cfg.keep_frames) kept_frames[msg->frame_index] = std::move(frame);
       ++frames_done;
     }
     if (adaptive) adaptive_switches.store(adaptive->switches());
@@ -441,11 +433,18 @@ SessionResult run_session(const SessionConfig& cfg) {
                                : cfg.step_map[static_cast<std::size_t>(step)];
 
       // Leader drains buffered control events and broadcasts the resulting
-      // state so every node of the group renders consistently (§5).
+      // state so every node of the group renders consistently (§5). An
+      // event the renderers cannot honour is logged and skipped: one
+      // viewer's bad request must not stop the session.
       if (leader) {
         while (auto event = ports[static_cast<std::size_t>(g)]->poll_control()) {
-          view.apply(*event);
-          control_events.fetch_add(1);
+          try {
+            view.apply(*event, cfg.jpeg_quality);
+            control_events.fetch_add(1);
+          } catch (const std::invalid_argument& e) {
+            TVVIZ_LOG(kWarn) << "session: skipping control event: "
+                             << e.what();
+          }
         }
       }
       view = ViewState::deserialize(group.bcast(0, view.serialize()));
@@ -506,7 +505,9 @@ SessionResult run_session(const SessionConfig& cfg) {
       render::Camera camera(cfg.image_width, cfg.image_height,
                             view.azimuth + cfg.azimuth_per_step * dataset_step,
                             view.elevation, view.zoom);
-      if (cfg.space_leaping) sub.attach_skipper(tf);
+      // §7.1 space leaping: a min-max block structure per step lets rays
+      // leap over transparent blocks (identical images, less work).
+      sub.attach_skipper(tf);
       const render::PartialImage partial =
           caster.render(sub, cfg.dataset.dims, camera, tf);
       render_span.end();
@@ -523,18 +524,10 @@ SessionResult run_session(const SessionConfig& cfg) {
         // §4.1 collective compression: slices are transformed and entropy
         // coded in place with Huffman tables fitted to the whole frame.
         obs::Span compress_span("compress", step, g);
-        render::Image own(cfg.image_width, std::max(0, slice.image.height()));
-        for (int y = 0; y < slice.image.height(); ++y)
-          for (int x = 0; x < cfg.image_width; ++x) {
-            const auto& px = slice.image.at(x, y);
-            const auto q = [](double v) {
-              return static_cast<std::uint8_t>(util::clamp01(v) * 255.0 + 0.5);
-            };
-            own.set(x, y, q(px.r), q(px.g), q(px.b), 255);
-          }
         util::SharedBytes encoded = compositing::collective_jpeg_encode_shared(
-            group, own, slice.row0, cfg.image_width, cfg.image_height,
-            cfg.jpeg_quality, util::BufferPool::global());
+            group, slice_rows(slice, cfg.image_width), slice.row0,
+            cfg.image_width, cfg.image_height, cfg.jpeg_quality,
+            util::BufferPool::global());
         compress_span.end();
         if (leader) {
           obs::Span send_span("send", step, g);
@@ -550,41 +543,22 @@ SessionResult run_session(const SessionConfig& cfg) {
                  SessionConfig::Compression::kParallelPieces) {
         const auto image_codec =
             codec::make_image_codec(view.codec, cfg.jpeg_quality);
-        // Each node compresses its own slice; the leader relays the
-        // non-empty pieces in rank order as separate sub-image messages.
+        // Each node compresses its own slice; the leader ships the pieces
+        // in rank order inside one pieces-container frame.
         obs::Span compress_span("compress", step, g);
         util::Bytes piece;
-        if (slice.image.height() > 0) {
-          // Convert the slice to a stand-alone image of its own rows.
-          render::Image own(cfg.image_width, slice.image.height());
-          for (int y = 0; y < slice.image.height(); ++y)
-            for (int x = 0; x < cfg.image_width; ++x) {
-              const auto& px = slice.image.at(x, y);
-              const auto q = [](double v) {
-                return static_cast<std::uint8_t>(util::clamp01(v) * 255.0 + 0.5);
-              };
-              own.set(x, y, q(px.r), q(px.g), q(px.b), 255);
-            }
-          piece = pack_piece(slice.row0, image_codec->encode(own));
-        }
+        if (slice.image.height() > 0)
+          piece = net::pack_piece(
+              slice.row0,
+              image_codec->encode(slice_rows(slice, cfg.image_width)));
         compress_span.end();
         obs::Span send_span("send", step, g);
         const auto gathered = group.gather(0, std::move(piece));
         if (leader) {
-          std::vector<const util::SharedBytes*> nonempty;
-          for (const auto& p : gathered)
-            if (!p.empty()) nonempty.push_back(&p);
-          for (std::size_t i = 0; i < nonempty.size(); ++i) {
-            net::NetMessage msg;
-            msg.type = net::MsgType::kSubImage;
-            msg.frame_index = step;
-            msg.piece = static_cast<int>(i);
-            msg.piece_count = static_cast<int>(nonempty.size());
-            msg.codec = view.codec;
-            msg.payload = *nonempty[i];  // refcount bump, not a byte copy
-            wire_bytes.fetch_add(msg.payload.size());
-            ports[static_cast<std::size_t>(g)]->send(std::move(msg));
-          }
+          net::NetMessage msg =
+              net::make_pieces_frame(step, view.codec, gathered);
+          wire_bytes.fetch_add(msg.payload.size());
+          ports[static_cast<std::size_t>(g)]->send(std::move(msg));
         }
       } else if (cfg.use_warp) {
         // 2.5D path: gather at full float precision (the z channel dies in

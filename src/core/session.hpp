@@ -33,15 +33,13 @@ struct SessionConfig {
   ///  * kAssembled — the group leader gathers the frame and compresses it
   ///    whole (the paper's default path).
   ///  * kParallelPieces — every node compresses its own binary-swap slice
-  ///    independently and ships it as a sub-image (fast, worse ratio).
+  ///    independently; the leader ships the pieces in rank order inside one
+  ///    pieces-container frame (net::make_pieces_frame; fast, worse ratio).
   ///  * kCollective — nodes share Huffman statistics via allreduce and
   ///    entropy-code their slices with common whole-frame tables (§4.1's
   ///    "collectively compress" variant; JPEG-based, `codec` is ignored).
   enum class Compression { kAssembled, kParallelPieces, kCollective };
   Compression compression = Compression::kAssembled;
-  /// Build a per-subvolume min-max block structure each step and leap over
-  /// transparent blocks (§7.1 preprocessing; identical images, less work).
-  bool space_leaping = true;
   /// Load-balanced slab decomposition: per step, probe the dataset's
   /// visible-work distribution along z and size each node's slab for equal
   /// work instead of equal planes. Generator-backed input only (falls back
@@ -89,9 +87,9 @@ struct SessionConfig {
   /// records metrics, runs on_frame, acks steps) is joined by
   /// `hub_clients - 1` auxiliary viewers that drain and count frames.
   /// Off, the primary is the only viewer and its queue bound is
-  /// effective_steps() x processors messages — more than any session
-  /// queues, so no frame is ever dropped — and the hub_* fields are
-  /// ignored.
+  /// effective_steps() + groups messages (one frame per step, one kShutdown
+  /// per renderer port) — more than any session queues, so no frame is ever
+  /// dropped — and the hub_* fields are ignored.
   bool use_hub = false;
   int hub_clients = 1;
   std::size_t hub_cache_steps = 32;   ///< Frame-cache ring (resume window).

@@ -53,16 +53,17 @@ std::uint64_t evicted_gap(int after_step, int oldest) noexcept {
 FrameCache::FrameCache(std::size_t capacity_steps)
     : capacity_(capacity_steps == 0 ? 1 : capacity_steps) {}
 
+void FrameCache::release_locked(const CachedMessage& entry) {
+  bytes_ -= entry.frame->wire_size();
+  // An id shared with a step still cached (identical payload at two steps)
+  // keeps its entry.
+  auto it = by_content_.find(entry.content);
+  if (it != by_content_.end() && --it->second.refs == 0) by_content_.erase(it);
+}
+
 void FrameCache::evict_oldest_locked() {
   auto oldest = steps_.begin();
-  bytes_ -= oldest->second.bytes;
-  // Unpin each message from the content index; an id shared with a step
-  // still cached (identical payload at two steps) keeps its entry.
-  for (const auto& m : oldest->second.messages) {
-    auto it = by_content_.find(m.content);
-    if (it != by_content_.end() && --it->second.refs == 0)
-      by_content_.erase(it);
-  }
+  release_locked(oldest->second);
   steps_.erase(oldest);
   evictions_ctr().add(1);
 }
@@ -72,11 +73,10 @@ CachedMessage FrameCache::insert(int step, net::NetMessage msg) {
   // Hashed exactly once per cached message, outside the lock.
   const net::ContentId content = net::content_id_of(*shared);
   util::LockGuard lock(mutex_);
-  auto& entry = steps_[step];
-  entry.step = step;
-  entry.bytes += shared->wire_size();
+  auto [it, fresh] = steps_.try_emplace(step);
+  if (!fresh) release_locked(it->second);
+  it->second = CachedMessage{shared, content};
   bytes_ += shared->wire_size();
-  entry.messages.push_back(CachedMessage{shared, content});
   auto& slot = by_content_[content];
   if (slot.refs++ == 0) slot.frame = shared;
   inserts_ctr().add(1);
@@ -92,30 +92,15 @@ CachedMessage FrameCache::insert(int step, net::NetMessage msg) {
   return CachedMessage{std::move(shared), content};
 }
 
-std::vector<FramePtr> FrameCache::lookup(int step) {
+FramePtr FrameCache::lookup(int step) {
   util::LockGuard lock(mutex_);
   const auto it = steps_.find(step);
   if (it == steps_.end()) {
     misses_ctr().add(1);
-    return {};
+    return nullptr;
   }
-  hits_ctr().add(it->second.messages.size());
-  std::vector<FramePtr> out;
-  out.reserve(it->second.messages.size());
-  for (const auto& m : it->second.messages) out.push_back(m.frame);
-  return out;
-}
-
-std::vector<FramePtr> FrameCache::messages_after(int after_step) {
-  util::LockGuard lock(mutex_);
-  std::vector<FramePtr> out;
-  if (!steps_.empty())
-    misses_ctr().add(evicted_gap(after_step, steps_.begin()->first));
-  for (auto it = steps_.upper_bound(after_step); it != steps_.end(); ++it) {
-    hits_ctr().add(it->second.messages.size());
-    for (const auto& m : it->second.messages) out.push_back(m.frame);
-  }
-  return out;
+  hits_ctr().add(1);
+  return it->second.frame;
 }
 
 std::vector<CachedMessage> FrameCache::entries_after(int after_step) {
@@ -123,11 +108,9 @@ std::vector<CachedMessage> FrameCache::entries_after(int after_step) {
   std::vector<CachedMessage> out;
   if (!steps_.empty())
     misses_ctr().add(evicted_gap(after_step, steps_.begin()->first));
-  for (auto it = steps_.upper_bound(after_step); it != steps_.end(); ++it) {
-    hits_ctr().add(it->second.messages.size());
-    out.insert(out.end(), it->second.messages.begin(),
-               it->second.messages.end());
-  }
+  for (auto it = steps_.upper_bound(after_step); it != steps_.end(); ++it)
+    out.push_back(it->second);
+  hits_ctr().add(out.size());
   return out;
 }
 

@@ -30,18 +30,11 @@ namespace tvviz::hub {
 /// the cache hold the same buffer; the payload is never copied on fan-out.
 using FramePtr = std::shared_ptr<const net::NetMessage>;
 
-/// One cached message plus its content identity (hashed once, at insert).
+/// One cached frame plus its content identity (hashed once, at insert).
+/// A time step is one kFrame, so the cache holds one of these per step.
 struct CachedMessage {
   FramePtr frame;
   net::ContentId content = 0;
-};
-
-/// Everything cached for one time step: a single kFrame message, or the
-/// kSubImage pieces of a parallel-compressed frame, in arrival order.
-struct CachedStep {
-  int step = -1;
-  std::vector<CachedMessage> messages;
-  std::size_t bytes = 0;  ///< Sum of wire sizes.
 };
 
 /// Thread-safe ring of the most recent steps. Counters/gauges (registered
@@ -53,24 +46,22 @@ class FrameCache {
  public:
   explicit FrameCache(std::size_t capacity_steps);
 
-  /// Append one message to `step`'s entry (creating it, evicting the oldest
-  /// step beyond capacity) and return the shared handle plus the ContentId
-  /// computed for it — the only place the payload is ever hashed.
+  /// Cache `msg` as `step`'s frame (evicting the oldest step beyond
+  /// capacity) and return the shared handle plus the ContentId computed for
+  /// it — the only place the payload is ever hashed. A second insert for a
+  /// cached step replaces its frame and releases the old payload's pin in
+  /// the content index.
   CachedMessage insert(int step, net::NetMessage msg) TVVIZ_EXCLUDES(mutex_);
 
-  /// All messages of one cached step (empty if evicted or never seen).
+  /// The cached frame of one step; nullptr if evicted or never seen.
   /// Counts a hit or miss.
-  std::vector<FramePtr> lookup(int step) TVVIZ_EXCLUDES(mutex_);
+  FramePtr lookup(int step) TVVIZ_EXCLUDES(mutex_);
 
-  /// Messages of every cached step strictly greater than `after_step`, in
-  /// step order — the resume path. Steps in (after_step, oldest) that were
-  /// already evicted are counted as misses; each returned step is a hit.
-  std::vector<FramePtr> messages_after(int after_step)
-      TVVIZ_EXCLUDES(mutex_);
-
-  /// Same walk, but with the ContentId of each message — the ref-replay
-  /// path: a resuming edge is sent kFrameRef advertisements built from
-  /// these instead of the full bodies.
+  /// The frame of every cached step strictly greater than `after_step`, in
+  /// step order, with its ContentId — the resume path. A plain viewer is
+  /// replayed the frames, a resuming edge kFrameRef advertisements built
+  /// from the ids. Steps in (after_step, oldest) that were already evicted
+  /// are counted as misses; each returned step is a hit.
   std::vector<CachedMessage> entries_after(int after_step)
       TVVIZ_EXCLUDES(mutex_);
 
@@ -85,25 +76,27 @@ class FrameCache {
 
   std::size_t occupancy() const TVVIZ_EXCLUDES(mutex_);
   std::size_t bytes() const TVVIZ_EXCLUDES(mutex_);
-  /// Distinct ContentIds currently indexed (<= total cached messages).
+  /// Distinct ContentIds currently indexed (<= cached steps).
   std::size_t content_entries() const TVVIZ_EXCLUDES(mutex_);
   /// Oldest / newest cached step; nullopt while empty.
   std::optional<int> oldest_step() const TVVIZ_EXCLUDES(mutex_);
   std::optional<int> newest_step() const TVVIZ_EXCLUDES(mutex_);
 
  private:
-  /// One entry of the content index. `refs` counts how many cached step
-  /// messages share this id, so evicting one step of a duplicated frame
-  /// does not forget the payload the other step still advertises.
+  /// One entry of the content index. `refs` counts how many cached steps
+  /// share this id, so evicting one step of a duplicated frame does not
+  /// forget the payload the other step still advertises.
   struct ContentEntry {
     FramePtr frame;
     std::size_t refs = 0;
   };
 
+  /// Forget one cached frame: its bytes and its content-index pin.
+  void release_locked(const CachedMessage& entry) TVVIZ_REQUIRES(mutex_);
   void evict_oldest_locked() TVVIZ_REQUIRES(mutex_);
 
   mutable util::Mutex mutex_;
-  std::map<int, CachedStep> steps_ TVVIZ_GUARDED_BY(mutex_);
+  std::map<int, CachedMessage> steps_ TVVIZ_GUARDED_BY(mutex_);
   std::unordered_map<net::ContentId, ContentEntry> by_content_
       TVVIZ_GUARDED_BY(mutex_);
   std::size_t capacity_;

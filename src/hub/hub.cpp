@@ -18,7 +18,6 @@ bool droppable(const FramePtr& msg) {
   // it drops like one; a kFrameData answers an explicit fetch and must
   // always arrive — dropping it would strand the requester's pending ref.
   return msg->type == net::MsgType::kFrame ||
-         msg->type == net::MsgType::kSubImage ||
          msg->type == net::MsgType::kFrameRef;
 }
 
@@ -34,7 +33,7 @@ obs::Counter& skipped_ctr() {
 }  // namespace
 
 /// Mutable per-client record. The queue is bounded by `capacity` with a
-/// drop-oldest-step policy, so pushing never blocks the relay thread.
+/// drop-oldest-frame policy, so pushing never blocks the relay thread.
 struct FrameHub::ClientState {
   std::string id;
   std::size_t capacity = 8;
@@ -55,9 +54,6 @@ struct FrameHub::ClientState {
   /// the backpressure bound one-for-one, so the configured capacity is
   /// restored automatically as the history drains (or is dropped).
   std::size_t replay_pending TVVIZ_GUARDED_BY(mutex) = 0;
-  /// Step whose remaining pieces must be dropped because the step was
-  /// chosen as a drop victim while its own pieces were being delivered.
-  int suppressed_step TVVIZ_GUARDED_BY(mutex) = -1;
   bool closed TVVIZ_GUARDED_BY(mutex) = false;
   /// Atomic, not mutex-guarded: reap_idle_clients flips it through
   /// close_client holding only this client's mutex, while the hub reads it
@@ -93,25 +89,6 @@ struct FrameHub::ClientState {
     if (cb) cb();
   }
 };
-
-namespace {
-
-/// Erase every queued image piece of `step`, keeping the replay allowance
-/// in sync with the replayed entries removed.
-void erase_step_locked(FrameHub::ClientState& client, int step)
-    TVVIZ_REQUIRES(client.mutex) {
-  std::size_t pos = 0;
-  std::size_t removed_replay = 0;
-  std::erase_if(client.queue, [&](const FramePtr& m) {
-    const bool kill = droppable(m) && m->frame_index == step;
-    if (kill && pos < client.replay_pending) ++removed_replay;
-    ++pos;
-    return kill;
-  });
-  client.replay_pending -= removed_replay;
-}
-
-}  // namespace
 
 // --------------------------------------------------------- RendererPort ----
 
@@ -331,20 +308,16 @@ std::shared_ptr<FrameHub::ClientPort> FrameHub::connect_client(
     util::LockGuard state_lock(state->mutex);
     if (replay) {
       obs::Span resume_span("resume", resume_after);
-      if (state->wants_refs) {
-        // Resume-through-the-tree dedup: a reconnecting edge is replayed
-        // advertisements, not bodies — it fetches only the steps its own
-        // cache actually lost.
-        auto cached = cache_.entries_after(resume_after);
-        state->resumed = cached.size();
-        for (const auto& m : cached)
-          state->queue.push_back(std::make_shared<const net::NetMessage>(
-              net::make_frame_ref(*m.frame, m.content)));
-      } else {
-        auto cached = cache_.messages_after(resume_after);
-        state->resumed = cached.size();
-        for (auto& m : cached) state->queue.push_back(std::move(m));
-      }
+      auto cached = cache_.entries_after(resume_after);
+      state->resumed = cached.size();
+      // Resume-through-the-tree dedup: a reconnecting edge is replayed
+      // advertisements, not bodies — it fetches only the steps its own
+      // cache actually lost.
+      for (auto& m : cached)
+        state->queue.push_back(
+            state->wants_refs ? std::make_shared<const net::NetMessage>(
+                                    net::make_frame_ref(*m.frame, m.content))
+                              : std::move(m.frame));
       static obs::Counter& resumes = obs::counter("net.hub.resumes");
       resumes.add(1);
     }
@@ -503,15 +476,11 @@ void FrameHub::deliver(const std::shared_ptr<ClientState>& client,
     // queue rides out bursts unbounded instead; refs are ~a hundred bytes
     // and a dead edge is reaped by the idle timeout like any client.
     if (image && !client->wants_refs) {
-      const int step = msg->frame_index;
-      // A step already chosen as a drop victim loses its remaining pieces
-      // too (counted once, when it was victimised): whole steps or nothing.
-      if (step == client->suppressed_step) return;
-      // Newest-frame-wins: make room by dropping the oldest queued *step*
-      // (all of its sub-image pieces together, so the client never sees a
-      // partially-dropped frame). Non-droppable messages are kept, and so
-      // is the replayed-history prefix — the bound applies to the live
-      // stream, so the victim search starts past the replay allowance.
+      // Newest-frame-wins: make room by dropping the oldest queued frame (a
+      // step is one message, so a drop never leaves part of one behind).
+      // Non-droppable messages are kept, and so is the replayed-history
+      // prefix — the bound applies to the live stream, so the victim search
+      // starts past the replay allowance.
       while (client->queue.size() >=
              client->capacity + client->replay_pending) {
         const auto victim_it = std::find_if(
@@ -519,19 +488,10 @@ void FrameHub::deliver(const std::shared_ptr<ClientState>& client,
                 static_cast<std::ptrdiff_t>(client->replay_pending),
             client->queue.end(), droppable);
         if (victim_it == client->queue.end()) break;
-        const int victim_step = (*victim_it)->frame_index;
-        erase_step_locked(*client, victim_step);
+        client->queue.erase(victim_it);
         ++client->steps_skipped;
         if (client->skipped_steps_ctr) client->skipped_steps_ctr->add(1);
         skipped_ctr().add(1);
-        if (victim_step == step) {
-          // The oldest droppable step is the one being delivered right now
-          // (its piece count exceeds the queue bound). Enqueuing this piece
-          // after evicting its siblings would hand the client a partial
-          // frame, so the incoming piece goes down with the rest.
-          client->suppressed_step = step;
-          return;
-        }
       }
     }
     client->queue.push_back(std::move(msg));
@@ -590,12 +550,7 @@ void FrameHub::relay_loop() {
 
     net::NetMessage& msg = item->msg;
     const bool is_shutdown = msg.type == net::MsgType::kShutdown;
-    const bool image = msg.type == net::MsgType::kFrame ||
-                       msg.type == net::MsgType::kSubImage;
-    const bool whole_frame =
-        msg.type == net::MsgType::kFrame ||
-        (msg.type == net::MsgType::kSubImage &&
-         msg.piece == msg.piece_count - 1);
+    const bool image = msg.type == net::MsgType::kFrame;
     obs::Span relay_span("relay", msg.frame_index);
     bytes_ctr.add(msg.wire_size());
 
@@ -646,7 +601,7 @@ void FrameHub::relay_loop() {
     fanout_ctr.add(targets.size());
     if (image && !targets.empty())
       cache_.note_fanout_hits(targets.size() - 1);  // beyond the first copy
-    if (whole_frame) {
+    if (image) {
       steps_relayed_.fetch_add(1);
       steps_ctr.add(1);
     }

@@ -281,7 +281,6 @@ void HubTcpServer::on_readable(const std::shared_ptr<Session>& session) {
     case Session::Role::kRenderer:
       switch (msg->type) {
         case MsgType::kFrame:
-        case MsgType::kSubImage:
         case MsgType::kShutdown:
           session->renderer_port->send(std::move(*msg));
           break;

@@ -3,6 +3,7 @@
 #include "net/errors.hpp"
 #include "util/hash.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -94,6 +95,12 @@ ControlEvent ControlEvent::deserialize(std::span<const std::uint8_t> data) {
     if (!r.done())
       throw WireError("net: " + std::to_string(r.remaining()) +
                       " trailing bytes after the control event");
+    // The view render::Camera accepts: a NaN or infinite ray would otherwise
+    // reach the renderer from any viewer.
+    if (e.kind == ControlKind::kSetView &&
+        !(std::isfinite(e.azimuth) && std::isfinite(e.elevation) &&
+          std::isfinite(e.zoom) && e.zoom > 0.0))
+      throw WireError("net: control event carries an invalid view");
     return e;
   } catch (const std::out_of_range&) {
     throw WireError("net: truncated control event (" +
@@ -114,7 +121,7 @@ std::string error_text(const NetMessage& msg) {
 }
 
 std::size_t header_wire_size(const NetMessage& msg) noexcept {
-  return 1 + 4 + 4 + 4 + util::varint_size(msg.codec.size()) +
+  return 1 + 4 + util::varint_size(msg.codec.size()) +
          msg.codec.size() + util::varint_size(msg.payload.size());
 }
 
@@ -123,8 +130,6 @@ namespace {
 void write_header(util::ByteWriter& w, const NetMessage& msg) {
   w.u8(static_cast<std::uint8_t>(msg.type));
   w.u32(static_cast<std::uint32_t>(msg.frame_index));
-  w.u32(static_cast<std::uint32_t>(msg.piece));
-  w.u32(static_cast<std::uint32_t>(msg.piece_count));
   w.str(msg.codec);
   w.varint(msg.payload.size());
 }
@@ -145,8 +150,6 @@ std::pair<std::size_t, std::size_t> parse_frame(
                                std::to_string(raw_type));
     msg.type = static_cast<MsgType>(raw_type);
     msg.frame_index = static_cast<std::int32_t>(r.u32());
-    msg.piece = static_cast<std::int32_t>(r.u32());
-    msg.piece_count = static_cast<std::int32_t>(r.u32());
     const std::size_t codec_len = r.varint();
     if (codec_len > r.remaining())
       throw WireError(
@@ -207,8 +210,7 @@ ContentId content_id_of(const NetMessage& msg) noexcept {
 }
 
 util::Bytes FrameRefInfo::serialize() const {
-  util::ByteWriter w(1 + 8 + util::varint_size(payload_bytes));
-  w.u8(static_cast<std::uint8_t>(frame_type));
+  util::ByteWriter w(8 + util::varint_size(payload_bytes));
   w.u64(content);
   w.varint(payload_bytes);
   return w.take();
@@ -218,14 +220,11 @@ FrameRefInfo FrameRefInfo::deserialize(std::span<const std::uint8_t> payload) {
   try {
     util::ByteReader r(payload);
     FrameRefInfo info;
-    const std::uint8_t raw_type = r.u8();
-    if (raw_type != static_cast<std::uint8_t>(MsgType::kFrame) &&
-        raw_type != static_cast<std::uint8_t>(MsgType::kSubImage))
-      throw WireError("net: frame ref advertises non-image type " +
-                      std::to_string(raw_type));
-    info.frame_type = static_cast<MsgType>(raw_type);
     info.content = r.u64();
     info.payload_bytes = r.varint();
+    if (!r.done())
+      throw WireError("net: " + std::to_string(r.remaining()) +
+                      " trailing bytes after the frame ref");
     return info;
   } catch (const std::out_of_range&) {
     throw WireError("net: truncated frame-ref payload");
@@ -234,14 +233,11 @@ FrameRefInfo FrameRefInfo::deserialize(std::span<const std::uint8_t> payload) {
 
 NetMessage make_frame_ref(const NetMessage& frame, ContentId content) {
   FrameRefInfo info;
-  info.frame_type = frame.type;
   info.content = content;
   info.payload_bytes = frame.payload.size();
   NetMessage ref;
   ref.type = MsgType::kFrameRef;
   ref.frame_index = frame.frame_index;
-  ref.piece = frame.piece;
-  ref.piece_count = frame.piece_count;
   ref.codec = frame.codec;
   ref.payload = info.serialize();
   return ref;
@@ -284,6 +280,7 @@ NetMessage make_frame_data(const NetMessage& frame) {
 namespace {
 
 const std::string kDepthPrefixStr = kDepthCodecPrefix;
+const std::string kPiecesPrefixStr = kPiecesCodecPrefix;
 
 /// Parse a depth container's payload: returns {color_offset, color_len}.
 /// Depth bytes are everything after the color slice.
@@ -311,7 +308,7 @@ std::pair<std::size_t, std::size_t> parse_depth_container(
 
 bool is_depth_frame(const NetMessage& msg) noexcept {
   return (msg.type == MsgType::kFrame || msg.type == MsgType::kFrameData) &&
-         msg.codec.compare(0, kDepthPrefixStr.size(), kDepthPrefixStr) == 0;
+         msg.codec.starts_with(kDepthPrefixStr);
 }
 
 NetMessage make_depth_frame(const NetMessage& color,
@@ -328,11 +325,7 @@ NetMessage make_depth_frame(const NetMessage& color,
 }
 
 NetMessage strip_depth(const NetMessage& msg) {
-  const auto [offset, len] = parse_depth_container(msg);
-  NetMessage color = msg;
-  color.codec = msg.codec.substr(kDepthPrefixStr.size());
-  color.payload = msg.payload.view(offset, len);
-  return color;
+  return split_depth_frame(msg).color;
 }
 
 DepthFrameParts split_depth_frame(const NetMessage& msg) {
@@ -343,6 +336,57 @@ DepthFrameParts split_depth_frame(const NetMessage& msg) {
   parts.color.payload = msg.payload.view(offset, len);
   parts.depth_plane =
       msg.payload.view(offset + len, msg.payload.size() - offset - len);
+  return parts;
+}
+
+// ------------------------------------------------------- parallel pieces --
+
+util::Bytes pack_piece(int row0, std::span<const std::uint8_t> encoded) {
+  util::ByteWriter w(4 + util::varint_size(encoded.size()) + encoded.size());
+  w.u32(static_cast<std::uint32_t>(row0));
+  w.varint(encoded.size());
+  w.raw(encoded);
+  return w.take();
+}
+
+NetMessage make_pieces_frame(int step, const std::string& codec,
+                             std::span<const util::SharedBytes> records) {
+  std::size_t total = 0;
+  for (const auto& r : records) total += r.size();
+  util::ByteWriter w(total);
+  for (const auto& r : records) w.raw(r);
+  NetMessage msg;
+  msg.type = MsgType::kFrame;
+  msg.frame_index = step;
+  msg.codec = kPiecesPrefixStr + codec;
+  msg.payload = w.take();
+  return msg;
+}
+
+bool is_pieces_frame(const NetMessage& msg) noexcept {
+  return (msg.type == MsgType::kFrame || msg.type == MsgType::kFrameData) &&
+         msg.codec.starts_with(kPiecesPrefixStr);
+}
+
+PiecesFrameParts split_pieces_frame(const NetMessage& msg) {
+  if (!is_pieces_frame(msg))
+    throw WireError("net: not a pieces-container frame (codec '" + msg.codec +
+                    "')");
+  PiecesFrameParts parts;
+  parts.codec = msg.codec.substr(kPiecesPrefixStr.size());
+  try {
+    util::ByteReader r(msg.payload);
+    while (!r.done()) {
+      const int row0 = static_cast<int>(r.u32());
+      const auto s = r.raw(r.varint());
+      parts.pieces.push_back(
+          {row0, msg.payload.view(
+                     static_cast<std::size_t>(s.data() - msg.payload.data()),
+                     s.size())});
+    }
+  } catch (const std::out_of_range&) {
+    throw WireError("net: truncated pieces-container payload");
+  }
   return parts;
 }
 

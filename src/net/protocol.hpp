@@ -1,10 +1,11 @@
-// Wire protocol of the image-transport framework (§4.1): frames and
-// sub-images flow renderer -> daemon -> display; control events ("remote
+// Wire protocol of the image-transport framework (§4.1): one kFrame per time
+// step flows renderer -> daemon -> display; control events ("remote
 // callbacks") flow display -> daemon -> every renderer interface.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/shared_bytes.hpp"
@@ -14,31 +15,31 @@ namespace tvviz::net {
 enum class MsgType : std::uint8_t {
   kHello = 0,        ///< Endpoint registration (HelloInfo payload).
   kFrame = 1,        ///< Complete compressed frame for one time step.
-  kSubImage = 2,     ///< One compressed sub-image piece (parallel compression).
-  kControl = 3,      ///< User-control event toward the renderer.
-  kShutdown = 4,     ///< Orderly teardown.
-  kHelloAck = 5,     ///< Hub accepts a hello (codec: the client id it assigned).
-  kHeartbeat = 6,    ///< Client liveness beacon (empty payload).
-  kAck = 7,          ///< Client acknowledges display of frame_index.
-  kError = 8,        ///< Descriptive failure (payload: UTF-8 message), then close.
+  kControl = 2,      ///< User-control event toward the renderer.
+  kShutdown = 3,     ///< Orderly teardown.
+  kHelloAck = 4,     ///< Hub accepts a hello (codec: the client id it assigned).
+  kHeartbeat = 5,    ///< Client liveness beacon (empty payload).
+  kAck = 6,          ///< Client acknowledges display of frame_index.
+  kError = 7,        ///< Descriptive failure (payload: UTF-8 message), then close.
   // Frame-by-reference (the relay tree). Frames travel by reference between
   // hubs that keep content-addressed caches: the upstream hub advertises a
   // frame with kFrameRef (step + ContentId + size, no payload bytes); the
   // downstream edge answers kFrameFetch only when its cache misses and the
   // payload itself crosses the wire once, as kFrameData. Sent only to peers
   // whose hello carries the frame-refs capability bit.
-  kFrameRef = 9,     ///< Frame advertisement by content id (FrameRefInfo payload).
-  kFrameFetch = 10,  ///< Cache-miss request for a ContentId (8-byte payload).
-  kFrameData = 11,   ///< Fetched frame body; header mirrors the original frame.
+  kFrameRef = 8,     ///< Frame advertisement by content id (FrameRefInfo payload).
+  kFrameFetch = 9,   ///< Cache-miss request for a ContentId (8-byte payload).
+  kFrameData = 10,   ///< Fetched frame body; header mirrors the original frame.
 };
 
 /// Highest MsgType value a well-formed frame may carry (wire validation).
 inline constexpr std::uint8_t kMaxMsgType =
     static_cast<std::uint8_t>(MsgType::kFrameData);
 
-/// Version of the hello handshake. Every endpoint ships from this repo, so
-/// there is one generation: a hub refuses a hello of any other version.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+/// Version of the hello handshake and the frame header. Every endpoint ships
+/// from this repo, so there is one generation: a hub refuses a hello of any
+/// other version.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// Stable identity of one encoded frame payload: FNV-1a over the codec-name
 /// bytes then the payload bytes (see content_id_of). Computed once at cache
@@ -70,7 +71,8 @@ struct HelloInfo {
   util::Bytes serialize() const;
   /// Reads the version first. A hello of another version is returned with
   /// only `version` set: its layout is not this version's to guess, and the
-  /// caller refuses it. Throws WireError on a malformed version-5 payload.
+  /// caller refuses it. Throws WireError on a malformed payload of this
+  /// version.
   static HelloInfo deserialize(std::span<const std::uint8_t> payload);
 };
 
@@ -91,25 +93,24 @@ struct ControlEvent {
   std::string name;  ///< Colormap or codec name.
 
   util::Bytes serialize() const;
-  /// Throws WireError on a truncated payload, trailing bytes, or a kind
-  /// outside ControlKind.
+  /// Throws WireError on a truncated payload, trailing bytes, a kind
+  /// outside ControlKind, or a kSetView render::Camera would reject (an
+  /// angle that is not finite, or a zoom that is not finite and > 0).
   static ControlEvent deserialize(std::span<const std::uint8_t> data);
 };
 
 /// Framed daemon message.
 struct NetMessage {
   MsgType type = MsgType::kHello;
-  std::int32_t frame_index = -1;  ///< Time step for kFrame/kSubImage.
-  std::int32_t piece = 0;         ///< Sub-image index within the frame.
-  std::int32_t piece_count = 1;   ///< Total sub-images for this frame.
+  std::int32_t frame_index = -1;  ///< Time step of a kFrame (or its ref).
   std::string codec;              ///< Codec name the payload was encoded with.
   /// Refcounted: copying a NetMessage (hub fan-out, cache, resume replay)
   /// shares the payload allocation instead of duplicating it.
   util::SharedBytes payload;
 
   std::size_t wire_size() const noexcept {
-    // Framing overhead: type + indices + codec-name + length prefix.
-    return payload.size() + 16 + codec.size();
+    // Framing overhead: type + frame index + codec-name + length prefix.
+    return payload.size() + 8 + codec.size();
   }
 };
 
@@ -153,17 +154,16 @@ std::string error_text(const NetMessage& msg);
 /// receiver can recompute the id from a kFrameData it just parsed.
 ContentId content_id_of(const NetMessage& msg) noexcept;
 
-/// Body of a kFrameRef: everything an edge needs to reconstruct the frame
+/// Body of a kFrameRef: everything an edge needs to reconstruct the kFrame
 /// once it has (or fetches) the payload. The ref message's header fields
-/// (frame_index/piece/piece_count/codec) mirror the original frame's, so
-/// step-level drop policies treat refs exactly like the frames they stand
-/// for.
+/// (frame_index/codec) mirror the original frame's, so step-level drop
+/// policies treat refs exactly like the frames they stand for.
 struct FrameRefInfo {
-  MsgType frame_type = MsgType::kFrame;  ///< kFrame or kSubImage.
   ContentId content = 0;
   std::uint64_t payload_bytes = 0;  ///< Size of the advertised payload.
 
   util::Bytes serialize() const;
+  /// Throws WireError on a truncated payload or trailing bytes.
   static FrameRefInfo deserialize(std::span<const std::uint8_t> payload);
 };
 
@@ -223,5 +223,43 @@ struct DepthFrameParts {
   util::SharedBytes depth_plane;
 };
 DepthFrameParts split_depth_frame(const NetMessage& msg);
+
+// ------------------------------------------------------- parallel pieces --
+//
+// A parallel-compressed frame (§6: every node compresses its own rows) is
+// one kFrame too. Its payload concatenates the pieces in rank order, one
+//
+//   u32 row0 | varint(length) | piece bytes (inner image codec)
+//
+// record each, under the inner codec's name prefixed with
+// kPiecesCodecPrefix ("pieces+lzo", ...). A step is therefore always one
+// message: hubs drop, cache and relay it without knowing about pieces.
+
+/// Codec-name prefix marking a pieces-container frame.
+inline constexpr const char* kPiecesCodecPrefix = "pieces+";
+
+/// One record: frame rows from `row0` down, compressed on their own.
+util::Bytes pack_piece(int row0, std::span<const std::uint8_t> encoded);
+
+/// The pieces-container kFrame for `step`: `records` (pack_piece outputs;
+/// empty ones add nothing) concatenated in order.
+NetMessage make_pieces_frame(int step, const std::string& codec,
+                             std::span<const util::SharedBytes> records);
+
+/// True when `msg` is a kFrame (or kFrameData) with the pieces prefix.
+bool is_pieces_frame(const NetMessage& msg) noexcept;
+
+/// A pieces container split into its inner codec name and its records, in
+/// order; each `encoded` is an aliasing view (no copy) of the payload.
+struct PiecesFrameParts {
+  struct Piece {
+    int row0 = 0;
+    util::SharedBytes encoded;
+  };
+  std::string codec;
+  std::vector<Piece> pieces;
+};
+/// Throws WireError if `msg` is not a well-formed pieces container.
+PiecesFrameParts split_pieces_frame(const NetMessage& msg);
 
 }  // namespace tvviz::net

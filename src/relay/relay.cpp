@@ -53,20 +53,13 @@ hub::HubTcpViewer::Options upstream_options(const EdgeHubConfig& config) {
   return options;
 }
 
-/// Reconstruct the display-ready frame an advertisement stands for, from
-/// the ref's header fields and a payload that arrived some other way (the
-/// local cache or a kFrameData). The payload handle is shared, never
-/// copied.
-NetMessage materialize(const NetMessage& ref, const net::FrameRefInfo& info,
-                       const util::SharedBytes& payload) {
-  NetMessage out;
-  out.type = info.frame_type;
-  out.frame_index = ref.frame_index;
-  out.piece = ref.piece;
-  out.piece_count = ref.piece_count;
-  out.codec = ref.codec;
-  out.payload = payload;
-  return out;
+/// Reconstruct the kFrame an advertisement stands for: the ref carries the
+/// frame's header fields, and the payload arrived some other way (the local
+/// cache or a kFrameData). The payload handle is shared, never copied.
+NetMessage materialize(NetMessage ref, const util::SharedBytes& payload) {
+  ref.type = MsgType::kFrame;
+  ref.payload = payload;
+  return ref;
 }
 
 }  // namespace
@@ -179,9 +172,7 @@ void EdgeHub::pump_loop() {
 }
 
 void EdgeHub::inject(NetMessage msg) {
-  const bool whole_frame =
-      msg.type == MsgType::kFrame ||
-      (msg.type == MsgType::kSubImage && msg.piece == msg.piece_count - 1);
+  const bool frame = msg.type == MsgType::kFrame;
   const int step = msg.frame_index;
   forwarded_ctr().add(1);
   frames_forwarded_.fetch_add(1);
@@ -189,7 +180,7 @@ void EdgeHub::inject(NetMessage msg) {
   // ContentId index (recomputed once, at its insert) and fans out to the
   // edge's viewers with the root's exact delivery semantics.
   injector_->send(std::move(msg));
-  if (whole_frame) {
+  if (frame) {
     max_ready_step_ = std::max(max_ready_step_, step);
     maybe_ack();
   }
@@ -222,7 +213,7 @@ void EdgeHub::handle_ref(const NetMessage& ref) {
     bytes_saved_ctr().add(info.payload_bytes);
     bytes_saved_.fetch_add(info.payload_bytes);
     if (queue_.empty()) {  // nothing ahead of it: inject right away
-      inject(materialize(ref, info, cached->payload));
+      inject(materialize(ref, cached->payload));
       return;
     }
   } else {
@@ -267,7 +258,7 @@ void EdgeHub::drain_queue() {
       payload = cached->payload;
     else
       break;  // body still in flight: later steps wait their turn
-    inject(materialize(front.ref, front.info, payload));
+    inject(materialize(front.ref, payload));
     queue_.pop_front();
   }
   if (queue_.empty()) arrived_.clear();

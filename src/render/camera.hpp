@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cmath>
+#include <stdexcept>
 
 #include "field/volume.hpp"
 #include "util/vecmath.hpp"
@@ -12,10 +13,23 @@ namespace tvviz::render {
 
 class Camera {
  public:
+  /// Throws std::invalid_argument on a view check_view rejects.
   Camera(int width, int height, double azimuth_rad = 0.6,
          double elevation_rad = 0.35, double zoom = 1.0)
       : width_(width), height_(height), azimuth_(azimuth_rad),
-        elevation_(elevation_rad), zoom_(zoom) {}
+        elevation_(elevation_rad), zoom_(zoom) {
+    check_view(azimuth_rad, elevation_rad, zoom);
+  }
+
+  /// Throws std::invalid_argument unless both angles are finite and `zoom`
+  /// is finite and > 0. Any other view casts NaN or infinite rays.
+  static void check_view(double azimuth_rad, double elevation_rad,
+                         double zoom) {
+    if (!std::isfinite(azimuth_rad) || !std::isfinite(elevation_rad))
+      throw std::invalid_argument("Camera: view angles must be finite");
+    if (!std::isfinite(zoom) || zoom <= 0.0)
+      throw std::invalid_argument("Camera: zoom must be finite and > 0");
+  }
 
   int width() const noexcept { return width_; }
   int height() const noexcept { return height_; }
@@ -23,11 +37,15 @@ class Camera {
   double elevation() const noexcept { return elevation_; }
   double zoom() const noexcept { return zoom_; }
 
-  void set_view(double azimuth_rad, double elevation_rad) noexcept {
+  void set_view(double azimuth_rad, double elevation_rad) {
+    check_view(azimuth_rad, elevation_rad, zoom_);
     azimuth_ = azimuth_rad;
     elevation_ = elevation_rad;
   }
-  void set_zoom(double zoom) noexcept { zoom_ = zoom; }
+  void set_zoom(double zoom) {
+    check_view(azimuth_, elevation_, zoom);
+    zoom_ = zoom;
+  }
 
   /// Unit view direction (from eye toward the volume) in voxel space.
   util::Vec3 view_dir() const noexcept {
@@ -98,6 +116,9 @@ class Camera {
 
 /// Intersect ray with the axis-aligned box [lo, hi] (voxel coords, inclusive
 /// sample domain). Returns false when the ray misses; else [t_near, t_far].
+/// A ray with a NaN or infinite origin or direction component misses: every
+/// slab comparison below would be false and report a hit over the sentinel
+/// interval.
 inline bool intersect_box(const util::Ray& ray, const field::Box& box,
                           double& t_near, double& t_far) noexcept {
   t_near = -1e300;
@@ -111,6 +132,8 @@ inline bool intersect_box(const util::Ray& ray, const field::Box& box,
                         static_cast<double>(box.hi[2] - 1)};
   const double o[3] = {ray.origin.x, ray.origin.y, ray.origin.z};
   const double d[3] = {ray.direction.x, ray.direction.y, ray.direction.z};
+  for (int axis = 0; axis < 3; ++axis)
+    if (!std::isfinite(o[axis]) || !std::isfinite(d[axis])) return false;
   for (int axis = 0; axis < 3; ++axis) {
     if (std::abs(d[axis]) < 1e-12) {
       if (o[axis] < lo[axis] || o[axis] > hi[axis]) return false;

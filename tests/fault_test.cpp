@@ -271,8 +271,6 @@ TEST(FaultKinds, CorruptFrameNeverSurvivesUnnoticed) {
     } else {
       detected = got->type != sent.type ||
                  got->frame_index != sent.frame_index ||
-                 got->piece != sent.piece ||
-                 got->piece_count != sent.piece_count ||
                  got->codec != sent.codec ||
                  util::Bytes(got->payload.begin(), got->payload.end()) !=
                      util::Bytes(sent.payload.begin(), sent.payload.end());

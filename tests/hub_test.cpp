@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -52,17 +51,6 @@ NetMessage shutdown_msg() {
   return msg;
 }
 
-NetMessage sub_msg(int step, int piece, int piece_count) {
-  NetMessage msg;
-  msg.type = MsgType::kSubImage;
-  msg.frame_index = step;
-  msg.piece = piece;
-  msg.piece_count = piece_count;
-  msg.codec = "raw";
-  msg.payload = {static_cast<std::uint8_t>(step)};
-  return msg;
-}
-
 // ---------------------------------------------------------- FrameCache ----
 
 TEST(FrameCache, EvictsByStepAge) {
@@ -71,30 +59,40 @@ TEST(FrameCache, EvictsByStepAge) {
   EXPECT_EQ(cache.occupancy(), 3u);
   EXPECT_EQ(cache.oldest_step(), 2);
   EXPECT_EQ(cache.newest_step(), 4);
-  EXPECT_TRUE(cache.lookup(0).empty());   // evicted
-  EXPECT_EQ(cache.lookup(4).size(), 1u);  // cached
+  EXPECT_EQ(cache.lookup(0), nullptr);  // evicted
+  EXPECT_NE(cache.lookup(4), nullptr);  // cached
 }
 
 TEST(FrameCache, SharedBuffersSurviveEviction) {
   FrameCache cache(1);
   const auto kept = cache.insert(0, frame_msg(0, {42}));
   cache.insert(1, frame_msg(1, {43}));  // evicts step 0
-  EXPECT_TRUE(cache.lookup(0).empty());
+  EXPECT_EQ(cache.lookup(0), nullptr);
   EXPECT_EQ(kept.frame->payload[0], 42);  // a queue's reference keeps it alive
 }
 
 TEST(FrameCache, MessagesAfterReturnsStepOrderedTail) {
+  // A step is one frame: a second insert for a cached step replaces the
+  // first and unpins its payload from the content index.
   FrameCache cache(8);
+  std::vector<net::ContentId> replaced;
   for (int s = 0; s < 6; ++s) {
-    cache.insert(s, frame_msg(s, {static_cast<std::uint8_t>(s)}));
+    replaced.push_back(
+        cache.insert(s, frame_msg(s, {static_cast<std::uint8_t>(s)})).content);
     cache.insert(s, frame_msg(s, {static_cast<std::uint8_t>(s + 100)}));
   }
-  const auto tail = cache.messages_after(3);
-  ASSERT_EQ(tail.size(), 4u);  // steps 4 and 5, two messages each
-  EXPECT_EQ(tail[0]->frame_index, 4);
-  EXPECT_EQ(tail[1]->frame_index, 4);
-  EXPECT_EQ(tail[3]->frame_index, 5);
-  EXPECT_TRUE(cache.messages_after(5).empty());
+  const auto tail = cache.entries_after(3);
+  ASSERT_EQ(tail.size(), 2u);  // steps 4 and 5, one frame each
+  EXPECT_EQ(tail[0].frame->frame_index, 4);
+  EXPECT_EQ(tail[0].frame->payload[0], 104);
+  EXPECT_EQ(tail[1].frame->frame_index, 5);
+  EXPECT_EQ(tail[1].frame->payload[0], 105);
+  EXPECT_TRUE(cache.entries_after(5).empty());
+  EXPECT_EQ(cache.occupancy(), 6u);
+  EXPECT_EQ(cache.bytes(), 6 * tail[0].frame->wire_size());
+  EXPECT_EQ(cache.content_entries(), 6u);
+  for (const net::ContentId id : replaced)
+    EXPECT_EQ(cache.lookup_content(id), nullptr);
 }
 
 TEST(FrameCache, AccumulatesBytes) {
@@ -270,32 +268,6 @@ TEST(Hub, SlowClientDropsWithoutStallingFastClient) {
   EXPECT_EQ(static_cast<std::uint64_t>(slow_seen.load()) +
                 hub.stats_for("slow").steps_skipped,
             static_cast<std::uint64_t>(kSteps));
-}
-
-TEST(Hub, OversizedSubImageStepNeverDeliversPartialFrame) {
-  // Regression: when a step's piece count exceeded the client's queue
-  // bound, making room for a late piece evicted the step's own earlier
-  // pieces and then enqueued the newcomer — the client received a partial
-  // frame that could never reassemble. The whole step must drop instead.
-  HubConfig cfg;
-  cfg.client_queue_frames = 2;
-  FrameHub hub(cfg);
-  auto renderer = hub.connect_renderer();
-  auto client = hub.connect_client(ClientOptions{.id = "narrow"});
-  // The client is not consuming: 4 pieces of step 0 cannot fit 2 slots.
-  for (int p = 0; p < 4; ++p) renderer->send(sub_msg(0, p, 4));
-  // Step 1's 2 pieces fit exactly and must arrive complete.
-  for (int p = 0; p < 2; ++p) renderer->send(sub_msg(1, p, 2));
-  hub.shutdown();
-
-  std::map<int, int> pieces_seen;
-  while (auto msg = client->next()) {
-    if (msg->type == MsgType::kSubImage) ++pieces_seen[msg->frame_index];
-  }
-  EXPECT_EQ(pieces_seen.count(0), 0u);  // whole step dropped, no orphans
-  ASSERT_EQ(pieces_seen.count(1), 1u);
-  EXPECT_EQ(pieces_seen[1], 2);
-  EXPECT_EQ(hub.stats_for("narrow").steps_skipped, 1u);
 }
 
 TEST(Hub, ShutdownFlushesQueuedFrames) {
@@ -634,7 +606,7 @@ TEST(HubTcp, EmptyControlEventEvictsTheViewerNotTheHub) {
 TEST(HubTcp, RendererCannotInjectNonImageTypes) {
   // Regression: every message from a renderer socket fanned out to every
   // viewer unchanged, so a renderer's kError reached the viewers ahead of
-  // its frames. Only frames, sub-images and kShutdown pass.
+  // its frames. Only frames and kShutdown pass.
   hub::HubTcpServer server;
   hub::HubTcpViewer viewer(server.port());
   net::TcpRendererLink renderer(server.port());
@@ -652,7 +624,7 @@ TEST(HubTcp, RendererCannotInjectNonImageTypes) {
 struct RefusedHello {
   const char* name;
   NetMessage (*first)();
-  const char* reason;
+  std::string reason;
 };
 
 // Prints the case name, so ctest names carry no pointer bytes.
@@ -665,11 +637,18 @@ NetMessage hello_of_version(std::uint32_t version) {
   return net::make_hello(info);
 }
 
+/// The refusal text for a hello of `version`.
+std::string version_refusal(std::uint32_t version) {
+  return "unsupported protocol version " + std::to_string(version) +
+         " (this hub speaks " + std::to_string(net::kProtocolVersion) + ")";
+}
+
 const RefusedHello kRefusedHellos[] = {
-    {"Version4", [] { return hello_of_version(4); },
-     "unsupported protocol version 4 (this hub speaks 5)"},
-    {"Version6", [] { return hello_of_version(6); },
-     "unsupported protocol version 6 (this hub speaks 5)"},
+    {"PreviousVersion",
+     [] { return hello_of_version(net::kProtocolVersion - 1); },
+     version_refusal(net::kProtocolVersion - 1)},
+    {"NextVersion", [] { return hello_of_version(net::kProtocolVersion + 1); },
+     version_refusal(net::kProtocolVersion + 1)},
     {"EmptyPayload",
      [] {
        NetMessage msg;  // the pre-version-5 renderer hello

@@ -4,7 +4,9 @@
 // control-event backchannel.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "hub/hub.hpp"
 #include "obs/counters.hpp"
@@ -176,6 +178,34 @@ TEST(Protocol, ControlEventRejectsMalformedPayloads) {
   bytes = good;
   bytes[0] = static_cast<std::uint8_t>(ControlKind::kStop) + 1;
   EXPECT_THROW(ControlEvent::deserialize(bytes), net::WireError);
+  // A view render::Camera would reject: it would cast NaN or infinite rays.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto view = [](double azimuth, double elevation, double zoom) {
+    ControlEvent e;
+    e.kind = ControlKind::kSetView;
+    e.azimuth = azimuth;
+    e.elevation = elevation;
+    e.zoom = zoom;
+    return e.serialize();
+  };
+  EXPECT_NO_THROW(ControlEvent::deserialize(view(2.2, 0.1, 1e-300)));
+  EXPECT_THROW(ControlEvent::deserialize(view(2.2, 0.1, 0.0)), net::WireError);
+  EXPECT_THROW(ControlEvent::deserialize(view(2.2, 0.1, -1.0)),
+               net::WireError);
+  EXPECT_THROW(ControlEvent::deserialize(view(2.2, 0.1, kInf)),
+               net::WireError);
+  EXPECT_THROW(ControlEvent::deserialize(view(2.2, 0.1, kNaN)),
+               net::WireError);
+  EXPECT_THROW(ControlEvent::deserialize(view(kNaN, 0.1, 1.0)),
+               net::WireError);
+  EXPECT_THROW(ControlEvent::deserialize(view(2.2, kInf, 1.0)),
+               net::WireError);
+  // Other kinds carry no view: their unused fields are not checked.
+  ControlEvent stop;
+  stop.kind = ControlKind::kStop;
+  stop.zoom = 0.0;
+  EXPECT_NO_THROW(ControlEvent::deserialize(stop.serialize()));
 }
 
 TEST(Protocol, WireSizeAccountsForFraming) {
@@ -273,23 +303,6 @@ TEST(Daemon, ShutdownUnblocksDisplay) {
   EXPECT_EQ(got, nullptr);
 }
 
-TEST(Daemon, SubImagePiecesCountOneFrame) {
-  FrameHub daemon;
-  auto renderer = daemon.connect_renderer();
-  auto display = daemon.connect_client(lossless_viewer());
-  for (int piece = 0; piece < 4; ++piece) {
-    NetMessage msg;
-    msg.type = MsgType::kSubImage;
-    msg.frame_index = 0;
-    msg.piece = piece;
-    msg.piece_count = 4;
-    renderer->send(msg);
-  }
-  for (int i = 0; i < 4; ++i) ASSERT_NE(display->next(), nullptr);
-  daemon.shutdown();
-  EXPECT_EQ(daemon.steps_relayed(), 1u);
-}
-
 TEST(Daemon, TryNextPollerTerminatesAfterShutdown) {
   // A non-blocking poller must observe every buffered frame and then learn,
   // unambiguously, that the daemon is gone: try_next() reports "nothing
@@ -358,10 +371,8 @@ TEST(Protocol, RejectsTrailingGarbage) {
 
 TEST(Protocol, ScatterGatherHeaderPlusPayloadEqualsFullFrame) {
   NetMessage msg;
-  msg.type = MsgType::kSubImage;
+  msg.type = MsgType::kFrame;
   msg.frame_index = 17;
-  msg.piece = 2;
-  msg.piece_count = 4;
   msg.codec = "jpeg+lzo";
   msg.payload = util::Bytes(300, 0x5C);
   const auto full = net::serialize_message(msg);
@@ -467,7 +478,6 @@ NetMessage color_frame(int step) {
   NetMessage msg;
   msg.type = MsgType::kFrame;
   msg.frame_index = step;
-  msg.piece_count = 1;
   msg.codec = "jpeg+lzo";
   msg.payload = util::Bytes{10, 20, 30, 40, 50};
   return msg;
@@ -526,6 +536,45 @@ TEST(ProtocolV4, MalformedContainersFailLoudly) {
   // Truncated before the varint completes.
   bogus.payload = util::Bytes{0xFF};
   EXPECT_THROW(net::split_depth_frame(bogus), net::WireError);
+
+  // The pieces container: not one, a record advertising more bytes than
+  // remain, and a record cut inside its row field.
+  EXPECT_THROW(net::split_pieces_frame(color_frame(0)), net::WireError);
+  bogus.codec = "pieces+raw";
+  util::ByteWriter rec;
+  rec.u32(0);
+  rec.varint(1000);
+  rec.raw(util::Bytes(4, 0));
+  bogus.payload = rec.take();
+  EXPECT_THROW(net::split_pieces_frame(bogus), net::WireError);
+  bogus.payload = util::Bytes{0, 0};
+  EXPECT_THROW(net::split_pieces_frame(bogus), net::WireError);
+}
+
+// --------------------------------------------------- parallel pieces ----
+
+TEST(ProtocolPieces, ContainerSurvivesTheWireInRankOrder) {
+  // Rank 1 rendered no rows: its empty record is skipped.
+  const std::vector<util::SharedBytes> records = {
+      net::pack_piece(0, util::Bytes{1, 2, 3}), util::SharedBytes{},
+      net::pack_piece(24, util::Bytes{4, 5})};
+  const NetMessage msg = net::make_pieces_frame(9, "lzo", records);
+  EXPECT_EQ(msg.type, MsgType::kFrame);
+  EXPECT_EQ(msg.frame_index, 9);
+  EXPECT_EQ(msg.codec, "pieces+lzo");
+  EXPECT_TRUE(net::is_pieces_frame(msg));
+  EXPECT_FALSE(net::is_depth_frame(msg));
+  EXPECT_EQ(msg.payload.size(), records[0].size() + records[2].size());
+
+  const NetMessage back =
+      net::deserialize_message(net::serialize_message(msg));
+  const auto parts = net::split_pieces_frame(back);
+  EXPECT_EQ(parts.codec, "lzo");
+  ASSERT_EQ(parts.pieces.size(), 2u);
+  EXPECT_EQ(parts.pieces[0].row0, 0);
+  EXPECT_EQ(parts.pieces[0].encoded, (util::Bytes{1, 2, 3}));
+  EXPECT_EQ(parts.pieces[1].row0, 24);
+  EXPECT_EQ(parts.pieces[1].encoded, (util::Bytes{4, 5}));
 }
 
 TEST(Daemon, ShutdownFlushesQueuedTailFrames) {

@@ -96,10 +96,8 @@ TEST(Fnv1a, SpanAndStringViewOverloadsAgree) {
 
 TEST(ProtocolV3, FrameRefRoundTripMirrorsFrameHeader) {
   NetMessage frame;
-  frame.type = MsgType::kSubImage;
+  frame.type = MsgType::kFrame;
   frame.frame_index = 42;
-  frame.piece = 2;
-  frame.piece_count = 4;
   frame.codec = "jpeg+lzo";
   frame.payload = util::Bytes{9, 8, 7, 6, 5};
   const net::ContentId content = net::content_id_of(frame);
@@ -109,13 +107,10 @@ TEST(ProtocolV3, FrameRefRoundTripMirrorsFrameHeader) {
   // Header fields mirror the frame so step-level drop policies treat the
   // advertisement exactly like the frame it stands for.
   EXPECT_EQ(ref.frame_index, 42);
-  EXPECT_EQ(ref.piece, 2);
-  EXPECT_EQ(ref.piece_count, 4);
   EXPECT_EQ(ref.codec, "jpeg+lzo");
   EXPECT_LT(ref.payload.size(), 32u);  // no frame bytes travel with a ref
 
   const auto info = net::parse_frame_ref(ref);
-  EXPECT_EQ(info.frame_type, MsgType::kSubImage);
   EXPECT_EQ(info.content, content);
   EXPECT_EQ(info.payload_bytes, 5u);
 }
@@ -128,12 +123,12 @@ TEST(ProtocolV3, ParseFrameRefRejectsMalformed) {
   ref.payload = ref.payload.view(0, 3);  // truncated body
   EXPECT_THROW(net::parse_frame_ref(ref), net::WireError);
 
-  // A ref advertising a non-image frame type must be refused: nothing else
-  // is cacheable, so it can only be wire corruption.
-  net::FrameRefInfo bogus;
-  bogus.frame_type = MsgType::kShutdown;
+  // Bytes past the advertised size must be refused: a well-formed ref
+  // carries nothing else, so they can only be wire corruption.
   auto evil = net::make_frame_ref(frame, 7);
-  evil.payload = bogus.serialize();
+  util::Bytes longer(evil.payload.begin(), evil.payload.end());
+  longer.push_back(0);
+  evil.payload = std::move(longer);
   EXPECT_THROW(net::parse_frame_ref(evil), net::WireError);
 }
 
@@ -212,7 +207,7 @@ TEST(FrameCacheContent, SharedContentSurvivesPartialEviction) {
   const auto kept = cache.insert(0, frame_msg(0, util::Bytes(16, 1)));
   cache.insert(1, frame_msg(1, util::Bytes(16, 1)));  // same content
   cache.insert(2, frame_msg(2, util::Bytes(16, 2)));  // evicts step 0
-  EXPECT_TRUE(cache.lookup(0).empty());
+  EXPECT_EQ(cache.lookup(0), nullptr);
   // Step 1 still advertises this content: the index must not forget it
   // just because one of the two steps aged out.
   EXPECT_TRUE(cache.lookup_content(kept.content));
@@ -229,19 +224,19 @@ TEST(FrameCacheContent, MissesAreCounted) {
   EXPECT_EQ(obs::counter("net.hub.cache.content_misses").value(), before + 1);
 }
 
-// Regression: messages_after computed the evicted-step gap with int
-// arithmetic — messages_after(INT_MAX) on a warm cache and resume points
-// far below the oldest cached step both overflowed. The gap is clamped
-// 64-bit arithmetic now.
+// Regression: the resume walk computed the evicted-step gap with int
+// arithmetic — a walk after INT_MAX on a warm cache and resume points far
+// below the oldest cached step both overflowed. The gap is clamped 64-bit
+// arithmetic now.
 TEST(FrameCacheRegression, MessagesAfterExtremeStepsDoNotOverflow) {
   FrameCache cache(2);
   for (int s = 0; s < 4; ++s) cache.insert(s, frame_msg(s, {1}));
-  EXPECT_TRUE(cache.messages_after(INT_MAX).empty());
-  EXPECT_TRUE(cache.messages_after(cache.newest_step().value()).empty());
-  const auto all = cache.messages_after(INT_MIN);
+  EXPECT_TRUE(cache.entries_after(INT_MAX).empty());
+  EXPECT_TRUE(cache.entries_after(cache.newest_step().value()).empty());
+  const auto all = cache.entries_after(INT_MIN);
   ASSERT_EQ(all.size(), 2u);  // steps 2 and 3 survive a capacity-2 ring
-  EXPECT_EQ(all[0]->frame_index, 2);
-  EXPECT_EQ(all[1]->frame_index, 3);
+  EXPECT_EQ(all[0].frame->frame_index, 2);
+  EXPECT_EQ(all[1].frame->frame_index, 3);
 }
 
 TEST(FrameCacheRegression, CapacityOneRingStaysCoherent) {
@@ -252,14 +247,14 @@ TEST(FrameCacheRegression, CapacityOneRingStaysCoherent) {
   // survive and the content index must not leak the transient entry.
   cache.insert(3, frame_msg(3, {3}));
   EXPECT_EQ(cache.occupancy(), 1u);
-  EXPECT_TRUE(cache.lookup(3).empty());
-  ASSERT_EQ(cache.lookup(5).size(), 1u);
+  EXPECT_EQ(cache.lookup(3), nullptr);
+  ASSERT_NE(cache.lookup(5), nullptr);
   EXPECT_EQ(cache.content_entries(), 1u);
   EXPECT_EQ(cache.oldest_step(), 5);
   EXPECT_EQ(cache.newest_step(), 5);
-  const auto tail = cache.messages_after(INT_MIN);
+  const auto tail = cache.entries_after(INT_MIN);
   ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0]->frame_index, 5);
+  EXPECT_EQ(tail[0].frame->frame_index, 5);
 }
 
 // --------------------------------------------- in-process frame-ref hub ----

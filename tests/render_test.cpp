@@ -220,6 +220,31 @@ TEST(Camera, RaysAreParallel) {
   EXPECT_NEAR((a.direction - b.direction).length(), 0.0, 1e-12);
 }
 
+TEST(Camera, RejectsViewsThatCastNonFiniteRays) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Camera(8, 8, 0.6, 0.35, 0.0), std::invalid_argument);
+  EXPECT_THROW(Camera(8, 8, 0.6, 0.35, -1.0), std::invalid_argument);
+  EXPECT_THROW(Camera(8, 8, 0.6, 0.35, kInf), std::invalid_argument);
+  EXPECT_THROW(Camera(8, 8, 0.6, 0.35, kNaN), std::invalid_argument);
+  EXPECT_THROW(Camera(8, 8, kNaN, 0.35), std::invalid_argument);
+  EXPECT_THROW(Camera(8, 8, 0.6, kInf), std::invalid_argument);
+  EXPECT_NO_THROW(Camera(8, 8, -40.0, 7.0, 1e-308));  // odd but finite
+
+  Camera cam(8, 8);
+  EXPECT_THROW(cam.set_zoom(0.0), std::invalid_argument);
+  EXPECT_THROW(cam.set_view(0.6, -kInf), std::invalid_argument);
+  EXPECT_THROW(cam.set_view(kNaN, 0.35), std::invalid_argument);
+  // A rejected setter leaves the camera as it was.
+  EXPECT_DOUBLE_EQ(cam.zoom(), 1.0);
+  EXPECT_DOUBLE_EQ(cam.azimuth(), 0.6);
+  EXPECT_DOUBLE_EQ(cam.elevation(), 0.35);
+  cam.set_zoom(2.0);
+  cam.set_view(1.0, -0.2);
+  EXPECT_DOUBLE_EQ(cam.zoom(), 2.0);
+  EXPECT_DOUBLE_EQ(cam.azimuth(), 1.0);
+}
+
 TEST(IntersectBox, HitsAndMisses) {
   const Box box{{0, 0, 0}, {10, 10, 10}};
   double t0, t1;
@@ -231,6 +256,14 @@ TEST(IntersectBox, HitsAndMisses) {
   EXPECT_FALSE(render::intersect_box({{-5, 20, 4}, {1, 0, 0}}, box, t0, t1));
   // Diagonal hit.
   EXPECT_TRUE(render::intersect_box({{-1, -1, -1}, {1, 1, 1}}, box, t0, t1));
+  // A NaN or infinite ray misses: every slab comparison is false for a NaN,
+  // which used to report a hit over the sentinel interval [-1e300, 1e300].
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(render::intersect_box({{kNaN, 4, 4}, {1, 0, 0}}, box, t0, t1));
+  EXPECT_FALSE(render::intersect_box({{-5, 4, 4}, {kNaN, 0, 0}}, box, t0, t1));
+  EXPECT_FALSE(render::intersect_box({{-kInf, 4, 4}, {1, 0, 0}}, box, t0, t1));
+  EXPECT_FALSE(render::intersect_box({{-5, 4, 4}, {1, kInf, 0}}, box, t0, t1));
 }
 
 // ------------------------------------------------------------ raycast ----
@@ -250,6 +283,18 @@ TEST(RayCaster, TransparentVolumeYieldsEmptyImage) {
       EXPECT_EQ(img.pixel(x, y)[0], 0);
       EXPECT_EQ(img.pixel(x, y)[3], 0);
     }
+}
+
+TEST(RayCaster, OverflowingZoomYieldsEmptyImageAndReturns) {
+  // Regression: at zoom 1e-308 the image-plane half-extent overflows to
+  // infinity, every ray is NaN or infinite, and march stepped 0.8 at a time
+  // through [0, 1e300) — the render never returned.
+  RayCaster caster;
+  const Image img = caster.render_full(uniform_volume(0.9f),
+                                       Camera(32, 32, 0.6, 0.35, 1e-308),
+                                       TransferFunction::fire());
+  EXPECT_EQ(img, Image(32, 32));
+  EXPECT_EQ(caster.last_sample_count(), 0u);
 }
 
 TEST(RayCaster, DenseVolumeSaturatesCenterAlpha) {
@@ -376,6 +421,9 @@ struct RejectedOption {
   double value;
 };
 
+// Prints the case name, so ctest names carry no pointer bytes.
+void PrintTo(const RejectedOption& c, std::ostream* os) { *os << c.name; }
+
 class RenderOptionsValidation
     : public ::testing::TestWithParam<RejectedOption> {};
 
@@ -406,12 +454,8 @@ INSTANTIATE_TEST_SUITE_P(
                        -1.0},
         RejectedOption{"SpecularExpNaN", &RenderOptions::specular_exp, kNaN},
         RejectedOption{"SpecularExpInfinite", &RenderOptions::specular_exp,
-                       kInf}),
-    [](const auto& param_info) { return std::string(param_info.param.name); });
+                       kInf}));
 
-// ctest lists each case above with gtest's byte dump of its parameter, which
-// starts with the address of `name` and so changes from run to run under
-// ASLR. The NaN step keeps a fixed test name as a plain test.
 TEST(RayCaster, RejectsNaNStep) {
   RenderOptions opt;
   opt.step = kNaN;

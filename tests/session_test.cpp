@@ -85,21 +85,27 @@ TEST(Session, LosslessTransportMatchesLocalRender) {
 }
 
 TEST(Session, ParallelCompressionMatchesAssembled) {
+  // The pieces container crosses the in-process hub and, with use_tcp, a
+  // real socket and the TCP hub.
   SessionConfig cfg = small_config();
   cfg.codec = "lzo";  // lossless so the two paths must agree exactly
   cfg.dataset.steps = 2;
   const SessionResult assembled = core::run_session(cfg);
   cfg.compression = SessionConfig::Compression::kParallelPieces;
-  const SessionResult pieces = core::run_session(cfg);
-  ASSERT_EQ(assembled.displayed.size(), pieces.displayed.size());
-  for (std::size_t i = 0; i < assembled.displayed.size(); ++i) {
-    const auto& a = assembled.displayed[i];
-    const auto& b = pieces.displayed[i];
-    for (int y = 0; y < a.height(); y += 5)
-      for (int x = 0; x < a.width(); x += 5) {
-        EXPECT_EQ(a.pixel(x, y)[0], b.pixel(x, y)[0]) << x << "," << y;
-        EXPECT_EQ(a.pixel(x, y)[2], b.pixel(x, y)[2]) << x << "," << y;
-      }
+  for (const bool use_tcp : {false, true}) {
+    SCOPED_TRACE(use_tcp ? "tcp" : "in process");
+    cfg.use_tcp = use_tcp;
+    const SessionResult pieces = core::run_session(cfg);
+    ASSERT_EQ(assembled.displayed.size(), pieces.displayed.size());
+    for (std::size_t i = 0; i < assembled.displayed.size(); ++i) {
+      const auto& a = assembled.displayed[i];
+      const auto& b = pieces.displayed[i];
+      for (int y = 0; y < a.height(); y += 5)
+        for (int x = 0; x < a.width(); x += 5) {
+          EXPECT_EQ(a.pixel(x, y)[0], b.pixel(x, y)[0]) << x << "," << y;
+          EXPECT_EQ(a.pixel(x, y)[2], b.pixel(x, y)[2]) << x << "," << y;
+        }
+    }
   }
 }
 
@@ -211,6 +217,78 @@ TEST(Session, CodecSwitchMidRun) {
   // Wire bytes must be far below the all-raw equivalent once JPEG kicks in.
   EXPECT_LT(result.wire_bytes, result.raw_bytes / 2);
 }
+
+/// A control event the renderers cannot honour, named for its ctest case.
+struct UnhonourableEvent {
+  const char* name;
+  net::ControlEvent event;
+};
+
+void PrintTo(const UnhonourableEvent& c, std::ostream* os) { *os << c.name; }
+
+net::ControlEvent named_event(net::ControlKind kind, const char* name) {
+  net::ControlEvent e;
+  e.kind = kind;
+  e.name = name;
+  return e;
+}
+
+net::ControlEvent zero_zoom_view() {
+  net::ControlEvent e;
+  e.kind = net::ControlKind::kSetView;
+  e.zoom = 0.0;
+  return e;
+}
+
+const UnhonourableEvent kUnhonourableEvents[] = {
+    {"ZeroZoom", zero_zoom_view()},
+    {"UnknownColormap", named_event(net::ControlKind::kSetColorMap, "bogus")},
+    {"UnknownCodec", named_event(net::ControlKind::kSetCodec, "bogus")},
+};
+
+class SkippedControlEvent
+    : public ::testing::TestWithParam<UnhonourableEvent> {};
+
+TEST_P(SkippedControlEvent, EveryStepIsStillDisplayed) {
+  // Regression: one viewer's event could stop every renderer of a session.
+  // A zero zoom made every ray NaN and the march never ended; an unknown
+  // colormap or codec threw out of the rank. The leader now logs and skips
+  // the event. The renderer reads steps from a store on_frame fills one
+  // step ahead of the display, so the event (sent after on_frame(1))
+  // reaches the renderer while steps remain.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tvviz_session_skip_" + std::string(GetParam().name) +
+                    "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const auto desc = field::scaled(field::turbulent_jet_desc(), 8, 8);
+  field::VolumeStore store(dir);
+  store.write(0, field::generate(desc, 0));
+
+  SessionConfig cfg;
+  cfg.dataset = desc;
+  cfg.processors = 2;
+  cfg.groups = 1;
+  cfg.image_width = cfg.image_height = 24;
+  cfg.codec = "raw";
+  cfg.keep_frames = true;
+  cfg.store_dir = dir;
+  cfg.wait_for_store = true;
+  cfg.on_frame = [&](int step, const Image&) {
+    if (step + 1 < desc.steps)
+      store.write(step + 1, field::generate(desc, step + 1));
+    std::vector<net::ControlEvent> events;
+    if (step == 1) events.push_back(GetParam().event);
+    return events;
+  };
+  const SessionResult result = core::run_session(cfg);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(result.frames.size(), static_cast<std::size_t>(desc.steps));
+  EXPECT_EQ(result.displayed.size(), static_cast<std::size_t>(desc.steps));
+  EXPECT_EQ(result.control_events_applied, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table, SkippedControlEvent,
+                         ::testing::ValuesIn(kUnhonourableEvents));
 
 TEST(Session, GroupCountsDivideWork) {
   // L groups each render steps g, g+L, ... (§3's hybrid approach).

@@ -1,7 +1,7 @@
 // expect-reject: wire-switch-default
 //
 // A switch over net::MsgType that handles a subset of the enumerators with
-// no default: when protocol v5 adds a message type, this code falls
+// no default: when the protocol adds a message type, this code falls
 // through without a trace. Either enumerate everything or add a default
 // that throws/logs/counts.
 #include "net/protocol.hpp"
@@ -11,7 +11,6 @@ namespace fixture {
 bool is_frame_bearing(tvviz::net::MsgType type) {
   switch (type) {  // flagged: kControl, kShutdown, ... unhandled, no default
     case tvviz::net::MsgType::kFrame:
-    case tvviz::net::MsgType::kSubImage:
     case tvviz::net::MsgType::kFrameData:
       return true;
     case tvviz::net::MsgType::kHello:

@@ -14,7 +14,6 @@ const char* name_of(tvviz::net::MsgType type) {
   switch (type) {  // ok: every enumerator handled, no default needed
     case MsgType::kHello: return "hello";
     case MsgType::kFrame: return "frame";
-    case MsgType::kSubImage: return "subimage";
     case MsgType::kControl: return "control";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kHelloAck: return "hello_ack";

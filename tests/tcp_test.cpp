@@ -38,18 +38,14 @@ using net::TcpRendererLink;
 
 TEST(Protocol, MessageSerializationRoundTrip) {
   NetMessage msg;
-  msg.type = MsgType::kSubImage;
+  msg.type = MsgType::kFrame;
   msg.frame_index = 42;
-  msg.piece = 3;
-  msg.piece_count = 8;
   msg.codec = "jpeg+lzo";
   msg.payload = {9, 8, 7, 6};
   const auto wire = net::serialize_message(msg);
   const NetMessage out = net::deserialize_message(wire);
-  EXPECT_EQ(out.type, MsgType::kSubImage);
+  EXPECT_EQ(out.type, MsgType::kFrame);
   EXPECT_EQ(out.frame_index, 42);
-  EXPECT_EQ(out.piece, 3);
-  EXPECT_EQ(out.piece_count, 8);
   EXPECT_EQ(out.codec, "jpeg+lzo");
   EXPECT_EQ(out.payload, (util::Bytes{9, 8, 7, 6}));
 }
@@ -348,7 +344,7 @@ TEST(Tcp, SendMessageIssuesOneSendSyscall) {
   for (std::size_t i = 0; i < body.size(); ++i)
     body[i] = static_cast<std::uint8_t>(i * 31);
   NetMessage msg;
-  msg.type = MsgType::kSubImage;
+  msg.type = MsgType::kFrame;
   msg.frame_index = 5;
   msg.codec = "raw";
   msg.payload = std::move(body);
@@ -375,7 +371,7 @@ TEST(Tcp, RecvMessageNeverCopiesThePayload) {
   for (std::size_t i = 0; i < body.size(); ++i)
     body[i] = static_cast<std::uint8_t>(i);
   NetMessage msg;
-  msg.type = MsgType::kSubImage;
+  msg.type = MsgType::kFrame;
   msg.codec = "raw";
   msg.payload = std::move(body);
   sender.send_message(msg);

@@ -1,7 +1,9 @@
 #include "compositing/binary_swap.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "compositing/over.hpp"
 
@@ -12,35 +14,60 @@ constexpr int kFoldTag = 100;
 constexpr int kSwapTag = 101;
 constexpr int kGatherTag = 102;
 
-/// Composite two buffers covering the same frame region, nearer-first.
-render::PartialImage composite_pair(const render::PartialImage& a,
-                                    const render::PartialImage& b) {
-  const render::PartialImage& front = a.depth() <= b.depth() ? a : b;
-  const render::PartialImage& back = a.depth() <= b.depth() ? b : a;
-  render::PartialImage out(front.x0(), front.y0(), front.width(),
-                           front.height());
-  out.set_depth(front.depth());
-  for (int y = 0; y < out.height(); ++y)
-    for (int x = 0; x < out.width(); ++x)
-      out.at(x, y) = front.at(x, y).over(back.at(x, y));
+/// Composite two rectangles nearer-first over the rectangle that bounds
+/// both. Pixels outside a rectangle are transparent, and `0 over b == b`,
+/// `a over 0 == a` exactly, so the back one is copied in and the front one
+/// composited over it. The result takes the nearer depth either way.
+render::PartialImage composite_pair(render::PartialImage a,
+                                    render::PartialImage b) {
+  const bool a_front = a.depth() <= b.depth();
+  render::PartialImage& front = a_front ? a : b;
+  render::PartialImage& back = a_front ? b : a;
+  const double depth = front.depth();
+  render::PartialImage out;
+  if (back.pixels().empty()) {
+    out = std::move(front);
+  } else if (front.pixels().empty()) {
+    out = std::move(back);
+  } else {
+    const int x0 = std::min(front.x0(), back.x0());
+    const int y0 = std::min(front.y0(), back.y0());
+    const int x1 =
+        std::max(front.x0() + front.width(), back.x0() + back.width());
+    const int y1 =
+        std::max(front.y0() + front.height(), back.y0() + back.height());
+    if (back.x0() == x0 && back.y0() == y0 && back.width() == x1 - x0 &&
+        back.height() == y1 - y0) {
+      out = std::move(back);  // already spans both
+    } else {
+      out = render::PartialImage(x0, y0, x1 - x0, y1 - y0);
+      for (int y = 0; y < back.height(); ++y) {
+        const render::Rgba* src = &back.at(0, y);
+        std::copy(src, src + back.width(),
+                  &out.at(back.x0() - x0, back.y0() - y0 + y));
+      }
+    }
+    for (int y = 0; y < front.height(); ++y) {
+      const render::Rgba* src = &front.at(0, y);
+      render::Rgba* dst = &out.at(front.x0() - x0, front.y0() - y0 + y);
+      for (int x = 0; x < front.width(); ++x) dst[x] = src[x].over(dst[x]);
+    }
+  }
+  out.set_depth(depth);
   return out;
 }
 
-/// Expand a partial image into a full-frame float buffer (region [0, h)).
-render::PartialImage to_full_frame(const render::PartialImage& part, int width,
-                                   int height) {
-  render::PartialImage frame(0, 0, width, height);
-  frame.set_depth(part.depth());
-  for (int y = 0; y < part.height(); ++y) {
-    const int fy = part.y0() + y;
-    if (fy < 0 || fy >= height) continue;
-    for (int x = 0; x < part.width(); ++x) {
-      const int fx = part.x0() + x;
-      if (fx < 0 || fx >= width) continue;
-      frame.at(fx, fy) = part.at(x, y);
-    }
-  }
-  return frame;
+/// A peer's rectangle, which must lie inside columns [0, width) and rows
+/// [row0, row1): the band the receiver keeps.
+render::PartialImage receive_inside(std::span<const std::uint8_t> bytes,
+                                    int width, int row0, int row1) {
+  render::PartialImage part = render::PartialImage::deserialize(bytes);
+  if (!part.pixels().empty() &&
+      (part.x0() < 0 || part.y0() < row0 ||
+       std::int64_t{part.x0()} + part.width() > width ||
+       std::int64_t{part.y0()} + part.height() > row1))
+    throw std::runtime_error("binary_swap: region mismatch");
+  return part;
 }
 }  // namespace
 
@@ -70,20 +97,17 @@ FrameSlice binary_swap(const vmp::Communicator& comm,
   const int extras = p - p2;  // folded in a pre-round
 
   // Fold phase: the first 2*extras ranks composite pairwise (adjacent ranks
-  // = adjacent depths, preserving run contiguity); odd members then hold an
-  // empty slice. Participants get virtual labels 0..p2-1 in rank order.
-  render::PartialImage buf;
+  // = adjacent depths, preserving run contiguity); odd members then own no
+  // rows. Participants get virtual labels 0..p2-1 in rank order.
+  render::PartialImage buf = mine.clip(0, 0, width, height);
   if (comm.rank() < 2 * extras && (comm.rank() & 1) == 1) {
-    comm.send(comm.rank() - 1, kFoldTag, mine.serialize());
-    return FrameSlice{0, render::PartialImage(0, 0, 0, 0)};
+    comm.send(comm.rank() - 1, kFoldTag, buf.serialize());
+    return FrameSlice{};
   }
-  buf = to_full_frame(mine, width, height);
   if (comm.rank() < 2 * extras) {
     const auto msg = comm.recv(comm.rank() + 1, kFoldTag);
-    const auto other =
-        to_full_frame(render::PartialImage::deserialize(msg.payload), width,
-                      height);
-    buf = composite_pair(buf, other);
+    buf = composite_pair(std::move(buf),
+                         receive_inside(msg.payload, width, 0, height));
   }
   const int vlabel =
       comm.rank() < 2 * extras ? comm.rank() / 2 : comm.rank() - extras;
@@ -92,7 +116,8 @@ FrameSlice binary_swap(const vmp::Communicator& comm,
   };
 
   // Swap phase among the p2 participants: each stage halves the rows this
-  // rank is responsible for and exchanges the other half with its peer.
+  // rank is responsible for and exchanges its rectangle's share of the
+  // other half (possibly 0x0) with its peer.
   int row0 = 0, row1 = height;
   for (int bit = 1; bit < p2; bit <<= 1) {
     const int peer = physical(vlabel ^ bit);
@@ -103,21 +128,14 @@ FrameSlice binary_swap(const vmp::Communicator& comm,
     const int send0 = keep_low ? mid : row0;
     const int send1 = keep_low ? row1 : mid;
 
-    // Rows are relative to buf (whose y0 == row0).
-    const render::PartialImage outgoing =
-        buf.crop_rows(send0 - row0, send1 - row0);
-    const auto reply = comm.sendrecv(peer, kSwapTag, outgoing.serialize());
-    const render::PartialImage incoming =
-        render::PartialImage::deserialize(reply.payload);
-
-    render::PartialImage kept = buf.crop_rows(keep0 - row0, keep1 - row0);
-    if (incoming.width() != kept.width() || incoming.height() != kept.height())
-      throw std::runtime_error("binary_swap: region mismatch");
-    buf = composite_pair(kept, incoming);
+    const auto reply = comm.sendrecv(
+        peer, kSwapTag, buf.clip(0, send0, width, send1).serialize());
+    buf = composite_pair(buf.clip(0, keep0, width, keep1),
+                         receive_inside(reply.payload, width, keep0, keep1));
     row0 = keep0;
     row1 = keep1;
   }
-  return FrameSlice{row0, std::move(buf)};
+  return FrameSlice{row0, row1, std::move(buf)};
 }
 
 render::Image gather_frame(const vmp::Communicator& comm,
@@ -141,7 +159,7 @@ render::PartialImage gather_frame_float(const vmp::Communicator& comm,
   render::PartialImage frame(0, 0, width, height);
   for (const auto& bytes : gathered) {
     const auto part = render::PartialImage::deserialize(bytes);
-    // Slices are disjoint row bands of the frame; copy, don't composite.
+    // Slice rectangles lie in disjoint row bands; copy, don't composite.
     for (int y = 0; y < part.height(); ++y) {
       const int fy = part.y0() + y;
       if (fy < 0 || fy >= height) continue;
@@ -162,7 +180,7 @@ render::Image tree_composite(const vmp::Communicator& comm,
   // partner with that bit clear, which merges (order by run depth). Merged
   // runs are rank-contiguous, so the monotone-depth contract keeps the
   // global over-ordering exact.
-  render::PartialImage buf = to_full_frame(mine, width, height);
+  render::PartialImage buf = mine.clip(0, 0, width, height);
   const int p = comm.size();
   for (int bit = 1; bit < p; bit <<= 1) {
     if ((comm.rank() & bit) != 0) {
@@ -173,8 +191,8 @@ render::Image tree_composite(const vmp::Communicator& comm,
     const int partner = comm.rank() | bit;
     if (partner < p) {
       const auto msg = comm.recv(partner, kGatherTag);
-      buf = composite_pair(buf,
-                           render::PartialImage::deserialize(msg.payload));
+      buf = composite_pair(std::move(buf),
+                           receive_inside(msg.payload, width, 0, height));
     }
   }
   render::Image frame(width, height);

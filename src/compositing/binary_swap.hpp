@@ -3,6 +3,13 @@
 //   * binary-swap — log2(P) pairwise half-image exchanges (Ma et al. 1994),
 //     leaving each node with 1/P of the final frame; the paper's renderer
 //     composites this way before the image-output stage.
+//
+// Frames are sparse throughout: a PartialImage is a rectangle of the frame
+// and every pixel outside it is transparent. Each exchange ships only the
+// part of the sender's rectangle inside the receiver's band (possibly 0x0)
+// and composites only over the two rectangles' union. Compositing with a
+// transparent pixel is exact (`0 over b == b`, `a over 0 == a`), so the
+// frames are the ones full-frame buffers would give, bit for bit.
 #pragma once
 
 #include "render/image.hpp"
@@ -10,11 +17,14 @@
 
 namespace tvviz::compositing {
 
-/// A node's share of the final frame after binary-swap: full frame width,
-/// rows [row0, row0 + height).
+/// A node's share of the final frame after binary-swap: the full-width band
+/// of rows [row0, row1) it owns (empty for a rank folded away), and the
+/// composited pixels of that band as one rectangle inside it. Band pixels
+/// outside `image` are transparent; `image` may be 0x0.
 struct FrameSlice {
   int row0 = 0;
-  render::PartialImage image;  ///< x0 = 0, y0 = row0, width = frame width.
+  int row1 = 0;
+  render::PartialImage image;
 };
 
 /// Direct-send compositing: every rank sends its partial image to `root`,
@@ -36,6 +46,7 @@ FrameSlice binary_swap(const vmp::Communicator& comm,
                        int height);
 
 /// Assemble binary-swap slices into the full frame at `root` (collective).
+/// Each rank sends its slice's rectangle only.
 render::Image gather_frame(const vmp::Communicator& comm,
                            const FrameSlice& slice, int width, int height,
                            int root = 0);

@@ -95,16 +95,21 @@ struct ViewState {
   }
 };
 
-/// A binary-swap slice as a stand-alone opaque 8-bit image of its own rows.
+/// A binary-swap slice as a stand-alone opaque 8-bit image of its owned
+/// band: the slice's rectangle over black.
 render::Image slice_rows(const compositing::FrameSlice& slice, int width) {
-  render::Image own(width, std::max(0, slice.image.height()));
-  for (int y = 0; y < own.height(); ++y)
-    for (int x = 0; x < width; ++x) {
-      const auto& px = slice.image.at(x, y);
-      const auto q = [](double v) {
-        return static_cast<std::uint8_t>(util::clamp01(v) * 255.0 + 0.5);
-      };
-      own.set(x, y, q(px.r), q(px.g), q(px.b), 255);
+  render::Image own(width, slice.row1 - slice.row0);
+  auto bytes = own.bytes();
+  for (std::size_t i = 3; i < bytes.size(); i += 4) bytes[i] = 255;
+  const render::PartialImage& part = slice.image;
+  const auto q = [](double v) {
+    return static_cast<std::uint8_t>(util::clamp01(v) * 255.0 + 0.5);
+  };
+  for (int y = 0; y < part.height(); ++y)
+    for (int x = 0; x < part.width(); ++x) {
+      const auto& px = part.at(x, y);
+      own.set(part.x0() + x, part.y0() - slice.row0 + y, q(px.r), q(px.g),
+              q(px.b), 255);
     }
   return own;
 }
@@ -547,7 +552,7 @@ SessionResult run_session(const SessionConfig& cfg) {
         // in rank order inside one pieces-container frame.
         obs::Span compress_span("compress", step, g);
         util::Bytes piece;
-        if (slice.image.height() > 0)
+        if (slice.row1 > slice.row0)
           piece = net::pack_piece(
               slice.row0,
               image_codec->encode(slice_rows(slice, cfg.image_width)));

@@ -1,5 +1,6 @@
 #include "render/image.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -100,13 +101,18 @@ PartialImage PartialImage::deserialize(std::span<const std::uint8_t> data) {
   return img;
 }
 
-PartialImage PartialImage::crop_rows(int row_begin, int row_end) const {
-  if (row_begin < 0 || row_end > height_ || row_begin > row_end)
-    throw std::out_of_range("PartialImage::crop_rows");
-  PartialImage out(x0_, y0_ + row_begin, width_, row_end - row_begin);
+PartialImage PartialImage::clip(int x0, int y0, int x1, int y1) const {
+  const int cx0 = std::max(x0, x0_), cy0 = std::max(y0, y0_);
+  const int cx1 = std::min(x1, x0_ + width_);
+  const int cy1 = std::min(y1, y0_ + height_);
+  PartialImage out;
+  if (cx0 < cx1 && cy0 < cy1)
+    out = PartialImage(cx0, cy0, cx1 - cx0, cy1 - cy0);
   out.set_depth(depth_);
-  for (int y = row_begin; y < row_end; ++y)
-    for (int x = 0; x < width_; ++x) out.at(x, y - row_begin) = at(x, y);
+  for (int y = 0; y < out.height_; ++y) {
+    const Rgba* row = &at(cx0 - x0_, cy0 - y0_ + y);
+    std::copy(row, row + out.width_, &out.at(0, y));
+  }
   return out;
 }
 

@@ -112,9 +112,10 @@ class PartialImage {
   util::Bytes serialize() const;
   static PartialImage deserialize(std::span<const std::uint8_t> data);
 
-  /// Crop rows [row_begin, row_end) (relative to this image) into a new
-  /// partial image — the unit binary-swap exchanges.
-  PartialImage crop_rows(int row_begin, int row_end) const;
+  /// The part of this image inside the frame rectangle [x0, x1) x [y0, y1),
+  /// with its frame offset and depth kept; 0x0 at the origin when they do
+  /// not overlap. Binary-swap exchanges these.
+  PartialImage clip(int x0, int y0, int x1, int y1) const;
 
   /// Convert to 8-bit RGBA over a black background, into a full-frame image
   /// of size (frame_w, frame_h) at this partial image's offset.

@@ -15,17 +15,37 @@ constexpr int kSpecularSize = 1024;
 
 bool positive_finite(double v) noexcept { return std::isfinite(v) && v > 0.0; }
 
-/// Screen-space bounding box (pixel rect) of a voxel box under `view`.
-/// Returns false if the box projects outside the frame entirely.
-bool screen_bounds(const field::Box& box, const Camera::Basis& view, int& px0,
-                   int& py0, int& px1, int& py1) {
+/// A rectangle of frame pixels, [x0, x1) x [y0, y1).
+struct PixelRect {
+  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+
+  bool empty() const noexcept { return x0 >= x1 || y0 >= y1; }
+  PixelRect operator&(const PixelRect& o) const noexcept {
+    return {std::max(x0, o.x0), std::max(y0, o.y0), std::min(x1, o.x1),
+            std::min(y1, o.y1)};
+  }
+  /// Bounding rectangle of both (an empty side contributes nothing).
+  PixelRect operator|(const PixelRect& o) const noexcept {
+    if (empty()) return o;
+    if (o.empty()) return *this;
+    return {std::min(x0, o.x0), std::min(y0, o.y0), std::max(x1, o.x1),
+            std::max(y1, o.y1)};
+  }
+};
+
+/// Frame pixels whose rays can meet the closed box [lo, hi] (global voxel
+/// coordinates) under `view`: the box's projected bounding rectangle,
+/// padded one pixel before and two after, clamped to the frame. The clamp
+/// happens in double before the conversion: at a large zoom the bounds lie
+/// far outside int's range.
+PixelRect project(const double lo[3], const double hi[3],
+                  const Camera::Basis& view) {
   const double he = view.half_extent;
   double umin = 1e300, umax = -1e300, vmin = 1e300, vmax = -1e300;
   for (int corner = 0; corner < 8; ++corner) {
-    const util::Vec3 p{
-        static_cast<double>((corner & 1) ? box.hi[0] - 1 : box.lo[0]),
-        static_cast<double>((corner & 2) ? box.hi[1] - 1 : box.lo[1]),
-        static_cast<double>((corner & 4) ? box.hi[2] - 1 : box.lo[2])};
+    const util::Vec3 p{(corner & 1) ? hi[0] : lo[0],
+                       (corner & 2) ? hi[1] : lo[1],
+                       (corner & 4) ? hi[2] : lo[2]};
     const util::Vec3 d = p - view.center;
     const double u = d.dot(view.right);
     const double v = d.dot(view.up);
@@ -41,11 +61,45 @@ bool screen_bounds(const field::Box& box, const Camera::Basis& view, int& px0,
   const auto to_py = [&](double v) {
     return (1.0 - v / he) * 0.5 * view.height - 0.5;
   };
-  px0 = std::max(0, static_cast<int>(std::floor(to_px(umin))) - 1);
-  px1 = std::min(view.width, static_cast<int>(std::ceil(to_px(umax))) + 2);
-  py0 = std::max(0, static_cast<int>(std::floor(to_py(vmax))) - 1);
-  py1 = std::min(view.height, static_cast<int>(std::ceil(to_py(vmin))) + 2);
-  return px0 < px1 && py0 < py1;
+  // NaN (a degenerate view) maps to 0, leaving the rectangle empty.
+  const auto clamp = [](double p, int limit) {
+    return p > 0.0 ? static_cast<int>(std::min(p, static_cast<double>(limit)))
+                   : 0;
+  };
+  return {clamp(std::floor(to_px(umin)) - 1.0, view.width),
+          clamp(std::floor(to_py(vmax)) - 1.0, view.height),
+          clamp(std::ceil(to_px(umax)) + 2.0, view.width),
+          clamp(std::ceil(to_py(vmin)) + 2.0, view.height)};
+}
+
+/// Bounding rectangle of the pixels whose rays can sample a visible block
+/// inside the sample domain [dlo, dhi] (global voxel coordinates); empty
+/// when no visible block meets the domain. A march evaluates a sample only
+/// inside a visible block, so every pixel outside stays exactly Rgba{}.
+PixelRect visible_rect(const BlockVisibility& skipper,
+                       const field::Box& storage, const double dlo[3],
+                       const double dhi[3], const Camera::Basis& view) {
+  const field::Dims grid = skipper.grid_dims();
+  const int blocks[3] = {grid.nx, grid.ny, grid.nz};
+  const double b = skipper.block_size();
+  // Block k of an axis clipped to the domain; false when they do not meet.
+  // Lookups clamp, so the first and last block reach the domain's edge.
+  const auto clip = [&](int axis, int k, double& lo, double& hi) {
+    const double start = storage.lo[axis] + k * b;
+    lo = k == 0 ? dlo[axis] : std::max(dlo[axis], start);
+    hi = k == blocks[axis] - 1 ? dhi[axis] : std::min(dhi[axis], start + b);
+    return lo <= hi;
+  };
+  PixelRect rect;
+  for (int bz = 0; bz < grid.nz; ++bz)
+    for (int by = 0; by < grid.ny; ++by)
+      for (int bx = 0; bx < grid.nx; ++bx) {
+        double lo[3] = {}, hi[3] = {};
+        if (skipper.visible(bx, by, bz) && clip(0, bx, lo[0], hi[0]) &&
+            clip(1, by, lo[1], hi[1]) && clip(2, bz, lo[2], hi[2]))
+          rect = rect | project(lo, hi, view);
+      }
+  return rect;
 }
 
 /// Transfer-function colour and opacity for one LUT entry, with the
@@ -241,26 +295,40 @@ PartialImage RayCaster::render(const Subvolume& sub,
                                const TransferFunction& tf) const {
   samples_ = 0;
   const Camera::Basis view = camera.basis(global_dims);
-  int px0, py0, px1, py1;
-  if (!screen_bounds(sub.render_box, view, px0, py0, px1, py1)) {
+  const field::Box& box = sub.render_box;
+  const double box_lo[3] = {static_cast<double>(box.lo[0]),
+                            static_cast<double>(box.lo[1]),
+                            static_cast<double>(box.lo[2])};
+  const double box_hi[3] = {box.hi[0] - 1.0, box.hi[1] - 1.0, box.hi[2] - 1.0};
+  PixelRect rect = project(box_lo, box_hi, view);
+  if (rect.empty()) {
     PartialImage empty(0, 0, 0, 0);
     empty.set_depth(1e300);
     return empty;
   }
-  PartialImage out(px0, py0, px1 - px0, py1 - py0);
-  const util::Vec3 box_center{
-      (sub.render_box.lo[0] + sub.render_box.hi[0] - 1) * 0.5,
-      (sub.render_box.lo[1] + sub.render_box.hi[1] - 1) * 0.5,
-      (sub.render_box.lo[2] + sub.render_box.hi[2] - 1) * 0.5};
-  out.set_depth(camera.depth_of(box_center));
+  const util::Vec3 box_center{(box.lo[0] + box.hi[0] - 1) * 0.5,
+                              (box.lo[1] + box.hi[1] - 1) * 0.5,
+                              (box.lo[2] + box.hi[2] - 1) * 0.5};
 
   // Sample-domain box: a subvolume owns samples in [lo, hi) along each axis
   // where a neighbour continues, and [lo, hi-1] at the global border.
   // intersect_box treats hi-1 as the far bound, so extend interior faces.
-  field::Box domain = sub.render_box;
+  field::Box domain = box;
   const int extent[3] = {global_dims.nx, global_dims.ny, global_dims.nz};
   for (int axis = 0; axis < 3; ++axis)
     if (domain.hi[axis] < extent[axis]) ++domain.hi[axis];
+
+  // With a skipper, cast rays only where they can reach a visible block;
+  // a slab with none casts no rays and returns a 0x0 partial.
+  if (sub.skipper) {
+    const double domain_hi[3] = {domain.hi[0] - 1.0, domain.hi[1] - 1.0,
+                                 domain.hi[2] - 1.0};
+    rect = rect & visible_rect(*sub.skipper, sub.storage_box, box_lo,
+                               domain_hi, view);
+    if (rect.empty()) rect = {};
+  }
+  PartialImage out(rect.x0, rect.y0, rect.x1 - rect.x0, rect.y1 - rect.y0);
+  out.set_depth(camera.depth_of(box_center));
 
   const field::Dims& dims = sub.data.dims();
   Pass pass{.opt = options_,
@@ -289,8 +357,8 @@ PartialImage RayCaster::render(const Subvolume& sub,
   pass.lut.push_back(pass.lut.back());
 
   std::size_t samples = 0;
-  for (int py = py0; py < py1; ++py) {
-    for (int px = px0; px < px1; ++px) {
+  for (int py = rect.y0; py < rect.y1; ++py) {
+    for (int px = rect.x0; px < rect.x1; ++px) {
       const util::Ray ray = view.ray(px, py);
       double t0, t1;
       if (!intersect_box(ray, domain, t0, t1)) continue;
@@ -299,7 +367,8 @@ PartialImage RayCaster::render(const Subvolume& sub,
       // Snap the first sample to a global step grid so adjacent subvolumes
       // sample the same points and parallel == serial compositing holds.
       const double snapped = std::ceil(t0 / options_.step) * options_.step;
-      out.at(px - px0, py - py0) = pass.march(ray, snapped, t1, samples);
+      out.at(px - rect.x0, py - rect.y0) =
+          pass.march(ray, snapped, t1, samples);
     }
   }
   samples_ = samples;

@@ -22,7 +22,8 @@ struct Subvolume {
   field::Box storage_box;   ///< Where `data` sits in global coordinates.
   field::Box render_box;    ///< Region this node renders (within storage).
   /// Optional §7.1 preprocessing product: blocks of `data` the transfer
-  /// function maps to zero opacity are leapt over. Build with
+  /// function maps to zero opacity are leapt over, and rays are cast only
+  /// inside the screen rectangle of the visible blocks. Build with
   /// `attach_skipper`; must be rebuilt when data or TF changes.
   std::shared_ptr<const BlockVisibility> skipper;
 
@@ -62,8 +63,10 @@ class RayCaster {
   const RenderOptions& options() const noexcept { return options_; }
 
   /// Render `sub.render_box` of the global volume `global_dims` as seen by
-  /// `camera`. The result covers only the screen-space bounding box of the
-  /// subvolume and carries its view depth.
+  /// `camera`. The result carries the subvolume's view depth and covers its
+  /// screen-space bounding box; with a skipper attached, only the part of
+  /// that box whose rays can reach a visible block (0x0 when none can).
+  /// Pixels outside the result are exactly transparent.
   PartialImage render(const Subvolume& sub, const field::Dims& global_dims,
                       const Camera& camera, const TransferFunction& tf) const;
 

@@ -27,7 +27,8 @@ class BlockVisibility {
   /// True if the block containing local voxel coordinates (x, y, z) cannot
   /// contribute (max classified opacity is zero).
   bool invisible_at(double x, double y, double z) const {
-    return !visible_[block_index(x, y, z)];
+    return !visible(grid_.block_of(x, 0), grid_.block_of(y, 1),
+                    grid_.block_of(z, 2));
   }
 
   /// Ray parameter at which the ray leaves the block containing the point
@@ -40,14 +41,20 @@ class BlockVisibility {
 
   int block_size() const noexcept { return grid_.block_size(); }
 
- private:
-  std::size_t block_index(double x, double y, double z) const {
+  /// Blocks per axis. Block b of an axis spans local coordinates
+  /// [b * block_size(), (b + 1) * block_size()), except that the first and
+  /// last block of each axis reach past the volume's edge (lookups clamp).
+  field::Dims grid_dims() const noexcept { return grid_.grid_dims(); }
+
+  /// True if block (bx, by, bz) can contribute opacity.
+  bool visible(int bx, int by, int bz) const {
     const auto d = grid_.grid_dims();
-    return (static_cast<std::size_t>(grid_.block_of(z, 2)) * d.ny +
-            static_cast<std::size_t>(grid_.block_of(y, 1))) * d.nx +
-           static_cast<std::size_t>(grid_.block_of(x, 0));
+    return visible_[(static_cast<std::size_t>(bz) * d.ny +
+                     static_cast<std::size_t>(by)) * d.nx +
+                    static_cast<std::size_t>(bx)];
   }
 
+ private:
   field::MinMaxGrid grid_;
   std::vector<bool> visible_;
 };

@@ -117,15 +117,32 @@ TEST(PartialImage, SerializeRoundTrip) {
   EXPECT_NEAR(q.at(1, 1).g, 0.5, 1e-6);
 }
 
-TEST(PartialImage, CropRowsKeepsOffsets) {
+TEST(PartialImage, ClipKeepsFrameOffsets) {
   PartialImage p(2, 10, 3, 6);
-  for (int y = 0; y < 6; ++y) p.at(0, y).r = y;
-  const PartialImage c = p.crop_rows(2, 5);
+  p.set_depth(4.5);
+  for (int y = 0; y < 6; ++y)
+    for (int x = 0; x < 3; ++x) p.at(x, y).r = 10 * y + x;
+  // Rows 12..14 of the frame; the columns reach past both sides.
+  const PartialImage c = p.clip(0, 12, 100, 15);
+  EXPECT_EQ(c.x0(), 2);
   EXPECT_EQ(c.y0(), 12);
+  EXPECT_EQ(c.width(), 3);
   EXPECT_EQ(c.height(), 3);
-  EXPECT_DOUBLE_EQ(c.at(0, 0).r, 2.0);
-  EXPECT_THROW(p.crop_rows(-1, 3), std::out_of_range);
-  EXPECT_THROW(p.crop_rows(0, 7), std::out_of_range);
+  EXPECT_DOUBLE_EQ(c.depth(), 4.5);
+  EXPECT_DOUBLE_EQ(c.at(0, 0).r, 20.0);
+  // A column window inside the image.
+  const PartialImage col = p.clip(3, 0, 4, 100);
+  EXPECT_EQ(col.x0(), 3);
+  EXPECT_EQ(col.width(), 1);
+  EXPECT_EQ(col.height(), 6);
+  EXPECT_DOUBLE_EQ(col.at(0, 5).r, 51.0);
+  // No overlap: 0x0, depth kept.
+  for (const PartialImage& none : {p.clip(0, 0, 100, 10), p.clip(5, 0, 9, 99),
+                                   p.clip(3, 12, 3, 14)}) {
+    EXPECT_EQ(none.width() * none.height(), 0);
+    EXPECT_TRUE(none.pixels().empty());
+    EXPECT_DOUBLE_EQ(none.depth(), 4.5);
+  }
 }
 
 TEST(PartialImage, SplatClampsAndQuantizes) {
@@ -295,6 +312,25 @@ TEST(RayCaster, OverflowingZoomYieldsEmptyImageAndReturns) {
                                        TransferFunction::fire());
   EXPECT_EQ(img, Image(32, 32));
   EXPECT_EQ(caster.last_sample_count(), 0u);
+}
+
+TEST(RayCaster, ExtremeZoomStillRendersTheVolume) {
+  // Regression: the footprint's pixel bounds were converted to int before
+  // they were clamped to the frame. Past zoom ~1e8 at 64x64 they overflow
+  // int (undefined behaviour); in practice the partial came back 0x0, a
+  // black frame although the volume fills the screen.
+  auto desc = field::scaled(field::turbulent_vortex_desc(), 8, 2);
+  const VolumeF vol = field::generate(desc, 0);
+  RayCaster caster;
+  for (const double zoom : {1e7, 1e9}) {
+    const Image img =
+        caster.render_full(vol, Camera(64, 64, 0.6, 0.35, zoom),
+                           TransferFunction::dense_cool_warm());
+    int lit = 0;
+    for (int y = 0; y < 64; ++y)
+      for (int x = 0; x < 64; ++x) lit += img.pixel(x, y)[3] > 0 ? 1 : 0;
+    EXPECT_EQ(lit, 64 * 64) << "zoom=" << zoom;
+  }
 }
 
 TEST(RayCaster, DenseVolumeSaturatesCenterAlpha) {
@@ -628,7 +664,14 @@ PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
 /// cells exercise the clamped offsets) with shading on, leaping on and off,
 /// from two azimuths and two zooms; each part must come within 45 dB of
 /// the oracle and evaluate exactly the oracle's samples (same points along
-/// every ray, same leap decisions).
+/// every ray, same leap decisions). Without leaping the partial is the
+/// oracle's footprint. With leaping it is the part of that footprint whose
+/// rays can reach a visible block, and every oracle pixel outside it must be
+/// exactly transparent.
+bool transparent(const Rgba& p) {
+  return p.r == 0.0 && p.g == 0.0 && p.b == 0.0 && p.a == 0.0 && p.z == 0.0;
+}
+
 void expect_matches_reference(const field::DatasetDesc& desc,
                               const TransferFunction& tf) {
   constexpr int kSize = 48;
@@ -659,10 +702,29 @@ void expect_matches_reference(const field::DatasetDesc& desc,
               reference_render(sub, dims, cam, tf, opt, ref_samples);
           const PartialImage got = caster.render(sub, dims, cam, tf);
           EXPECT_EQ(caster.last_sample_count(), ref_samples);
-          ASSERT_EQ(got.x0(), ref.x0());
-          ASSERT_EQ(got.y0(), ref.y0());
-          ASSERT_EQ(got.width(), ref.width());
-          ASSERT_EQ(got.height(), ref.height());
+          if (leaping) {
+            if (got.width() > 0 && got.height() > 0) {
+              ASSERT_GE(got.x0(), ref.x0());
+              ASSERT_GE(got.y0(), ref.y0());
+              ASSERT_LE(got.x0() + got.width(), ref.x0() + ref.width());
+              ASSERT_LE(got.y0() + got.height(), ref.y0() + ref.height());
+            }
+            int lit_outside = 0;
+            for (int y = 0; y < ref.height(); ++y)
+              for (int x = 0; x < ref.width(); ++x) {
+                const int gx = ref.x0() + x - got.x0();
+                const int gy = ref.y0() + y - got.y0();
+                const bool inside = gx >= 0 && gx < got.width() && gy >= 0 &&
+                                    gy < got.height();
+                if (!inside && !transparent(ref.at(x, y))) ++lit_outside;
+              }
+            EXPECT_EQ(lit_outside, 0);
+          } else {
+            ASSERT_EQ(got.x0(), ref.x0());
+            ASSERT_EQ(got.y0(), ref.y0());
+            ASSERT_EQ(got.width(), ref.width());
+            ASSERT_EQ(got.height(), ref.height());
+          }
           EXPECT_EQ(got.depth(), ref.depth());
           Image ref_img(kSize, kSize), got_img(kSize, kSize);
           ref.splat_to(ref_img);

@@ -109,6 +109,26 @@ TEST(Session, ParallelCompressionMatchesAssembled) {
   }
 }
 
+TEST(Session, PiecesCoverBandsWithNothingVisible) {
+  // Zoomed out, the volume covers only the middle of the frame, so the top
+  // and bottom nodes' bands hold no rendered pixel. Their pieces must ship
+  // anyway (opaque black), or those rows never reach the viewer.
+  SessionConfig cfg = small_config();
+  cfg.groups = 1;  // four bands of 12 rows
+  cfg.dataset.steps = 2;
+  cfg.camera_zoom = 0.4;
+  cfg.compression = SessionConfig::Compression::kParallelPieces;
+  const SessionResult result = core::run_session(cfg);
+  ASSERT_EQ(result.displayed.size(), 2u);
+  for (const auto& frame : result.displayed) {
+    int missing = 0;
+    for (int y = 0; y < frame.height(); ++y)
+      for (int x = 0; x < frame.width(); ++x)
+        missing += frame.pixel(x, y)[3] != 255 ? 1 : 0;
+    EXPECT_EQ(missing, 0);
+  }
+}
+
 TEST(Session, SubImagePiecesCompressWorseThanWholeFrame) {
   // §6: "Compressing each image piece independent of other pieces would
   // result in poor compression rates."

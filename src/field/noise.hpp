@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace tvviz::field {
 
@@ -17,5 +18,13 @@ double value_noise(double x, double y, double z, std::uint64_t seed) noexcept;
 /// per-octave frequency doubling and amplitude halving. Output in [0, 1).
 double fbm(double x, double y, double z, int octaves,
            std::uint64_t seed) noexcept;
+
+/// fbm along a row of constant (y, z): sets out[i] = fbm(xs[i], y, z,
+/// octaves, seed) bit for bit. Each octave's y/z lattice terms are computed
+/// once per row and each lattice corner is hashed once per cell the row
+/// enters, so a row costs far less than xs.size() fbm calls. `xs` may be in
+/// any order; `out` must have xs.size() elements (std::invalid_argument).
+void fbm_row(std::span<const double> xs, double y, double z, int octaves,
+             std::uint64_t seed, std::span<double> out);
 
 }  // namespace tvviz::field

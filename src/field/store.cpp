@@ -1,7 +1,7 @@
 #include "field/store.hpp"
 
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace tvviz::field {
@@ -47,13 +47,50 @@ void VolumeStore::write(int step, const VolumeF& volume) const {
   std::filesystem::rename(tmp_path, final_path);
 }
 
+Dims checked_dims(std::uint32_t nx, std::uint32_t ny, std::uint32_t nz,
+                  std::uint64_t stored_bytes,
+                  const std::filesystem::path& path) {
+  // bytes <= stored_bytes holds after every step, so nothing overflows.
+  std::uint64_t bytes = sizeof(float);
+  for (const std::uint32_t n : {nx, ny, nz}) {
+    if (n > static_cast<std::uint32_t>(std::numeric_limits<int>::max()) ||
+        (n != 0 && bytes > stored_bytes / n))
+      throw std::runtime_error("volume dims " + std::to_string(nx) + "x" +
+                               std::to_string(ny) + "x" + std::to_string(nz) +
+                               " exceed the data in " + path.string());
+    bytes *= n;
+  }
+  return Dims{static_cast<int>(nx), static_cast<int>(ny),
+              static_cast<int>(nz)};
+}
+
 namespace {
-Header read_header(std::ifstream& in, const std::filesystem::path& path) {
+/// Read and validate the header: the dims must fit an int and the file must
+/// hold exactly their voxels, checked before anything is allocated for them.
+Dims read_header(std::ifstream& in, const std::filesystem::path& path) {
   Header h{};
   in.read(reinterpret_cast<char*>(&h), sizeof h);
   if (!in || h.magic != kMagic)
     throw std::runtime_error("VolumeStore: bad header in " + path.string());
-  return h;
+  in.seekg(0, std::ios::end);
+  const auto size = static_cast<std::uint64_t>(in.tellg());
+  if (!in || size < sizeof(Header))
+    throw std::runtime_error("VolumeStore: truncated " + path.string());
+  const Dims dims =
+      checked_dims(h.nx, h.ny, h.nz, size - sizeof(Header), path);
+  if (dims.voxels() * sizeof(float) != size - sizeof(Header))
+    throw std::runtime_error("VolumeStore: size does not match dims in " +
+                             path.string());
+  return dims;
+}
+
+/// Read `count` floats at voxel index `voxel` of the stored volume into `dst`.
+void read_voxels(std::ifstream& in, const std::filesystem::path& path,
+                 std::size_t voxel, float* dst, std::size_t count) {
+  in.seekg(static_cast<std::streamoff>(sizeof(Header) + voxel * sizeof(float)));
+  in.read(reinterpret_cast<char*>(dst),
+          static_cast<std::streamsize>(count * sizeof(float)));
+  if (!in) throw std::runtime_error("VolumeStore: truncated " + path.string());
 }
 }  // namespace
 
@@ -61,12 +98,8 @@ VolumeF VolumeStore::read(int step) const {
   const auto path = path_for(step);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("VolumeStore: missing " + path.string());
-  const Header h = read_header(in, path);
-  VolumeF vol(Dims{static_cast<int>(h.nx), static_cast<int>(h.ny),
-                   static_cast<int>(h.nz)});
-  in.read(reinterpret_cast<char*>(vol.data().data()),
-          static_cast<std::streamsize>(vol.bytes()));
-  if (!in) throw std::runtime_error("VolumeStore: truncated " + path.string());
+  VolumeF vol(read_header(in, path));
+  read_voxels(in, path, 0, vol.data().data(), vol.voxels());
   return vol;
 }
 
@@ -74,30 +107,29 @@ VolumeF VolumeStore::read_box(int step, const Box& box) const {
   const auto path = path_for(step);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("VolumeStore: missing " + path.string());
-  const Header h = read_header(in, path);
-  const Dims dims{static_cast<int>(h.nx), static_cast<int>(h.ny),
-                  static_cast<int>(h.nz)};
+  const Dims dims = read_header(in, path);
   if (box.hi[0] > dims.nx || box.hi[1] > dims.ny || box.hi[2] > dims.nz ||
       box.lo[0] < 0 || box.lo[1] < 0 || box.lo[2] < 0)
     throw std::out_of_range("VolumeStore: box outside stored volume");
 
   VolumeF vol(box.dims());
-  const int run = box.hi[0] - box.lo[0];
-  std::vector<float> row(static_cast<std::size_t>(run));
-  for (int z = box.lo[2]; z < box.hi[2]; ++z) {
-    for (int y = box.lo[1]; y < box.hi[1]; ++y) {
-      const std::size_t voxel_index =
-          (static_cast<std::size_t>(z) * dims.ny + static_cast<std::size_t>(y)) *
-              dims.nx +
-          static_cast<std::size_t>(box.lo[0]);
-      in.seekg(static_cast<std::streamoff>(sizeof(Header) +
-                                           voxel_index * sizeof(float)));
-      in.read(reinterpret_cast<char*>(row.data()),
-              static_cast<std::streamsize>(row.size() * sizeof(float)));
-      if (!in) throw std::runtime_error("VolumeStore: truncated " + path.string());
-      for (int x = 0; x < run; ++x)
-        vol.at(x, y - box.lo[1], z - box.lo[2]) = row[static_cast<std::size_t>(x)];
-    }
+  if (vol.voxels() == 0) return vol;
+  // Row r of the box, (y, z) = lo + (r % ny, r / ny), lands at r * nx in
+  // vol. Rows that are also adjacent in the file form one run: a whole
+  // plane when the box spans x, the whole box when it spans x and y.
+  const Dims bd = vol.dims();
+  const std::size_t row = static_cast<std::size_t>(bd.nx);
+  const std::size_t rows = static_cast<std::size_t>(bd.ny) * bd.nz;
+  const bool spans_x = bd.nx == dims.nx;
+  const bool spans_xy = spans_x && bd.ny == dims.ny;
+  const std::size_t run_rows =
+      spans_xy ? rows : spans_x ? static_cast<std::size_t>(bd.ny) : 1;
+  for (std::size_t r = 0; r < rows; r += run_rows) {
+    const std::size_t y = static_cast<std::size_t>(box.lo[1]) + r % bd.ny;
+    const std::size_t z = static_cast<std::size_t>(box.lo[2]) + r / bd.ny;
+    const std::size_t voxel =
+        (z * dims.ny + y) * dims.nx + static_cast<std::size_t>(box.lo[0]);
+    read_voxels(in, path, voxel, vol.data().data() + r * row, run_rows * row);
   }
   return vol;
 }

@@ -23,6 +23,13 @@ struct DiskModel {
   }
 };
 
+/// Dims read from a file header, validated before anything is sized from
+/// them: each extent must fit an int and the 4·nx·ny·nz bytes they need must
+/// fit in the `stored_bytes` the file holds (computed without overflow).
+/// Throws std::runtime_error naming `path` otherwise.
+Dims checked_dims(std::uint32_t nx, std::uint32_t ny, std::uint32_t nz,
+                  std::uint64_t stored_bytes, const std::filesystem::path& path);
+
 /// Writes and reads time-step volumes as raw little-endian f32 files with a
 /// small header, one file per step: <dir>/step_<k>.vol
 class VolumeStore {
@@ -32,10 +39,14 @@ class VolumeStore {
   /// Persist one time step. Overwrites any existing file for `step`.
   void write(int step, const VolumeF& volume) const;
 
-  /// Load a whole time step. Throws std::runtime_error on missing/corrupt file.
+  /// Load a whole time step. Throws std::runtime_error on a missing or
+  /// corrupt file, including one whose size does not match its header dims.
   VolumeF read(int step) const;
 
-  /// Load only `box` of a time step (reads just the needed scanlines).
+  /// Load only `box` of a time step, reading each run of it that is
+  /// contiguous in the file straight into the volume: the whole box when it
+  /// spans x and y (as z-slab ghost boxes do), one plane per z when it spans
+  /// x, otherwise one scanline per row.
   VolumeF read_box(int step, const Box& box) const;
 
   /// Materialize `desc` to disk (all steps). Returns total bytes written.

@@ -1,6 +1,7 @@
 #include "field/striped.hpp"
 
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace tvviz::field {
@@ -79,7 +80,8 @@ void StripedVolumeStore::write(int step, const VolumeF& volume) {
 }
 
 Dims StripedVolumeStore::read_dims(int step) const {
-  std::ifstream in(path_for(0, step), std::ios::binary);
+  const auto path = path_for(0, step);
+  std::ifstream in(path, std::ios::binary);
   if (!in)
     throw std::runtime_error("StripedVolumeStore: missing step " +
                              std::to_string(step));
@@ -87,8 +89,14 @@ Dims StripedVolumeStore::read_dims(int step) const {
   in.read(reinterpret_cast<char*>(&h), sizeof h);
   if (!in || h.magic != kMagic)
     throw std::runtime_error("StripedVolumeStore: bad stripe header");
-  return Dims{static_cast<int>(h.nx), static_cast<int>(h.ny),
-              static_cast<int>(h.nz)};
+  // The volume's voxels cannot outnumber what its stripe files hold.
+  std::uint64_t stored = 0;
+  for (int k = 0; k < stripes(); ++k) {
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path_for(k, step), ec);
+    if (!ec) stored += size;
+  }
+  return checked_dims(h.nx, h.ny, h.nz, stored, path);
 }
 
 VolumeF StripedVolumeStore::read(int step) const {
@@ -111,26 +119,31 @@ VolumeF StripedVolumeStore::read_box(int step, const Box& box) const {
   std::size_t units_seen = 0;
   std::size_t expected_units = 0;
   for (int k = 0; k < stripes(); ++k) {
-    std::ifstream in(path_for(k, step), std::ios::binary);
+    const auto path = path_for(k, step);
+    std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("StripedVolumeStore: missing stripe");
     StripeHeader h{};
     in.read(reinterpret_cast<char*>(&h), sizeof h);
-    if (!in || h.magic != kMagic)
-      throw std::runtime_error("StripedVolumeStore: bad stripe header");
+    if (!in || h.magic != kMagic || h.slab == 0 ||
+        h.slab > static_cast<std::uint32_t>(std::numeric_limits<int>::max()))
+      throw std::runtime_error("StripedVolumeStore: bad stripe header in " +
+                               path.string());
     const std::size_t plane =
         static_cast<std::size_t>(dims.nx) * static_cast<std::size_t>(dims.ny);
     // Honour the slab height the file was written with (it may differ from
     // this reader's configuration).
     const int file_slab = static_cast<int>(h.slab);
     units_seen += h.units;
-    expected_units = static_cast<std::size_t>(
-        (dims.nz + file_slab - 1) / file_slab);
+    expected_units = (static_cast<std::size_t>(dims.nz) + h.slab - 1) / h.slab;
     for (std::uint32_t u = 0; u < h.units; ++u) {
       std::uint32_t z0u = 0;
       in.read(reinterpret_cast<char*>(&z0u), sizeof z0u);
       if (!in) throw std::runtime_error("StripedVolumeStore: truncated unit");
+      if (z0u >= static_cast<std::uint32_t>(dims.nz))
+        throw std::runtime_error("StripedVolumeStore: unit outside volume in " +
+                                 path.string());
       const int z0 = static_cast<int>(z0u);
-      const int z1 = std::min(dims.nz, z0 + file_slab);
+      const int z1 = z0 + std::min(file_slab, dims.nz - z0);
       const std::size_t count = static_cast<std::size_t>(z1 - z0) * plane;
       if (z1 <= box.lo[2] || z0 >= box.hi[2]) {
         in.seekg(static_cast<std::streamoff>(count * sizeof(float)),

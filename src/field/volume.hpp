@@ -46,10 +46,7 @@ class Volume {
  public:
   Volume() = default;
   explicit Volume(Dims dims, T fill = T{})
-      : dims_(dims), data_(dims.voxels(), fill) {
-    if (dims.nx < 0 || dims.ny < 0 || dims.nz < 0)
-      throw std::invalid_argument("Volume: negative dimension");
-  }
+      : dims_(checked(dims)), data_(dims.voxels(), fill) {}
 
   const Dims& dims() const noexcept { return dims_; }
   std::size_t voxels() const noexcept { return data_.size(); }
@@ -135,6 +132,14 @@ class Volume {
   }
 
  private:
+  /// Validates before data_ allocates: a negative extent would otherwise
+  /// wrap voxels() to a huge count and fail the allocation instead.
+  static Dims checked(Dims dims) {
+    if (dims.nx < 0 || dims.ny < 0 || dims.nz < 0)
+      throw std::invalid_argument("Volume: negative dimension");
+    return dims;
+  }
+
   std::size_t index(int x, int y, int z) const {
     return (static_cast<std::size_t>(z) * dims_.ny + static_cast<std::size_t>(y)) *
                dims_.nx +

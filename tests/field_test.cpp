@@ -2,14 +2,21 @@
 // dataset generators, the on-disk store, and histograms.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "field/decompose.hpp"
 #include "field/generators.hpp"
 #include "field/histogram.hpp"
 #include "field/noise.hpp"
 #include "field/store.hpp"
+#include "field/striped.hpp"
 #include "field/volume.hpp"
+#include "util/vecmath.hpp"
 
 namespace tvviz {
 namespace {
@@ -19,6 +26,179 @@ using field::DatasetDesc;
 using field::DatasetKind;
 using field::Dims;
 using field::VolumeF;
+
+// ------------------------------------------------------ frozen oracle ----
+// The per-voxel generator and its noise as they were before generate_box
+// went row by row, kept verbatim so the row generator is held to
+// bit-identical output, as reference_render freezes the old ray caster.
+// Do not edit: a change here hides a change in the generated data.
+namespace reference {
+
+using field::lattice_hash;
+
+constexpr double smooth(double t) noexcept { return t * t * (3.0 - 2.0 * t); }
+
+double value_noise(double x, double y, double z, std::uint64_t seed) noexcept {
+  const int x0 = static_cast<int>(std::floor(x));
+  const int y0 = static_cast<int>(std::floor(y));
+  const int z0 = static_cast<int>(std::floor(z));
+  const double fx = smooth(x - x0);
+  const double fy = smooth(y - y0);
+  const double fz = smooth(z - z0);
+
+  double c[2][2][2];
+  for (int dz = 0; dz <= 1; ++dz)
+    for (int dy = 0; dy <= 1; ++dy)
+      for (int dx = 0; dx <= 1; ++dx)
+        c[dz][dy][dx] = lattice_hash(x0 + dx, y0 + dy, z0 + dz, seed);
+
+  const double x00 = c[0][0][0] + (c[0][0][1] - c[0][0][0]) * fx;
+  const double x01 = c[0][1][0] + (c[0][1][1] - c[0][1][0]) * fx;
+  const double x10 = c[1][0][0] + (c[1][0][1] - c[1][0][0]) * fx;
+  const double x11 = c[1][1][0] + (c[1][1][1] - c[1][1][0]) * fx;
+  const double y0v = x00 + (x01 - x00) * fy;
+  const double y1v = x10 + (x11 - x10) * fy;
+  return y0v + (y1v - y0v) * fz;
+}
+
+double fbm(double x, double y, double z, int octaves,
+           std::uint64_t seed) noexcept {
+  double sum = 0.0;
+  double amplitude = 0.5;
+  double total = 0.0;
+  double fx = x, fy = y, fz = z;
+  for (int o = 0; o < octaves; ++o) {
+    sum += amplitude * value_noise(fx, fy, fz, seed + static_cast<std::uint64_t>(o));
+    total += amplitude;
+    amplitude *= 0.5;
+    fx *= 2.0;
+    fy *= 2.0;
+    fz *= 2.0;
+  }
+  return total > 0.0 ? sum / total : 0.0;
+}
+
+
+constexpr double kTau = 6.283185307179586;
+
+/// Normalized coordinates in [0,1] for a global voxel index.
+struct Norm {
+  double x, y, z;
+};
+
+Norm normalize(const Dims& dims, int x, int y, int z) {
+  return {dims.nx > 1 ? static_cast<double>(x) / (dims.nx - 1) : 0.0,
+          dims.ny > 1 ? static_cast<double>(y) / (dims.ny - 1) : 0.0,
+          dims.nz > 1 ? static_cast<double>(z) / (dims.nz - 1) : 0.0};
+}
+
+/// Clamp to [0,1] and floor near-zero values to an exact 0, like the
+/// denormal/output cutoffs of real CFD solvers. Exact zeros make the empty
+/// regions temporally identical, which the differential store exploits.
+float finalize(double v) {
+  const double clamped = util::clamp01(v);
+  return clamped < 2e-3 ? 0.0f : static_cast<float>(clamped);
+}
+
+/// Turbulent jet: a meandering plume along +y with advected small-scale
+/// turbulence. Most of the domain is empty -> sparse images.
+float jet_value(const Norm& p, double t, std::uint64_t seed) {
+  // Plume axis meanders slowly with height and time.
+  const double ax = 0.5 + 0.08 * std::sin(kTau * (0.7 * p.y + 0.3 * t));
+  const double az = 0.5 + 0.08 * std::cos(kTau * (0.9 * p.y + 0.2 * t));
+  const double dx = p.x - ax, dz = p.z - az;
+  const double r2 = dx * dx + dz * dz;
+  // Cone widens with height; nothing below the nozzle.
+  const double width = 0.035 + 0.16 * p.y;
+  const double envelope = std::exp(-r2 / (2.0 * width * width));
+  // Advected turbulence: noise coordinates drift downstream with time.
+  const double turb =
+      fbm(6.0 * p.x, 6.0 * p.y - 5.0 * t, 6.0 * p.z, 4, seed);
+  const double v = envelope * (0.35 + 0.9 * turb);
+  return finalize(v);
+}
+
+/// Turbulent vortex: several strong vortex tubes plus a broad background
+/// vorticity floor. Touches most of the domain -> dense images.
+float vortex_value(const Norm& p, double t, std::uint64_t seed) {
+  double v = 0.0;
+  constexpr int kTubes = 10;
+  for (int k = 0; k < kTubes; ++k) {
+    const double phase = static_cast<double>(k) / kTubes;
+    // Tube axis: vertical line that orbits and bends sinusoidally.
+    const double cx = 0.5 + 0.33 * std::cos(kTau * (phase + 0.15 * t)) +
+                      0.05 * std::sin(kTau * (2.0 * p.y + phase));
+    const double cz = 0.5 + 0.33 * std::sin(kTau * (phase + 0.15 * t)) +
+                      0.05 * std::cos(kTau * (2.0 * p.y + 3.0 * phase));
+    const double dx = p.x - cx, dz = p.z - cz;
+    const double d2 = dx * dx + dz * dz;
+    const double strength = 0.55 + 0.45 * std::sin(kTau * (phase * 3.1 + 0.23 * t));
+    v += strength * std::exp(-d2 / (2.0 * 0.06 * 0.06));
+  }
+  // Background turbulence keeps coverage high everywhere.
+  const double background =
+      0.22 + 0.3 * fbm(4.0 * p.x + 9.0 * t, 4.0 * p.y, 4.0 * p.z + 3.0 * t, 4, seed);
+  return finalize(0.75 * v + background);
+}
+
+/// Shock/bubble mixing: a planar shock sweeps along +x through an ambient
+/// medium containing a denser bubble; a turbulent mixing zone grows behind
+/// the front.
+float shock_value(const Norm& p, double t, std::uint64_t seed) {
+  // Shock front position sweeps the domain over the run.
+  const double front = 0.05 + 0.95 * t;
+  const double behind = front - p.x;  // > 0 once the shock has passed
+  // Thin bright shell at the front.
+  const double shell = std::exp(-(behind * behind) / (2.0 * 0.015 * 0.015));
+  // Bubble: dense sphere that compresses and drifts once shocked.
+  const double bubble_cx = 0.45 + 0.12 * std::max(0.0, t - 0.35);
+  const double bx = (p.x - bubble_cx) / (1.0 - 0.35 * t);  // compression
+  const double by = p.y - 0.5, bz = p.z - 0.5;
+  const double bd2 = bx * bx + by * by + bz * bz;
+  const double bubble = 0.8 * std::exp(-bd2 / (2.0 * 0.13 * 0.13));
+  // Mixing turbulence grows in the shocked region.
+  double mixing = 0.0;
+  if (behind > 0.0) {
+    const double zone = std::min(1.0, behind / 0.3);
+    mixing = 0.5 * zone *
+             fbm(8.0 * p.x + 2.0 * t, 8.0 * p.y, 8.0 * p.z, 4, seed);
+  }
+  const double ambient = 0.06;
+  return finalize(ambient + 0.85 * shell + bubble + mixing);
+}
+
+
+VolumeF reference_generate_box(const DatasetDesc& desc, int step, const Box& box) {
+  if (step < 0 || step >= desc.steps)
+    throw std::out_of_range("generate: step out of range");
+  const double t =
+      desc.steps > 1 ? static_cast<double>(step) / (desc.steps - 1) : 0.0;
+  VolumeF vol(box.dims());
+  for (int z = box.lo[2]; z < box.hi[2]; ++z)
+    for (int y = box.lo[1]; y < box.hi[1]; ++y)
+      for (int x = box.lo[0]; x < box.hi[0]; ++x) {
+        const Norm p = normalize(desc.dims, x, y, z);
+        float v = 0.0f;
+        switch (desc.kind) {
+          case DatasetKind::kTurbulentJet: v = jet_value(p, t, desc.seed); break;
+          case DatasetKind::kTurbulentVortex:
+            v = vortex_value(p, t, desc.seed);
+            break;
+          case DatasetKind::kShockMixing: v = shock_value(p, t, desc.seed); break;
+        }
+        vol.at(x - box.lo[0], y - box.lo[1], z - box.lo[2]) = v;
+      }
+  return vol;
+}
+
+}  // namespace reference
+
+/// Bit-for-bit equality, sign of zero included.
+bool same_bits(const VolumeF& a, const VolumeF& b) {
+  return a.dims() == b.dims() &&
+         (a.bytes() == 0 ||
+          std::memcmp(a.data().data(), b.data().data(), a.bytes()) == 0);
+}
 
 // -------------------------------------------------------------- volume ----
 
@@ -75,6 +255,17 @@ TEST(Volume, StatsAndCoverage) {
   EXPECT_FLOAT_EQ(v.max_value(), 0.9f);
   EXPECT_NEAR(v.mean_value(), 0.45, 1e-6);
   EXPECT_NEAR(v.coverage(0.5f), 0.4, 1e-12);  // 0.6..0.9
+}
+
+TEST(Volume, NegativeDimensionThrowsInvalidArgument) {
+  // Checked before the storage is sized: a negative extent must not reach
+  // the allocator as a huge unsigned count.
+  EXPECT_THROW({ VolumeF v(Dims{-1, 4, 4}); }, std::invalid_argument);
+  EXPECT_THROW({ VolumeF v(Dims{4, 4, -2}); }, std::invalid_argument);
+  DatasetDesc desc;
+  desc.dims = Dims{8, 8, 8};
+  const Box inverted{{5, 0, 0}, {2, 4, 4}};
+  EXPECT_THROW(field::generate_box(desc, 0, inverted), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- decompose ----
@@ -183,6 +374,37 @@ TEST(Noise, SmoothAtLatticePoints) {
               field::lattice_hash(3, 4, 5, 11), 1e-12);
 }
 
+TEST(Noise, FbmRowMatchesFbmBitForBit) {
+  // Negative, repeated, decreasing and far-apart x: the row's cached
+  // lattice corners must never leak from one cell into another.
+  std::vector<double> xs = {-3.7, -3.7, -0.2, 0.0,  0.0,  0.3,  0.3, 5.9,
+                            1.1,  -12.5, 7.0, 6.99, 2.5, -0.0, 1.0, 0.999};
+  for (int i = 40; i >= -40; --i) xs.push_back(i * 0.05);
+  for (int i = -40; i <= 40; ++i) xs.push_back(i * 0.037);
+  std::vector<double> out(xs.size());
+  for (const std::uint64_t seed : {1ull, (1ull << 33) + 1})
+    for (const double y : {-2.25, 0.0, 0.4, 3.0})
+      for (const double z : {-0.6, 0.0, 1.75})
+        for (int octaves = 0; octaves <= 5; ++octaves) {
+          field::fbm_row(xs, y, z, octaves, seed, out);
+          for (std::size_t i = 0; i < xs.size(); ++i) {
+            const double want = reference::fbm(xs[i], y, z, octaves, seed);
+            ASSERT_EQ(std::memcmp(&out[i], &want, sizeof want), 0)
+                << "x=" << xs[i] << " y=" << y << " z=" << z
+                << " octaves=" << octaves << " seed=" << seed;
+            const double one = field::fbm(xs[i], y, z, octaves, seed);
+            ASSERT_EQ(std::memcmp(&one, &want, sizeof want), 0);
+          }
+          const double noise = field::value_noise(xs[3 + octaves], y, z, seed);
+          const double want_noise =
+              reference::value_noise(xs[3 + octaves], y, z, seed);
+          ASSERT_EQ(std::memcmp(&noise, &want_noise, sizeof noise), 0);
+        }
+  std::vector<double> short_out(xs.size() - 1);
+  EXPECT_THROW(field::fbm_row(xs, 0.0, 0.0, 4, 1, short_out),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------- generators ----
 
 class GeneratorParam : public ::testing::TestWithParam<DatasetKind> {};
@@ -232,6 +454,54 @@ TEST_P(GeneratorParam, BoxGenerationMatchesWhole) {
       for (int x = box.lo[0]; x < box.hi[0]; ++x)
         EXPECT_EQ(part.at(x - box.lo[0], y - box.lo[1], z - box.lo[2]),
                   whole.at(x, y, z));
+}
+
+TEST_P(GeneratorParam, RowGeneratorMatchesFrozenOracleBitForBit) {
+  const DatasetKind kind = GetParam();
+  DatasetDesc base;
+  switch (kind) {
+    case DatasetKind::kTurbulentJet:
+      base = field::scaled(field::turbulent_jet_desc(), 8, 9);
+      break;
+    case DatasetKind::kTurbulentVortex:
+      base = field::scaled(field::turbulent_vortex_desc(), 8, 9);
+      break;
+    case DatasetKind::kShockMixing:
+      base = field::scaled(field::shock_mixing_desc(), 20, 9);
+      break;
+  }
+  const auto check = [](const DatasetDesc& desc, int step, const Box& box) {
+    ASSERT_TRUE(same_bits(field::generate_box(desc, step, box),
+                          reference::reference_generate_box(desc, step, box)))
+        << field::dataset_name(desc.kind) << " " << desc.dims.nx << "x"
+        << desc.dims.ny << "x" << desc.dims.nz << " seed " << desc.seed
+        << " step " << step << " box [" << box.lo[0] << "," << box.lo[1]
+        << "," << box.lo[2] << ")-[" << box.hi[0] << "," << box.hi[1] << ","
+        << box.hi[2] << ")";
+  };
+  for (const std::uint64_t seed : {1ull, 11ull, (1ull << 33) + 1}) {
+    DatasetDesc desc = base;
+    desc.seed = seed;
+    const Dims d = desc.dims;
+    std::vector<Box> boxes = {
+        Box{{0, 0, 0}, {d.nx, d.ny, d.nz}},                  // whole volume
+        Box{{3, 1, 2}, {d.nx - 2, d.ny - 1, d.nz - 3}},      // lo.x > 0
+        Box{{0, 0, 0}, {1, 1, 1}},                           // one voxel
+        Box{{d.nx - 1, d.ny / 2, d.nz - 1}, {d.nx, d.ny / 2 + 1, d.nz}},
+        Box{{2, 2, 2}, {2, 5, 5}},                           // empty
+    };
+    for (const int parts : {3, 4, 5})
+      for (const Box& slab : field::decompose_slabs(d, parts, 2))
+        boxes.push_back(field::with_ghost(slab, d, 1));  // ghost slabs
+    for (const int step : {0, desc.steps / 2, desc.steps - 1})
+      for (const Box& box : boxes) check(desc, step, box);
+  }
+  // Degenerate axes normalize to 0.
+  for (const Dims dims : {Dims{1, 7, 5}, Dims{9, 1, 1}}) {
+    DatasetDesc desc = base;
+    desc.dims = dims;
+    check(desc, desc.steps - 1, Box{{0, 0, 0}, {dims.nx, dims.ny, dims.nz}});
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, GeneratorParam,
@@ -343,6 +613,80 @@ TEST_F(StoreTest, BoxOutsideVolumeThrows) {
   field::VolumeStore store(dir_);
   store.write(0, VolumeF(Dims{4, 4, 4}));
   EXPECT_THROW(store.read_box(0, Box{{0, 0, 0}, {5, 4, 4}}), std::out_of_range);
+}
+
+TEST_F(StoreTest, ReadBoxRunsMatchExtract) {
+  // Boxes spanning x and y read as one run, x only as one run per plane,
+  // neither as one run per row.
+  field::VolumeStore store(dir_);
+  VolumeF v(Dims{12, 10, 8});
+  v.fill_from([](int x, int y, int z) {
+    return static_cast<float>(x + 100 * y + 10000 * z);
+  });
+  store.write(0, v);
+  const VolumeF whole = store.read(0);
+  ASSERT_TRUE(same_bits(whole, v));
+  for (const Box& box : {
+           Box{{0, 0, 0}, {12, 10, 8}},  // x and y (whole)
+           Box{{0, 0, 2}, {12, 10, 6}},  // x and y
+           Box{{0, 3, 1}, {12, 7, 6}},   // x only
+           Box{{2, 0, 1}, {9, 10, 6}},   // y only: neither run shape
+           Box{{2, 3, 1}, {9, 7, 6}},    // neither
+           Box{{0, 0, 4}, {12, 10, 4}},  // zero extent
+           Box{{4, 4, 4}, {4, 6, 6}},    // zero extent
+       })
+    EXPECT_TRUE(same_bits(store.read_box(0, box), whole.extract(box)))
+        << box.lo[0] << "," << box.lo[1] << "," << box.lo[2] << " - "
+        << box.hi[0] << "," << box.hi[1] << "," << box.hi[2];
+}
+
+/// Overwrite three 32-bit header words of `file` starting at byte `offset`.
+void patch_words(const std::filesystem::path& file, std::size_t offset,
+                 const std::uint32_t (&words)[3]) {
+  std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << file;
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(words), sizeof words);
+  ASSERT_TRUE(f.good()) << file;
+}
+
+TEST_F(StoreTest, CorruptHeaderThrowsRuntimeError) {
+  // Header dims are outside input: they are checked against the file before
+  // anything is sized from them.
+  const std::uint32_t patches[][3] = {
+      {0xFFFFFFFFu, 8, 8},        // does not fit an int
+      {65535, 65535, 65535},      // ~1 PB of voxels
+      {64, 64, 64},               // plausible, but not what the file holds
+  };
+  field::VolumeStore store(dir_);
+  const Box box{{0, 0, 0}, {4, 4, 4}};
+  for (const auto& dims : patches) {
+    store.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
+    patch_words(store.path_for(0), 4, dims);
+    EXPECT_THROW(store.read(0), std::runtime_error) << dims[0];
+    EXPECT_THROW(store.read_box(0, box), std::runtime_error) << dims[0];
+  }
+
+  // Striped: each stripe's header is {magic, nx, ny, nz, slab, units}, and
+  // its first unit starts with its z origin at byte 24. A zero slab height
+  // used to divide by zero; an origin past nz left voxels unread.
+  field::StripedVolumeStore striped(dir_ / "striped", 2, 4);
+  const auto stripe = [&](int k) {
+    return dir_ / "striped" / ("stripe_" + std::to_string(k)) / "step_0.slabs";
+  };
+  const auto expect_corrupt = [&](const char* what) {
+    EXPECT_THROW(striped.read(0), std::runtime_error) << what;
+    EXPECT_THROW(striped.read_box(0, box), std::runtime_error) << what;
+  };
+  striped.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
+  for (int k = 0; k < 2; ++k) patch_words(stripe(k), 4, patches[1]);
+  expect_corrupt("dims");
+  striped.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
+  patch_words(stripe(0), 12, {8, 0, 1});  // nz, slab 0, units
+  expect_corrupt("slab");
+  striped.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
+  patch_words(stripe(0), 16, {4, 1, 1000});  // slab, units, z origin 1000
+  expect_corrupt("unit origin");
 }
 
 TEST(DiskModel, ReadTimeIsAffine) {

@@ -22,10 +22,12 @@ int main(int argc, char** argv) {
   cfg.steps_limit = static_cast<int>(flags.get_int("steps", 128));
   cfg.image_width = cfg.image_height =
       static_cast<int>(flags.get_int("size", 256));
-  const std::string machine = flags.get("machine", "rwcp");
+  const std::string machine =
+      flags.get_choice("machine", "rwcp", {"rwcp", "o2k"});
   cfg.costs = machine == "o2k" ? core::StageCosts::o2k_paper()
                                : core::StageCosts::rwcp_paper();
-  const std::string dataset = flags.get("dataset", "jet");
+  const std::string dataset =
+      flags.get_choice("dataset", "jet", {"jet", "vortex", "mixing"});
   cfg.dataset = dataset == "vortex"   ? field::turbulent_vortex_desc()
                 : dataset == "mixing" ? field::shock_mixing_desc()
                                       : field::turbulent_jet_desc();

@@ -3,11 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "codec/image_codec.hpp"
-#include "field/generators.hpp"
-#include "render/raycast.hpp"
-#include "util/timer.hpp"
-
 namespace tvviz::core {
 
 double CodecProfile::compressed_bytes(std::size_t pixels) const noexcept {
@@ -91,54 +86,6 @@ StageCosts StageCosts::rwcp_paper() {
   c.wan = net::wan_japan_ucd();
   c.x_display = net::XDisplayModel{net::wan_japan_ucd(), 32 * 1024, 1.0, 0.25};
   return c;
-}
-
-StageCosts measure_local(const StageCosts& base) {
-  StageCosts c = base;
-  // Render a small reference frame for real and extrapolate.
-  const auto desc = field::scaled(field::turbulent_jet_desc(), 2, 1);
-  const field::VolumeF vol = field::generate(desc, 0);
-  const render::Camera camera(128, 128);
-  const render::TransferFunction tf = render::TransferFunction::fire();
-  render::RayCaster caster;
-  util::WallTimer timer;
-  (void)caster.render_full(vol, camera, tf);
-  const double t = timer.seconds();
-  // Scale to the reference workload (256^2 image, full-size jet volume).
-  const double depth_scale =
-      std::cbrt(static_cast<double>(c.render_base_voxels) /
-                static_cast<double>(vol.voxels()));
-  const double pixel_scale = static_cast<double>(c.render_base_pixels) /
-                             static_cast<double>(128 * 128);
-  c.render_base_seconds = t * pixel_scale * depth_scale;
-  return c;
-}
-
-CodecProfile measure_codec_local(const std::string& name) {
-  CodecProfile profile = CodecProfile::paper(name);
-  const auto desc = field::scaled(field::turbulent_jet_desc(), 2, 1);
-  const field::VolumeF vol = field::generate(desc, 0);
-  constexpr int kSize = 256;
-  const render::Camera camera(kSize, kSize);
-  render::RayCaster caster;
-  const render::Image frame =
-      caster.render_full(vol, camera, render::TransferFunction::fire());
-
-  const auto codec = codec::make_image_codec(name);
-  util::WallTimer timer;
-  const auto encoded = codec->encode(frame);
-  const double t_enc = timer.seconds();
-  timer.reset();
-  (void)codec->decode(encoded);
-  const double t_dec = timer.seconds();
-
-  const double pixels = static_cast<double>(kSize) * kSize;
-  profile.compress_s_per_pixel = t_enc / pixels;
-  profile.decompress_s_per_pixel = t_dec / pixels;
-  // Re-anchor the size law at the measured point, keeping the exponent.
-  profile.size_coeff = static_cast<double>(encoded.size()) /
-                       std::pow(pixels, profile.size_exponent);
-  return profile;
 }
 
 }  // namespace tvviz::core

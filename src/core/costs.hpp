@@ -2,8 +2,7 @@
 // from the paper's own measurements (§6: 10-20 s per 256^2 frame on one
 // processor; JPEG+LZO compression 6 ms at 128^2 to ~500 ms at 1024^2;
 // decompression 12-600 ms on the weak client) and from Table 1's compressed
-// sizes. `measure_local()` recalibrates the compute-side constants against
-// the real kernels on the host machine.
+// sizes.
 #pragma once
 
 #include <algorithm>
@@ -119,14 +118,5 @@ struct StageCosts {
   /// (Figures 6, 7, 11).
   static StageCosts rwcp_paper();
 };
-
-/// Measure the real local kernels (ray caster + codecs) and return a
-/// StageCosts with compute constants matching this machine. Network and
-/// disk stay at the paper-era preset values of `base`.
-StageCosts measure_local(const StageCosts& base);
-
-/// Measured codec profile on this machine for the named codec (renders a
-/// small frame, times encode/decode, fits the size coefficient).
-CodecProfile measure_codec_local(const std::string& name);
 
 }  // namespace tvviz::core

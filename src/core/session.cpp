@@ -16,7 +16,6 @@
 #include "field/store.hpp"
 #include "field/preview.hpp"
 #include "fault/fault.hpp"
-#include "field/striped.hpp"
 #include "hub/hub.hpp"
 #include "hub/tcp_hub.hpp"
 #include "net/link.hpp"
@@ -122,6 +121,10 @@ SessionResult run_session(const SessionConfig& cfg) {
   for (int mapped : cfg.step_map)
     if (mapped < 0 || mapped >= cfg.dataset.steps)
       throw std::invalid_argument("session: step_map entry out of range");
+  if (cfg.wait_for_store && !cfg.store_dir)
+    throw std::invalid_argument(
+        "session: wait_for_store requires store_dir (only a store can be "
+        "waited on)");
   if (cfg.use_warp && cfg.compression != SessionConfig::Compression::kAssembled)
     throw std::invalid_argument(
         "session: use_warp requires assembled compression (the depth plane "
@@ -419,13 +422,7 @@ SessionResult run_session(const SessionConfig& cfg) {
         field::decompose_slabs(cfg.dataset.dims, group.size(), /*axis=*/2);
 
     std::optional<field::VolumeStore> store;
-    std::optional<field::StripedVolumeStore> striped;
-    if (cfg.store_dir) {
-      if (cfg.io_stripes > 0)
-        striped.emplace(*cfg.store_dir, cfg.io_stripes);
-      else
-        store.emplace(*cfg.store_dir);
-    }
+    if (cfg.store_dir) store.emplace(*cfg.store_dir);
 
     render::RayCaster caster(cfg.render_options);
 
@@ -460,7 +457,7 @@ SessionResult run_session(const SessionConfig& cfg) {
       // deterministic probe of the step's visible-work distribution (every
       // rank computes the identical weights, so no exchange is needed).
       field::Box my_box = even_boxes[static_cast<std::size_t>(group.rank())];
-      if (cfg.load_balanced && !store && !striped &&
+      if (cfg.load_balanced && !store &&
           group.size() <= cfg.dataset.dims.nz) {
         const auto weights = field::estimate_plane_weights(
             cfg.dataset, dataset_step, /*axis=*/2,
@@ -478,13 +475,9 @@ SessionResult run_session(const SessionConfig& cfg) {
           field::with_ghost(my_box, cfg.dataset.dims, 1);
       // Run-time tracking (§2.1): the simulation may still be computing
       // this step; poll the store until the (atomically renamed) file lands.
-      if (cfg.wait_for_store && (striped || store)) {
+      if (cfg.wait_for_store) {
         util::WallTimer waited;
-        const auto available = [&] {
-          return striped ? striped->has(dataset_step)
-                         : store->has(dataset_step);
-        };
-        while (!available()) {
+        while (!store->has(dataset_step)) {
           if (waited.seconds() > cfg.input_wait_timeout_s)
             throw std::runtime_error(
                 "session: timed out waiting for step " +
@@ -493,13 +486,10 @@ SessionResult run_session(const SessionConfig& cfg) {
         }
       }
       render::Subvolume sub;
-      if (striped) {
-        sub.data = striped->read_box(dataset_step, ghost_box);
-      } else if (store) {
-        sub.data = store->read_box(dataset_step, ghost_box);
-      } else {
-        sub.data = field::generate_box(cfg.dataset, dataset_step, ghost_box);
-      }
+      sub.data = store ? store->read_box(dataset_step, ghost_box,
+                                         cfg.dataset.dims)
+                       : field::generate_box(cfg.dataset, dataset_step,
+                                             ghost_box);
       sub.storage_box = ghost_box;
       sub.render_box = my_box;
       input_span.end();

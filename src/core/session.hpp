@@ -53,13 +53,12 @@ struct SessionConfig {
   /// View rotation per time step (animation when nonzero).
   double azimuth_per_step = 0.0;
   /// If set, steps are read from a VolumeStore at this directory (must have
-  /// been materialized); otherwise subvolumes are generated in place.
+  /// been materialized with dataset.dims); otherwise subvolumes are
+  /// generated in place.
   std::optional<std::filesystem::path> store_dir;
-  /// With store_dir: > 0 reads through a StripedVolumeStore with this many
-  /// stripes (§7.1 parallel I/O); 0 uses the plain sequential store.
-  int io_stripes = 0;
   /// Run-time tracking (§2.1): wait for a step's file to appear in the
   /// store instead of failing — the simulation is still computing it.
+  /// Requires store_dir.
   bool wait_for_store = false;
   /// Give up after this long waiting for one step (wait_for_store).
   double input_wait_timeout_s = 30.0;

@@ -1,5 +1,6 @@
 #include "field/store.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -16,9 +17,7 @@ struct Header {
 static_assert(sizeof(Header) == 16);
 }  // namespace
 
-VolumeStore::VolumeStore(std::filesystem::path dir) : dir_(std::move(dir)) {
-  std::filesystem::create_directories(dir_);
-}
+VolumeStore::VolumeStore(std::filesystem::path dir) : dir_(std::move(dir)) {}
 
 std::filesystem::path VolumeStore::path_for(int step) const {
   return dir_ / ("step_" + std::to_string(step) + ".vol");
@@ -31,6 +30,7 @@ bool VolumeStore::has(int step) const {
 void VolumeStore::write(int step, const VolumeF& volume) const {
   // Write to a temporary and rename: readers polling for new steps (the
   // run-time tracking scenario) never observe a half-written file.
+  std::filesystem::create_directories(dir_);
   const auto final_path = path_for(step);
   const auto tmp_path = final_path.string() + ".tmp";
   {
@@ -47,6 +47,11 @@ void VolumeStore::write(int step, const VolumeF& volume) const {
   std::filesystem::rename(tmp_path, final_path);
 }
 
+namespace {
+/// Dims read from a file header, validated before anything is sized from
+/// them: each extent must fit an int and the 4·nx·ny·nz bytes they need must
+/// fit in the `stored_bytes` the file holds (computed without overflow).
+/// Throws std::runtime_error naming `path` otherwise.
 Dims checked_dims(std::uint32_t nx, std::uint32_t ny, std::uint32_t nz,
                   std::uint64_t stored_bytes,
                   const std::filesystem::path& path) {
@@ -64,7 +69,6 @@ Dims checked_dims(std::uint32_t nx, std::uint32_t ny, std::uint32_t nz,
               static_cast<int>(nz)};
 }
 
-namespace {
 /// Read and validate the header: the dims must fit an int and the file must
 /// hold exactly their voxels, checked before anything is allocated for them.
 Dims read_header(std::ifstream& in, const std::filesystem::path& path) {
@@ -92,6 +96,11 @@ void read_voxels(std::ifstream& in, const std::filesystem::path& path,
           static_cast<std::streamsize>(count * sizeof(float)));
   if (!in) throw std::runtime_error("VolumeStore: truncated " + path.string());
 }
+
+std::string dims_text(const Dims& d) {
+  return std::to_string(d.nx) + "x" + std::to_string(d.ny) + "x" +
+         std::to_string(d.nz);
+}
 }  // namespace
 
 VolumeF VolumeStore::read(int step) const {
@@ -103,11 +112,16 @@ VolumeF VolumeStore::read(int step) const {
   return vol;
 }
 
-VolumeF VolumeStore::read_box(int step, const Box& box) const {
+VolumeF VolumeStore::read_box(int step, const Box& box,
+                              const Dims& volume) const {
   const auto path = path_for(step);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("VolumeStore: missing " + path.string());
   const Dims dims = read_header(in, path);
+  if (dims != volume)
+    throw std::runtime_error("VolumeStore: " + path.string() + " holds a " +
+                             dims_text(dims) + " volume, expected " +
+                             dims_text(volume));
   if (box.hi[0] > dims.nx || box.hi[1] > dims.ny || box.hi[2] > dims.nz ||
       box.lo[0] < 0 || box.lo[1] < 0 || box.lo[2] < 0)
     throw std::out_of_range("VolumeStore: box outside stored volume");

@@ -2,7 +2,7 @@
 // plus an analytic disk model for the data-input pipeline stage.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <filesystem>
 #include <string>
 
@@ -23,31 +23,29 @@ struct DiskModel {
   }
 };
 
-/// Dims read from a file header, validated before anything is sized from
-/// them: each extent must fit an int and the 4·nx·ny·nz bytes they need must
-/// fit in the `stored_bytes` the file holds (computed without overflow).
-/// Throws std::runtime_error naming `path` otherwise.
-Dims checked_dims(std::uint32_t nx, std::uint32_t ny, std::uint32_t nz,
-                  std::uint64_t stored_bytes, const std::filesystem::path& path);
-
 /// Writes and reads time-step volumes as raw little-endian f32 files with a
-/// small header, one file per step: <dir>/step_<k>.vol
+/// small header, one file per step: <dir>/step_<k>.vol. Only writing
+/// creates the directory; reading a missing store leaves the disk alone.
 class VolumeStore {
  public:
   explicit VolumeStore(std::filesystem::path dir);
 
-  /// Persist one time step. Overwrites any existing file for `step`.
+  /// Persist one time step, creating the directory if needed. Overwrites
+  /// any existing file for `step`.
   void write(int step, const VolumeF& volume) const;
 
   /// Load a whole time step. Throws std::runtime_error on a missing or
   /// corrupt file, including one whose size does not match its header dims.
   VolumeF read(int step) const;
 
-  /// Load only `box` of a time step, reading each run of it that is
-  /// contiguous in the file straight into the volume: the whole box when it
-  /// spans x and y (as z-slab ghost boxes do), one plane per z when it spans
-  /// x, otherwise one scanline per row.
-  VolumeF read_box(int step, const Box& box) const;
+  /// Load only `box` of a time step whose volume must have dims `volume`,
+  /// reading each run of the box that is contiguous in the file straight
+  /// into the result: the whole box when it spans x and y (as z-slab ghost
+  /// boxes do), one plane per z when it spans x, otherwise one scanline per
+  /// row. Throws std::runtime_error naming the file and both sizes when the
+  /// stored step has other dims, and std::out_of_range when `box` does not
+  /// fit in `volume`.
+  VolumeF read_box(int step, const Box& box, const Dims& volume) const;
 
   /// Materialize `desc` to disk (all steps). Returns total bytes written.
   std::size_t materialize(const DatasetDesc& desc) const;

@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -65,9 +66,23 @@ double Flags::get_double(const std::string& name, double fallback) const {
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const auto s = get(name, "");
+  const auto s = get_choice(
+      name, "", {"1", "true", "yes", "on", "0", "false", "no", "off"});
   if (s.empty()) return fallback;
   return s == "1" || s == "true" || s == "yes" || s == "on";
+}
+
+std::string Flags::get_choice(const std::string& name,
+                              const std::string& fallback,
+                              const std::vector<std::string>& choices) const {
+  const auto s = get(name, "");
+  if (s.empty()) return fallback;
+  if (std::find(choices.begin(), choices.end(), s) != choices.end()) return s;
+  std::string listed;
+  for (const auto& choice : choices)
+    listed += (listed.empty() ? "" : "|") + choice;
+  throw std::invalid_argument("--" + name + ": '" + s + "' is not one of " +
+                              listed);
 }
 
 std::vector<std::string> Flags::unused() const {

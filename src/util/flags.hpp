@@ -1,6 +1,7 @@
 // Tiny command-line flag parser for the benchmark harnesses and examples.
 // Accepts --name=value and --name value; unknown flags are reported, and a
-// numeric flag whose value is not entirely a number is an error.
+// value its reader does not accept (a number with trailing junk, or a word
+// outside a boolean or choice flag's list) is an error.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,13 @@ class Flags {
   /// entirely a (decimal) number.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// 1/true/yes/on or 0/false/no/off; any other word throws
+  /// std::invalid_argument naming the flag.
   bool get_bool(const std::string& name, bool fallback) const;
+  /// The value, which must be one of `choices`; throws std::invalid_argument
+  /// naming the flag and listing the choices otherwise.
+  std::string get_choice(const std::string& name, const std::string& fallback,
+                         const std::vector<std::string>& choices) const;
 
   /// Non-flag positional arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

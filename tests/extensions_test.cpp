@@ -2,15 +2,11 @@
 // space leaping, JPEG fast decoding, and image rescaling helpers.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "codec/jpeg.hpp"
 #include "core/pipesim.hpp"
-#include "core/session.hpp"
 #include "field/decompose.hpp"
 #include "field/generators.hpp"
 #include "field/minmax.hpp"
-#include "field/striped.hpp"
 #include "render/raycast.hpp"
 #include "render/spaceskip.hpp"
 #include "render/transfer.hpp"
@@ -310,93 +306,6 @@ TEST(ResizeBilinear, IdentityWhenSameSize) {
 }
 
 // ----------------------------------------------------- parallel I/O (§7.1) ----
-
-class StripedStoreTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("tvviz_striped_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
-};
-
-TEST_F(StripedStoreTest, RoundTripMatchesPlainStore) {
-  field::DatasetDesc desc;
-  desc.dims = Dims{12, 10, 21};  // nz not a multiple of the slab height
-  desc.steps = 2;
-  const VolumeF original = field::generate(desc, 1);
-
-  field::StripedVolumeStore striped(dir_, 3, 4);
-  striped.write(1, original);
-  EXPECT_TRUE(striped.has(1));
-  EXPECT_FALSE(striped.has(0));
-  const VolumeF back = striped.read(1);
-  ASSERT_EQ(back.dims(), original.dims());
-  for (int z = 0; z < 21; ++z)
-    for (int y = 0; y < 10; ++y)
-      for (int x = 0; x < 12; ++x)
-        EXPECT_EQ(back.at(x, y, z), original.at(x, y, z)) << x << y << z;
-}
-
-TEST_F(StripedStoreTest, ReadBoxTouchesOnlyCoveredSlabs) {
-  field::DatasetDesc desc;
-  desc.dims = Dims{8, 8, 32};
-  desc.steps = 1;
-  const VolumeF original = field::generate(desc, 0);
-  field::StripedVolumeStore striped(dir_, 4, 8);
-  striped.write(0, original);
-
-  const field::Box box{{1, 2, 9}, {7, 8, 23}};  // spans slab units 1 and 2
-  const VolumeF part = striped.read_box(0, box);
-  ASSERT_EQ(part.dims(), box.dims());
-  for (int z = 0; z < part.dims().nz; ++z)
-    for (int y = 0; y < part.dims().ny; ++y)
-      for (int x = 0; x < part.dims().nx; ++x)
-        EXPECT_EQ(part.at(x, y, z),
-                  original.at(x + 1, y + 2, z + 9));
-}
-
-TEST_F(StripedStoreTest, StripeAssignmentRoundRobin) {
-  field::StripedVolumeStore striped(dir_, 3, 8);
-  EXPECT_EQ(striped.stripe_of(0), 0);
-  EXPECT_EQ(striped.stripe_of(7), 0);
-  EXPECT_EQ(striped.stripe_of(8), 1);
-  EXPECT_EQ(striped.stripe_of(16), 2);
-  EXPECT_EQ(striped.stripe_of(24), 0);
-}
-
-TEST_F(StripedStoreTest, InvalidArgumentsThrow) {
-  EXPECT_THROW(field::StripedVolumeStore(dir_, 0), std::invalid_argument);
-  field::StripedVolumeStore striped(dir_, 2);
-  EXPECT_THROW(striped.read(5), std::runtime_error);
-  striped.write(0, VolumeF(Dims{4, 4, 4}));
-  EXPECT_THROW(striped.read_box(0, field::Box{{0, 0, 0}, {5, 4, 4}}),
-               std::out_of_range);
-}
-
-TEST_F(StripedStoreTest, SessionThroughStripedStoreMatchesGenerated) {
-  core::SessionConfig cfg;
-  cfg.dataset = field::scaled(field::turbulent_jet_desc(), 6, 2);
-  cfg.processors = 4;
-  cfg.groups = 2;
-  cfg.image_width = cfg.image_height = 40;
-  cfg.codec = "raw";
-  cfg.keep_frames = true;
-
-  field::StripedVolumeStore striped(dir_, 3, 4);
-  striped.materialize(cfg.dataset);
-
-  const auto generated = core::run_session(cfg);
-  cfg.store_dir = dir_;
-  cfg.io_stripes = 3;
-  const auto from_disk = core::run_session(cfg);
-  ASSERT_EQ(generated.displayed.size(), from_disk.displayed.size());
-  for (std::size_t i = 0; i < generated.displayed.size(); ++i)
-    EXPECT_TRUE(std::isinf(
-        render::psnr(generated.displayed[i], from_disk.displayed[i])));
-}
 
 TEST(ParallelIoModel, MoreServersNeverSlower) {
   core::PipelineConfig cfg;

@@ -1,5 +1,5 @@
 // Tests for the volume substrate: volumes, decomposition, procedural
-// dataset generators, the on-disk store, and histograms.
+// dataset generators and the on-disk store.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,10 +11,8 @@
 
 #include "field/decompose.hpp"
 #include "field/generators.hpp"
-#include "field/histogram.hpp"
 #include "field/noise.hpp"
 #include "field/store.hpp"
-#include "field/striped.hpp"
 #include "field/volume.hpp"
 #include "util/vecmath.hpp"
 
@@ -585,7 +583,7 @@ TEST_F(StoreTest, ReadBoxMatchesFullRead) {
   store.write(0, field::generate(desc, 0));
   const VolumeF whole = store.read(0);
   const Box box{{2, 3, 1}, {9, 7, 6}};
-  const VolumeF part = store.read_box(0, box);
+  const VolumeF part = store.read_box(0, box, desc.dims);
   EXPECT_EQ(part.dims(), box.dims());
   for (int z = 0; z < part.dims().nz; ++z)
     for (int y = 0; y < part.dims().ny; ++y)
@@ -612,7 +610,44 @@ TEST_F(StoreTest, MissingStepThrows) {
 TEST_F(StoreTest, BoxOutsideVolumeThrows) {
   field::VolumeStore store(dir_);
   store.write(0, VolumeF(Dims{4, 4, 4}));
-  EXPECT_THROW(store.read_box(0, Box{{0, 0, 0}, {5, 4, 4}}), std::out_of_range);
+  EXPECT_THROW(store.read_box(0, Box{{0, 0, 0}, {5, 4, 4}}, Dims{4, 4, 4}),
+               std::out_of_range);
+}
+
+TEST_F(StoreTest, ReadBoxOfOtherDimsThrowsNamingBoth) {
+  // Regression: a box that fit inside a larger stored volume read a corner
+  // of it, so a store materialized at another scale played wrong frames.
+  field::VolumeStore store(dir_);
+  store.write(0, VolumeF(Dims{8, 6, 4}));
+  const Box box{{0, 0, 0}, {4, 4, 4}};
+  for (const Dims& expected : {Dims{4, 4, 4}, Dims{8, 6, 5}}) {
+    try {
+      (void)store.read_box(0, box, expected);
+      ADD_FAILURE() << "read a " << expected.nx << "x" << expected.ny << "x"
+                    << expected.nz << " box from an 8x6x4 store";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(store.path_for(0).string()), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("8x6x4"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(expected.nx) + "x" +
+                          std::to_string(expected.ny) + "x" +
+                          std::to_string(expected.nz)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST_F(StoreTest, ReadingMissingStoreCreatesNothing) {
+  // Regression: constructing a store created its directory, so playing from
+  // a mistyped --store left an empty directory behind. Only writing does.
+  const field::VolumeStore store(dir_);
+  EXPECT_FALSE(store.has(0));
+  EXPECT_THROW(store.read(0), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+  store.write(0, VolumeF(Dims{2, 2, 2}));
+  EXPECT_TRUE(store.has(0));
 }
 
 TEST_F(StoreTest, ReadBoxRunsMatchExtract) {
@@ -635,7 +670,8 @@ TEST_F(StoreTest, ReadBoxRunsMatchExtract) {
            Box{{0, 0, 4}, {12, 10, 4}},  // zero extent
            Box{{4, 4, 4}, {4, 6, 6}},    // zero extent
        })
-    EXPECT_TRUE(same_bits(store.read_box(0, box), whole.extract(box)))
+    EXPECT_TRUE(
+        same_bits(store.read_box(0, box, v.dims()), whole.extract(box)))
         << box.lo[0] << "," << box.lo[1] << "," << box.lo[2] << " - "
         << box.hi[0] << "," << box.hi[1] << "," << box.hi[2];
 }
@@ -664,58 +700,15 @@ TEST_F(StoreTest, CorruptHeaderThrowsRuntimeError) {
     store.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
     patch_words(store.path_for(0), 4, dims);
     EXPECT_THROW(store.read(0), std::runtime_error) << dims[0];
-    EXPECT_THROW(store.read_box(0, box), std::runtime_error) << dims[0];
+    EXPECT_THROW(store.read_box(0, box, Dims{8, 8, 8}), std::runtime_error)
+        << dims[0];
   }
-
-  // Striped: each stripe's header is {magic, nx, ny, nz, slab, units}, and
-  // its first unit starts with its z origin at byte 24. A zero slab height
-  // used to divide by zero; an origin past nz left voxels unread.
-  field::StripedVolumeStore striped(dir_ / "striped", 2, 4);
-  const auto stripe = [&](int k) {
-    return dir_ / "striped" / ("stripe_" + std::to_string(k)) / "step_0.slabs";
-  };
-  const auto expect_corrupt = [&](const char* what) {
-    EXPECT_THROW(striped.read(0), std::runtime_error) << what;
-    EXPECT_THROW(striped.read_box(0, box), std::runtime_error) << what;
-  };
-  striped.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
-  for (int k = 0; k < 2; ++k) patch_words(stripe(k), 4, patches[1]);
-  expect_corrupt("dims");
-  striped.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
-  patch_words(stripe(0), 12, {8, 0, 1});  // nz, slab 0, units
-  expect_corrupt("slab");
-  striped.write(0, VolumeF(Dims{8, 8, 8}, 0.5f));
-  patch_words(stripe(0), 16, {4, 1, 1000});  // slab, units, z origin 1000
-  expect_corrupt("unit origin");
 }
 
 TEST(DiskModel, ReadTimeIsAffine) {
   const field::DiskModel disk{0.01, 100e6};
   EXPECT_NEAR(disk.read_seconds(0), 0.01, 1e-12);
   EXPECT_NEAR(disk.read_seconds(100'000'000), 1.01, 1e-9);
-}
-
-// ----------------------------------------------------------- histogram ----
-
-TEST(Histogram, QuantilesAndFractions) {
-  field::Histogram h(10);
-  VolumeF v(Dims{10, 10, 1});
-  v.fill_from([](int x, int, int) { return static_cast<float>(x) / 10.0f; });
-  h.accumulate(v);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_NEAR(h.fraction_above(0.5), 0.5, 0.05);
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.1);
-  EXPECT_NEAR(h.fraction_above(0.0), 1.0, 1e-12);
-}
-
-TEST(Histogram, ClampsOutOfRangeValues) {
-  field::Histogram h(4);
-  VolumeF v(Dims{2, 1, 1});
-  v.at(0, 0, 0) = -1.0f;
-  v.at(1, 0, 0) = 2.0f;
-  h.accumulate(v);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 1u);
 }
 
 }  // namespace

@@ -163,6 +163,32 @@ TEST(Session, StoreBackedInputMatchesGenerated) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Session, StoreOfOtherDimsThrows) {
+  // Regression: a store materialized at another scale played without
+  // complaint when it was larger: each rank read a corner of the stored
+  // volume, so every frame was wrong.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tvviz_session_dims_" + std::to_string(::getpid()));
+  SessionConfig cfg = small_config();
+  cfg.dataset.steps = 2;
+  cfg.store_dir = dir;
+  for (int scale : {3, 12}) {
+    std::filesystem::remove_all(dir);
+    field::VolumeStore(dir).materialize(
+        field::scaled(field::turbulent_jet_desc(), scale, 2));
+    EXPECT_THROW(core::run_session(cfg), std::runtime_error) << scale;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Session, WaitForStoreRequiresStoreDir) {
+  // Regression: with no store there is nothing to wait for, and the option
+  // was silently ignored (tvviz play --follow played generated input).
+  SessionConfig cfg = small_config();
+  cfg.wait_for_store = true;
+  EXPECT_THROW(core::run_session(cfg), std::invalid_argument);
+}
+
 TEST(Session, ControlEventChangesLaterFramesOnly) {
   SessionConfig cfg = small_config();
   cfg.codec = "raw";

@@ -1,5 +1,5 @@
-// Unit tests for src/util: PRNG, statistics, byte/bit serialization, flag
-// parsing and 3D math.
+// Unit tests for src/util: PRNG, byte/bit serialization, flag parsing and
+// 3D math.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,6 @@
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/shared_bytes.hpp"
-#include "util/stats.hpp"
 #include "util/vecmath.hpp"
 
 namespace tvviz {
@@ -87,10 +86,16 @@ TEST(Rng, BetweenInclusive) {
 
 TEST(Rng, NormalHasZeroMeanUnitVariance) {
   Rng rng(17);
-  util::RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(rng.normal());
-  EXPECT_NEAR(stats.mean(), 0.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.05);
+  constexpr int kDraws = 20000;
+  std::vector<double> xs(kDraws);
+  for (double& x : xs) x = rng.normal();
+  double mean = 0.0;
+  for (double x : xs) mean += x;
+  mean /= kDraws;
+  double squares = 0.0;
+  for (double x : xs) squares += (x - mean) * (x - mean);
+  EXPECT_NEAR(mean, 0.0, 0.05);
+  EXPECT_NEAR(std::sqrt(squares / (kDraws - 1)), 1.0, 0.05);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
@@ -99,37 +104,6 @@ TEST(Rng, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (a() == b()) ? 1 : 0;
   EXPECT_LT(same, 2);
-}
-
-// -------------------------------------------------------------- stats ----
-
-TEST(RunningStats, BasicMoments) {
-  util::RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  util::RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  std::vector<double> xs = {10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(util::percentile(xs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(util::percentile(xs, 100), 40.0);
-  EXPECT_DOUBLE_EQ(util::percentile(xs, 50), 25.0);
-}
-
-TEST(Percentile, EmptyReturnsZero) {
-  EXPECT_EQ(util::percentile({}, 50), 0.0);
 }
 
 // -------------------------------------------------------------- bytes ----
@@ -277,6 +251,41 @@ TEST(Flags, JunkNumbersThrowNamingTheFlag) {
   EXPECT_EQ(flags.get_int("neg", 0), -3);
   EXPECT_DOUBLE_EQ(flags.get_double("neg", 0.0), -3.0);
   EXPECT_DOUBLE_EQ(flags.get_double("exp", 0.0), 2000.0);
+}
+
+TEST(Flags, RejectsUnknownBoolAndChoice) {
+  // Regression: any word other than 1/true/yes/on read as false, so
+  // "--tcp=ture" quietly ran in process, and a mistyped choice fell through
+  // to the default the same way.
+  const char* argv[] = {"prog",      "--tcp=ture",    "--mode=pices",
+                        "--on=yes",  "--off=off",     "--pick=pieces",
+                        "--empty="};
+  util::Flags flags(7, argv);
+  const std::vector<std::string> modes = {"assembled", "pieces"};
+  const auto error_of = [](const auto& read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string bad_bool =
+      error_of([&] { (void)flags.get_bool("tcp", false); });
+  EXPECT_NE(bad_bool.find("--tcp"), std::string::npos) << bad_bool;
+  const std::string bad_choice =
+      error_of([&] { (void)flags.get_choice("mode", "assembled", modes); });
+  EXPECT_NE(bad_choice.find("--mode"), std::string::npos) << bad_choice;
+  EXPECT_NE(bad_choice.find("assembled|pieces"), std::string::npos)
+      << bad_choice;
+
+  EXPECT_TRUE(flags.get_bool("on", false));
+  EXPECT_FALSE(flags.get_bool("off", true));
+  EXPECT_EQ(flags.get_choice("pick", "assembled", modes), "pieces");
+  // Absent or empty falls back, as for numbers.
+  EXPECT_EQ(flags.get_choice("absent", "assembled", modes), "assembled");
+  EXPECT_EQ(flags.get_choice("empty", "assembled", modes), "assembled");
+  EXPECT_TRUE(flags.get_bool("empty", true));
 }
 
 TEST(Flags, TracksUnusedFlags) {

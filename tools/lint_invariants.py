@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant linter: checks the contracts the compiler can't.
 
-Five checks, each a build-breaking invariant of this repository:
+Six checks, each a build-breaking invariant of this repository:
 
 1. counter-registry  Every metric name passed to ``obs::counter()`` /
                      ``obs::gauge()`` in ``src/`` must appear in the
@@ -47,6 +47,14 @@ Five checks, each a build-breaking invariant of this repository:
                      (``TVVIZ_SIMD=scalar``); a stray intrinsic call site
                      silently escapes both the parity tests and the
                      dispatch override.
+
+6. test-only-header  Every header under ``src/`` must be included by at
+                     least one file under ``src/``, ``tools/``, ``bench/``,
+                     ``examples/`` or ``perfbench/`` other than its own
+                     ``.cpp``.  A header that only its tests include is
+                     code nothing runs: the tests keep it compiling while
+                     its comments drift from the truth.  Delete it with its
+                     tests, or call it.
 
 Run directly (``tools/lint_invariants.py [--repo PATH]``) or via ctest /
 CI, where it is registered as the ``lint_invariants`` test.  Exit status is
@@ -359,6 +367,36 @@ def check_simd_intrinsics(repo: pathlib.Path, out: Violations) -> None:
 
 
 # --------------------------------------------------------------------------
+# Check 6: every src/ header has a caller outside the tests
+
+INCLUDE = re.compile(r'#\s*include\s*"([^"]+)"')
+CALLER_DIRS = ("src", "tools", "bench", "examples", "perfbench")
+
+
+def check_test_only_headers(repo: pathlib.Path, out: Violations) -> None:
+    src = repo / "src"
+    includers = {}  # "field/store.hpp" -> files that include it
+    for top in CALLER_DIRS:
+        if not (repo / top).is_dir():
+            continue
+        for path in source_files(repo / top):
+            text = strip_comments(path.read_text(encoding="utf-8"))
+            for name in INCLUDE.findall(text):
+                includers.setdefault(name, set()).add(path)
+    for header in source_files(src):
+        if header.suffix not in (".hpp", ".h"):
+            continue
+        own_cpp = header.with_suffix(".cpp")
+        name = header.relative_to(src).as_posix()
+        if not includers.get(name, set()) - {own_cpp}:
+            out.report(
+                str(header.relative_to(repo)),
+                "included only by tests (or by nothing but its own .cpp) — "
+                "delete it with its tests, or call it from the program",
+            )
+
+
+# --------------------------------------------------------------------------
 
 
 def main() -> int:
@@ -380,7 +418,7 @@ def main() -> int:
     classes_failed = 0
     for check in (check_counter_registry, check_raw_mutex,
                   check_fault_wall_clock, check_fnv_constants,
-                  check_simd_intrinsics):
+                  check_simd_intrinsics, check_test_only_headers):
         check(repo, out)
         if out.count > before:
             classes_failed += 1
@@ -394,8 +432,8 @@ def main() -> int:
         )
         return 1
     print("lint_invariants: counter registry, mutex wrappers, fault "
-          "determinism, hash canonicalization, and SIMD intrinsic "
-          "containment all clean")
+          "determinism, hash canonicalization, SIMD intrinsic "
+          "containment, and header callers all clean")
     return 0
 
 

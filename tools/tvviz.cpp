@@ -4,7 +4,8 @@
 // planning previews and comparing codecs.
 //
 //   tvviz info
-//   tvviz materialize --dataset jet --scale 4 --steps 16 --dir data [--stripes 4]
+//   tvviz materialize --dataset jet --scale 4 --steps 16 --dir data
+//                     [--delta [--quantize] [--key-interval 16]]
 //   tvviz render      --dataset jet --step 75 --size 256 --out jet.ppm
 //                     [--renderer shearwarp] [--azimuth 0.6] [--elevation 0.35]
 //   tvviz play        --dataset jet --processors 6 --groups 2 --steps 8
@@ -30,7 +31,6 @@
 #include "field/preview.hpp"
 #include "field/store.hpp"
 #include "field/delta_store.hpp"
-#include "field/striped.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "relay/relay.hpp"
@@ -60,19 +60,13 @@ void reject_unused(const util::Flags& flags) {
 }
 
 field::DatasetDesc dataset_from_flags(const util::Flags& flags) {
-  const std::string name = flags.get("dataset", "jet");
+  const std::string name =
+      flags.get_choice("dataset", "jet", {"jet", "vortex", "mixing"});
   const int scale = static_cast<int>(flags.get_int("scale", 1));
   const int steps = static_cast<int>(flags.get_int("steps", 0));
-  field::DatasetDesc desc;
-  if (name == "jet")
-    desc = field::turbulent_jet_desc();
-  else if (name == "vortex")
-    desc = field::turbulent_vortex_desc();
-  else if (name == "mixing")
-    desc = field::shock_mixing_desc();
-  else
-    throw std::invalid_argument("unknown dataset '" + name +
-                                "' (jet|vortex|mixing)");
+  field::DatasetDesc desc = name == "vortex" ? field::turbulent_vortex_desc()
+                            : name == "mixing" ? field::shock_mixing_desc()
+                                               : field::turbulent_jet_desc();
   if (scale > 1 || steps > 0)
     desc = field::scaled(desc, std::max(1, scale),
                          steps > 0 ? steps : desc.steps);
@@ -113,10 +107,11 @@ int cmd_info(const util::Flags& flags) {
 int cmd_materialize(const util::Flags& flags) {
   const auto desc = dataset_from_flags(flags);
   const std::filesystem::path dir = flags.get("dir", "data");
-  const int stripes = static_cast<int>(flags.get_int("stripes", 0));
   const bool delta = flags.get_bool("delta", false);
   const bool quantize = flags.get_bool("quantize", false);
   const int key_interval = static_cast<int>(flags.get_int("key-interval", 16));
+  if (!delta && (flags.has("quantize") || flags.has("key-interval")))
+    throw UsageError("--quantize and --key-interval need --delta");
   reject_unused(flags);
   util::WallTimer timer;
   std::size_t bytes = 0;
@@ -132,13 +127,8 @@ int cmd_materialize(const util::Flags& flags) {
              ", " + std::to_string(static_cast<int>(
                         100.0 * (1.0 - static_cast<double>(stored) / raw))) +
              "% smaller)";
-  } else if (stripes > 0) {
-    field::StripedVolumeStore store(dir, stripes);
-    bytes = store.materialize(desc);
-    layout = std::to_string(stripes) + " stripes";
   } else {
-    field::VolumeStore store(dir);
-    bytes = store.materialize(desc);
+    bytes = field::VolumeStore(dir).materialize(desc);
   }
   std::printf("materialized %s: %d steps, %.1f MB (%s) -> %s in %.1f s\n",
               field::dataset_name(desc.kind), desc.steps,
@@ -152,7 +142,8 @@ int cmd_render(const util::Flags& flags) {
   const int step = static_cast<int>(flags.get_int("step", desc.steps / 2));
   const int size = static_cast<int>(flags.get_int("size", 256));
   const std::string out = flags.get("out", "frame.ppm");
-  const std::string renderer = flags.get("renderer", "raycast");
+  const std::string renderer =
+      flags.get_choice("renderer", "raycast", {"raycast", "shearwarp"});
   const render::Camera camera(size, size, flags.get_double("azimuth", 0.6),
                               flags.get_double("elevation", 0.35),
                               flags.get_double("zoom", 1.0));
@@ -204,13 +195,14 @@ int cmd_play(const util::Flags& flags) {
                      : "fire";
   cfg.azimuth_per_step = flags.get_double("spin", 0.0);
   if (flags.has("store")) cfg.store_dir = flags.get("store", "data");
-  cfg.io_stripes = static_cast<int>(flags.get_int("stripes", 0));
   cfg.wait_for_store = flags.get_bool("follow", false);
   cfg.use_tcp = flags.get_bool("tcp", false);
   cfg.load_balanced = flags.get_bool("balance", false);
-  if (flags.get("compression", "") == "pieces")
+  const std::string compression = flags.get_choice(
+      "compression", "assembled", {"assembled", "pieces", "collective"});
+  if (compression == "pieces")
     cfg.compression = core::SessionConfig::Compression::kParallelPieces;
-  if (flags.get("compression", "") == "collective")
+  if (compression == "collective")
     cfg.compression = core::SessionConfig::Compression::kCollective;
   const bool save = flags.has("outdir");
   const std::filesystem::path outdir = flags.get("outdir", "frames");
@@ -332,7 +324,7 @@ int cmd_sweep(const util::Flags& flags) {
   cfg.steps_limit = static_cast<int>(flags.get_int("sim-steps", 128));
   cfg.image_width = cfg.image_height =
       static_cast<int>(flags.get_int("size", 256));
-  cfg.costs = flags.get("machine", "rwcp") == "o2k"
+  cfg.costs = flags.get_choice("machine", "rwcp", {"rwcp", "o2k"}) == "o2k"
                   ? core::StageCosts::o2k_paper()
                   : core::StageCosts::rwcp_paper();
   cfg.codec = core::CodecProfile::paper(flags.get("codec", "jpeg+lzo"));
@@ -413,7 +405,7 @@ void usage() {
       "usage: tvviz <command> [--flags]\n"
       "commands:\n"
       "  info          list datasets, codecs and machine profiles\n"
-      "  materialize   write a dataset's time steps to a (striped) store\n"
+      "  materialize   write a dataset's time steps to a store\n"
       "  render        render one time step to a PPM\n"
       "  play          run the full remote pipeline and report §3 metrics\n"
       "  hub           play through the multi-client hub: --clients N,\n"

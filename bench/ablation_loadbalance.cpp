@@ -42,8 +42,8 @@ GroupRun run_group(const field::DatasetDesc& desc, const field::VolumeF&,
     const double s = t.seconds();
     out.max_seconds = std::max(out.max_seconds, s);
     out.sum_seconds += s;
-    out.max_samples = std::max(out.max_samples, caster.last_sample_count());
-    out.sum_samples += caster.last_sample_count();
+    out.max_samples = std::max(out.max_samples, caster.last_counts().samples);
+    out.sum_samples += caster.last_counts().samples;
   }
   return out;
 }

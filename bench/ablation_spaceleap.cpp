@@ -1,6 +1,7 @@
 // Ablation (§7.1 preprocessing "hints to the renderer"): min-max block
-// space leaping in the ray caster. Real measurement: samples evaluated and
-// wall time per frame with and without leaping, across the three datasets.
+// space leaping in the ray caster. Real measurement: wall time, samples
+// evaluated, rays marched and leaps taken per frame, with and without
+// leaping, across the three datasets.
 // The image is bit-identical either way (skipped blocks classify to zero
 // opacity); only the cost changes — and it changes most for sparse data.
 #include <cstdio>
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Ablation — min-max space leaping in the ray caster (§7.1)",
-      "per-frame samples and wall time, with/without leaping");
+      "per-frame wall time, samples, rays and leaps, with/without leaping");
 
   struct Case {
     field::DatasetKind kind;
@@ -29,8 +30,9 @@ int main(int argc, char** argv) {
                         {field::DatasetKind::kTurbulentVortex, 1},
                         {field::DatasetKind::kShockMixing, 4}};
 
-  std::printf("%-18s %-12s %-14s %-14s %-10s %-10s\n", "dataset", "coverage",
-              "plain", "leaping", "samples", "identical");
+  std::printf("%-18s %9s | %-9s %9s %7s | %-9s %9s %7s %7s | %s\n",
+              "dataset", "coverage", "plain", "samples", "rays", "leaping",
+              "samples", "rays", "leaps", "identical");
   for (const auto& c : cases) {
     field::DatasetDesc desc;
     switch (c.kind) {
@@ -52,19 +54,18 @@ int main(int argc, char** argv) {
     util::WallTimer t_plain;
     const auto plain = caster.render_full(volume, camera, tf, false);
     const double plain_s = t_plain.seconds();
-    const auto samples_plain = caster.last_sample_count();
+    const render::RenderCounts counts_plain = caster.last_counts();
 
     util::WallTimer t_leap;
     const auto leap = caster.render_full(volume, camera, tf, true);
     const double leap_s = t_leap.seconds();
-    const auto samples_leap = caster.last_sample_count();
+    const render::RenderCounts counts_leap = caster.last_counts();
 
-    std::printf("%-18s %10.1f%% %-14s %-14s %9.2fx %-10s\n",
+    std::printf("%-18s %8.1f%% | %-9s %9zu %7zu | %-9s %9zu %7zu %7zu | %s\n",
                 field::dataset_name(c.kind), 100.0 * volume.coverage(0.1f),
-                bench::fmt_seconds(plain_s).c_str(),
-                bench::fmt_seconds(leap_s).c_str(),
-                static_cast<double>(samples_plain) /
-                    static_cast<double>(std::max<std::size_t>(1, samples_leap)),
+                bench::fmt_seconds(plain_s).c_str(), counts_plain.samples,
+                counts_plain.rays, bench::fmt_seconds(leap_s).c_str(),
+                counts_leap.samples, counts_leap.rays, counts_leap.leaps,
                 plain == leap ? "yes" : "NO");
   }
   std::printf(

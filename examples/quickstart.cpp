@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   util::WallTimer t_render;
   const render::Image frame = caster.render_full(volume, camera, tf);
   std::printf("rendered %dx%d in %.2f s (%zu samples)\n", size, size,
-              t_render.seconds(), caster.last_sample_count());
+              t_render.seconds(), caster.last_counts().samples);
 
   // 3. Compress as the image-output stage would (JPEG + LZO second pass).
   const auto codec = codec::make_image_codec("jpeg+lzo", 75);

@@ -17,7 +17,10 @@ class MinMaxGrid {
  public:
   /// Summarize `volume` with blocks of `block_size` voxels per axis.
   /// Each block's range covers the block plus a one-voxel border, so any
-  /// trilinear sample whose support touches the block is bounded.
+  /// trilinear sample whose support touches the block is bounded. Built in
+  /// one pass per axis; for finite voxels each range is bit-identical to a
+  /// raster scan of the block's window. Throws std::invalid_argument for a
+  /// block size below 2 or an empty volume.
   explicit MinMaxGrid(const VolumeF& volume, int block_size = 8);
 
   int block_size() const noexcept { return block_; }
@@ -29,13 +32,6 @@ class MinMaxGrid {
     return ranges_[index(bx, by, bz)];
   }
 
-  /// Value range of the block containing voxel coordinates (x, y, z)
-  /// (clamped into the volume).
-  std::pair<float, float> range_at(double x, double y, double z) const;
-
-  /// Block index containing voxel coordinate v along one axis.
-  int block_of(double v, int axis) const;
-
  private:
   std::size_t index(int bx, int by, int bz) const {
     return (static_cast<std::size_t>(bz) * grid_.ny +
@@ -44,7 +40,6 @@ class MinMaxGrid {
   }
 
   int block_;
-  Dims vol_dims_;
   Dims grid_;
   std::vector<std::pair<float, float>> ranges_;
 };

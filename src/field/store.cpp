@@ -1,5 +1,7 @@
 #include "field/store.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -88,13 +90,27 @@ Dims read_header(std::ifstream& in, const std::filesystem::path& path) {
   return dims;
 }
 
-/// Read `count` floats at voxel index `voxel` of the stored volume into `dst`.
+/// Read `count` floats at voxel index `voxel` of the stored volume (dims
+/// `dims`) into `dst`. Every one must be finite: a NaN or infinite voxel
+/// would reach the ray caster's float-to-index conversions, so it is an
+/// error naming the file and the voxel.
 void read_voxels(std::ifstream& in, const std::filesystem::path& path,
-                 std::size_t voxel, float* dst, std::size_t count) {
+                 const Dims& dims, std::size_t voxel, float* dst,
+                 std::size_t count) {
   in.seekg(static_cast<std::streamoff>(sizeof(Header) + voxel * sizeof(float)));
   in.read(reinterpret_cast<char*>(dst),
           static_cast<std::streamsize>(count * sizeof(float)));
   if (!in) throw std::runtime_error("VolumeStore: truncated " + path.string());
+  const float* bad = std::find_if_not(
+      dst, dst + count, [](float v) { return std::isfinite(v); });
+  if (bad == dst + count) return;
+  const std::size_t at = voxel + static_cast<std::size_t>(bad - dst);
+  const std::size_t row = static_cast<std::size_t>(dims.nx);
+  const std::size_t plane = row * static_cast<std::size_t>(dims.ny);
+  throw std::runtime_error(
+      "VolumeStore: non-finite voxel (" + std::to_string(at % row) + ", " +
+      std::to_string(at / row % dims.ny) + ", " + std::to_string(at / plane) +
+      ") in " + path.string());
 }
 
 std::string dims_text(const Dims& d) {
@@ -108,7 +124,7 @@ VolumeF VolumeStore::read(int step) const {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("VolumeStore: missing " + path.string());
   VolumeF vol(read_header(in, path));
-  read_voxels(in, path, 0, vol.data().data(), vol.voxels());
+  read_voxels(in, path, vol.dims(), 0, vol.data().data(), vol.voxels());
   return vol;
 }
 
@@ -143,7 +159,8 @@ VolumeF VolumeStore::read_box(int step, const Box& box,
     const std::size_t z = static_cast<std::size_t>(box.lo[2]) + r / bd.ny;
     const std::size_t voxel =
         (z * dims.ny + y) * dims.nx + static_cast<std::size_t>(box.lo[0]);
-    read_voxels(in, path, voxel, vol.data().data() + r * row, run_rows * row);
+    read_voxels(in, path, dims, voxel, vol.data().data() + r * row,
+                run_rows * row);
   }
   return vol;
 }

@@ -35,7 +35,8 @@ class VolumeStore {
   void write(int step, const VolumeF& volume) const;
 
   /// Load a whole time step. Throws std::runtime_error on a missing or
-  /// corrupt file, including one whose size does not match its header dims.
+  /// corrupt file, including one whose size does not match its header dims
+  /// or that holds a NaN or infinite voxel.
   VolumeF read(int step) const;
 
   /// Load only `box` of a time step whose volume must have dims `volume`,
@@ -43,8 +44,9 @@ class VolumeStore {
   /// into the result: the whole box when it spans x and y (as z-slab ghost
   /// boxes do), one plane per z when it spans x, otherwise one scanline per
   /// row. Throws std::runtime_error naming the file and both sizes when the
-  /// stored step has other dims, and std::out_of_range when `box` does not
-  /// fit in `volume`.
+  /// stored step has other dims, naming the file and the voxel when a voxel
+  /// of the box is NaN or infinite, and std::out_of_range when `box` does
+  /// not fit in `volume`.
   VolumeF read_box(int step, const Box& box, const Dims& volume) const;
 
   /// Materialize `desc` to disk (all steps). Returns total bytes written.

@@ -211,30 +211,40 @@ struct Pass {
   }
 
   Rgba march(const util::Ray& ray, double t0, double t1,
-             std::size_t& samples) const noexcept {
+             RenderCounts& counts) const noexcept {
     Rgba acc;  // premultiplied, front-to-back
     const double step = opt.step;
     // Opacity-weighted view depth (the 2.5D plane the warping viewer
     // reprojects): for the orthographic camera p.dot(view_dir) is
     // origin.dot(dir) + t.
     const double depth0 = ray.origin.dot(ray.direction);
+    // With a skipper, the block the last sample fell in: probed again only
+    // when a sample leaves its bounds. It starts out holding no point.
+    BlockVisibility::Block block;
     // Half-open [t0, t1): a sample landing exactly on a shared subvolume
     // plane belongs to the far box, so parallel renders tile the serial
     // result.
     for (double t = t0; t < t1; t += step) {
       const util::Vec3 p = ray.at(t);
       const util::Vec3 local{p.x - lo[0], p.y - lo[1], p.z - lo[2]};
-      if (skipper && skipper->invisible_at(local.x, local.y, local.z)) {
-        // Leap to this block's exit, then snap back onto the global sample
-        // grid: every skipped sample classifies to zero opacity, so the
-        // image is bit-identical with or without leaping.
-        const double t_exit = skipper->block_exit(local, ray.direction, t);
-        const double snapped = std::ceil(t_exit / step) * step;
-        t = std::max(snapped, t + step) - step;  // loop adds one step
-        continue;
+      if (skipper) {
+        if (!block.contains(local)) block = skipper->block_at(local);
+        if (block.radius > 0) {
+          // Leap out of the run of empty blocks around this one, then snap
+          // back onto the global sample grid: every skipped sample
+          // classifies to zero opacity, so the image is bit-identical with
+          // or without leaping.
+          const double t_exit =
+              skipper->run_exit(block, local, ray.direction, t);
+          ++counts.leaps;
+          if (std::isinf(t_exit)) break;  // the ray stays in the run
+          const double snapped = std::ceil(t_exit / step) * step;
+          t = std::max(snapped, t + step) - step;  // loop adds one step
+          continue;
+        }
       }
       const Cell c = cell(local.x, local.y, local.z);
-      ++samples;
+      ++counts.samples;
       const Classified s = classify(value(c));
       if (s.alpha <= 0.0) continue;
       double r = s.r, g = s.g, b = s.b;
@@ -293,7 +303,7 @@ PartialImage RayCaster::render(const Subvolume& sub,
                                const field::Dims& global_dims,
                                const Camera& camera,
                                const TransferFunction& tf) const {
-  samples_ = 0;
+  counts_ = {};
   const Camera::Basis view = camera.basis(global_dims);
   const field::Box& box = sub.render_box;
   const double box_lo[3] = {static_cast<double>(box.lo[0]),
@@ -356,7 +366,7 @@ PartialImage RayCaster::render(const Subvolume& sub,
         {e.r, e.g, e.b, 1.0 - std::pow(1.0 - e.alpha, options_.step)});
   pass.lut.push_back(pass.lut.back());
 
-  std::size_t samples = 0;
+  RenderCounts counts;
   for (int py = rect.y0; py < rect.y1; ++py) {
     for (int px = rect.x0; px < rect.x1; ++px) {
       const util::Ray ray = view.ray(px, py);
@@ -367,11 +377,12 @@ PartialImage RayCaster::render(const Subvolume& sub,
       // Snap the first sample to a global step grid so adjacent subvolumes
       // sample the same points and parallel == serial compositing holds.
       const double snapped = std::ceil(t0 / options_.step) * options_.step;
+      ++counts.rays;
       out.at(px - rect.x0, py - rect.y0) =
-          pass.march(ray, snapped, t1, samples);
+          pass.march(ray, snapped, t1, counts);
     }
   }
-  samples_ = samples;
+  counts_ = counts;
   return out;
 }
 

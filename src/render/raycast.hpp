@@ -42,6 +42,14 @@ struct Subvolume {
   }
 };
 
+/// What one render() evaluated, for cost models and benches. The counts
+/// repeat exactly for the same input.
+struct RenderCounts {
+  std::size_t samples = 0;  ///< Trilinear samples evaluated.
+  std::size_t rays = 0;     ///< Rays marched through the sample domain.
+  std::size_t leaps = 0;    ///< Leaps over runs of empty blocks.
+};
+
 struct RenderOptions {
   double step = 0.8;            ///< Ray-march step in voxel units.
   double early_termination = 0.98;  ///< Stop once accumulated alpha exceeds.
@@ -77,9 +85,8 @@ class RayCaster {
                     const TransferFunction& tf,
                     bool space_leaping = false) const;
 
-  /// Samples actually evaluated by the last render() call on this thread's
-  /// instance (for cost-model calibration).
-  std::size_t last_sample_count() const noexcept { return samples_; }
+  /// Counts of the last render() call on this instance.
+  RenderCounts last_counts() const noexcept { return counts_; }
 
  private:
   RenderOptions options_;
@@ -87,7 +94,7 @@ class RayCaster {
   /// specular * x^specular_exp on a uniform grid over x = n.h in [0, 1],
   /// plus a copy of the last entry so interpolation needs no bounds branch.
   std::vector<double> specular_;
-  mutable std::size_t samples_ = 0;
+  mutable RenderCounts counts_;
 };
 
 }  // namespace tvviz::render

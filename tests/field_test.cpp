@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -702,6 +703,43 @@ TEST_F(StoreTest, CorruptHeaderThrowsRuntimeError) {
     EXPECT_THROW(store.read(0), std::runtime_error) << dims[0];
     EXPECT_THROW(store.read_box(0, box, Dims{8, 8, 8}), std::runtime_error)
         << dims[0];
+  }
+}
+
+TEST_F(StoreTest, NonFiniteVoxelThrows) {
+  // Regression: a NaN or infinite voxel read from disk reached the ray
+  // caster, whose float-to-index conversion of it is undefined behaviour.
+  // Reads whose box holds the voxel name the file and the voxel; a box
+  // without it still reads.
+  field::VolumeStore store(dir_);
+  const Dims dims{12, 10, 8};
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    VolumeF v(dims, 0.25f);
+    v.at(7, 4, 5) = bad;
+    store.write(0, v);
+    for (const Box& box : {Box{{0, 0, 0}, {12, 10, 8}},   // whole, one run
+                           Box{{0, 0, 3}, {12, 10, 6}},   // one run
+                           Box{{0, 2, 5}, {12, 5, 6}},    // one run per plane
+                           Box{{6, 4, 4}, {9, 7, 7}}}) {  // one run per row
+      try {
+        (void)store.read_box(0, box, dims);
+        ADD_FAILURE() << "read_box read a non-finite voxel";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(store.path_for(0).string()), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("(7, 4, 5)"), std::string::npos) << what;
+      }
+    }
+    EXPECT_THROW(store.read(0), std::runtime_error);
+    const VolumeF part = store.read_box(0, Box{{0, 0, 0}, {12, 10, 5}}, dims);
+    EXPECT_EQ(part.dims(), (Dims{12, 10, 5}));
+    EXPECT_TRUE(same_bits(
+        store.read_box(0, Box{{8, 0, 0}, {12, 10, 8}}, dims),
+        v.extract(Box{{8, 0, 0}, {12, 10, 8}})));
   }
 }
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 
 #include "codec/depth_plane.hpp"
@@ -311,7 +312,7 @@ TEST(RayCaster, OverflowingZoomYieldsEmptyImageAndReturns) {
                                        Camera(32, 32, 0.6, 0.35, 1e-308),
                                        TransferFunction::fire());
   EXPECT_EQ(img, Image(32, 32));
-  EXPECT_EQ(caster.last_sample_count(), 0u);
+  EXPECT_EQ(caster.last_counts().samples, 0u);
 }
 
 TEST(RayCaster, ExtremeZoomStillRendersTheVolume) {
@@ -355,9 +356,9 @@ TEST(RayCaster, EarlyTerminationReducesWork) {
   const VolumeF vol = uniform_volume(0.9f, 24);
   const Camera cam(33, 33);
   (void)a.render(Subvolume::whole(vol), vol.dims(), cam, tf);
-  const auto samples_early = a.last_sample_count();
+  const auto samples_early = a.last_counts().samples;
   (void)b.render(Subvolume::whole(vol), vol.dims(), cam, tf);
-  const auto samples_full = b.last_sample_count();
+  const auto samples_full = b.last_counts().samples;
   EXPECT_LT(samples_early, samples_full / 2);
 }
 
@@ -512,6 +513,8 @@ TEST(RayCaster, AcceptsBoundaryOptions) {
 // recomputed per pixel, seven trilinear fetches per shaded sample (value
 // plus a six-tap central-difference gradient), std::pow for the opacity
 // correction and the specular term, the half-vector normalized per sample.
+// Its space leaping is frozen too (ReferenceVisibility), so the sample
+// counts compare against one probe per sample and one leap per block.
 
 util::Ray reference_ray_for(const Camera& cam, int px, int py,
                             const Dims& dims) {
@@ -559,21 +562,89 @@ bool reference_screen_bounds(const Box& box, const Dims& dims,
   return px0 < px1 && py0 < py1;
 }
 
+/// Space leaping as the ray caster first did it, frozen: each 8^3 block's
+/// value range from a scan of its window (the block plus a one-voxel
+/// border), one visibility bit per block, a probe at every sample
+/// (int(v) / 8, clamped to the grid) and a leap out of one block at a time.
+class ReferenceVisibility {
+ public:
+  ReferenceVisibility(const VolumeF& volume, const TransferFunction& tf) {
+    const Dims d = volume.dims();
+    grid_ = Dims{std::max(1, (d.nx + kBlock - 1) / kBlock),
+                 std::max(1, (d.ny + kBlock - 1) / kBlock),
+                 std::max(1, (d.nz + kBlock - 1) / kBlock)};
+    for (int bz = 0; bz < grid_.nz; ++bz)
+      for (int by = 0; by < grid_.ny; ++by)
+        for (int bx = 0; bx < grid_.nx; ++bx) {
+          const int x0 = std::max(0, bx * kBlock - 1);
+          const int y0 = std::max(0, by * kBlock - 1);
+          const int z0 = std::max(0, bz * kBlock - 1);
+          const int x1 = std::min(d.nx, (bx + 1) * kBlock + 1);
+          const int y1 = std::min(d.ny, (by + 1) * kBlock + 1);
+          const int z1 = std::min(d.nz, (bz + 1) * kBlock + 1);
+          float lo = volume.at(x0, y0, z0), hi = lo;
+          for (int z = z0; z < z1; ++z)
+            for (int y = y0; y < y1; ++y)
+              for (int x = x0; x < x1; ++x) {
+                const float v = volume.at(x, y, z);
+                lo = std::min(lo, v);
+                hi = std::max(hi, v);
+              }
+          visible_.push_back(tf.max_alpha_lut(lo, hi) > 0.0);
+        }
+  }
+
+  bool invisible_at(double x, double y, double z) const {
+    return !visible_[(static_cast<std::size_t>(block_of(z, grid_.nz)) *
+                          grid_.ny +
+                      static_cast<std::size_t>(block_of(y, grid_.ny))) *
+                         grid_.nx +
+                     static_cast<std::size_t>(block_of(x, grid_.nx))];
+  }
+
+  double block_exit(const util::Vec3& p, const util::Vec3& dir,
+                    double t) const {
+    const int b = kBlock;
+    const double coords[3] = {p.x, p.y, p.z};
+    const double d[3] = {dir.x, dir.y, dir.z};
+    double exit = 1e300;
+    for (int axis = 0; axis < 3; ++axis) {
+      if (std::abs(d[axis]) < 1e-12) continue;
+      const double block_lo = std::floor(coords[axis] / b) * b;
+      const double bound = d[axis] > 0 ? block_lo + b : block_lo;
+      const double dt = (bound - coords[axis]) / d[axis];
+      if (dt > 1e-9) exit = std::min(exit, dt);
+    }
+    return exit == 1e300 ? t + b : t + exit + 1e-6;
+  }
+
+ private:
+  static constexpr int kBlock = 8;
+
+  int block_of(double v, int extent) const {
+    return std::clamp(static_cast<int>(v) / kBlock, 0, extent - 1);
+  }
+
+  Dims grid_;
+  std::vector<bool> visible_;
+};
+
+/// `skipper` is null for a render without leaping.
 Rgba reference_march(const util::Ray& ray, double t0, double t1,
-                     const Subvolume& sub, const TransferFunction& tf,
-                     const RenderOptions& options, std::size_t& samples) {
+                     const Subvolume& sub, const ReferenceVisibility* skipper,
+                     const TransferFunction& tf, const RenderOptions& options,
+                     std::size_t& samples) {
   Rgba acc;
   const double step = options.step;
   const util::Vec3 light = options.light_dir.normalized();
   for (double t = t0; t < t1; t += step) {
     const util::Vec3 p = ray.at(t);
-    if (sub.skipper) {
+    if (skipper) {
       const util::Vec3 local{p.x - sub.storage_box.lo[0],
                              p.y - sub.storage_box.lo[1],
                              p.z - sub.storage_box.lo[2]};
-      if (sub.skipper->invisible_at(local.x, local.y, local.z)) {
-        const double t_exit =
-            sub.skipper->block_exit(local, ray.direction, t);
+      if (skipper->invisible_at(local.x, local.y, local.z)) {
+        const double t_exit = skipper->block_exit(local, ray.direction, t);
         const double snapped = std::ceil(t_exit / step) * step;
         t = std::max(snapped, t + step) - step;
         continue;
@@ -645,6 +716,8 @@ PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
   const int extent[3] = {global_dims.nx, global_dims.ny, global_dims.nz};
   for (int axis = 0; axis < 3; ++axis)
     if (domain.hi[axis] < extent[axis]) ++domain.hi[axis];
+  std::optional<ReferenceVisibility> skipper;
+  if (sub.skipper) skipper.emplace(sub.data, tf);
   for (int py = py0; py < py1; ++py) {
     for (int px = px0; px < px1; ++px) {
       const util::Ray ray = reference_ray_for(camera, px, py, global_dims);
@@ -654,7 +727,8 @@ PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
       if (t0 > t1) continue;
       const double snapped = std::ceil(t0 / options.step) * options.step;
       out.at(px - px0, py - py0) =
-          reference_march(ray, snapped, t1, sub, tf, options, samples);
+          reference_march(ray, snapped, t1, sub,
+                          skipper ? &*skipper : nullptr, tf, options, samples);
     }
   }
   return out;
@@ -701,7 +775,7 @@ void expect_matches_reference(const field::DatasetDesc& desc,
           const PartialImage ref =
               reference_render(sub, dims, cam, tf, opt, ref_samples);
           const PartialImage got = caster.render(sub, dims, cam, tf);
-          EXPECT_EQ(caster.last_sample_count(), ref_samples);
+          EXPECT_EQ(caster.last_counts().samples, ref_samples);
           if (leaping) {
             if (got.width() > 0 && got.height() > 0) {
               ASSERT_GE(got.x0(), ref.x0());

@@ -8,6 +8,7 @@
 
 #include "bench/common.hpp"
 #include "codec/image_codec.hpp"
+#include "codec/jpeg.hpp"
 #include "compositing/collective_compress.hpp"
 #include "util/flags.hpp"
 #include "util/timer.hpp"
@@ -74,9 +75,9 @@ int main(int argc, char** argv) {
                                                          size, size, 75);
       if (comm.rank() == 0) wire = std::move(encoded);
     });
+    const codec::JpegCodec jpeg(75);
     util::WallTimer timer;
-    for (int r = 0; r < repeats; ++r)
-      (void)compositing::collective_jpeg_decode(wire);
+    for (int r = 0; r < repeats; ++r) (void)jpeg.decode(wire);
     std::printf("%-18s %-10d %-14s %-14s  <- shared Huffman tables (§4.1)\n",
                 "collective", std::min(nodes, 16),
                 bench::fmt_bytes(static_cast<double>(wire.size())).c_str(),

@@ -15,9 +15,11 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x54504a32;  // "2JPT": strip-framed container
 
-/// Strips are multiples of 16 luma rows (except the last), so a 4:2:0
-/// chroma block row (8 chroma rows = 16 luma rows) never straddles strips
-/// and strip-count choice cannot change any decoded sample.
+/// JpegCodec cuts strips on multiples of 16 luma rows (except the last), so
+/// a 4:2:0 chroma block row (8 chroma rows = 16 luma rows) never straddles
+/// strips and the strip count cannot change any decoded sample. The
+/// container allows strips on any row: each decodes as its own image.
+/// Pass 1 also streams every strip in groups of this many rows.
 constexpr int kStripAlign = 16;
 
 // ITU-T T.81 Annex K quantization tables (quality 50 reference).
@@ -131,11 +133,6 @@ float Plane::at(int x, int y) const {
 
 namespace {
 
-/// Color-convert image rows [y0, y0+rows) into strip-local planes using the
-/// dispatched float kernels. The 2x2 chroma average stays shared scalar
-/// code (float accumulation, fixed order) so every ISA tier agrees; with
-/// 16-row-aligned strips the cells never straddle strips, so the result is
-/// also independent of the strip layout.
 /// Scalar 2x2 average for cells clipped by the right/bottom edge. The
 /// interior takes the simd::avg2x2 kernel; n == 4 cells agree with it
 /// because /4 and *0.25f are the same exact scale.
@@ -212,14 +209,6 @@ void convert_rows_into(const render::Image& img, bool subsample, int y0,
   }
 }
 
-Planes convert_rows(const render::Image& img, bool subsample, int y0,
-                    int rows) {
-  Planes p;
-  std::vector<float> cb, cr;
-  convert_rows_into(img, subsample, y0, rows, p, cb, cr);
-  return p;
-}
-
 /// Gather one 8x8 block, replicating edge samples like Plane::at; interior
 /// blocks take the contiguous memcpy path.
 void extract_block(const Plane& p, int bx, int by, float out[64]) {
@@ -256,7 +245,10 @@ void quantize_block_rows(const Plane& plane, const float quant_nat[64],
 }  // namespace
 
 Planes to_planes(const render::Image& img, bool subsample) {
-  return convert_rows(img, subsample, 0, img.height());
+  Planes p;
+  std::vector<float> cb, cr;
+  convert_rows_into(img, subsample, 0, img.height(), p, cb, cr);
+  return p;
 }
 
 render::Image from_planes(const Planes& p, bool subsample) {
@@ -501,6 +493,76 @@ void transform_append(const Plane& plane, const float quant_nat[64],
     }
 }
 
+void tokenize_strip(const render::Image& image, int row0, bool subsample,
+                    const QuantTables& tables, StripJob& job) {
+  const float* quants[3] = {tables.luma_nat, tables.chroma_nat,
+                            tables.chroma_nat};
+  // Stream 16-row groups through convert -> DCT -> quantize -> tokenize so
+  // every intermediate stays cache-resident — no full-strip planes, no
+  // materialized coefficient arrays. Group boundaries are block-aligned
+  // (16 luma = 2 block rows, 8 chroma = 1), so the token sequence is
+  // identical to a whole-strip transform; the DC predictors thread across
+  // groups per plane and restart per strip.
+  Planes p;
+  std::vector<float> cb_tmp, cr_tmp;
+  int prev_dc[3] = {0, 0, 0};
+  for (int r0 = 0; r0 < job.h; r0 += kStripAlign) {
+    const int rows = std::min(kStripAlign, job.h - r0);
+    convert_rows_into(image, subsample, row0 + r0, rows, p, cb_tmp, cr_tmp);
+    const Plane* planes[3] = {&p.y, &p.cb, &p.cr};
+    for (int c = 0; c < 3; ++c)
+      transform_append(*planes[c], quants[c], prev_dc[c], job.streams[c]);
+  }
+  for (int c = 0; c < 3; ++c)
+    accumulate_frequencies(job.streams[c], job.dc_freq, job.ac_freq);
+}
+
+void emit_strip(StripJob& job, const HuffmanCode& dc, const HuffmanCode& ac) {
+  util::BitWriter bits;
+  for (const auto& stream : job.streams) emit_stream(bits, stream, dc, ac);
+  job.payload = bits.finish();
+}
+
+util::Bytes assemble_container(int w, int h, int quality, bool subsample,
+                               const QuantTables& tables,
+                               const HuffmanCode& dc, const HuffmanCode& ac,
+                               const std::vector<StripJob>& strips,
+                               util::BufferPool* pool) {
+  util::ByteWriter head(640);
+  head.u32(kMagic);
+  head.u32(static_cast<std::uint32_t>(w));
+  head.u32(static_cast<std::uint32_t>(h));
+  head.u8(static_cast<std::uint8_t>(quality));
+  head.u8(subsample ? 1 : 0);
+  for (int i = 0; i < 64; ++i) head.u16(tables.luma_zz[i]);
+  for (int i = 0; i < 64; ++i) head.u16(tables.chroma_zz[i]);
+  dc.write_lengths(head);
+  ac.write_lengths(head);
+  head.u32(static_cast<std::uint32_t>(strips.size()));
+  const util::Bytes head_bytes = head.take();
+
+  // Sizes are exact, so the output (pooled or not) is written once with no
+  // reallocation.
+  std::size_t total = head_bytes.size();
+  for (const StripJob& j : strips)
+    total += 8 + util::varint_size(j.payload.size()) + j.payload.size();
+
+  util::Bytes backing;
+  if (pool)
+    backing = pool->acquire(total);
+  else
+    backing.reserve(total);
+  util::ByteWriter out(std::move(backing));
+  out.raw(head_bytes);
+  for (const StripJob& j : strips) {
+    out.u32(static_cast<std::uint32_t>(j.y0));
+    out.u32(static_cast<std::uint32_t>(j.h));
+    out.varint(j.payload.size());
+    out.raw(j.payload);
+  }
+  return out.take();
+}
+
 std::vector<std::array<int, 64>> decode_blocks(util::BitReader& bits,
                                                std::size_t count,
                                                const HuffmanCode& dc,
@@ -538,83 +600,27 @@ std::vector<std::array<int, 64>> decode_blocks(util::BitReader& bits,
 
 using detail::Plane;
 using detail::Planes;
-using detail::SymbolStream;
+using detail::StripJob;
 
 namespace {
 
-struct StripLayout {
-  int y0, h;
-};
-
-/// Split `h` rows into up to `strips` spans, every boundary a multiple of
+/// Split `h` rows into up to `strips` strips, every boundary a multiple of
 /// kStripAlign. The layout is a pure function of (h, strips).
-std::vector<StripLayout> strip_layout(int h, int strips) {
+std::vector<StripJob> strip_jobs(int h, int strips) {
   const int groups = (h + kStripAlign - 1) / kStripAlign;
-  if (groups <= 0) return {{0, 0}};
-  const int n = std::clamp(strips, 1, groups);
-  std::vector<StripLayout> out;
-  out.reserve(static_cast<std::size_t>(n));
+  const int n = groups <= 0 ? 1 : std::clamp(strips, 1, groups);
+  std::vector<StripJob> jobs(static_cast<std::size_t>(n));
+  if (groups <= 0) return jobs;  // one empty strip at row 0
   const int base = groups / n, extra = groups % n;
   int y = 0;
   for (int i = 0; i < n; ++i) {
     const int g = base + (i < extra ? 1 : 0);
     const int y1 = std::min(h, y + g * kStripAlign);
-    out.push_back({y, y1 - y});
+    jobs[static_cast<std::size_t>(i)].y0 = y;
+    jobs[static_cast<std::size_t>(i)].h = y1 - y;
     y = y1;
   }
-  return out;
-}
-
-/// Strip-local chroma height matching the encoder's convert_rows output.
-int chroma_rows(int luma_rows, bool subsample) {
-  return subsample ? (luma_rows + 1) / 2 : luma_rows;
-}
-
-/// One strip's pass-1 products and pass-2 payload.
-struct StripJob {
-  int y0 = 0, h = 0;
-  SymbolStream streams[3];
-  std::vector<std::uint64_t> dc_freq, ac_freq;
-  util::Bytes payload;
-};
-
-util::Bytes assemble_container(int w, int h, int quality, bool subsample,
-                               const detail::QuantTables& qt,
-                               const HuffmanCode& dc_code,
-                               const HuffmanCode& ac_code,
-                               const std::vector<StripJob>& jobs,
-                               util::BufferPool* pool) {
-  util::ByteWriter head(640);
-  head.u32(kMagic);
-  head.u32(static_cast<std::uint32_t>(w));
-  head.u32(static_cast<std::uint32_t>(h));
-  head.u8(static_cast<std::uint8_t>(quality));
-  head.u8(subsample ? 1 : 0);
-  for (int i = 0; i < 64; ++i) head.u16(qt.luma_zz[i]);
-  for (int i = 0; i < 64; ++i) head.u16(qt.chroma_zz[i]);
-  dc_code.write_lengths(head);
-  ac_code.write_lengths(head);
-  head.u32(static_cast<std::uint32_t>(jobs.size()));
-  const util::Bytes head_bytes = head.take();
-
-  std::size_t total = head_bytes.size();
-  for (const StripJob& j : jobs)
-    total += 8 + util::varint_size(j.payload.size()) + j.payload.size();
-
-  util::Bytes backing;
-  if (pool)
-    backing = pool->acquire(total);
-  else
-    backing.reserve(total);
-  util::ByteWriter out(std::move(backing));
-  out.raw(head_bytes);
-  for (const StripJob& j : jobs) {
-    out.u32(static_cast<std::uint32_t>(j.y0));
-    out.u32(static_cast<std::uint32_t>(j.h));
-    out.varint(j.payload.size());
-    out.raw(j.payload);
-  }
-  return out.take();
+  return jobs;
 }
 
 }  // namespace
@@ -631,39 +637,11 @@ util::Bytes JpegCodec::encode_impl(const render::Image& image,
                                    util::BufferPool* pool) const {
   TilePool& tiles = TilePool::global();
   const int want = strips_ > 0 ? strips_ : tiles.workers();
-  const std::vector<StripLayout> layout = strip_layout(image.height(), want);
+  std::vector<StripJob> jobs = strip_jobs(image.height(), want);
 
-  std::vector<StripJob> jobs(layout.size());
-  for (std::size_t i = 0; i < layout.size(); ++i) {
-    jobs[i].y0 = layout[i].y0;
-    jobs[i].h = layout[i].h;
-  }
-
-  const float* quants[3] = {tables_->luma_nat, tables_->chroma_nat,
-                            tables_->chroma_nat};
-
-  // Pass 1 (parallel per strip): stream 16-row groups through
-  // convert -> DCT -> quantize -> tokenize so every intermediate stays
-  // cache-resident — no full-strip planes, no materialized coefficient
-  // arrays. Group boundaries are block-aligned (16 luma = 2 block rows,
-  // 8 chroma = 1), so the token sequence is identical to a whole-strip
-  // transform; the DC predictors thread across groups per plane.
+  // Pass 1 (parallel per strip): tokens and symbol counts.
   tiles.run(jobs.size(), [&](std::size_t s) {
-    StripJob& j = jobs[s];
-    detail::Planes p;
-    std::vector<float> cb_tmp, cr_tmp;
-    int prev_dc[3] = {0, 0, 0};
-    for (int r0 = 0; r0 < j.h; r0 += kStripAlign) {
-      const int rows = std::min(kStripAlign, j.h - r0);
-      detail::convert_rows_into(image, subsample_, j.y0 + r0, rows, p, cb_tmp,
-                                cr_tmp);
-      const Plane* planes[3] = {&p.y, &p.cb, &p.cr};
-      for (int c = 0; c < 3; ++c)
-        detail::transform_append(*planes[c], quants[c], prev_dc[c],
-                                 j.streams[c]);
-    }
-    for (int c = 0; c < 3; ++c)
-      detail::accumulate_frequencies(j.streams[c], j.dc_freq, j.ac_freq);
+    detail::tokenize_strip(image, jobs[s].y0, subsample_, *tables_, jobs[s]);
   });
 
   // Merge statistics in strip order so the tables cover the whole frame and
@@ -679,17 +657,12 @@ util::Bytes JpegCodec::encode_impl(const render::Image& image,
   // Pass 2 (parallel per strip): entropy-code each strip's tokens with the
   // shared tables into its own byte-aligned payload.
   tiles.run(jobs.size(), [&](std::size_t s) {
-    util::BitWriter bits;
-    for (const auto& stream : jobs[s].streams)
-      detail::emit_stream(bits, stream, dc_code, ac_code);
-    jobs[s].payload = bits.finish();
+    detail::emit_strip(jobs[s], dc_code, ac_code);
   });
 
-  // Single stitch pass: sizes are exact, so the output (pooled or not) is
-  // written once with no reallocation.
-  return assemble_container(image.width(), image.height(), quality_,
-                            subsample_, *tables_, dc_code, ac_code, jobs,
-                            pool);
+  return detail::assemble_container(image.width(), image.height(), quality_,
+                                    subsample_, *tables_, dc_code, ac_code,
+                                    jobs, pool);
 }
 
 util::Bytes JpegCodec::encode(const render::Image& image) const {
@@ -772,15 +745,10 @@ util::Bytes JpegCodec::encode_reference(const render::Image& image) const {
   }
   const HuffmanCode dc_code = HuffmanCode::from_frequencies(dc_freq);
   const HuffmanCode ac_code = HuffmanCode::from_frequencies(ac_freq);
-
-  util::BitWriter bits;
-  for (const auto& stream : jobs[0].streams)
-    detail::emit_stream(bits, stream, dc_code, ac_code);
-  jobs[0].payload = bits.finish();
-
-  return assemble_container(image.width(), image.height(), quality_,
-                            subsample_, *tables_, dc_code, ac_code, jobs,
-                            nullptr);
+  detail::emit_strip(jobs[0], dc_code, ac_code);
+  return detail::assemble_container(image.width(), image.height(), quality_,
+                                    subsample_, *tables_, dc_code, ac_code,
+                                    jobs, nullptr);
 }
 
 namespace {
@@ -800,7 +768,6 @@ struct ParsedStream {
     std::span<const std::uint8_t> payload;
   };
   std::vector<Strip> strips;
-  int plane_w[3], plane_h[3];
 };
 
 ParsedStream parse_stream(std::span<const std::uint8_t> data) {
@@ -808,7 +775,7 @@ ParsedStream parse_stream(std::span<const std::uint8_t> data) {
   if (in.u32() != kMagic) throw std::runtime_error("jpeg: bad magic");
   const int w = static_cast<int>(in.u32());
   const int h = static_cast<int>(in.u32());
-  // The decoder allocates full planes before reading a single coefficient,
+  // The decoder allocates the frame before reading a single coefficient,
   // so dimensions must be sane first — corrupted headers would otherwise
   // drive multi-terabyte zero-fills instead of a clean throw.
   if (w < 0 || h < 0 || w > (1 << 16) || h > (1 << 16) ||
@@ -828,10 +795,10 @@ ParsedStream parse_stream(std::span<const std::uint8_t> data) {
   std::copy(std::begin(luma_q), std::end(luma_q), std::begin(s.luma_q));
   std::copy(std::begin(chroma_q), std::end(chroma_q), std::begin(s.chroma_q));
 
+  // At most one strip per row (one empty strip for an empty frame).
   const std::uint32_t strip_count = in.u32();
-  const int max_strips =
-      s.h <= 0 ? 1 : (s.h + kStripAlign - 1) / kStripAlign;
-  if (strip_count == 0 || strip_count > static_cast<std::uint32_t>(max_strips))
+  if (strip_count == 0 ||
+      strip_count > static_cast<std::uint32_t>(std::max(s.h, 1)))
     throw std::runtime_error("jpeg: implausible strip count");
 
   int next_y = 0;
@@ -842,81 +809,16 @@ ParsedStream parse_stream(std::span<const std::uint8_t> data) {
     strip.h = static_cast<int>(in.u32());
     const std::size_t payload_len = in.varint();
     strip.payload = in.raw(payload_len);
-    if (strip.y0 != next_y || strip.h < 0 || strip.y0 + strip.h > s.h ||
+    // Row order, contiguity and bounds; y0 == next_y <= s.h, so the
+    // subtraction cannot overflow.
+    if (strip.y0 != next_y || strip.h < 0 || strip.h > s.h - strip.y0 ||
         (strip.h == 0 && s.h != 0))
       throw std::runtime_error("jpeg: bad strip layout");
-    if (i + 1 < strip_count && strip.h % kStripAlign != 0)
-      throw std::runtime_error("jpeg: unaligned interior strip");
     next_y += strip.h;
     s.strips.push_back(strip);
   }
   if (next_y != s.h) throw std::runtime_error("jpeg: strip layout short");
-
-  const int cw = s.subsample ? (s.w + 1) / 2 : s.w;
-  const int ch = s.subsample ? (s.h + 1) / 2 : s.h;
-  s.plane_w[0] = s.w;
-  s.plane_h[0] = s.h;
-  s.plane_w[1] = s.plane_w[2] = cw;
-  s.plane_h[1] = s.plane_h[2] = ch;
   return s;
-}
-
-Plane dequantize_plane_scaled(const std::vector<std::array<int, 64>>& blocks,
-                              int w, int h, const std::uint16_t quant[64],
-                              int scale);
-
-/// Entropy-decode and dequantize one strip into the full-frame planes
-/// (disjoint row spans per strip, so strips decode in parallel).
-template <typename Dequant>
-void decode_strip_into(const ParsedStream& s, const ParsedStream::Strip& strip,
-                       Plane* outs[3], const std::uint16_t* quants[3],
-                       int scale, const Dequant& dequant) {
-  util::BitReader bits(strip.payload);
-  for (int c = 0; c < 3; ++c) {
-    const int pw = s.plane_w[c];
-    const int rows = c == 0 ? strip.h : chroma_rows(strip.h, s.subsample);
-    const int row0 = c == 0 ? strip.y0
-                            : (s.subsample ? strip.y0 / 2 : strip.y0);
-    const auto blocks = detail::decode_blocks(
-        bits, detail::block_count(pw, rows), s.dc_code, s.ac_code);
-    const Plane sp = dequant(blocks, pw, rows, quants[c]);
-    // sp covers this strip's rows at 1/scale resolution; splice them in.
-    const int dst_row0 = row0 / scale;
-    for (int r = 0; r < sp.h; ++r)
-      std::copy(sp.data.begin() + static_cast<std::ptrdiff_t>(r) * sp.w,
-                sp.data.begin() + static_cast<std::ptrdiff_t>(r + 1) * sp.w,
-                outs[c]->data.begin() +
-                    static_cast<std::ptrdiff_t>(dst_row0 + r) * sp.w);
-  }
-}
-
-render::Image decode_common(std::span<const std::uint8_t> data, int scale) {
-  const ParsedStream s = parse_stream(data);
-  const std::uint16_t* quants[3] = {s.luma_q, s.chroma_q, s.chroma_q};
-  Planes planes;
-  Plane* outs[3] = {&planes.y, &planes.cb, &planes.cr};
-  for (int c = 0; c < 3; ++c) {
-    outs[c]->w = (s.plane_w[c] + scale - 1) / scale;
-    outs[c]->h = (s.plane_h[c] + scale - 1) / scale;
-    outs[c]->data.assign(
-        static_cast<std::size_t>(outs[c]->w) * outs[c]->h, 0.0f);
-  }
-  TilePool::global().run(s.strips.size(), [&](std::size_t i) {
-    if (scale == 1)
-      decode_strip_into(s, s.strips[i], outs, quants, 1,
-                        [](const auto& blocks, int w, int h,
-                           const std::uint16_t* q) {
-                          return detail::dequantize_plane(blocks, w, h, q);
-                        });
-    else
-      decode_strip_into(s, s.strips[i], outs, quants, scale,
-                        [scale](const auto& blocks, int w, int h,
-                                const std::uint16_t* q) {
-                          return dequantize_plane_scaled(blocks, w, h, q,
-                                                         scale);
-                        });
-  });
-  return detail::from_planes(planes, s.subsample);
 }
 
 /// Orthonormal m-point DCT basis for the reduced-resolution inverse.
@@ -985,6 +887,57 @@ Plane dequantize_plane_scaled(const std::vector<std::array<int, 64>>& blocks,
   }
   return plane;
 }
+
+/// Entropy-decode one strip as its own image at 1/scale resolution: its
+/// own planes, dequantized and color-converted on their own.
+render::Image decode_strip(const ParsedStream& s,
+                           const ParsedStream::Strip& strip, int scale) {
+  util::BitReader bits(strip.payload);
+  const int cw = s.subsample ? (s.w + 1) / 2 : s.w;
+  const int ch = s.subsample ? (strip.h + 1) / 2 : strip.h;
+  const int plane_w[3] = {s.w, cw, cw};
+  const int plane_h[3] = {strip.h, ch, ch};
+  const std::uint16_t* quants[3] = {s.luma_q, s.chroma_q, s.chroma_q};
+  Planes planes;
+  Plane* outs[3] = {&planes.y, &planes.cb, &planes.cr};
+  for (int c = 0; c < 3; ++c) {
+    const auto blocks = detail::decode_blocks(
+        bits, detail::block_count(plane_w[c], plane_h[c]), s.dc_code,
+        s.ac_code);
+    *outs[c] = scale == 1 ? detail::dequantize_plane(blocks, plane_w[c],
+                                                     plane_h[c], quants[c])
+                          : dequantize_plane_scaled(blocks, plane_w[c],
+                                                    plane_h[c], quants[c],
+                                                    scale);
+  }
+  return detail::from_planes(planes, s.subsample);
+}
+
+/// One TilePool job per strip. Output row r shows frame row r * scale, so
+/// it belongs to the one strip holding that row, and the strips write
+/// disjoint rows. A strip starting on a multiple of 16 rows (every strip
+/// JpegCodec cuts) gives the pixels a whole-frame decode would.
+render::Image decode_common(std::span<const std::uint8_t> data, int scale) {
+  const ParsedStream s = parse_stream(data);
+  render::Image frame((s.w + scale - 1) / scale, (s.h + scale - 1) / scale);
+  const std::size_t row_bytes = static_cast<std::size_t>(frame.width()) * 4;
+  TilePool::global().run(s.strips.size(), [&](std::size_t i) {
+    const ParsedStream::Strip& strip = s.strips[i];
+    const render::Image rows = decode_strip(s, strip, scale);
+    const int r1 = (strip.y0 + strip.h + scale - 1) / scale;
+    for (int r = (strip.y0 + scale - 1) / scale; r < r1; ++r) {
+      const std::size_t local =
+          static_cast<std::size_t>((r * scale - strip.y0) / scale);
+      std::copy_n(rows.bytes().begin() +
+                      static_cast<std::ptrdiff_t>(local * row_bytes),
+                  row_bytes,
+                  frame.bytes().begin() +
+                      static_cast<std::ptrdiff_t>(r * row_bytes));
+    }
+  });
+  return frame;
+}
+
 }  // namespace
 
 render::Image JpegCodec::decode(std::span<const std::uint8_t> data) const {

@@ -15,7 +15,9 @@
 // independent. Different strip counts frame the container differently but
 // decode to the bit-identical image, and so do different SIMD tiers — the
 // scalar path stays selectable (TVVIZ_SIMD=scalar) for ablation and parity
-// testing.
+// testing. The container's strips may start on any row (collective frames,
+// compositing/collective_compress.hpp, cut them where binary swap did);
+// the decoder decodes each strip as its own image.
 #pragma once
 
 #include "codec/image_codec.hpp"

@@ -1,8 +1,9 @@
 // Internal building blocks of the JPEG-style codec, exposed so the
-// collective parallel-compression stage (§4.1) can share Huffman statistics
-// across ranks while each rank transforms and emits only its own strip.
-// Not a stable public API; prefer JpegCodec unless you are implementing a
-// new compression stage.
+// collective parallel-compression stage (§4.1) can run the strip engine's
+// two passes on each rank's band, merging Huffman statistics across ranks
+// instead of across pool threads, and so the motion codec can reuse the
+// transform. Not a stable public API; prefer JpegCodec unless you are
+// implementing a new compression stage.
 #pragma once
 
 #include <array>
@@ -11,6 +12,7 @@
 
 #include "codec/huffman.hpp"
 #include "render/image.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace tvviz::codec::detail {
 
@@ -106,5 +108,35 @@ inline std::size_t block_count(int w, int h) {
   return static_cast<std::size_t>((w + 7) / 8) *
          static_cast<std::size_t>((h + 7) / 8);
 }
+
+/// One strip of the strip-framed container: frame rows [y0, y0 + h), its
+/// pass-1 tokens and symbol counts, and its pass-2 payload. A strip is an
+/// independent image under the frame's shared tables: DC prediction
+/// restarts at its top row, so it may start on any row.
+struct StripJob {
+  int y0 = 0, h = 0;
+  SymbolStream streams[3];
+  std::vector<std::uint64_t> dc_freq, ac_freq;  ///< 16 and 256 entries.
+  util::Bytes payload;
+};
+
+/// Pass 1: stream rows [row0, row0 + job.h) of `image` in 16-row groups
+/// through convert -> DCT -> quantize -> tokenize into job.streams, then
+/// count the strip's symbols into job.dc_freq / job.ac_freq.
+void tokenize_strip(const render::Image& image, int row0, bool subsample,
+                    const QuantTables& tables, StripJob& job);
+
+/// Pass 2: entropy-code the strip's tokens into job.payload with the
+/// frame's shared tables (built from the summed counts of every strip).
+void emit_strip(StripJob& job, const HuffmanCode& dc, const HuffmanCode& ac);
+
+/// The strip-framed container JpegCodec::decode reads: header, tables,
+/// Huffman code lengths, then each strip's (y0, h, payload) in the given
+/// order, which must be row order. `pool` (nullable) supplies the buffer.
+util::Bytes assemble_container(int w, int h, int quality, bool subsample,
+                               const QuantTables& tables,
+                               const HuffmanCode& dc, const HuffmanCode& ac,
+                               const std::vector<StripJob>& strips,
+                               util::BufferPool* pool);
 
 }  // namespace tvviz::codec::detail

@@ -1,6 +1,8 @@
 #include "compositing/collective_compress.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "codec/huffman.hpp"
 #include "codec/jpeg_detail.hpp"
@@ -8,119 +10,88 @@
 namespace tvviz::compositing {
 
 namespace {
-constexpr std::uint32_t kMagic = 0x54504a43;  // "CJPT"
+
 constexpr bool kSubsample = true;
 
-std::vector<std::uint64_t> to_counts(const std::vector<double>& reduced) {
-  std::vector<std::uint64_t> counts(reduced.size());
-  for (std::size_t i = 0; i < reduced.size(); ++i)
-    counts[i] = static_cast<std::uint64_t>(reduced[i] + 0.5);
-  return counts;
-}
-
-/// Phases 1..4; `pool` selects where the root's assembly buffer comes from
-/// (nullptr = plain heap vector). Returns the encoded frame at rank 0, {}
-/// elsewhere.
+/// `pool` selects where the root's container comes from (nullptr = plain
+/// heap vector). Returns the encoded frame at rank 0, {} elsewhere.
 util::Bytes encode_impl(const vmp::Communicator& comm,
                         const render::Image& my_strip, int y0, int width,
                         int height, int quality, util::BufferPool* pool) {
   namespace jd = codec::detail;
   const jd::QuantTables& tables = jd::quant_tables_for(quality);
+  if (my_strip.height() > 0 && my_strip.width() != width)
+    throw std::invalid_argument(
+        "collective_jpeg_encode: band is " + std::to_string(my_strip.width()) +
+        " pixels wide, the frame " + std::to_string(width));
 
-  // Phase 1: local transform + tokenization (on the SIMD float kernels,
-  // block rows fanned out on the TilePool), local symbol statistics.
-  jd::SymbolStream streams[3];
-  std::vector<std::uint64_t> dc_freq(16, 0), ac_freq(256, 0);
-  const bool has_strip = my_strip.height() > 0 && my_strip.width() > 0;
-  if (has_strip) {
-    const jd::Planes planes = jd::to_planes(my_strip, kSubsample);
-    const jd::Plane* plane_ptrs[3] = {&planes.y, &planes.cb, &planes.cr};
-    const float* quants[3] = {tables.luma_nat, tables.chroma_nat,
-                              tables.chroma_nat};
-    for (int c = 0; c < 3; ++c) {
-      const auto blocks = jd::quantize_plane_fast(*plane_ptrs[c], quants[c]);
-      streams[c] = jd::tokenize(blocks);
-      jd::accumulate_frequencies(streams[c], dc_freq, ac_freq);
-    }
-  }
+  // 1. The strip engine's pass 1 over this rank's band, a strip at row y0.
+  jd::StripJob job;
+  job.y0 = y0;
+  job.h = my_strip.height();
+  jd::tokenize_strip(my_strip, 0, kSubsample, tables, job);
 
-  // Phase 2: combine statistics across the group (the collective part).
-  std::vector<double> combined(16 + 256, 0.0);
-  for (int i = 0; i < 16; ++i) combined[static_cast<std::size_t>(i)] =
-      static_cast<double>(dc_freq[static_cast<std::size_t>(i)]);
-  for (int i = 0; i < 256; ++i)
-    combined[static_cast<std::size_t>(16 + i)] =
-        static_cast<double>(ac_freq[static_cast<std::size_t>(i)]);
-  combined = comm.allreduce(std::move(combined), vmp::ReduceOp::kSum);
-  std::vector<std::uint64_t> dc_all =
-      to_counts({combined.begin(), combined.begin() + 16});
-  std::vector<std::uint64_t> ac_all =
-      to_counts({combined.begin() + 16, combined.end()});
-  // Degenerate all-empty frame: give the EOB symbols a token count so the
-  // tables are still constructible, deterministically on every rank.
-  if (std::all_of(dc_all.begin(), dc_all.end(), [](auto v) { return v == 0; }))
-    dc_all[0] = 1;
-  if (std::all_of(ac_all.begin(), ac_all.end(), [](auto v) { return v == 0; }))
-    ac_all[0] = 1;
-  const codec::HuffmanCode dc_code = codec::HuffmanCode::from_frequencies(dc_all);
-  const codec::HuffmanCode ac_code = codec::HuffmanCode::from_frequencies(ac_all);
+  // 2. Sum the symbol counts over the group (the collective part), so every
+  // rank builds the same tables, fitted to the whole frame. The sums are
+  // integers far below 2^53, exact in doubles.
+  std::vector<double> counts(job.dc_freq.begin(), job.dc_freq.end());
+  counts.insert(counts.end(), job.ac_freq.begin(), job.ac_freq.end());
+  counts = comm.allreduce(std::move(counts), vmp::ReduceOp::kSum);
+  std::vector<std::uint64_t> dc_freq(16), ac_freq(256);
+  for (std::size_t i = 0; i < dc_freq.size(); ++i)
+    dc_freq[i] = static_cast<std::uint64_t>(counts[i]);
+  for (std::size_t i = 0; i < ac_freq.size(); ++i)
+    ac_freq[i] = static_cast<std::uint64_t>(counts[dc_freq.size() + i]);
+  const auto dc_code = codec::HuffmanCode::from_frequencies(dc_freq);
+  const auto ac_code = codec::HuffmanCode::from_frequencies(ac_freq);
 
-  // Phase 3: every rank entropy-codes its strip with the shared tables.
-  util::Bytes strip_payload;
-  if (has_strip) {
-    util::BitWriter bits;
-    for (const auto& stream : streams)
-      jd::emit_stream(bits, stream, dc_code, ac_code);
-    strip_payload = bits.finish();
-  }
-  util::ByteWriter strip_out(8 + util::varint_size(strip_payload.size()) +
-                             strip_payload.size());
-  strip_out.u32(static_cast<std::uint32_t>(y0));
-  strip_out.u32(static_cast<std::uint32_t>(has_strip ? my_strip.height() : 0));
-  strip_out.varint(strip_payload.size());
-  strip_out.raw(strip_payload);
+  // 3. Pass 2: entropy-code the band with the shared tables.
+  jd::emit_strip(job, dc_code, ac_code);
 
-  // Phase 4: assemble at the root.
-  auto gathered = comm.gather(0, strip_out.take());
+  // 4. Gather (y0, h, payload) at the root.
+  util::ByteWriter mine(8 + util::varint_size(job.payload.size()) +
+                        job.payload.size());
+  mine.u32(static_cast<std::uint32_t>(job.y0));
+  mine.u32(static_cast<std::uint32_t>(job.h));
+  mine.varint(job.payload.size());
+  mine.raw(job.payload);
+  const auto gathered = comm.gather(0, mine.take());
   if (comm.rank() != 0) return {};
 
-  // Header + quant tables + Huffman lengths are bounded; the strips
-  // dominate. A slight over-estimate only costs pool-bucket rounding.
-  std::size_t estimate = 1024;
-  for (const auto& g : gathered) estimate += g.size();
-  util::ByteWriter out = pool != nullptr
-                             ? util::ByteWriter(pool->acquire(estimate))
-                             : util::ByteWriter(estimate);
-  out.u32(kMagic);
-  out.u32(static_cast<std::uint32_t>(width));
-  out.u32(static_cast<std::uint32_t>(height));
-  out.u8(static_cast<std::uint8_t>(quality));
-  out.u8(kSubsample ? 1 : 0);
-  for (int i = 0; i < 64; ++i) out.u16(tables.luma_zz[i]);
-  for (int i = 0; i < 64; ++i) out.u16(tables.chroma_zz[i]);
-  dc_code.write_lengths(out);
-  ac_code.write_lengths(out);
-  // Count non-empty strips.
-  std::uint32_t strips = 0;
+  // 5. Binary swap hands out bands out of row order, and a folded rank's
+  // band is empty: sort the non-empty bands by row, check that they tile
+  // the frame, and assemble JpegCodec's container.
+  std::vector<jd::StripJob> strips;
   for (const auto& g : gathered) {
     util::ByteReader r(g);
-    (void)r.u32();
-    if (r.u32() > 0) ++strips;
+    jd::StripJob strip;
+    strip.y0 = static_cast<int>(r.u32());
+    strip.h = static_cast<int>(r.u32());
+    const auto payload = r.raw(r.varint());
+    if (strip.h == 0) continue;
+    strip.payload.assign(payload.begin(), payload.end());
+    strips.push_back(std::move(strip));
   }
-  out.u32(strips);
-  for (const auto& g : gathered) {
-    util::ByteReader r(g);
-    const std::uint32_t sy0 = r.u32();
-    const std::uint32_t sh = r.u32();
-    if (sh == 0) continue;
-    const std::size_t len = r.varint();
-    const auto payload = r.raw(len);
-    out.u32(sy0);
-    out.u32(sh);
-    out.varint(len);
-    out.raw(payload);
+  std::sort(strips.begin(), strips.end(),
+            [](const jd::StripJob& a, const jd::StripJob& b) {
+              return a.y0 < b.y0;
+            });
+  std::int64_t next_y = 0;
+  for (const jd::StripJob& strip : strips) {
+    if (strip.y0 != next_y)
+      throw std::invalid_argument(
+          std::string("collective_jpeg_encode: bands ") +
+          (strip.y0 < next_y ? "overlap" : "leave a gap") + " at row " +
+          std::to_string(std::min<std::int64_t>(strip.y0, next_y)));
+    next_y += strip.h;
   }
-  return out.take();
+  if (next_y != height)
+    throw std::invalid_argument(
+        "collective_jpeg_encode: bands cover rows [0, " +
+        std::to_string(next_y) + ") of a frame " + std::to_string(height) +
+        " rows high");
+  return jd::assemble_container(width, height, quality, kSubsample, tables,
+                                dc_code, ac_code, strips, pool);
 }
 
 }  // namespace
@@ -141,55 +112,6 @@ util::SharedBytes collective_jpeg_encode_shared(const vmp::Communicator& comm,
   // Non-roots never drew a buffer; only the root's result is pool-backed.
   if (comm.rank() != 0) return {};
   return util::SharedBytes::adopt_pooled(std::move(out), pool);
-}
-
-render::Image collective_jpeg_decode(std::span<const std::uint8_t> data) {
-  namespace jd = codec::detail;
-  util::ByteReader in(data);
-  if (in.u32() != kMagic)
-    throw std::runtime_error("collective-jpeg: bad magic");
-  const int width = static_cast<int>(in.u32());
-  const int height = static_cast<int>(in.u32());
-  (void)in.u8();  // quality
-  const bool subsample = in.u8() != 0;
-  std::uint16_t luma_q[64], chroma_q[64];
-  for (auto& q : luma_q) q = in.u16();
-  for (auto& q : chroma_q) q = in.u16();
-  const auto dc_code = codec::HuffmanCode::read_lengths(in);
-  const auto ac_code = codec::HuffmanCode::read_lengths(in);
-  const std::uint32_t strips = in.u32();
-
-  render::Image frame(width, height);
-  for (std::uint32_t s = 0; s < strips; ++s) {
-    const int y0 = static_cast<int>(in.u32());
-    const int sh = static_cast<int>(in.u32());
-    const std::size_t len = in.varint();
-    util::BitReader bits(in.raw(len));
-
-    const int cw = subsample ? (width + 1) / 2 : width;
-    const int ch = subsample ? (sh + 1) / 2 : sh;
-    const int plane_w[3] = {width, cw, cw};
-    const int plane_h[3] = {sh, ch, ch};
-    const std::uint16_t* quants[3] = {luma_q, chroma_q, chroma_q};
-    jd::Planes planes;
-    jd::Plane* outs[3] = {&planes.y, &planes.cb, &planes.cr};
-    for (int c = 0; c < 3; ++c) {
-      const auto blocks = jd::decode_blocks(
-          bits, jd::block_count(plane_w[c], plane_h[c]), dc_code, ac_code);
-      *outs[c] =
-          jd::dequantize_plane(blocks, plane_w[c], plane_h[c], quants[c]);
-    }
-    const render::Image strip = jd::from_planes(planes, subsample);
-    for (int y = 0; y < strip.height(); ++y) {
-      const int fy = y0 + y;
-      if (fy < 0 || fy >= height) continue;
-      for (int x = 0; x < strip.width() && x < width; ++x) {
-        const auto* p = strip.pixel(x, y);
-        frame.set(x, fy, p[0], p[1], p[2], p[3]);
-      }
-    }
-  }
-  return frame;
 }
 
 }  // namespace tvviz::compositing

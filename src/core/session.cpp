@@ -15,7 +15,6 @@
 #include "field/decompose.hpp"
 #include "field/store.hpp"
 #include "field/preview.hpp"
-#include "fault/fault.hpp"
 #include "hub/hub.hpp"
 #include "hub/tcp_hub.hpp"
 #include "net/link.hpp"
@@ -131,11 +130,6 @@ SessionResult run_session(const SessionConfig& cfg) {
         "exists only for whole gathered frames)");
   const Partition partition(cfg.processors, cfg.groups);
   const int steps = cfg.effective_steps();
-  // Session-scoped chaos: latency-only faults (seeded delays and stalls on
-  // every TCP connection), so the run is perturbed but never lossy.
-  std::optional<fault::ScopedFaultPlan> chaos;
-  if (cfg.fault_seed != 0)
-    chaos.emplace(fault::FaultPlan::latency_chaos(cfg.fault_seed));
   const std::size_t pixels =
       static_cast<std::size_t>(cfg.image_width) * cfg.image_height;
 
@@ -364,8 +358,6 @@ SessionResult run_session(const SessionConfig& cfg) {
             }
           }
         }
-      } else if (msg->codec == "collective-jpeg") {
-        frame = compositing::collective_jpeg_decode(msg->payload);
       } else {
         const auto codec =
             codec::make_image_codec(msg->codec, cfg.jpeg_quality);
@@ -517,7 +509,8 @@ SessionResult run_session(const SessionConfig& cfg) {
 
       if (cfg.compression == SessionConfig::Compression::kCollective) {
         // §4.1 collective compression: slices are transformed and entropy
-        // coded in place with Huffman tables fitted to the whole frame.
+        // coded in place with Huffman tables fitted to the whole frame; the
+        // leader ships an ordinary JpegCodec stream.
         obs::Span compress_span("compress", step, g);
         util::SharedBytes encoded = compositing::collective_jpeg_encode_shared(
             group, slice_rows(slice, cfg.image_width), slice.row0,
@@ -529,7 +522,7 @@ SessionResult run_session(const SessionConfig& cfg) {
           net::NetMessage msg;
           msg.type = net::MsgType::kFrame;
           msg.frame_index = step;
-          msg.codec = "collective-jpeg";
+          msg.codec = "jpeg";
           msg.payload = std::move(encoded);
           wire_bytes.fetch_add(msg.payload.size());
           ports[static_cast<std::size_t>(g)]->send(std::move(msg));

@@ -37,7 +37,8 @@ struct SessionConfig {
   ///    pieces-container frame (net::make_pieces_frame; fast, worse ratio).
   ///  * kCollective — nodes share Huffman statistics via allreduce and
   ///    entropy-code their slices with common whole-frame tables (§4.1's
-  ///    "collectively compress" variant; JPEG-based, `codec` is ignored).
+  ///    "collectively compress" variant). The frame is an ordinary `jpeg`
+  ///    stream; `codec` is ignored.
   enum class Compression { kAssembled, kParallelPieces, kCollective };
   Compression compression = Compression::kAssembled;
   /// Load-balanced slab decomposition: per step, probe the dataset's
@@ -102,12 +103,6 @@ struct SessionConfig {
   /// per-frame display budget and feeds its codec switches back to the
   /// renderers (per-client quality downgrade under backpressure).
   double adaptive_target_frame_s = 0.0;
-  /// When != 0, install fault::FaultPlan::latency_chaos(fault_seed) for the
-  /// whole session: every TCP connection suffers seeded, replayable send
-  /// delays and receive stalls (latency only — no frame is ever lost, so
-  /// results stay correct; timings shift). The chaos-testing knob behind
-  /// `tvviz --fault-seed`.
-  std::uint64_t fault_seed = 0;
   /// Latency-hiding viewer: leaders ship depth-container frames (color +
   /// the ray-caster's opacity-weighted termination depth) and the primary
   /// client runs a render::Warper — each arriving frame is first predicted

@@ -571,28 +571,6 @@ HubTcpViewer::HubTcpViewer(int port, Options options)
     util::LockGuard lock(state_mutex_);
     conn_ = std::move(conn);
   }
-  if (options_.heartbeat_interval_ms > 0) {
-    const auto interval =
-        std::chrono::milliseconds(options_.heartbeat_interval_ms);
-    heartbeat_thread_ = std::thread([this, interval] {
-      while (open_.load()) {
-        {
-          util::LockGuard lock(send_mutex_);
-          if (!open_.load()) break;
-          NetMessage beat;
-          beat.type = MsgType::kHeartbeat;
-          try {
-            current()->send_message(beat);
-          } catch (const std::exception&) {
-            // With auto_reconnect the next() loop is (or will be) swapping
-            // the socket; keep beating on whatever is installed next.
-            if (!options_.auto_reconnect) return;
-          }
-        }
-        std::this_thread::sleep_for(interval);
-      }
-    });
-  }
 }
 
 std::shared_ptr<TcpConnection> HubTcpViewer::connect_and_handshake() {
@@ -732,7 +710,6 @@ void HubTcpViewer::close() {
   // here would deadlock. The pointer snapshot is safe under state_mutex_,
   // which is never held across I/O.
   if (auto conn = current()) conn->shutdown();
-  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
 }
 
 }  // namespace tvviz::hub

@@ -105,9 +105,6 @@ class HubTcpViewer {
     std::string client_id;       ///< Empty = let the hub assign one.
     int last_acked_step = -1;    ///< Resume after this step; -1 = live only.
     std::uint32_t queue_frames = 0;  ///< Requested bound; 0 = hub default.
-    /// Send kHeartbeat beacons from a background thread every this many
-    /// milliseconds; 0 = no heartbeat thread.
-    int heartbeat_interval_ms = 0;
     /// Survive refused connects and mid-stream disconnects: next() silently
     /// reconnects under `retry` and resumes after the last acked step
     /// (net.retry.reconnects counts each recovery). Off by default — the
@@ -189,7 +186,7 @@ class HubTcpViewer {
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   util::Rng retry_rng_{0x76696577ULL};  ///< Jitter stream for reconnects.
-  /// Serializes the senders (ack/control/heartbeat). May be held for as long
+  /// Serializes the senders (ack/control/fetch). May be held for as long
   /// as a send blocks, so close() must never wait on it.
   mutable util::Mutex send_mutex_ TVVIZ_ACQUIRED_BEFORE(state_mutex_);
   /// Guards the conn_ pointer and assigned_id_ — held only for snapshots and
@@ -197,7 +194,6 @@ class HubTcpViewer {
   /// live socket even while a sender is blocked holding send_mutex_.
   /// Lock order where both are taken: send_mutex_ then state_mutex_.
   mutable util::Mutex state_mutex_;
-  std::thread heartbeat_thread_;
 };
 
 }  // namespace tvviz::hub

@@ -14,6 +14,11 @@ using net::NetMessage;
 
 namespace {
 
+/// Advertisements parked awaiting a kFrameData. Beyond this, the oldest
+/// parked advertisement is dropped (net.relay.pending_dropped) — the same
+/// skip-a-step outcome as a backpressure drop.
+constexpr std::size_t kMaxPendingFetches = 256;
+
 obs::Counter& ref_hits_ctr() {
   static obs::Counter& c = obs::counter("net.relay.ref_hits");
   return c;
@@ -46,7 +51,6 @@ obs::Gauge& tree_depth_gauge() {
 hub::HubTcpViewer::Options upstream_options(const EdgeHubConfig& config) {
   hub::HubTcpViewer::Options options;
   options.client_id = config.edge_id;
-  options.queue_frames = config.upstream_queue_frames;
   options.auto_reconnect = true;
   options.retry = config.upstream_retry;
   options.wants_frame_refs = true;
@@ -227,7 +231,7 @@ void EdgeHub::handle_ref(const NetMessage& ref) {
   // Park in arrival order behind whatever is still waiting for its body;
   // drain_queue injects strictly from the front, so steps never reorder.
   queue_.push_back({ref, info});
-  while (queue_.size() > config_.max_pending_fetches) {
+  while (queue_.size() > kMaxPendingFetches) {
     // Same outcome as a backpressure drop: that step is skipped here.
     pending_dropped_ctr().add(1);
     queue_.pop_front();

@@ -55,15 +55,9 @@ struct EdgeHubConfig {
   std::string edge_id;
   /// Backoff/timeout policy for upstream connects and reconnects.
   fault::RetryPolicy upstream_retry{};
-  /// Requested upstream send-queue bound; 0 = the root's default.
-  std::uint32_t upstream_queue_frames = 0;
   /// Hops below the root (1 = directly attached). Advertised on the
   /// net.relay.tree_depth gauge (update_max across edges in-process).
   int tree_depth = 1;
-  /// Advertisements parked awaiting a kFrameData. Beyond this, the oldest
-  /// parked advertisement is dropped (net.relay.pending_dropped) — the
-  /// same skip-a-step outcome as a backpressure drop.
-  std::size_t max_pending_fetches = 256;
 };
 
 /// One interior node of the relay tree. Construction connects upstream

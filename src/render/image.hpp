@@ -35,12 +35,9 @@ class Image {
  public:
   Image() = default;
   Image(int width, int height)
-      : width_(width),
-        height_(height),
-        pixels_(static_cast<std::size_t>(width) * height * 4, 0) {
-    if (width < 0 || height < 0)
-      throw std::invalid_argument("Image: negative size");
-  }
+      : width_(checked(width)),
+        height_(checked(height)),
+        pixels_(static_cast<std::size_t>(width) * height * 4, 0) {}
 
   int width() const noexcept { return width_; }
   int height() const noexcept { return height_; }
@@ -73,6 +70,13 @@ class Image {
   bool operator==(const Image&) const = default;
 
  private:
+  /// Validates before pixels_ allocates: a negative extent would otherwise
+  /// wrap the byte count to a huge size and fail the allocation instead.
+  static int checked(int extent) {
+    if (extent < 0) throw std::invalid_argument("Image: negative size");
+    return extent;
+  }
+
   int width_ = 0;
   int height_ = 0;
   std::vector<std::uint8_t> pixels_;

@@ -5,12 +5,15 @@
 // results). Property-style roundtrips run as parameterized suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <span>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "codec/bwt.hpp"
 #include "codec/byte_codec.hpp"
@@ -19,6 +22,7 @@
 #include "codec/huffman.hpp"
 #include "codec/image_codec.hpp"
 #include "codec/jpeg.hpp"
+#include "codec/jpeg_detail.hpp"
 #include "codec/lz.hpp"
 #include "codec/tile_pool.hpp"
 #include "field/generators.hpp"
@@ -710,15 +714,33 @@ TEST(SimdParity, FrameDiffBitstreamIdenticalAcrossIsaTiers) {
             encode_pair(simd::best_available_isa()));
 }
 
+constexpr int kStripParitySizes[] = {1, 17, 53, 75, 100, 128, 256};
+
 TEST(SimdParity, JpegStripCountsDecodeBitIdentically) {
-  for (const int size : {128, 75, 53}) {
+  for (const int size : kStripParitySizes) {
     const Image frame = test_frame(size);
     const JpegCodec one(80, true, 1);
     const Image base = one.decode(one.encode(frame));
-    for (const int strips : {2, 3, 8}) {
+    for (const int strips : {2, 3, 5, 8}) {
       const JpegCodec tiled(80, true, strips);
       const Image out = tiled.decode(tiled.encode(frame));
       EXPECT_EQ(out, base) << "size " << size << " strips " << strips;
+    }
+  }
+}
+
+TEST(SimdParity, JpegStripCountsDecodeFastBitIdentically) {
+  for (const int size : kStripParitySizes) {
+    const Image frame = test_frame(size);
+    const JpegCodec one(80, true, 1);
+    const Bytes one_stream = one.encode(frame);
+    for (const int strips : {2, 3, 5, 8}) {
+      const JpegCodec tiled(80, true, strips);
+      const Bytes tiled_stream = tiled.encode(frame);
+      for (const int scale : {2, 4, 8})
+        EXPECT_EQ(tiled.decode_fast(tiled_stream, scale),
+                  one.decode_fast(one_stream, scale))
+            << "size " << size << " strips " << strips << " scale " << scale;
     }
   }
 }
@@ -784,6 +806,89 @@ TEST(JpegEngine, RejectsCorruptStripLayouts) {
   Bytes zeroed = packed;
   std::fill(zeroed.begin() + 4, zeroed.begin() + 12, 0xee);  // absurd w/h
   EXPECT_THROW(codec.decode(zeroed), std::exception);
+}
+
+/// Rows [y0, y1) of `frame` as an image of their own.
+Image rows_of(const Image& frame, int y0, int y1) {
+  Image band(frame.width(), y1 - y0);
+  const std::size_t row = static_cast<std::size_t>(frame.width()) * 4;
+  std::copy_n(frame.bytes().begin() + static_cast<std::ptrdiff_t>(y0 * row),
+              (y1 - y0) * row, band.bytes().begin());
+  return band;
+}
+
+/// The strip container over explicit (y0, y1) strips, written in the given
+/// order by the strip engine's own passes — the way a collective frame is
+/// cut, where strips need not start on a multiple of 16 rows.
+Bytes container_of(const Image& frame,
+                   const std::vector<std::pair<int, int>>& spans,
+                   int quality = 80) {
+  namespace jd = codec::detail;
+  const jd::QuantTables& tables = jd::quant_tables_for(quality);
+  std::vector<jd::StripJob> strips(spans.size());
+  std::vector<std::uint64_t> dc(16, 0), ac(256, 0);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    strips[i].y0 = spans[i].first;
+    strips[i].h = spans[i].second - spans[i].first;
+    jd::tokenize_strip(frame, strips[i].y0, true, tables, strips[i]);
+    for (std::size_t k = 0; k < dc.size(); ++k) dc[k] += strips[i].dc_freq[k];
+    for (std::size_t k = 0; k < ac.size(); ++k) ac[k] += strips[i].ac_freq[k];
+  }
+  const auto dc_code = codec::HuffmanCode::from_frequencies(dc);
+  const auto ac_code = codec::HuffmanCode::from_frequencies(ac);
+  for (auto& strip : strips) jd::emit_strip(strip, dc_code, ac_code);
+  return jd::assemble_container(frame.width(), frame.height(), quality, true,
+                                tables, dc_code, ac_code, strips, nullptr);
+}
+
+TEST(JpegEngine, StripsMayStartOnAnyRow) {
+  // Each strip decodes as its own image: its rows are exactly what a
+  // one-strip JpegCodec gives for the strip alone (same coefficients; only
+  // the Huffman tables differ). decode_fast keeps output row r from the
+  // strip holding frame row r * scale, at that strip's row
+  // (r * scale - y0) / scale. The container allows one strip per row.
+  const Image frame = test_frame(100);
+  std::vector<std::pair<int, int>> one_per_row;
+  for (int y = 0; y < frame.height(); ++y) one_per_row.push_back({y, y + 1});
+  const JpegCodec one(80, true, 1);
+  for (const auto& spans :
+       {std::vector<std::pair<int, int>>{
+            {0, 25}, {25, 50}, {50, 51}, {51, 75}, {75, 100}},
+        one_per_row}) {
+    const Bytes stream = container_of(frame, spans);
+    for (const int scale : {1, 2, 4, 8}) {
+      const Image out = one.decode_fast(stream, scale);
+      ASSERT_EQ(out.width(), (frame.width() + scale - 1) / scale);
+      ASSERT_EQ(out.height(), (frame.height() + scale - 1) / scale);
+      for (const auto& [y0, y1] : spans) {
+        const Image alone =
+            one.decode_fast(one.encode(rows_of(frame, y0, y1)), scale);
+        for (int r = (y0 + scale - 1) / scale; r * scale < y1; ++r) {
+          const int local = (r * scale - y0) / scale;
+          for (int x = 0; x < out.width(); ++x)
+            for (int c = 0; c < 4; ++c)
+              ASSERT_EQ(out.pixel(x, r)[c], alone.pixel(x, local)[c])
+                  << spans.size() << " strips, scale " << scale
+                  << ", strip at " << y0 << ", row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(JpegEngine, RejectsStripsThatDoNotTileTheFrame) {
+  const Image frame = test_frame(64);
+  const JpegCodec codec(80);
+  using Spans = std::vector<std::pair<int, int>>;
+  for (const Spans& bad : {Spans{{16, 32}, {0, 16}, {32, 64}},  // row order
+                           Spans{{0, 16}, {20, 64}},            // gap
+                           Spans{{0, 20}, {16, 64}},            // overlap
+                           Spans{{0, 16}, {16, 48}},            // short
+                           Spans{{0, 32}, {32, 32}, {32, 64}}}) {  // empty
+    EXPECT_THROW(codec.decode(container_of(frame, bad)), std::runtime_error);
+    EXPECT_THROW(codec.decode_fast(container_of(frame, bad), 2),
+                 std::runtime_error);
+  }
 }
 
 // ------------------------------------------------------- lz decoder paths ----

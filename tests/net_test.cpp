@@ -389,7 +389,7 @@ TEST(Protocol, SerializeReservesExactlyOnce) {
   NetMessage msg;
   msg.type = MsgType::kFrame;
   msg.frame_index = 123456;
-  msg.codec = "collective-jpeg";
+  msg.codec = "pieces+jpeg+lzo";
   msg.payload = util::Bytes(100000, 0x42);  // varint length > 1 byte
   const auto wire = net::serialize_message(msg);
   EXPECT_EQ(wire.capacity(), wire.size());

@@ -12,6 +12,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <utility>
 
 #include "codec/depth_plane.hpp"
 #include "compositing/over.hpp"
@@ -52,6 +53,14 @@ TEST(Image, SetAndGetPixels) {
   EXPECT_EQ(p[2], 30);
   EXPECT_EQ(p[3], 40);
   EXPECT_EQ(img.byte_size(), 48u);
+}
+
+TEST(Image, NegativeSizeThrowsInvalidArgument) {
+  // The check runs before the pixel buffer is sized: a negative extent
+  // must not reach the allocation as a wrapped, huge byte count.
+  for (const auto& [w, h] : {std::pair{-1, 5}, {5, -3}, {-2, -2},
+                             {std::numeric_limits<int>::min(), 1}})
+    EXPECT_THROW((void)Image(w, h), std::invalid_argument) << w << "x" << h;
 }
 
 TEST(Image, PsnrIdenticalIsInfinite) {

@@ -174,11 +174,14 @@ TEST(CollectiveRobustness, SurvivesCorruptStreams) {
         comm, strip, comm.rank() * 32, 64, 64, 75);
     if (comm.rank() == 0) wire = std::move(encoded);
   });
+  // Collective frames are JpegCodec streams: the one JPEG decoder parses
+  // them, so this corrupts the strips a two-rank collective cut.
+  const codec::JpegCodec jpeg(75);
   util::Rng rng(6);
   for (int trial = 0; trial < 80; ++trial) {
     try {
-      (void)compositing::collective_jpeg_decode(
-          trial % 2 ? corrupt(wire, rng, 2) : truncate(wire, rng));
+      (void)jpeg.decode(trial % 2 ? corrupt(wire, rng, 2)
+                                  : truncate(wire, rng));
     } catch (const std::exception&) {
     }
   }

@@ -9,6 +9,7 @@
 #include "compositing/over.hpp"
 #include "core/session.hpp"
 #include "field/store.hpp"
+#include "obs/counters.hpp"
 #include "render/raycast.hpp"
 #include "render/transfer.hpp"
 
@@ -243,12 +244,33 @@ TEST(Session, StopControlEndsRunEarly) {
 }
 
 TEST(Session, CodecSwitchMidRun) {
+  // The renderers play from a store that grows one step per displayed
+  // frame: on_frame(k) writes step k + 1, then returns the events the
+  // display sends. The switch goes out right after on_frame(1), before the
+  // display takes frame 2. The in-process hub's inbox is first in, first
+  // out, and its relay thread hands a control event to the renderers
+  // before it relays any frame sent after it. Frame 3 is sent after step 3
+  // exists, which on_frame(2) writes after the switch was sent; so the
+  // switch reaches the renderers before the display gets frame 3, so before
+  // step 4 exists, so before the leader polls for step 5 (it polls after
+  // reading step 4). Steps 0 and 1 were polled before frame 1 was shown.
+  // Whatever the scheduling: steps 0-1 are raw, steps 5-7 are jpeg+lzo,
+  // and steps 2-4 may be either.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tvviz_codec_switch_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
   SessionConfig cfg = small_config();
   cfg.codec = "raw";
   cfg.dataset.steps = 8;
   cfg.groups = 1;
   cfg.processors = 2;
-  cfg.on_frame = [](int step, const Image&) {
+  cfg.store_dir = dir;
+  cfg.wait_for_store = true;
+  const field::VolumeStore store(dir);
+  store.write(0, field::generate(cfg.dataset, 0));
+  cfg.on_frame = [&store, dataset = cfg.dataset](int step, const Image&) {
+    if (step + 1 < dataset.steps)
+      store.write(step + 1, field::generate(dataset, step + 1));
     std::vector<net::ControlEvent> events;
     if (step == 1) {
       net::ControlEvent e;
@@ -258,10 +280,21 @@ TEST(Session, CodecSwitchMidRun) {
     }
     return events;
   };
+  obs::Counter& raw_decodes = obs::counter("codec.raw.decode_calls");
+  obs::Counter& jpeg_decodes = obs::counter("codec.jpeg+lzo.decode_calls");
+  const std::uint64_t raw_before = raw_decodes.value();
+  const std::uint64_t jpeg_before = jpeg_decodes.value();
   const SessionResult result = core::run_session(cfg);
+  std::filesystem::remove_all(dir);
   EXPECT_EQ(result.displayed.size(), 8u);
-  // Wire bytes must be far below the all-raw equivalent once JPEG kicks in.
-  EXPECT_LT(result.wire_bytes, result.raw_bytes / 2);
+  const std::uint64_t raw = raw_decodes.value() - raw_before;
+  const std::uint64_t jpeg = jpeg_decodes.value() - jpeg_before;
+  EXPECT_EQ(raw + jpeg, 8u);
+  EXPECT_GE(raw, 2u);
+  EXPECT_GE(jpeg, 3u);
+  // At least three of the eight frames are compressed, so the wire carries
+  // less than the all-raw equivalent.
+  EXPECT_LT(result.wire_bytes, result.raw_bytes);
 }
 
 /// A control event the renderers cannot honour, named for its ctest case.

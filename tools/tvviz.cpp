@@ -98,7 +98,7 @@ int cmd_info(const util::Flags& flags) {
   std::printf("\ncodecs: ");
   for (const auto& name : codec::table1_codec_names())
     std::printf("%s ", name.c_str());
-  std::printf("rle framediff mpeg collective-jpeg\n");
+  std::printf("rle framediff mpeg\n");
   std::printf("machine profiles: rwcp (Japan cluster), o2k (NASA Ames)\n");
   std::printf("colormaps: fire dense shock\n");
   return 0;

@@ -146,7 +146,7 @@ RunResult run_swarm(const std::string& name, int clients, int steps,
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
     net::HelloInfo info;
     info.role = "display";
-    info.client_id = "v" + std::to_string(index);
+    info.client_id = std::string("v").append(std::to_string(index));
     info.queue_frames = static_cast<std::uint32_t>(steps) + 4;
     c.hello = frame_wire_bytes(net::make_hello(info));
     c.phase = SwarmClient::kConnecting;

@@ -77,7 +77,7 @@ RunResult run_fanout(Transport transport, int clients, int steps,
     const bool slow = slow_link && k == clients - 1;
     if (transport == Transport::kInproc) {
       hub::ClientOptions options;
-      options.id = "c" + std::to_string(k);
+      options.id = std::string("c").append(std::to_string(k));
       if (slow) {
         options.link = *slow_link;
         options.link_time_scale = 1.0;
@@ -106,12 +106,12 @@ RunResult run_fanout(Transport transport, int clients, int steps,
       // Real socket path: the slow link becomes a read-loop stall of the
       // modeled transfer time (backpressure arrives via the socket, the
       // skip accounting stays server-side exactly as in-process).
-      const double stall_s =
+      const double read_stall_s =
           slow ? slow_link->transfer_seconds(frame_bytes) : 0.0;
       const int port = server->port();
-      threads.emplace_back([port, k, stall_s, &result, &result_mutex] {
+      threads.emplace_back([port, k, read_stall_s, &result, &result_mutex] {
         hub::HubTcpViewer::Options options;
-        options.client_id = "c" + std::to_string(k);
+        options.client_id = std::string("c").append(std::to_string(k));
         hub::HubTcpViewer viewer(port, options);
         ClientRun run;
         run.id = viewer.assigned_id();
@@ -121,9 +121,9 @@ RunResult run_fanout(Transport transport, int clients, int steps,
           if (msg->type == net::MsgType::kShutdown) break;
           if (msg->type != net::MsgType::kFrame) continue;
           viewer.ack(msg->frame_index);
-          if (stall_s > 0.0)
+          if (read_stall_s > 0.0)
             std::this_thread::sleep_for(
-                std::chrono::duration<double>(stall_s));
+                std::chrono::duration<double>(read_stall_s));
           last = clock.seconds();
           if (first < 0.0) first = last;
           ++run.frames;
@@ -220,7 +220,8 @@ int main(int argc, char** argv) {
       for (std::size_t k = 0; k < r.clients.size(); ++k) {
         const auto& c = r.clients[k];
         const bool slow_one =
-            inject_slow && c.id == "c" + std::to_string(n - 1);
+            inject_slow &&
+            c.id == std::string("c").append(std::to_string(n - 1));
         std::printf("%-8s %-10s %8d %10.1f %10.2f ms %8llu | %8llu %8llu\n",
                     k == 0 ? std::to_string(n).c_str() : "",
                     slow_one ? "10x-slow" : "fast", c.frames, c.fps,

@@ -81,7 +81,7 @@ RunResult run_case(std::string name, int n_edges, int viewers, int steps,
     const int port = ports[static_cast<std::size_t>(k) % ports.size()];
     threads.emplace_back([&, port, k, steps] {
       hub::HubTcpViewer::Options options;
-      options.client_id = "v" + std::to_string(k);
+      options.client_id = std::string("v").append(std::to_string(k));
       options.queue_frames = static_cast<std::uint32_t>(2 * steps);
       hub::HubTcpViewer viewer(port, options);
       int got = 0;

@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   // ---- four viewers, two per edge -----------------------------------------
   auto viewer_main = [&](int e, int k) {
     hub::HubTcpViewer::Options o;
-    o.client_id = "v" + std::to_string(e) + std::to_string(k);
+    o.client_id =
+        std::string("v").append(std::to_string(e)).append(std::to_string(k));
     hub::HubTcpViewer viewer(edges[static_cast<std::size_t>(e)]->port(), o);
     const auto codec = codec::make_image_codec(codec_name, 75);
     int frames = 0;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "codec/bwt.hpp"
@@ -150,29 +151,57 @@ render::Image ByteImageCodec::decode(std::span<const std::uint8_t> data) const {
   return unpack_rgb(bytes_->decode(data));
 }
 
+namespace {
+
+using CodecFactory = std::shared_ptr<const ImageCodec> (*)(int quality);
+
+std::shared_ptr<const ImageCodec> raw_codec(int) {
+  return std::make_shared<RawImageCodec>();
+}
+
+std::shared_ptr<const ImageCodec> jpeg_codec(int quality) {
+  return std::make_shared<JpegCodec>(quality);
+}
+
+template <typename Bytes>
+std::shared_ptr<const ImageCodec> bytes_codec(int) {
+  return std::make_shared<ByteImageCodec>(std::make_shared<Bytes>());
+}
+
+template <typename Bytes>
+std::shared_ptr<const ImageCodec> jpeg_then(int quality) {
+  return std::make_shared<ChainImageCodec>(
+      std::make_shared<JpegCodec>(quality), std::make_shared<Bytes>());
+}
+
+/// Every codec make_image_codec builds: Table 1's rows, then RLE.
+const std::pair<const char*, CodecFactory> kCodecs[] = {
+    {"raw", raw_codec},
+    {"lzo", bytes_codec<LzCodec>},
+    {"bzip", bytes_codec<BwtCodec>},
+    {"jpeg", jpeg_codec},
+    {"jpeg+lzo", jpeg_then<LzCodec>},
+    {"jpeg+bzip", jpeg_then<BwtCodec>},
+    {"rle", bytes_codec<RleCodec>},
+};
+
+}  // namespace
+
 std::shared_ptr<const ImageCodec> make_image_codec(const std::string& name,
                                                    int quality) {
-  std::shared_ptr<const ImageCodec> codec;
-  if (name == "raw") {
-    codec = std::make_shared<RawImageCodec>();
-  } else if (name == "rle") {
-    codec = std::make_shared<ByteImageCodec>(std::make_shared<RleCodec>());
-  } else if (name == "lzo") {
-    codec = std::make_shared<ByteImageCodec>(std::make_shared<LzCodec>());
-  } else if (name == "bzip") {
-    codec = std::make_shared<ByteImageCodec>(std::make_shared<BwtCodec>());
-  } else if (name == "jpeg") {
-    codec = std::make_shared<JpegCodec>(quality);
-  } else if (name == "jpeg+lzo") {
-    codec = std::make_shared<ChainImageCodec>(
-        std::make_shared<JpegCodec>(quality), std::make_shared<LzCodec>());
-  } else if (name == "jpeg+bzip") {
-    codec = std::make_shared<ChainImageCodec>(
-        std::make_shared<JpegCodec>(quality), std::make_shared<BwtCodec>());
-  } else {
-    throw std::invalid_argument("make_image_codec: unknown codec " + name);
-  }
-  return std::make_shared<InstrumentedImageCodec>(std::move(codec));
+  for (const auto& [known, make] : kCodecs)
+    if (name == known)
+      return std::make_shared<InstrumentedImageCodec>(make(quality));
+  throw std::invalid_argument("make_image_codec: unknown codec " + name);
+}
+
+const std::vector<std::string>& image_codec_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& entry : kCodecs) out.emplace_back(entry.first);
+    return out;
+  }();
+  return names;
 }
 
 const std::vector<std::string>& table1_codec_names() {

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "codec/byte_codec.hpp"
 #include "render/image.hpp"
@@ -83,11 +84,15 @@ class ChainImageCodec final : public ImageCodec {
   std::shared_ptr<const ByteCodec> bytes_;
 };
 
-/// Build a codec by name: "raw", "rle", "lzo", "bzip", "jpeg", "jpeg+lzo",
-/// "jpeg+bzip". `quality` applies to JPEG-based codecs (1..100).
-/// Throws std::invalid_argument for unknown names.
+/// Build a codec by name, one of image_codec_names(). `quality` applies to
+/// JPEG-based codecs (1..100). Throws std::invalid_argument for any other
+/// name.
 std::shared_ptr<const ImageCodec> make_image_codec(const std::string& name,
                                                    int quality = 75);
+
+/// Every name make_image_codec accepts: "raw", "lzo", "bzip", "jpeg",
+/// "jpeg+lzo", "jpeg+bzip" (Table 1's rows), then "rle".
+const std::vector<std::string>& image_codec_names();
 
 /// All codec names Table 1 compares, in the paper's row order.
 const std::vector<std::string>& table1_codec_names();

@@ -180,7 +180,9 @@ void convert_rows_into(const render::Image& img, bool subsample, int y0,
     p.cb.data.resize(static_cast<std::size_t>(p.cb.w) * p.cb.h);
     p.cr.data.resize(p.cb.data.size());
     const std::size_t full = static_cast<std::size_t>(w / 2);  // complete cells
-    for (int cy = 0; cy < p.cb.h; ++cy) {
+    // A frame with no columns has no chroma cells, and cb/cr hold nothing
+    // to take the address of.
+    for (int cy = 0; w > 0 && cy < p.cb.h; ++cy) {
       const int sy0 = 2 * cy, sy1 = 2 * cy + 1;
       const std::size_t o = static_cast<std::size_t>(cy) * p.cb.w;
       if (sy1 < rows) {
@@ -517,6 +519,13 @@ void tokenize_strip(const render::Image& image, int row0, bool subsample,
     accumulate_frequencies(job.streams[c], job.dc_freq, job.ac_freq);
 }
 
+HuffmanCode shared_code(const std::vector<std::uint64_t>& freq) {
+  if (std::all_of(freq.begin(), freq.end(),
+                  [](std::uint64_t f) { return f == 0; }))
+    return HuffmanCode::from_lengths(std::vector<std::uint8_t>(freq.size()));
+  return HuffmanCode::from_frequencies(freq);
+}
+
 void emit_strip(StripJob& job, const HuffmanCode& dc, const HuffmanCode& ac) {
   util::BitWriter bits;
   for (const auto& stream : job.streams) emit_stream(bits, stream, dc, ac);
@@ -651,8 +660,8 @@ util::Bytes JpegCodec::encode_impl(const render::Image& image,
     for (std::size_t i = 0; i < dc_freq.size(); ++i) dc_freq[i] += j.dc_freq[i];
     for (std::size_t i = 0; i < ac_freq.size(); ++i) ac_freq[i] += j.ac_freq[i];
   }
-  const HuffmanCode dc_code = HuffmanCode::from_frequencies(dc_freq);
-  const HuffmanCode ac_code = HuffmanCode::from_frequencies(ac_freq);
+  const HuffmanCode dc_code = detail::shared_code(dc_freq);
+  const HuffmanCode ac_code = detail::shared_code(ac_freq);
 
   // Pass 2 (parallel per strip): entropy-code each strip's tokens with the
   // shared tables into its own byte-aligned payload.

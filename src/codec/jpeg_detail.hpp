@@ -126,6 +126,12 @@ struct StripJob {
 void tokenize_strip(const render::Image& image, int row0, bool subsample,
                     const QuantTables& tables, StripJob& job);
 
+/// The frame's shared Huffman table for symbol counts summed over every
+/// strip. A frame with no pixels has no symbols: its table codes nothing
+/// and every strip payload is empty, which the decoder reads back as the
+/// empty frame.
+HuffmanCode shared_code(const std::vector<std::uint64_t>& freq);
+
 /// Pass 2: entropy-code the strip's tokens into job.payload with the
 /// frame's shared tables (built from the summed counts of every strip).
 void emit_strip(StripJob& job, const HuffmanCode& dc, const HuffmanCode& ac);

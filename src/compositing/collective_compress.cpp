@@ -42,8 +42,8 @@ util::Bytes encode_impl(const vmp::Communicator& comm,
     dc_freq[i] = static_cast<std::uint64_t>(counts[i]);
   for (std::size_t i = 0; i < ac_freq.size(); ++i)
     ac_freq[i] = static_cast<std::uint64_t>(counts[dc_freq.size() + i]);
-  const auto dc_code = codec::HuffmanCode::from_frequencies(dc_freq);
-  const auto ac_code = codec::HuffmanCode::from_frequencies(ac_freq);
+  const auto dc_code = jd::shared_code(dc_freq);
+  const auto ac_code = jd::shared_code(ac_freq);
 
   // 3. Pass 2: entropy-code the band with the shared tables.
   jd::emit_strip(job, dc_code, ac_code);
@@ -90,6 +90,8 @@ util::Bytes encode_impl(const vmp::Communicator& comm,
         "collective_jpeg_encode: bands cover rows [0, " +
         std::to_string(next_y) + ") of a frame " + std::to_string(height) +
         " rows high");
+  // A frame with no rows is JpegCodec's one empty strip.
+  if (strips.empty()) strips.emplace_back();
   return jd::assemble_container(width, height, quality, kSubsample, tables,
                                 dc_code, ac_code, strips, pool);
 }

@@ -41,9 +41,4 @@ std::vector<int> Partition::steps_for_group(int g, int total_steps) const {
   return steps;
 }
 
-int Partition::step_count_for_group(int g, int total_steps) const {
-  if (g >= total_steps) return 0;
-  return (total_steps - 1 - g) / groups() + 1;
-}
-
 }  // namespace tvviz::core

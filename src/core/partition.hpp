@@ -28,16 +28,8 @@ class Partition {
   /// Group that rank belongs to.
   int group_of_rank(int rank) const;
 
-  /// Group responsible for time step `step` (round robin).
-  int group_for_step(int step) const noexcept {
-    return step % groups();
-  }
-
   /// Time steps of a `total_steps`-step dataset assigned to group g.
   std::vector<int> steps_for_group(int g, int total_steps) const;
-
-  /// Number of steps assigned to group g.
-  int step_count_for_group(int g, int total_steps) const;
 
  private:
   int processors_;

@@ -124,6 +124,10 @@ SessionResult run_session(const SessionConfig& cfg) {
     throw std::invalid_argument(
         "session: wait_for_store requires store_dir (only a store can be "
         "waited on)");
+  if (cfg.load_balanced && cfg.store_dir)
+    throw std::invalid_argument(
+        "session: load_balanced requires generated input (its weights probe "
+        "the generator, not the store)");
   if (cfg.use_warp && cfg.compression != SessionConfig::Compression::kAssembled)
     throw std::invalid_argument(
         "session: use_warp requires assembled compression (the depth plane "
@@ -449,8 +453,7 @@ SessionResult run_session(const SessionConfig& cfg) {
       // deterministic probe of the step's visible-work distribution (every
       // rank computes the identical weights, so no exchange is needed).
       field::Box my_box = even_boxes[static_cast<std::size_t>(group.rank())];
-      if (cfg.load_balanced && !store &&
-          group.size() <= cfg.dataset.dims.nz) {
+      if (cfg.load_balanced && group.size() <= cfg.dataset.dims.nz) {
         const auto weights = field::estimate_plane_weights(
             cfg.dataset, dataset_step, /*axis=*/2,
             [&tf](float v) { return tf.sample(v).alpha > 0.0; });

@@ -43,8 +43,8 @@ struct SessionConfig {
   Compression compression = Compression::kAssembled;
   /// Load-balanced slab decomposition: per step, probe the dataset's
   /// visible-work distribution along z and size each node's slab for equal
-  /// work instead of equal planes. Generator-backed input only (falls back
-  /// to even slabs when reading from a store).
+  /// work instead of equal planes. Generated input only: run_session
+  /// throws std::invalid_argument with store_dir set.
   bool load_balanced = false;
   render::RenderOptions render_options{};
   std::string colormap = "fire";  ///< "fire", "dense", or "shock".

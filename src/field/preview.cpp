@@ -81,22 +81,6 @@ double TemporalSummary::total_change() const noexcept {
   return total;
 }
 
-std::vector<int> TemporalSummary::select_steps(double threshold) const {
-  std::vector<int> keep;
-  if (deltas_.empty()) return keep;
-  keep.push_back(0);
-  double acc = 0.0;
-  for (int s = 1; s < steps(); ++s) {
-    acc += deltas_[static_cast<std::size_t>(s)];
-    if (threshold <= 0.0 || acc >= threshold) {
-      keep.push_back(s);
-      acc = 0.0;
-    }
-  }
-  if (keep.back() != steps() - 1) keep.push_back(steps() - 1);
-  return keep;
-}
-
 std::vector<int> TemporalSummary::select_budget(int count) const {
   if (count < 2) throw std::invalid_argument("TemporalSummary: budget < 2");
   if (deltas_.empty()) return {};

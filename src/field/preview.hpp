@@ -38,11 +38,6 @@ class TemporalSummary {
   /// Total accumulated change across the sequence.
   double total_change() const noexcept;
 
-  /// Preview selection by threshold: keep a step once at least `threshold`
-  /// of accumulated change has passed since the last kept step. Step 0 and
-  /// the final step are always kept. threshold <= 0 keeps everything.
-  std::vector<int> select_steps(double threshold) const;
-
   /// Preview selection by budget: pick `count` steps at equal quantiles of
   /// cumulative change — fast-changing episodes get dense sampling.
   std::vector<int> select_budget(int count) const;

@@ -110,19 +110,6 @@ class Volume {
   std::span<const T> data() const noexcept { return data_; }
   std::span<T> data() noexcept { return data_; }
 
-  T min_value() const noexcept {
-    return data_.empty() ? T{} : *std::min_element(data_.begin(), data_.end());
-  }
-  T max_value() const noexcept {
-    return data_.empty() ? T{} : *std::max_element(data_.begin(), data_.end());
-  }
-  double mean_value() const noexcept {
-    if (data_.empty()) return 0.0;
-    double sum = 0.0;
-    for (const T& v : data_) sum += static_cast<double>(v);
-    return sum / static_cast<double>(data_.size());
-  }
-
   /// Fraction of voxels with value above `threshold` (pixel-coverage proxy).
   double coverage(T threshold) const noexcept {
     if (data_.empty()) return 0.0;

@@ -5,7 +5,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "util/hash.hpp"
 
 namespace tvviz::hub {
 
@@ -42,9 +41,6 @@ struct FrameHub::ClientState {
   /// Immutable after connect: image traffic goes out as kFrameRef
   /// advertisements instead of full frames (relay peers).
   bool wants_refs = false;
-  /// Per-client stream for the link's fault events (loss/stall sampling),
-  /// seeded from the client id so a named client replays identically.
-  util::Rng link_rng{1};
 
   mutable util::Mutex mutex;
   util::CondVar cv;
@@ -144,15 +140,8 @@ FramePtr FrameHub::ClientPort::next_for(std::chrono::milliseconds timeout) {
   // without occupying the relay thread, so one slow link never delays the
   // fan-out to anybody else.
   if (state_->link_scale > 0.0) {
-    double s;
-    {
-      // The fault draw consumes the per-client stream; serialize it so
-      // concurrent next_for callers cannot tear the PRNG state.
-      util::LockGuard lock(state_->mutex);
-      s = state_->link.transfer_seconds_faulty(msg->wire_size(), 1,
-                                               state_->link_rng) *
-          state_->link_scale;
-    }
+    const double s =
+        state_->link.transfer_seconds(msg->wire_size()) * state_->link_scale;
     if (s > 0.0)
       std::this_thread::sleep_for(std::chrono::duration<double>(s));
   }
@@ -175,12 +164,6 @@ void FrameHub::ClientPort::ack(int step) {
   state_->last_seen_s.store(hub_->now_s());
   static obs::Counter& acks = obs::counter("net.hub.acks");
   acks.add(1);
-}
-
-void FrameHub::ClientPort::heartbeat() {
-  state_->last_seen_s.store(hub_->now_s());
-  static obs::Counter& beats = obs::counter("net.hub.heartbeats");
-  beats.add(1);
 }
 
 void FrameHub::ClientPort::send_control(const net::ControlEvent& event) {
@@ -283,10 +266,6 @@ std::shared_ptr<FrameHub::ClientPort> FrameHub::connect_client(
   state->link = options.link;
   state->link_scale = options.link_time_scale;
   state->wants_refs = options.wants_frame_refs;
-  // FNV-1a over the id: implementation-independent (unlike std::hash),
-  // so a named client's fault stream replays across builds.
-  std::uint64_t link_seed = util::fnv1a(state->id);
-  state->link_rng = util::Rng(util::splitmix64(link_seed));
   // A requested resume point declares everything up to it displayed: fix
   // the floor here, inside the same critical section the fan-out snapshots
   // under, so a step the client already saw elsewhere (viewer following a
@@ -423,12 +402,6 @@ std::vector<ClientStats> FrameHub::client_stats() const {
   return out;
 }
 
-ClientStats FrameHub::stats_for(const std::string& id) const {
-  for (auto& s : client_stats())
-    if (s.id == id) return s;
-  throw std::runtime_error("hub: unknown client '" + id + "'");
-}
-
 void FrameHub::serve_fetch(const std::shared_ptr<ClientState>& client,
                            net::ContentId content) {
   static obs::Counter& served = obs::counter("net.relay.fetches_served");
@@ -515,7 +488,6 @@ void FrameHub::reap_idle_clients() {
   for (auto& c : dead) {
     close_client(c);
     reaped.add(1);
-    clients_reaped_.fetch_add(1);
   }
   util::LockGuard lock(clients_mutex_);
   std::size_t connected = 0;

@@ -13,8 +13,8 @@
 //    drop policy: a slow client loses its own oldest frames (counted) and
 //    never stalls the renderer or the other clients. A bound no session
 //    can reach makes a client lossless;
-//  * clients carry liveness state (acks, heartbeats); a configurable idle
-//    timeout reaps dead clients, and a returning client reconnects by id
+//  * clients carry liveness state (reads, acks, fetches); a configurable
+//    idle timeout reaps dead clients, and a returning client reconnects by id
 //    and is resumed from the cache starting after its last acked step;
 //  * per-client LinkModel throttling simulates heterogeneous WAN paths in
 //    process (the real-socket form lives in hub/tcp_hub.hpp).
@@ -42,7 +42,7 @@ struct HubConfig {
   std::size_t cache_steps = 32;         ///< Frame-cache ring capacity.
   std::size_t client_queue_frames = 8;  ///< Default per-client send bound.
   std::size_t max_clients = 64;
-  /// Reap a client idle (no pop/ack/heartbeat) longer than this. 0 = never.
+  /// Reap a client idle (no pop/ack/fetch) longer than this. 0 = never.
   double heartbeat_timeout_s = 0.0;
 
   /// I/O deadline installed on accepted hub sockets; a display that stops
@@ -131,8 +131,6 @@ class FrameHub {
     /// Acknowledge that `step` was displayed (the resume point after a
     /// disconnect). Also counts as liveness.
     void ack(int step);
-    /// Liveness beacon for clients that are between frames.
-    void heartbeat();
     /// User-control event toward every renderer interface.
     void send_control(const net::ControlEvent& event);
     /// Cache-miss follow-up to a kFrameRef (wants_frame_refs clients): the
@@ -185,9 +183,7 @@ class FrameHub {
 
   std::size_t connected_clients() const TVVIZ_EXCLUDES(clients_mutex_);
   std::vector<ClientStats> client_stats() const TVVIZ_EXCLUDES(clients_mutex_);
-  ClientStats stats_for(const std::string& id) const;
   std::uint64_t steps_relayed() const noexcept { return steps_relayed_.load(); }
-  std::uint64_t clients_reaped() const noexcept { return clients_reaped_.load(); }
   FrameCache& cache() noexcept { return cache_; }
 
  private:
@@ -229,7 +225,6 @@ class FrameHub {
   int next_auto_id_ TVVIZ_GUARDED_BY(clients_mutex_) = 0;
 
   std::atomic<std::uint64_t> steps_relayed_{0};
-  std::atomic<std::uint64_t> clients_reaped_{0};
   /// Set once a kShutdown crosses the relay: clients connecting after the
   /// stream ended get the end-of-stream marker appended to their replay.
   std::atomic<bool> stream_ended_{false};

@@ -298,9 +298,6 @@ void HubTcpServer::on_readable(const std::shared_ptr<Session>& session) {
         case MsgType::kAck:
           session->client_port->ack(msg->frame_index);
           break;
-        case MsgType::kHeartbeat:
-          session->client_port->heartbeat();
-          break;
         case MsgType::kControl:
           try {
             session->client_port->send_control(
@@ -537,9 +534,8 @@ HubTcpViewer::HubTcpViewer(int port) : HubTcpViewer(port, Options()) {}
 HubTcpViewer::HubTcpViewer(int port, Options options)
     : port_(port), options_(std::move(options)) {
   last_acked_.store(options_.last_acked_step);
-  // Seed the jitter stream from the requested identity so a named viewer's
-  // backoff schedule replays deterministically. The 'view' tag keeps the
-  // stream distinct from the hub's link_rng for the same id.
+  // Seed the jitter stream from the requested identity (FNV-1a salted with
+  // 'view') so a named viewer's backoff schedule replays deterministically.
   std::uint64_t jitter_seed = util::fnv1a(options_.client_id, 0x76696577ULL);
   retry_rng_ = util::Rng(util::splitmix64(jitter_seed));
   if (options_.auto_reconnect) {

@@ -2,29 +2,6 @@
 
 namespace tvviz::net {
 
-double LinkModel::transfer_seconds_faulty(std::size_t bytes, int messages,
-                                          util::Rng& rng) const noexcept {
-  double total = transfer_seconds(bytes, messages);
-  if (loss_rate <= 0.0 && stall_rate <= 0.0) return total;
-  // Per-message events: a loss costs a detection round-trip plus the
-  // retransmit of that message's share of the bytes; a stall freezes the
-  // link for stall_s. Fixed draw order (loss, then stall) keeps a seeded
-  // replay aligned.
-  const double per_message_bytes =
-      messages > 0 ? static_cast<double>(bytes) / messages : 0.0;
-  for (int m = 0; m < messages; ++m) {
-    if (loss_rate > 0.0 && rng.uniform() < loss_rate)
-      total += 2.0 * latency_s + per_message_bytes / bandwidth_bytes_per_s;
-    if (stall_rate > 0.0 && rng.uniform() < stall_rate) total += stall_s;
-  }
-  return total;
-}
-
-LinkModel lan_fast() {
-  // Myrinet / machine-internal interconnect class.
-  return LinkModel{"lan-fast", 50e-6, 100e6};
-}
-
 LinkModel wan_nasa_ucd() {
   // ~120 miles over year-2000 research Internet: tens of ms RTT, about a
   // megabyte per second of sustained TCP throughput.

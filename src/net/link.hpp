@@ -8,40 +8,19 @@
 #include <cstddef>
 #include <string>
 
-#include "util/rng.hpp"
-
 namespace tvviz::net {
 
-/// First-order link: per-message latency plus size over bandwidth, with
-/// optional fault events (loss and stalls) for chaos experiments.
+/// First-order link: per-message latency plus size over bandwidth.
 struct LinkModel {
   std::string name = "link";
   double latency_s = 0.0;           ///< One-way per-message latency.
   double bandwidth_bytes_per_s = 1; ///< Sustained payload bandwidth.
 
-  // WAN fault events. A lost message pays a retransmit (one extra RTT plus
-  // the resend of its bytes); a stall freezes the link for stall_s. Both
-  // are sampled per message from a caller-supplied PRNG so a seeded run
-  // replays identically.
-  double loss_rate = 0.0;   ///< P(a message needs a retransmit).
-  double stall_rate = 0.0;  ///< P(a message hits a link stall).
-  double stall_s = 0.0;     ///< Duration of one stall.
-
   double transfer_seconds(std::size_t bytes, int messages = 1) const noexcept {
     return latency_s * messages +
            static_cast<double>(bytes) / bandwidth_bytes_per_s;
   }
-
-  /// transfer_seconds plus sampled fault events. With all rates zero this
-  /// is exactly transfer_seconds (and draws nothing from `rng`).
-  double transfer_seconds_faulty(std::size_t bytes, int messages,
-                                 util::Rng& rng) const noexcept;
 };
-
-/// Fast local network between mass storage and the parallel renderer
-/// (the paper assumes the data is local to the facility, moved over fast
-/// LANs — Myrinet on the RWCP cluster, the O2K interconnect at Ames).
-LinkModel lan_fast();
 
 /// Wide-area path NASA Ames -> UC Davis (~120 miles), year-2000 Internet.
 LinkModel wan_nasa_ucd();

@@ -18,18 +18,17 @@ enum class MsgType : std::uint8_t {
   kControl = 2,      ///< User-control event toward the renderer.
   kShutdown = 3,     ///< Orderly teardown.
   kHelloAck = 4,     ///< Hub accepts a hello (codec: the client id it assigned).
-  kHeartbeat = 5,    ///< Client liveness beacon (empty payload).
-  kAck = 6,          ///< Client acknowledges display of frame_index.
-  kError = 7,        ///< Descriptive failure (payload: UTF-8 message), then close.
+  kAck = 5,          ///< Client acknowledges display of frame_index.
+  kError = 6,        ///< Descriptive failure (payload: UTF-8 message), then close.
   // Frame-by-reference (the relay tree). Frames travel by reference between
   // hubs that keep content-addressed caches: the upstream hub advertises a
   // frame with kFrameRef (step + ContentId + size, no payload bytes); the
   // downstream edge answers kFrameFetch only when its cache misses and the
   // payload itself crosses the wire once, as kFrameData. Sent only to peers
   // whose hello carries the frame-refs capability bit.
-  kFrameRef = 8,     ///< Frame advertisement by content id (FrameRefInfo payload).
-  kFrameFetch = 9,   ///< Cache-miss request for a ContentId (8-byte payload).
-  kFrameData = 10,   ///< Fetched frame body; header mirrors the original frame.
+  kFrameRef = 7,     ///< Frame advertisement by content id (FrameRefInfo payload).
+  kFrameFetch = 8,   ///< Cache-miss request for a ContentId (8-byte payload).
+  kFrameData = 9,    ///< Fetched frame body; header mirrors the original frame.
 };
 
 /// Highest MsgType value a well-formed frame may carry (wire validation).
@@ -39,7 +38,7 @@ inline constexpr std::uint8_t kMaxMsgType =
 /// Version of the hello handshake and the frame header. Every endpoint ships
 /// from this repo, so there is one generation: a hub refuses a hello of any
 /// other version.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
 /// Stable identity of one encoded frame payload: FNV-1a over the codec-name
 /// bytes then the payload bytes (see content_id_of). Computed once at cache

@@ -37,16 +37,6 @@ class Camera {
   double elevation() const noexcept { return elevation_; }
   double zoom() const noexcept { return zoom_; }
 
-  void set_view(double azimuth_rad, double elevation_rad) {
-    check_view(azimuth_rad, elevation_rad, zoom_);
-    azimuth_ = azimuth_rad;
-    elevation_ = elevation_rad;
-  }
-  void set_zoom(double zoom) {
-    check_view(azimuth_, elevation_, zoom);
-    zoom_ = zoom;
-  }
-
   /// Unit view direction (from eye toward the volume) in voxel space.
   util::Vec3 view_dir() const noexcept {
     const double ce = std::cos(elevation_), se = std::sin(elevation_);

@@ -21,50 +21,6 @@ void Image::write_ppm(const std::filesystem::path& path) const {
   if (!out) throw std::runtime_error("Image: write failed " + path.string());
 }
 
-Image Image::read_ppm(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("Image: cannot open " + path.string());
-  // Header tokens separated by whitespace; '#' starts a comment line.
-  const auto next_token = [&in, &path]() -> std::string {
-    std::string token;
-    for (;;) {
-      const int c = in.get();
-      if (c == EOF)
-        throw std::runtime_error("Image: truncated PPM header " + path.string());
-      if (c == '#') {
-        while (in.good() && in.get() != '\n') {
-        }
-        continue;
-      }
-      if (std::isspace(c)) {
-        if (!token.empty()) return token;
-        continue;
-      }
-      token.push_back(static_cast<char>(c));
-    }
-  };
-  if (next_token() != "P6")
-    throw std::runtime_error("Image: not a binary PPM: " + path.string());
-  const int width = std::stoi(next_token());
-  const int height = std::stoi(next_token());
-  const int maxval = std::stoi(next_token());
-  if (width <= 0 || height <= 0 || maxval != 255)
-    throw std::runtime_error("Image: unsupported PPM geometry " + path.string());
-  // Exactly one whitespace byte separates the header from the raster; the
-  // token reader has already consumed it.
-  Image img(width, height);
-  std::vector<char> row(static_cast<std::size_t>(width) * 3);
-  for (int y = 0; y < height; ++y) {
-    in.read(row.data(), static_cast<std::streamsize>(row.size()));
-    if (!in) throw std::runtime_error("Image: truncated PPM " + path.string());
-    for (int x = 0; x < width; ++x)
-      img.set(x, y, static_cast<std::uint8_t>(row[x * 3]),
-              static_cast<std::uint8_t>(row[x * 3 + 1]),
-              static_cast<std::uint8_t>(row[x * 3 + 2]), 255);
-  }
-  return img;
-}
-
 util::Bytes PartialImage::serialize() const {
   util::ByteWriter w(pixels_.size() * 20 + 32);
   w.u32(static_cast<std::uint32_t>(x0_));
@@ -141,41 +97,6 @@ Image upscale(const Image& src, int factor) {
       const auto* p = src.pixel(x / factor, y / factor);
       out.set(x, y, p[0], p[1], p[2], p[3]);
     }
-  return out;
-}
-
-Image resize_bilinear(const Image& src, int width, int height) {
-  if (width <= 0 || height <= 0)
-    throw std::invalid_argument("resize_bilinear: bad size");
-  Image out(width, height);
-  if (src.width() == 0 || src.height() == 0) return out;
-  const double sx = static_cast<double>(src.width()) / width;
-  const double sy = static_cast<double>(src.height()) / height;
-  for (int y = 0; y < height; ++y) {
-    const double fy = std::min((y + 0.5) * sy - 0.5,
-                               static_cast<double>(src.height() - 1));
-    const int y0 = std::max(0, static_cast<int>(fy));
-    const int y1 = std::min(src.height() - 1, y0 + 1);
-    const double wy = std::max(0.0, fy - y0);
-    for (int x = 0; x < width; ++x) {
-      const double fx = std::min((x + 0.5) * sx - 0.5,
-                                 static_cast<double>(src.width() - 1));
-      const int x0 = std::max(0, static_cast<int>(fx));
-      const int x1 = std::min(src.width() - 1, x0 + 1);
-      const double wx = std::max(0.0, fx - x0);
-      const auto* p00 = src.pixel(x0, y0);
-      const auto* p10 = src.pixel(x1, y0);
-      const auto* p01 = src.pixel(x0, y1);
-      const auto* p11 = src.pixel(x1, y1);
-      std::uint8_t rgba[4];
-      for (int ch = 0; ch < 4; ++ch) {
-        const double v = (1 - wy) * ((1 - wx) * p00[ch] + wx * p10[ch]) +
-                         wy * ((1 - wx) * p01[ch] + wx * p11[ch]);
-        rgba[ch] = static_cast<std::uint8_t>(v + 0.5);
-      }
-      out.set(x, y, rgba[0], rgba[1], rgba[2], rgba[3]);
-    }
-  }
   return out;
 }
 

@@ -62,11 +62,6 @@ class Image {
   /// Write binary PPM (alpha dropped) for eyeballing results.
   void write_ppm(const std::filesystem::path& path) const;
 
-  /// Read a binary (P6) PPM written by write_ppm or any standard tool.
-  /// Alpha is reconstructed as opaque. Throws std::runtime_error on
-  /// malformed input.
-  static Image read_ppm(const std::filesystem::path& path);
-
   bool operator==(const Image&) const = default;
 
  private:
@@ -135,9 +130,6 @@ class PartialImage {
 /// Nearest-neighbour upscale by an integer factor (display-side companion
 /// to JpegCodec::decode_fast's reduced-resolution output).
 Image upscale(const Image& src, int factor);
-
-/// Bilinear resize to an arbitrary size (used by the image-based viewer).
-Image resize_bilinear(const Image& src, int width, int height);
 
 /// Peak signal-to-noise ratio between two equal-size images, in dB
 /// (infinity for identical images), over the RGB channels. Alpha is

@@ -10,7 +10,7 @@ Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
+      stray_.push_back(std::move(arg));
       continue;
     }
     arg.erase(0, 2);
@@ -88,7 +88,8 @@ std::string Flags::get_choice(const std::string& name,
 std::vector<std::string> Flags::unused() const {
   std::vector<std::string> result;
   for (const auto& [name, _] : values_)
-    if (!queried_.count(name)) result.push_back(name);
+    if (!queried_.count(name)) result.push_back("--" + name);
+  result.insert(result.end(), stray_.begin(), stray_.end());
   return result;
 }
 

@@ -1,7 +1,7 @@
 // Tiny command-line flag parser for the benchmark harnesses and examples.
-// Accepts --name=value and --name value; unknown flags are reported, and a
-// value its reader does not accept (a number with trailing junk, or a word
-// outside a boolean or choice flag's list) is an error.
+// Accepts --name=value and --name value; unknown flags and stray words are
+// reported, and a value its reader does not accept (a number with trailing
+// junk, or a word outside a boolean or choice flag's list) is an error.
 #pragma once
 
 #include <cstdint>
@@ -29,16 +29,15 @@ class Flags {
   std::string get_choice(const std::string& name, const std::string& fallback,
                          const std::vector<std::string>& choices) const;
 
-  /// Non-flag positional arguments in order.
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Flags present on the command line but never queried; for typo warnings.
+  /// What the command line holds that nothing read, as written there: each
+  /// flag never queried ("--typo"), then each word that is neither a flag
+  /// nor a flag's value ("-size", or the "32" of "--size 16 32"), in order.
   std::vector<std::string> unused() const;
 
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> queried_;
-  std::vector<std::string> positional_;
+  std::vector<std::string> stray_;
 };
 
 }  // namespace tvviz::util

@@ -72,8 +72,11 @@ SharedBytes::SharedBytes(const Bytes& bytes)
   if (!bytes.empty()) count_copy(bytes.size());
 }
 
-SharedBytes::SharedBytes(std::initializer_list<std::uint8_t> init)
-    : SharedBytes(Bytes(init)) {}
+SharedBytes::SharedBytes(std::initializer_list<std::uint8_t> init) {
+  // Assigned rather than delegated: GCC 12's -O3 -Wfree-nonheap-object
+  // misreads the delegating form.
+  *this = SharedBytes(Bytes(init));
+}
 
 SharedBytes SharedBytes::copy_of(std::span<const std::uint8_t> data) {
   if (data.empty()) return {};

@@ -37,70 +37,6 @@ struct Vec3 {
 
 constexpr Vec3 operator*(double s, const Vec3& v) noexcept { return v * s; }
 
-/// Row-major 4x4 affine transform (last row implicitly [0 0 0 1] for points).
-struct Mat4 {
-  double m[4][4] = {{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}};
-
-  static constexpr Mat4 identity() noexcept { return {}; }
-
-  static Mat4 translate(const Vec3& t) noexcept {
-    Mat4 r;
-    r.m[0][3] = t.x;
-    r.m[1][3] = t.y;
-    r.m[2][3] = t.z;
-    return r;
-  }
-
-  static Mat4 scale(const Vec3& s) noexcept {
-    Mat4 r;
-    r.m[0][0] = s.x;
-    r.m[1][1] = s.y;
-    r.m[2][2] = s.z;
-    return r;
-  }
-
-  static Mat4 rotate_y(double rad) noexcept {
-    Mat4 r;
-    const double c = std::cos(rad), s = std::sin(rad);
-    r.m[0][0] = c;  r.m[0][2] = s;
-    r.m[2][0] = -s; r.m[2][2] = c;
-    return r;
-  }
-
-  static Mat4 rotate_x(double rad) noexcept {
-    Mat4 r;
-    const double c = std::cos(rad), s = std::sin(rad);
-    r.m[1][1] = c;  r.m[1][2] = -s;
-    r.m[2][1] = s;  r.m[2][2] = c;
-    return r;
-  }
-
-  Mat4 operator*(const Mat4& o) const noexcept {
-    Mat4 r;
-    for (int i = 0; i < 4; ++i)
-      for (int j = 0; j < 4; ++j) {
-        double acc = 0.0;
-        for (int k = 0; k < 4; ++k) acc += m[i][k] * o.m[k][j];
-        r.m[i][j] = acc;
-      }
-    return r;
-  }
-
-  /// Transform a point (applies translation).
-  constexpr Vec3 point(const Vec3& p) const noexcept {
-    return {m[0][0] * p.x + m[0][1] * p.y + m[0][2] * p.z + m[0][3],
-            m[1][0] * p.x + m[1][1] * p.y + m[1][2] * p.z + m[1][3],
-            m[2][0] * p.x + m[2][1] * p.y + m[2][2] * p.z + m[2][3]};
-  }
-
-  /// Transform a direction (ignores translation).
-  constexpr Vec3 dir(const Vec3& d) const noexcept {
-    return {m[0][0] * d.x + m[0][1] * d.y + m[0][2] * d.z,
-            m[1][0] * d.x + m[1][1] * d.y + m[1][2] * d.z,
-            m[2][0] * d.x + m[2][1] * d.y + m[2][2] * d.z};
-  }
-};
-
 struct Ray {
   Vec3 origin;
   Vec3 direction;  // need not be normalized

@@ -40,7 +40,6 @@ class World {
 namespace {
 // Reserved tags for collectives; user traffic must use tags >= 0, and the
 // communicator context already isolates different communicators.
-constexpr int kBarrierTag = -1000;
 constexpr int kBcastTag = -1001;
 constexpr int kGatherTag = -1002;
 constexpr int kReduceTag = -1003;
@@ -79,14 +78,11 @@ Communicator::Communicator(std::shared_ptr<World> world, std::uint32_t context,
       context_(context),
       rank_(rank),
       ranks_(std::move(ranks)) {
-  if (rank_ >= 0 && !ranks_.empty()) {
-    // Counters are keyed by *world* rank, so split/subgroup communicators of
-    // the same processor feed the same per-rank lane.
-    const std::string prefix =
-        "vmp.rank" + std::to_string(ranks_[static_cast<std::size_t>(rank_)]);
-    msgs_sent_ = &obs::counter(prefix + ".messages_sent");
-    bytes_sent_ = &obs::counter(prefix + ".bytes_sent");
-  }
+  // Counters are keyed by *world* rank, so split communicators of the same
+  // processor feed the same per-rank lane.
+  const std::string prefix = "vmp.rank" + std::to_string(global_rank(rank_));
+  msgs_sent_ = &obs::counter(prefix + ".messages_sent");
+  bytes_sent_ = &obs::counter(prefix + ".bytes_sent");
 }
 
 int Communicator::local_rank_of_global(int global) const {
@@ -101,10 +97,8 @@ void Communicator::send(int dest, int tag, util::SharedBytes payload) const {
   static obs::Counter& bytes = obs::counter("vmp.bytes_sent");
   msgs.add(1);
   bytes.add(payload.size());
-  if (msgs_sent_) {
-    msgs_sent_->add(1);
-    bytes_sent_->add(payload.size());
-  }
+  msgs_sent_->add(1);
+  bytes_sent_->add(payload.size());
   world_->mailbox(global_rank(dest))
       .push(Message(global_rank(rank_), tag, context_, std::move(payload)));
 }
@@ -125,34 +119,11 @@ Message Communicator::recv(int source, int tag) const {
   return msg;
 }
 
-bool Communicator::probe(int source, int tag) const {
-  const int global_src = source == kAnySource ? kAnySource : global_rank(source);
-  return world_->mailbox(global_rank(rank_)).probe(context_, global_src, tag);
-}
-
-std::optional<Message> Communicator::try_recv(int source, int tag) const {
-  const int global_src = source == kAnySource ? kAnySource : global_rank(source);
-  auto msg = world_->mailbox(global_rank(rank_)).try_pop(context_, global_src, tag);
-  if (msg) msg->source = local_rank_of_global(msg->source);
-  return msg;
-}
-
 Message Communicator::sendrecv(int peer, int tag,
                                util::SharedBytes payload) const {
   // Mailboxes buffer eagerly, so a plain send-then-recv cannot deadlock.
   send(peer, tag, std::move(payload));
   return recv(peer, tag);
-}
-
-void Communicator::barrier() const {
-  // Dissemination barrier: O(log P) rounds, exact-source matching.
-  const int p = size();
-  for (int step = 1; step < p; step <<= 1) {
-    const int to = (rank_ + step) % p;
-    const int from = (rank_ - step % p + p) % p;
-    send(to, kBarrierTag, util::Bytes{});
-    (void)recv(from, kBarrierTag);
-  }
 }
 
 util::SharedBytes Communicator::bcast(int root,
@@ -195,57 +166,6 @@ std::vector<util::SharedBytes> Communicator::gather(
   return {};
 }
 
-util::SharedBytes Communicator::scatter(
-    int root, std::vector<util::SharedBytes> payloads) const {
-  constexpr int kScatterTag = -1004;
-  if (rank_ == root) {
-    if (payloads.size() != static_cast<std::size_t>(size()))
-      throw std::invalid_argument("vmp: scatter payload count != size()");
-    for (int dst = 0; dst < size(); ++dst) {
-      if (dst == root) continue;
-      send(dst, kScatterTag, std::move(payloads[static_cast<std::size_t>(dst)]));
-    }
-    return std::move(payloads[static_cast<std::size_t>(root)]);
-  }
-  return recv(root, kScatterTag).payload;
-}
-
-util::SharedBytes Communicator::scatter(int root,
-                                        std::vector<util::Bytes> payloads) const {
-  std::vector<util::SharedBytes> shared;
-  shared.reserve(payloads.size());
-  for (auto& b : payloads) shared.emplace_back(std::move(b));
-  return scatter(root, std::move(shared));
-}
-
-std::vector<util::SharedBytes> Communicator::allgather(
-    util::SharedBytes payload) const {
-  // Gather at rank 0, then broadcast the packed table. Every rank's result
-  // entries are aliasing views into the one broadcast table buffer.
-  auto all = gather(0, std::move(payload));
-  util::SharedBytes table;
-  if (rank_ == 0) {
-    std::size_t total = util::varint_size(all.size());
-    for (const auto& b : all) total += util::varint_size(b.size()) + b.size();
-    util::ByteWriter w(total);
-    w.varint(all.size());
-    for (const auto& b : all) {
-      w.varint(b.size());
-      w.raw(b);
-    }
-    table = w.take();
-  }
-  table = bcast(0, std::move(table));
-  util::ByteReader r(table);
-  std::vector<util::SharedBytes> out(r.varint());
-  for (auto& b : out) {
-    const std::size_t len = r.varint();
-    const auto s = r.raw(len);
-    b = table.view(static_cast<std::size_t>(s.data() - table.data()), len);
-  }
-  return out;
-}
-
 std::vector<double> Communicator::reduce(int root, std::vector<double> values,
                                          ReduceOp op) const {
   // Binomial-tree reduction toward virtual rank 0 (= root).
@@ -284,24 +204,6 @@ std::uint32_t Communicator::allocate_contexts(int count) const {
   return util::ByteReader(packed).u32();
 }
 
-Communicator Communicator::subgroup_internal(const std::vector<int>& members,
-                                             std::uint32_t context) const {
-  std::vector<int> global;
-  global.reserve(members.size());
-  int my_pos = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i] == rank_) my_pos = static_cast<int>(i);
-    global.push_back(global_rank(members[i]));
-  }
-  if (my_pos < 0) return Communicator(world_, 0, -1, {});  // null communicator
-  return Communicator(world_, context, my_pos, std::move(global));
-}
-
-Communicator Communicator::subgroup(const std::vector<int>& members) const {
-  const std::uint32_t ctx = allocate_contexts(1);
-  return subgroup_internal(members, ctx);
-}
-
 Communicator Communicator::split(int color) const {
   // Exchange colors, then derive one fresh context per distinct color so the
   // resulting sibling communicators cannot observe each other's traffic.
@@ -329,10 +231,14 @@ Communicator Communicator::split(int color) const {
   const auto color_index = static_cast<std::uint32_t>(
       std::find(distinct.begin(), distinct.end(), color) - distinct.begin());
 
-  std::vector<int> members;
-  for (int i = 0; i < size(); ++i)
-    if (colors[static_cast<std::size_t>(i)] == color) members.push_back(i);
-  return subgroup_internal(members, base + color_index);
+  std::vector<int> members;  // world ranks, in this communicator's order
+  int my_pos = 0;
+  for (int i = 0; i < size(); ++i) {
+    if (colors[static_cast<std::size_t>(i)] != color) continue;
+    if (i == rank_) my_pos = static_cast<int>(members.size());
+    members.push_back(global_rank(i));
+  }
+  return Communicator(world_, base + color_index, my_pos, std::move(members));
 }
 
 void Cluster::run(int num_ranks, const RankFn& fn) {

@@ -1,11 +1,10 @@
 // Communicator: a rank's view of a process group, in the style of MPI.
 // Point-to-point operations go through per-rank mailboxes; collectives are
-// implemented as binomial trees / dissemination patterns over point-to-point,
-// so they exercise the same messaging substrate a real cluster would.
+// binomial trees and a flat gather over point-to-point, so they exercise the
+// same messaging substrate a real cluster would.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
@@ -44,38 +43,10 @@ class Communicator {
   /// The returned Message::source is translated to this communicator's ranks.
   Message recv(int source = kAnySource, int tag = kAnyTag) const;
 
-  /// Non-blocking probe / receive.
-  bool probe(int source = kAnySource, int tag = kAnyTag) const;
-  std::optional<Message> try_recv(int source = kAnySource, int tag = kAnyTag) const;
-
   /// Combined exchange (deadlock-free pairwise swap, as in binary-swap).
   Message sendrecv(int peer, int tag, util::SharedBytes payload) const;
 
-  // -- typed convenience wrappers -----------------------------------------
-
-  template <typename T>
-  void send_value(int dest, int tag, const T& value) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    util::Bytes buf(sizeof(T));
-    std::memcpy(buf.data(), &value, sizeof(T));
-    send(dest, tag, std::move(buf));
-  }
-
-  template <typename T>
-  T recv_value(int source = kAnySource, int tag = kAnyTag) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const Message msg = recv(source, tag);
-    T value;
-    if (msg.payload.size() != sizeof(T))
-      throw std::runtime_error("vmp: recv_value size mismatch");
-    std::memcpy(&value, msg.payload.data(), sizeof(T));
-    return value;
-  }
-
   // -- collectives (must be called by every rank of the communicator) ------
-
-  /// Dissemination barrier: O(log P) rounds.
-  void barrier() const;
 
   /// Binomial-tree broadcast from `root`; returns the broadcast bytes.
   /// Interior nodes forward the very buffer they received (refcount bump).
@@ -84,16 +55,6 @@ class Communicator {
   /// Gather each rank's bytes at `root` (index = rank). Non-roots get {}.
   std::vector<util::SharedBytes> gather(int root,
                                         util::SharedBytes payload) const;
-
-  /// Scatter: `root` provides one payload per rank (size() entries, ignored
-  /// elsewhere); every rank returns its own.
-  util::SharedBytes scatter(int root,
-                            std::vector<util::SharedBytes> payloads) const;
-  util::SharedBytes scatter(int root, std::vector<util::Bytes> payloads) const;
-
-  /// Allgather: every rank contributes bytes and receives everyone's,
-  /// indexed by rank. The results are views into one broadcast table.
-  std::vector<util::SharedBytes> allgather(util::SharedBytes payload) const;
 
   /// Element-wise reduction of equal-length double vectors at `root`.
   std::vector<double> reduce(int root, std::vector<double> values,
@@ -106,13 +67,6 @@ class Communicator {
   /// up together, ordered by current rank). Every rank must call this.
   Communicator split(int color) const;
 
-  /// Sub-communicator over an explicit subset of this communicator's ranks
-  /// (same list on every rank). Ranks not listed get a null communicator
-  /// (size 0) and must not use it.
-  Communicator subgroup(const std::vector<int>& members) const;
-
-  bool is_null() const noexcept { return ranks_.empty(); }
-
  private:
   friend class Cluster;
   friend class World;
@@ -121,8 +75,6 @@ class Communicator {
 
   int global_rank(int local) const { return ranks_.at(static_cast<std::size_t>(local)); }
   int local_rank_of_global(int global) const;
-  Communicator subgroup_internal(const std::vector<int>& members,
-                                 std::uint32_t context) const;
   /// Collective: parent rank 0 allocates `count` fresh context ids and
   /// broadcasts the first; ids are consecutive.
   std::uint32_t allocate_contexts(int count) const;
@@ -131,8 +83,8 @@ class Communicator {
   std::uint32_t context_ = 0;
   int rank_ = -1;               ///< This rank within the communicator.
   std::vector<int> ranks_;      ///< local rank -> world rank.
-  // Per-world-rank send counters (obs registry entries; null for the null
-  // communicator). Resolved once at construction, bumped lock-free in send().
+  // Per-world-rank send counters (obs registry entries). Resolved once at
+  // construction, bumped lock-free in send().
   obs::Counter* msgs_sent_ = nullptr;
   obs::Counter* bytes_sent_ = nullptr;
 };

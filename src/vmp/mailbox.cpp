@@ -16,39 +16,20 @@ void Mailbox::push(Message msg) {
   cv_.notify_all();
 }
 
-std::optional<Message> Mailbox::extract_locked(std::uint32_t context, int source,
-                                               int tag) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (matches(*it, context, source, tag)) {
-      Message msg = std::move(*it);
-      queue_.erase(it);
-      return msg;
-    }
-  }
-  return std::nullopt;
-}
-
 Message Mailbox::pop(std::uint32_t context, int source, int tag) {
   util::LockGuard lock(mutex_);
   for (;;) {
-    if (auto msg = extract_locked(context, source, tag)) return std::move(*msg);
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (matches(*it, context, source, tag)) {
+        Message msg = std::move(*it);
+        queue_.erase(it);
+        return msg;
+      }
+    }
     if (poisoned_)
       throw std::runtime_error("vmp: world poisoned while waiting for message");
     cv_.wait(mutex_);
   }
-}
-
-bool Mailbox::probe(std::uint32_t context, int source, int tag) const {
-  util::LockGuard lock(mutex_);
-  for (const auto& m : queue_)
-    if (matches(m, context, source, tag)) return true;
-  return false;
-}
-
-std::optional<Message> Mailbox::try_pop(std::uint32_t context, int source,
-                                        int tag) {
-  util::LockGuard lock(mutex_);
-  return extract_locked(context, source, tag);
 }
 
 void Mailbox::poison() {
@@ -57,11 +38,6 @@ void Mailbox::poison() {
     poisoned_ = true;
   }
   cv_.notify_all();
-}
-
-std::size_t Mailbox::pending() const {
-  util::LockGuard lock(mutex_);
-  return queue_.size();
 }
 
 }  // namespace tvviz::vmp

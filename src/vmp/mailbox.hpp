@@ -3,7 +3,6 @@
 #pragma once
 
 #include <deque>
-#include <optional>
 
 #include "util/mutex.hpp"
 #include "vmp/message.hpp"
@@ -21,18 +20,8 @@ class Mailbox {
   Message pop(std::uint32_t context, int source, int tag)
       TVVIZ_EXCLUDES(mutex_);
 
-  /// Non-blocking probe: true if a matching message is queued.
-  bool probe(std::uint32_t context, int source, int tag) const
-      TVVIZ_EXCLUDES(mutex_);
-
-  /// Non-blocking receive; std::nullopt when no match is queued.
-  std::optional<Message> try_pop(std::uint32_t context, int source, int tag)
-      TVVIZ_EXCLUDES(mutex_);
-
   /// Wake all blocked receivers with an error (peer rank failed).
   void poison() TVVIZ_EXCLUDES(mutex_);
-
-  std::size_t pending() const TVVIZ_EXCLUDES(mutex_);
 
  private:
   static bool matches(const Message& m, std::uint32_t context, int source,
@@ -40,10 +29,8 @@ class Mailbox {
     return m.context == context && (source == kAnySource || m.source == source) &&
            (tag == kAnyTag || m.tag == tag);
   }
-  std::optional<Message> extract_locked(std::uint32_t context, int source,
-                                        int tag) TVVIZ_REQUIRES(mutex_);
 
-  mutable util::Mutex mutex_;
+  util::Mutex mutex_;
   util::CondVar cv_;
   std::deque<Message> queue_ TVVIZ_GUARDED_BY(mutex_);
   bool poisoned_ TVVIZ_GUARDED_BY(mutex_) = false;

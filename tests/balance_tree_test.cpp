@@ -1,5 +1,5 @@
-// Tests for binary-tree compositing, the scatter/allgather collectives,
-// weighted slab decomposition and load-balanced sessions.
+// Tests for binary-tree compositing, weighted slab decomposition and
+// load-balanced sessions.
 #include <gtest/gtest.h>
 
 #include "compositing/binary_swap.hpp"
@@ -58,44 +58,6 @@ TEST_P(TreeComposite, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, TreeComposite,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8));
-
-// ---------------------------------------------------- scatter/allgather ----
-
-TEST(VmpScatter, DistributesPerRankPayloads) {
-  vmp::Cluster::run(5, [](vmp::Communicator& comm) {
-    std::vector<util::Bytes> payloads;
-    if (comm.rank() == 2) {  // non-zero root
-      for (int r = 0; r < 5; ++r)
-        payloads.push_back(util::Bytes{static_cast<std::uint8_t>(r * 7)});
-    }
-    const auto mine = comm.scatter(2, std::move(payloads));
-    ASSERT_EQ(mine.size(), 1u);
-    EXPECT_EQ(mine[0], comm.rank() * 7);
-  });
-}
-
-TEST(VmpScatter, WrongCountThrows) {
-  EXPECT_THROW(vmp::Cluster::run(3,
-                                 [](vmp::Communicator& comm) {
-                                   std::vector<util::Bytes> p(2);  // != 3
-                                   (void)comm.scatter(0, std::move(p));
-                                 }),
-               std::invalid_argument);
-}
-
-TEST(VmpAllgather, EveryRankSeesEveryPayload) {
-  vmp::Cluster::run(6, [](vmp::Communicator& comm) {
-    util::Bytes mine(static_cast<std::size_t>(comm.rank() + 1),
-                     static_cast<std::uint8_t>(comm.rank()));
-    const auto all = comm.allgather(std::move(mine));
-    ASSERT_EQ(all.size(), 6u);
-    for (int r = 0; r < 6; ++r) {
-      ASSERT_EQ(all[static_cast<std::size_t>(r)].size(),
-                static_cast<std::size_t>(r + 1));
-      EXPECT_EQ(all[static_cast<std::size_t>(r)][0], r);
-    }
-  });
-}
 
 // ------------------------------------------------ weighted decomposition ----
 

@@ -406,6 +406,31 @@ TEST(ImageCodecs, Table1NamesListed) {
   EXPECT_EQ(names.back(), "jpeg+bzip");
 }
 
+TEST(ImageCodecs, EveryListedCodecRoundTripsEmptyImages) {
+  // Regression: JpegCodec threw "huffman: all frequencies zero" for a frame
+  // with no pixels, and so did both JPEG chains, while raw, lzo and bzip
+  // round-tripped it. Both encode paths: encode and the session's
+  // encode_shared.
+  const auto& names = codec::image_codec_names();
+  ASSERT_EQ(names.size(), 7u);  // Table 1's six rows, then rle
+  EXPECT_EQ(names.back(), "rle");
+  util::BufferPool pool;
+  for (const auto& name : names) {
+    const auto codec = codec::make_image_codec(name, 75);
+    for (const auto& [w, h] :
+         {std::pair{0, 0}, std::pair{16, 0}, std::pair{0, 16}}) {
+      const Image empty(w, h);
+      for (const util::SharedBytes& packed :
+           {util::SharedBytes(codec->encode(empty)),
+            codec->encode_shared(empty, pool)}) {
+        const Image out = codec->decode(packed);
+        EXPECT_EQ(out.width(), w) << name << " " << w << "x" << h;
+        EXPECT_EQ(out.height(), h) << name << " " << w << "x" << h;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------- framediff ----
 
 TEST(FrameDiff, SequenceRoundTripLossless) {

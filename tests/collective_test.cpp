@@ -205,6 +205,21 @@ TEST(CollectiveJpeg, EmptyStripsHandled) {
   EXPECT_GT(render::psnr(frame, out), 25.0);
 }
 
+TEST(CollectiveJpeg, EmptyFramesMatchJpegCodec) {
+  // Regression: a frame with no pixels threw "huffman: all frequencies
+  // zero" on every rank, and one with no rows had no strip to write.
+  for (const auto& [w, h] :
+       {std::pair{16, 0}, std::pair{0, 16}, std::pair{0, 0}}) {
+    const Image frame(w, h);
+    const auto wire = encode_bands(frame, {{0, h}, {h, h}});
+    EXPECT_EQ(wire, codec::JpegCodec(75, true, 1).encode(frame))
+        << w << "x" << h;
+    const Image out = codec::JpegCodec().decode(wire);
+    EXPECT_EQ(out.width(), w);
+    EXPECT_EQ(out.height(), h);
+  }
+}
+
 TEST(CollectiveJpeg, MatchesJpegCodecWhereBandsAreItsStrips) {
   // Where the bands are JpegCodec's own strip layout, the collective stream
   // is JpegCodec's, byte for byte: same passes, same summed counts, bands

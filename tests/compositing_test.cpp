@@ -465,9 +465,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          Layout::kAllEmpty, Layout::kTopHalf,
                                          Layout::kOffFrameEdge)),
     [](const ::testing::TestParamInfo<SparseBinarySwap::ParamType>& p) {
-      return "P" + std::to_string(std::get<0>(p.param)) +
-             (std::get<1>(p.param) ? "_Ascending_" : "_Descending_") +
-             layout_name(std::get<2>(p.param));
+      return std::string("P")
+          .append(std::to_string(std::get<0>(p.param)))
+          .append(std::get<1>(p.param) ? "_Ascending_" : "_Descending_")
+          .append(layout_name(std::get<2>(p.param)));
     });
 
 TEST(BinarySwap, RejectsAPeerRectangleOutsideTheKeptBand) {

@@ -55,12 +55,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Partition, StepAssignmentRoundRobin) {
   const Partition part(8, 4);
-  EXPECT_EQ(part.group_for_step(0), 0);
-  EXPECT_EQ(part.group_for_step(5), 1);
-  const auto steps = part.steps_for_group(1, 10);
-  EXPECT_EQ(steps, (std::vector<int>{1, 5, 9}));
-  EXPECT_EQ(part.step_count_for_group(1, 10), 3);
-  EXPECT_EQ(part.step_count_for_group(3, 3), 0);
+  EXPECT_EQ(part.steps_for_group(0, 10), (std::vector<int>{0, 4, 8}));
+  EXPECT_EQ(part.steps_for_group(1, 10), (std::vector<int>{1, 5, 9}));
+  EXPECT_TRUE(part.steps_for_group(3, 3).empty());
 }
 
 TEST(Partition, InvalidShapesThrow) {

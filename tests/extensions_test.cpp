@@ -470,25 +470,6 @@ TEST(Upscale, NearestNeighbourReplicates) {
   EXPECT_THROW(render::upscale(img, 0), std::invalid_argument);
 }
 
-TEST(ResizeBilinear, InterpolatesSmoothly) {
-  Image img(2, 1);
-  img.set(0, 0, 0, 0, 0, 255);
-  img.set(1, 0, 100, 100, 100, 255);
-  const Image wide = render::resize_bilinear(img, 4, 1);
-  EXPECT_EQ(wide.width(), 4);
-  // Monotone ramp.
-  EXPECT_LE(wide.pixel(0, 0)[0], wide.pixel(1, 0)[0]);
-  EXPECT_LE(wide.pixel(1, 0)[0], wide.pixel(2, 0)[0]);
-  EXPECT_LE(wide.pixel(2, 0)[0], wide.pixel(3, 0)[0]);
-  EXPECT_THROW(render::resize_bilinear(img, 0, 4), std::invalid_argument);
-}
-
-TEST(ResizeBilinear, IdentityWhenSameSize) {
-  const Image img = textured_image(16, 12);
-  const Image same = render::resize_bilinear(img, 16, 12);
-  EXPECT_GT(render::psnr(img, same), 45.0);
-}
-
 // ----------------------------------------------------- parallel I/O (§7.1) ----
 
 TEST(ParallelIoModel, MoreServersNeverSlower) {

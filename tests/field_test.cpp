@@ -250,9 +250,6 @@ TEST(Volume, ExtractSubBox) {
 TEST(Volume, StatsAndCoverage) {
   VolumeF v(Dims{10, 1, 1});
   for (int x = 0; x < 10; ++x) v.at(x, 0, 0) = static_cast<float>(x) / 10.0f;
-  EXPECT_FLOAT_EQ(v.min_value(), 0.0f);
-  EXPECT_FLOAT_EQ(v.max_value(), 0.9f);
-  EXPECT_NEAR(v.mean_value(), 0.45, 1e-6);
   EXPECT_NEAR(v.coverage(0.5f), 0.4, 1e-12);  // 0.6..0.9
 }
 

@@ -51,6 +51,14 @@ NetMessage shutdown_msg() {
   return msg;
 }
 
+/// The hub's stats row for client `id`.
+hub::ClientStats stats_of(const FrameHub& hub, const std::string& id) {
+  for (auto& s : hub.client_stats())
+    if (s.id == id) return s;
+  ADD_FAILURE() << "no client " << id;
+  return {};
+}
+
 // ---------------------------------------------------------- FrameCache ----
 
 TEST(FrameCache, EvictsByStepAge) {
@@ -262,11 +270,11 @@ TEST(Hub, SlowClientDropsWithoutStallingFastClient) {
   // The fast client saw everything; the slow one lost steps, and the loss
   // is visible in its counters — nobody blocked the relay.
   EXPECT_EQ(fast_seen.load(), kSteps);
-  EXPECT_EQ(hub.stats_for("fast").steps_skipped, 0u);
+  EXPECT_EQ(stats_of(hub, "fast").steps_skipped, 0u);
   EXPECT_LT(slow_seen.load(), kSteps);
-  EXPECT_GT(hub.stats_for("slow").steps_skipped, 0u);
+  EXPECT_GT(stats_of(hub, "slow").steps_skipped, 0u);
   EXPECT_EQ(static_cast<std::uint64_t>(slow_seen.load()) +
-                hub.stats_for("slow").steps_skipped,
+                stats_of(hub, "slow").steps_skipped,
             static_cast<std::uint64_t>(kSteps));
 }
 
@@ -347,7 +355,7 @@ TEST(Hub, ReconnectResumesFromLastAckedStep) {
     resumed.push_back(msg->frame_index);
   }
   EXPECT_EQ(resumed, (std::vector<int>{3, 4, 5}));
-  EXPECT_EQ(hub.stats_for("viewer").messages_resumed, 3u);
+  EXPECT_EQ(stats_of(hub, "viewer").messages_resumed, 3u);
 
   // And the live stream continues on top of the replay.
   renderer->send(frame_msg(6, {7}));
@@ -387,7 +395,7 @@ TEST(Hub, ResumeAllowanceRestoresConfiguredBound) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_EQ(hub.steps_relayed(), 32u);
   EXPECT_LE(client->buffered(), 4u);
-  EXPECT_GT(hub.stats_for("returner").steps_skipped, 0u);
+  EXPECT_GT(stats_of(hub, "returner").steps_skipped, 0u);
   hub.shutdown();
 }
 
@@ -458,14 +466,13 @@ TEST(Hub, HeartbeatTimeoutReapsDeadClients) {
   auto dead = hub.connect_client(ClientOptions{.id = "dead"});
   auto alive = hub.connect_client(ClientOptions{.id = "alive"});
 
-  // "alive" beats; "dead" goes silent. The reaper needs relay activity or
+  // "alive" acks; "dead" goes silent. The reaper needs relay activity or
   // ticks, both of which the pop_for tick provides.
   for (int i = 0; i < 10; ++i) {
-    alive->heartbeat();
+    alive->ack(i);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (hub.clients_reaped() > 0) break;
+    if (dead->closed()) break;
   }
-  EXPECT_EQ(hub.clients_reaped(), 1u);
   EXPECT_TRUE(dead->closed());
   EXPECT_FALSE(alive->closed());
   EXPECT_EQ(hub.connected_clients(), 1u);
@@ -496,18 +503,20 @@ TEST(Hub, ReapRacesWithStatsPolling) {
   });
   // Churn: clients connect, go silent, get reaped — every reap is a
   // connected-flag write concurrent with the poller's reads.
+  int reaped = 0;
   for (int round = 0; round < 5; ++round) {
     auto a = hub.connect_client(ClientOptions{.id = "churn-a"});
     auto b = hub.connect_client(ClientOptions{.id = "churn-b"});
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (hub.clients_reaped() < static_cast<std::uint64_t>(2 * (round + 1)) &&
+    while (!(a->closed() && b->closed()) &&
            std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    reaped += (a->closed() ? 1 : 0) + (b->closed() ? 1 : 0);
   }
   polling.store(false);
   poller.join();
-  EXPECT_GE(hub.clients_reaped(), 10u);
+  EXPECT_EQ(reaped, 10);
   hub.shutdown();
 }
 

@@ -140,29 +140,6 @@ TEST(TemporalSummary, DeltasReflectEvolution) {
   EXPECT_GT(summary.total_change(), 0.0);
 }
 
-TEST(TemporalSummary, ThresholdZeroKeepsEverything) {
-  const auto desc = field::scaled(field::turbulent_vortex_desc(), 8, 10);
-  const auto summary = TemporalSummary::analyze(desc, 256);
-  const auto all = summary.select_steps(0.0);
-  EXPECT_EQ(static_cast<int>(all.size()), 10);
-}
-
-TEST(TemporalSummary, HigherThresholdKeepsFewerSteps) {
-  const auto desc = field::scaled(field::turbulent_jet_desc(), 6, 16);
-  const auto summary = TemporalSummary::analyze(desc, 512);
-  const double unit = summary.total_change() / 16.0;
-  const auto fine = summary.select_steps(unit);
-  const auto coarse = summary.select_steps(4.0 * unit);
-  EXPECT_LT(coarse.size(), fine.size());
-  // Both keep the endpoints and are strictly increasing.
-  for (const auto& sel : {fine, coarse}) {
-    EXPECT_EQ(sel.front(), 0);
-    EXPECT_EQ(sel.back(), 15);
-    for (std::size_t i = 1; i < sel.size(); ++i)
-      EXPECT_GT(sel[i], sel[i - 1]);
-  }
-}
-
 TEST(TemporalSummary, BudgetSelectionRespectsCount) {
   const auto desc = field::scaled(field::turbulent_jet_desc(), 6, 20);
   const auto summary = TemporalSummary::analyze(desc, 256);

@@ -9,9 +9,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <random>
+#include <string>
 #include <utility>
 
 #include "codec/depth_plane.hpp"
@@ -86,31 +88,17 @@ TEST(Image, PpmRoundTrip) {
   const auto path = std::filesystem::temp_directory_path() / "tvviz_test.ppm";
   Image img(3, 2);
   img.set(0, 0, 255, 0, 0);
-  img.set(2, 1, 10, 20, 30);
+  img.set(2, 1, 10, 20, 30, 7);  // alpha is dropped
   img.write_ppm(path);
-  const Image back = Image::read_ppm(path);
-  EXPECT_EQ(back.width(), 3);
-  EXPECT_EQ(back.height(), 2);
-  EXPECT_EQ(back.pixel(0, 0)[0], 255);
-  EXPECT_EQ(back.pixel(2, 1)[2], 30);
-  EXPECT_EQ(back.pixel(2, 1)[3], 255);  // alpha reconstructed opaque
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::string expected = "P6\n3 2\n255\n";
+  expected += std::string("\xff\0\0", 3);  // (0, 0): red
+  expected += std::string(4 * 3, '\0');     // four black pixels
+  expected += "\x0a\x14\x1e";              // (2, 1): 10, 20, 30
+  EXPECT_EQ(file, expected);
   std::filesystem::remove(path);
-}
-
-TEST(Image, ReadPpmRejectsGarbage) {
-  const auto path = std::filesystem::temp_directory_path() / "tvviz_bad.ppm";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "P3\n2 2\n255\n";  // ASCII PPM: unsupported
-  }
-  EXPECT_THROW(Image::read_ppm(path), std::runtime_error);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "P6\n# truncated raster\n4 4\n255\nxx";
-  }
-  EXPECT_THROW(Image::read_ppm(path), std::runtime_error);
-  std::filesystem::remove(path);
-  EXPECT_THROW(Image::read_ppm(path), std::runtime_error);  // missing file
 }
 
 TEST(PartialImage, SerializeRoundTrip) {
@@ -257,19 +245,6 @@ TEST(Camera, RejectsViewsThatCastNonFiniteRays) {
   EXPECT_THROW(Camera(8, 8, kNaN, 0.35), std::invalid_argument);
   EXPECT_THROW(Camera(8, 8, 0.6, kInf), std::invalid_argument);
   EXPECT_NO_THROW(Camera(8, 8, -40.0, 7.0, 1e-308));  // odd but finite
-
-  Camera cam(8, 8);
-  EXPECT_THROW(cam.set_zoom(0.0), std::invalid_argument);
-  EXPECT_THROW(cam.set_view(0.6, -kInf), std::invalid_argument);
-  EXPECT_THROW(cam.set_view(kNaN, 0.35), std::invalid_argument);
-  // A rejected setter leaves the camera as it was.
-  EXPECT_DOUBLE_EQ(cam.zoom(), 1.0);
-  EXPECT_DOUBLE_EQ(cam.azimuth(), 0.6);
-  EXPECT_DOUBLE_EQ(cam.elevation(), 0.35);
-  cam.set_zoom(2.0);
-  cam.set_view(1.0, -0.2);
-  EXPECT_DOUBLE_EQ(cam.zoom(), 2.0);
-  EXPECT_DOUBLE_EQ(cam.azimuth(), 1.0);
 }
 
 TEST(IntersectBox, HitsAndMisses) {
@@ -725,8 +700,9 @@ PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
   const int extent[3] = {global_dims.nx, global_dims.ny, global_dims.nz};
   for (int axis = 0; axis < 3; ++axis)
     if (domain.hi[axis] < extent[axis]) ++domain.hi[axis];
-  std::optional<ReferenceVisibility> skipper;
-  if (sub.skipper) skipper.emplace(sub.data, tf);
+  const auto skipper =
+      sub.skipper ? std::make_unique<ReferenceVisibility>(sub.data, tf)
+                  : nullptr;
   for (int py = py0; py < py1; ++py) {
     for (int px = px0; px < px1; ++px) {
       const util::Ray ray = reference_ray_for(camera, px, py, global_dims);
@@ -737,7 +713,7 @@ PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
       const double snapped = std::ceil(t0 / options.step) * options.step;
       out.at(px - px0, py - py0) =
           reference_march(ray, snapped, t1, sub,
-                          skipper ? &*skipper : nullptr, tf, options, samples);
+                          skipper.get(), tf, options, samples);
     }
   }
   return out;

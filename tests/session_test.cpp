@@ -190,6 +190,15 @@ TEST(Session, WaitForStoreRequiresStoreDir) {
   EXPECT_THROW(core::run_session(cfg), std::invalid_argument);
 }
 
+TEST(Session, LoadBalancedRequiresGeneratedInput) {
+  // Regression: the balance probe reads the generator, so store input
+  // silently played even slabs (tvviz play --store d --balance).
+  SessionConfig cfg = small_config();
+  cfg.load_balanced = true;
+  cfg.store_dir = std::filesystem::temp_directory_path() / "tvviz_no_store";
+  EXPECT_THROW(core::run_session(cfg), std::invalid_argument);
+}
+
 TEST(Session, ControlEventChangesLaterFramesOnly) {
   SessionConfig cfg = small_config();
   cfg.codec = "raw";

@@ -17,7 +17,6 @@ const char* name_of(tvviz::net::MsgType type) {
     case MsgType::kControl: return "control";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kHelloAck: return "hello_ack";
-    case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kAck: return "ack";
     case MsgType::kError: return "error";
     case MsgType::kFrameRef: return "frame_ref";

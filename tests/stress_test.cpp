@@ -45,7 +45,6 @@ TEST(VmpStress, InterleavedTagStorm) {
         const auto msg = comm.recv(vmp::kAnySource, tag);
         ASSERT_EQ(msg.payload[0], tag);
       }
-    comm.barrier();
   });
 }
 
@@ -64,18 +63,6 @@ TEST(VmpStress, RepeatedSplitsAndCollectives) {
       for (int r = 0; r < 8; ++r)
         if ((r + round) % 3 == (comm.rank() + round) % 3) expect += r;
       EXPECT_DOUBLE_EQ(rank_sum[0], expect) << round;
-    }
-  });
-}
-
-TEST(VmpStress, ManySmallBarriers) {
-  std::atomic<int> counter{0};
-  vmp::Cluster::run(5, [&](vmp::Communicator& comm) {
-    for (int i = 0; i < 200; ++i) {
-      if (comm.rank() == 0) counter.fetch_add(1);
-      comm.barrier();
-      EXPECT_EQ(counter.load(), i + 1);
-      comm.barrier();
     }
   });
 }
@@ -107,7 +94,8 @@ TEST(DaemonStress, ManyFramesThroughBoundedBuffer) {
   producer.join();
   daemon.shutdown();  // joins the relay: its counts are final
   EXPECT_EQ(daemon.steps_relayed(), static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(daemon.stats_for(display->id()).steps_skipped, 0u);
+  ASSERT_EQ(daemon.client_stats().size(), 1u);
+  EXPECT_EQ(daemon.client_stats()[0].steps_skipped, 0u);
 }
 
 TEST(RenderEdge, DegenerateGeometry) {

@@ -240,14 +240,16 @@ TEST(Tcp, UnknownProtocolVersionGetsDescriptiveError) {
   auto conn = net::TcpConnection::connect_local(server.port());
   conn->set_io_timeout_ms(10000.0);  // a missing reply fails, not hangs
   net::HelloInfo info;
-  info.version = 7;
+  info.version = net::kProtocolVersion + 1;
   info.role = "display";
   conn->send_message(net::make_hello(info));
   const auto reply = conn->recv_message();
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, MsgType::kError);
   const std::string text = net::error_text(*reply);
-  EXPECT_NE(text.find("unsupported protocol version 7"), std::string::npos)
+  EXPECT_NE(text.find("unsupported protocol version " +
+                      std::to_string(net::kProtocolVersion + 1)),
+            std::string::npos)
       << text;
   EXPECT_NE(text.find("this hub speaks " +
                       std::to_string(net::kProtocolVersion)),

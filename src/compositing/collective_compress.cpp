@@ -36,7 +36,7 @@ util::Bytes encode_impl(const vmp::Communicator& comm,
   // integers far below 2^53, exact in doubles.
   std::vector<double> counts(job.dc_freq.begin(), job.dc_freq.end());
   counts.insert(counts.end(), job.ac_freq.begin(), job.ac_freq.end());
-  counts = comm.allreduce(std::move(counts), vmp::ReduceOp::kSum);
+  counts = comm.allreduce(std::move(counts));
   std::vector<std::uint64_t> dc_freq(16), ac_freq(256);
   for (std::size_t i = 0; i < dc_freq.size(); ++i)
     dc_freq[i] = static_cast<std::uint64_t>(counts[i]);

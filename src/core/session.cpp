@@ -14,7 +14,6 @@
 #include "core/partition.hpp"
 #include "field/decompose.hpp"
 #include "field/store.hpp"
-#include "field/preview.hpp"
 #include "hub/hub.hpp"
 #include "hub/tcp_hub.hpp"
 #include "net/link.hpp"
@@ -100,19 +99,27 @@ render::Image slice_rows(const compositing::FrameSlice& slice, int width) {
   auto bytes = own.bytes();
   for (std::size_t i = 3; i < bytes.size(); i += 4) bytes[i] = 255;
   const render::PartialImage& part = slice.image;
-  const auto q = [](double v) {
-    return static_cast<std::uint8_t>(util::clamp01(v) * 255.0 + 0.5);
-  };
   for (int y = 0; y < part.height(); ++y)
     for (int x = 0; x < part.width(); ++x) {
       const auto& px = part.at(x, y);
-      own.set(part.x0() + x, part.y0() - slice.row0 + y, q(px.r), q(px.g),
-              q(px.b), 255);
+      own.set(part.x0() + x, part.y0() - slice.row0 + y,
+              render::quantize(px.r), render::quantize(px.g),
+              render::quantize(px.b), 255);
     }
   return own;
 }
 
+// Fitted per-unit costs of a slab render; see slab_cost_ns.
+constexpr double kNsPerSample = 100.0;
+constexpr double kNsPerGhostVoxel = 3.5;
+
 }  // namespace
+
+double slab_cost_ns(const render::RenderCounts& counts,
+                    const field::Box& ghost_box) {
+  return kNsPerSample * static_cast<double>(counts.samples) +
+         kNsPerGhostVoxel * static_cast<double>(ghost_box.voxels());
+}
 
 SessionResult run_session(const SessionConfig& cfg) {
   if (cfg.processors < 1 || cfg.groups < 1 || cfg.groups > cfg.processors)
@@ -124,10 +131,6 @@ SessionResult run_session(const SessionConfig& cfg) {
     throw std::invalid_argument(
         "session: wait_for_store requires store_dir (only a store can be "
         "waited on)");
-  if (cfg.load_balanced && cfg.store_dir)
-    throw std::invalid_argument(
-        "session: load_balanced requires generated input (its weights probe "
-        "the generator, not the store)");
   if (cfg.use_warp && cfg.compression != SessionConfig::Compression::kAssembled)
     throw std::invalid_argument(
         "session: use_warp requires assembled compression (the depth plane "
@@ -413,8 +416,10 @@ SessionResult run_session(const SessionConfig& cfg) {
                    cfg.colormap, cfg.codec, false};
 
     // Slab decomposition keeps subvolume depths monotone in rank, which the
-    // binary-swap compositor requires for exact visibility ordering.
-    const auto even_boxes =
+    // binary-swap compositor requires for exact visibility ordering. The
+    // group's first step splits z evenly; every later step's slabs come
+    // from the previous step's counted cost (field::rebalance_slabs).
+    std::vector<field::Box> slabs =
         field::decompose_slabs(cfg.dataset.dims, group.size(), /*axis=*/2);
 
     std::optional<field::VolumeStore> store;
@@ -449,18 +454,7 @@ SessionResult run_session(const SessionConfig& cfg) {
       if (view.stopped) break;
       const render::TransferFunction tf = colormap_by_name(view.colormap);
 
-      // This node's slab: even planes, or work-balanced boundaries from a
-      // deterministic probe of the step's visible-work distribution (every
-      // rank computes the identical weights, so no exchange is needed).
-      field::Box my_box = even_boxes[static_cast<std::size_t>(group.rank())];
-      if (cfg.load_balanced && group.size() <= cfg.dataset.dims.nz) {
-        const auto weights = field::estimate_plane_weights(
-            cfg.dataset, dataset_step, /*axis=*/2,
-            [&tf](float v) { return tf.sample(v).alpha > 0.0; });
-        const auto balanced = field::decompose_slabs_weighted(
-            cfg.dataset.dims, group.size(), /*axis=*/2, weights);
-        my_box = balanced[static_cast<std::size_t>(group.rank())];
-      }
+      const field::Box my_box = slabs[static_cast<std::size_t>(group.rank())];
 
       const double input_start = clock.seconds();
       obs::Span input_span("input", step, g);
@@ -507,6 +501,15 @@ SessionResult run_session(const SessionConfig& cfg) {
       obs::Span composite_span("composite", step, g);
       const compositing::FrameSlice slice = compositing::binary_swap(
           group, partial, cfg.image_width, cfg.image_height);
+      // One allreduce gives every rank each slab's counted cost, bit for
+      // bit the same everywhere (each entry is one rank's value plus
+      // zeros), so all ranks place the same next boundaries. Waiting here
+      // for the slowest slab is charged to compositing, as binary swap's is.
+      std::vector<double> costs(slabs.size(), 0.0);
+      costs[static_cast<std::size_t>(group.rank())] =
+          slab_cost_ns(caster.last_counts(), ghost_box);
+      slabs = field::rebalance_slabs(cfg.dataset.dims, slabs,
+                                     group.allreduce(std::move(costs)));
       composite_span.end();
       const double composite_done = clock.seconds();
 

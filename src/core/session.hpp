@@ -41,11 +41,6 @@ struct SessionConfig {
   ///    stream; `codec` is ignored.
   enum class Compression { kAssembled, kParallelPieces, kCollective };
   Compression compression = Compression::kAssembled;
-  /// Load-balanced slab decomposition: per step, probe the dataset's
-  /// visible-work distribution along z and size each node's slab for equal
-  /// work instead of equal planes. Generated input only: run_session
-  /// throws std::invalid_argument with store_dir set.
-  bool load_balanced = false;
   render::RenderOptions render_options{};
   std::string colormap = "fire";  ///< "fire", "dense", or "shock".
   double camera_azimuth = 0.6;
@@ -141,5 +136,16 @@ struct SessionResult {
 /// Run the full pipeline to completion. Throws on configuration errors or
 /// rank failures.
 SessionResult run_session(const SessionConfig& config);
+
+/// Modelled render cost of one rank's slab, in ns: what run_session feeds
+/// field::rebalance_slabs to place a group's next z-slabs. It charges 100
+/// ns per ray-march sample and 3.5 ns per ghost-box voxel (read, then
+/// scanned by the min-max build): a least-squares fit of single-thread jet
+/// slab renders on a 4-vCPU KVM guest gave 82–100 ns and 2.1–3.5 ns, and
+/// rays and leaps added nothing to it. Counts, not time: they repeat
+/// exactly, so every session of the same input places the same boundaries
+/// and renders the same frames.
+double slab_cost_ns(const render::RenderCounts& counts,
+                    const field::Box& ghost_box);
 
 }  // namespace tvviz::core

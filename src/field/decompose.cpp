@@ -1,6 +1,7 @@
 #include "field/decompose.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace tvviz::field {
@@ -70,7 +71,10 @@ std::vector<Box> decompose_slabs_weighted(const Dims& dims, int parts,
     if (part == parts - 1) {
       end = extent;
     } else {
-      const double target = grand * (part + 1) / parts;
+      // The first boundary whose prefix reaches the target. The slack, far
+      // below one plane's floor weight, absorbs summation roundoff, so
+      // slabs of exactly equal weight keep their boundaries.
+      const double target = grand * (part + 1) / parts - grand * 1e-9;
       const auto it =
           std::lower_bound(prefix.begin(), prefix.end(), target);
       end = static_cast<int>(it - prefix.begin());
@@ -88,6 +92,36 @@ std::vector<Box> decompose_slabs_weighted(const Dims& dims, int parts,
     begin = end;
   }
   return boxes;
+}
+
+std::vector<Box> rebalance_slabs(const Dims& dims, std::span<const Box> slabs,
+                                 std::span<const double> costs) {
+  if (slabs.empty() || costs.size() != slabs.size())
+    throw std::invalid_argument(
+        "rebalance_slabs: need one cost per slab, and at least one slab");
+  for (double c : costs)
+    if (!(c >= 0.0 && std::isfinite(c)))
+      throw std::invalid_argument("rebalance_slabs: bad cost");
+  int next = 0;
+  for (const Box& b : slabs) {
+    if (b.lo[2] != next || b.hi[2] < b.lo[2] || b.lo[0] != 0 ||
+        b.lo[1] != 0 || b.hi[0] != dims.nx || b.hi[1] != dims.ny)
+      throw std::invalid_argument("rebalance_slabs: slabs must tile z");
+    next = b.hi[2];
+  }
+  if (next != dims.nz)
+    throw std::invalid_argument("rebalance_slabs: slabs must tile z");
+  if (static_cast<int>(slabs.size()) > dims.nz)
+    return {slabs.begin(), slabs.end()};
+
+  std::vector<double> weights(static_cast<std::size_t>(dims.nz));
+  for (std::size_t i = 0; i < slabs.size(); ++i) {
+    const int planes = slabs[i].hi[2] - slabs[i].lo[2];
+    for (int k = slabs[i].lo[2]; k < slabs[i].hi[2]; ++k)
+      weights[static_cast<std::size_t>(k)] = costs[i] / planes;
+  }
+  return decompose_slabs_weighted(dims, static_cast<int>(slabs.size()),
+                                  /*axis=*/2, weights);
 }
 
 namespace {

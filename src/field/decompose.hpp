@@ -26,6 +26,18 @@ std::vector<Box> decompose_slabs_weighted(const Dims& dims, int parts,
                                           int axis,
                                           std::span<const double> weights);
 
+/// A render group's z-slabs for its next step, from the step just rendered:
+/// `slabs` tile [0, dims.nz) in rank order and `costs[i]` is what slab i
+/// cost. Each slab's cost is spread evenly over its planes and the
+/// boundaries are placed with decompose_slabs_weighted, so a slab that
+/// carried more than its share gets thinner. Equal costs on even slabs
+/// keep them even, and more slabs than planes keeps `slabs` as they are.
+/// A pure function of its inputs: ranks given the same costs place the
+/// same boundaries. Throws std::invalid_argument unless `slabs` tile
+/// [0, dims.nz) and `costs` has one entry per slab.
+std::vector<Box> rebalance_slabs(const Dims& dims, std::span<const Box> slabs,
+                                 std::span<const double> costs);
+
 /// Recursive-bisection block decomposition into exactly `parts` boxes,
 /// splitting the longest axis at each level and balancing voxel counts.
 std::vector<Box> decompose_blocks(const Dims& dims, int parts);

@@ -8,38 +8,6 @@
 
 namespace tvviz::field {
 
-std::vector<double> estimate_plane_weights(
-    const DatasetDesc& desc, int step, int axis,
-    const std::function<bool(float)>& visible, int probes_per_plane,
-    std::uint64_t seed) {
-  if (axis < 0 || axis > 2)
-    throw std::invalid_argument("estimate_plane_weights: axis");
-  if (probes_per_plane < 1)
-    throw std::invalid_argument("estimate_plane_weights: probes");
-  const int extents[3] = {desc.dims.nx, desc.dims.ny, desc.dims.nz};
-  const int planes = extents[axis];
-  std::vector<double> weights(static_cast<std::size_t>(planes), 0.0);
-  util::Rng rng(seed);
-  for (int k = 0; k < planes; ++k) {
-    int hits = 0;
-    for (int p = 0; p < probes_per_plane; ++p) {
-      Box cell;
-      for (int a = 0; a < 3; ++a) {
-        const int coord =
-            a == axis ? k
-                      : static_cast<int>(rng.below(
-                            static_cast<std::uint64_t>(extents[a])));
-        cell.lo[a] = coord;
-        cell.hi[a] = coord + 1;
-      }
-      if (visible(generate_box(desc, step, cell).at(0, 0, 0))) ++hits;
-    }
-    weights[static_cast<std::size_t>(k)] =
-        static_cast<double>(hits) / probes_per_plane;
-  }
-  return weights;
-}
-
 TemporalSummary TemporalSummary::analyze(const DatasetDesc& desc, int probes,
                                          std::uint64_t seed) {
   if (probes < 1) throw std::invalid_argument("TemporalSummary: probes");

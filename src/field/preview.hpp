@@ -7,21 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "field/generators.hpp"
 
 namespace tvviz::field {
-
-/// Probe-based per-plane work estimate along `axis`: the fraction of probed
-/// voxels in each plane for which `visible` is true. Deterministic in the
-/// seed, so every rank of a group computes identical weights without
-/// communication. Feed to decompose_slabs_weighted for load balancing.
-std::vector<double> estimate_plane_weights(
-    const DatasetDesc& desc, int step, int axis,
-    const std::function<bool(float)>& visible, int probes_per_plane = 32,
-    std::uint64_t seed = 4242);
 
 class TemporalSummary {
  public:

@@ -80,11 +80,8 @@ void PartialImage::splat_to(Image& frame) const {
       const int fx = x0_ + x;
       if (fx < 0 || fx >= frame.width()) continue;
       const Rgba& p = at(x, y);
-      const auto q = [](double v) {
-        const double c = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
-        return static_cast<std::uint8_t>(c * 255.0 + 0.5);
-      };
-      frame.set(fx, fy, q(p.r), q(p.g), q(p.b), q(p.a));
+      frame.set(fx, fy, quantize(p.r), quantize(p.g), quantize(p.b),
+                quantize(p.a));
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/vecmath.hpp"
 
 namespace tvviz::render {
 
@@ -126,6 +127,12 @@ class PartialImage {
   double depth_ = 0.0;
   std::vector<Rgba> pixels_;
 };
+
+/// A premultiplied channel as 8 bits, the way frames store it: clamped to
+/// [0, 1], scaled to 255 and rounded.
+inline std::uint8_t quantize(double v) noexcept {
+  return static_cast<std::uint8_t>(util::clamp01(v) * 255.0 + 0.5);
+}
 
 /// Nearest-neighbour upscale by an integer factor (display-side companion
 /// to JpegCodec::decode_fast's reduced-resolution output).

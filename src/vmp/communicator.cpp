@@ -58,17 +58,10 @@ std::vector<double> unpack_doubles(std::span<const std::uint8_t> b) {
   return v;
 }
 
-void apply_reduce(std::vector<double>& acc, const std::vector<double>& in,
-                  ReduceOp op) {
+void add_into(std::vector<double>& acc, const std::vector<double>& in) {
   if (acc.size() != in.size())
     throw std::runtime_error("vmp: reduce length mismatch");
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    switch (op) {
-      case ReduceOp::kSum: acc[i] += in[i]; break;
-      case ReduceOp::kMin: acc[i] = std::min(acc[i], in[i]); break;
-      case ReduceOp::kMax: acc[i] = std::max(acc[i], in[i]); break;
-    }
-  }
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
 }
 }  // namespace
 
@@ -166,30 +159,21 @@ std::vector<util::SharedBytes> Communicator::gather(
   return {};
 }
 
-std::vector<double> Communicator::reduce(int root, std::vector<double> values,
-                                         ReduceOp op) const {
-  // Binomial-tree reduction toward virtual rank 0 (= root).
+std::vector<double> Communicator::allreduce(std::vector<double> values) const {
+  // Binomial-tree sum toward rank 0, which broadcasts the total: every rank
+  // returns rank 0's bits.
   const int p = size();
-  const int vrank = (rank_ - root + p) % p;
   for (int step = 1; step < p; step <<= 1) {
-    if ((vrank & step) != 0) {
-      const int parent = ((vrank - step) + root) % p;
-      send(parent, kReduceTag, pack_doubles(values));
-      return {};  // contributed; done
+    if ((rank_ & step) != 0) {
+      send(rank_ - step, kReduceTag, pack_doubles(values));
+      break;  // contributed; wait for the broadcast
     }
-    const int vchild = vrank + step;
-    if (vchild < p) {
-      const Message msg = recv((vchild + root) % p, kReduceTag);
-      apply_reduce(values, unpack_doubles(msg.payload), op);
+    if (rank_ + step < p) {
+      const Message msg = recv(rank_ + step, kReduceTag);
+      add_into(values, unpack_doubles(msg.payload));
     }
   }
-  return values;
-}
-
-std::vector<double> Communicator::allreduce(std::vector<double> values,
-                                            ReduceOp op) const {
-  auto reduced = reduce(0, std::move(values), op);
-  auto packed = bcast(0, rank_ == 0 ? pack_doubles(reduced) : util::Bytes{});
+  auto packed = bcast(0, rank_ == 0 ? pack_doubles(values) : util::Bytes{});
   return unpack_doubles(packed);
 }
 

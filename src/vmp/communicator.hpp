@@ -22,9 +22,6 @@ namespace tvviz::vmp {
 
 class World;
 
-/// Reduction operators for reduce/allreduce.
-enum class ReduceOp { kSum, kMin, kMax };
-
 class Communicator {
  public:
   int rank() const noexcept { return rank_; }
@@ -56,12 +53,10 @@ class Communicator {
   std::vector<util::SharedBytes> gather(int root,
                                         util::SharedBytes payload) const;
 
-  /// Element-wise reduction of equal-length double vectors at `root`.
-  std::vector<double> reduce(int root, std::vector<double> values,
-                             ReduceOp op) const;
-
-  /// Reduce + broadcast.
-  std::vector<double> allreduce(std::vector<double> values, ReduceOp op) const;
+  /// Element-wise sum of equal-length double vectors, returned on every
+  /// rank: a binomial-tree sum toward rank 0, then a broadcast, so every
+  /// rank gets the same bits.
+  std::vector<double> allreduce(std::vector<double> values) const;
 
   /// Partition into sub-communicators by `color` (ranks with equal color end
   /// up together, ordered by current rank). Every rank must call this.

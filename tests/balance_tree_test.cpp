@@ -1,12 +1,14 @@
-// Tests for binary-tree compositing, weighted slab decomposition and
-// load-balanced sessions.
+// Tests for binary-tree compositing, weighted slab decomposition, the
+// session's counted-cost slab policy and balanced sessions.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "compositing/binary_swap.hpp"
 #include "compositing/over.hpp"
 #include "core/session.hpp"
 #include "field/decompose.hpp"
-#include "field/preview.hpp"
+#include "render/raycast.hpp"
 #include "render/transfer.hpp"
 #include "util/rng.hpp"
 #include "vmp/communicator.hpp"
@@ -110,45 +112,176 @@ TEST(WeightedSlabs, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-TEST(PlaneWeights, TracksVisibleWork) {
-  // The jet is empty near the nozzle floor (y small) but along z the plume
-  // sits mid-domain: probe against the fire threshold and check the
-  // mid-planes outweigh the border planes.
-  const auto desc = field::scaled(field::turbulent_jet_desc(), 4, 4);
-  const auto tf = render::TransferFunction::fire();
-  const auto weights = field::estimate_plane_weights(
-      desc, 2, /*axis=*/0, [&](float v) { return tf.sample(v).alpha > 0.0; },
-      64);
-  ASSERT_EQ(static_cast<int>(weights.size()), desc.dims.nx);
-  double border = weights.front() + weights.back();
-  double middle = weights[weights.size() / 2] + weights[weights.size() / 2 + 1];
-  EXPECT_GT(middle, border);
-  // Deterministic across calls.
-  const auto again = field::estimate_plane_weights(
-      desc, 2, 0, [&](float v) { return tf.sample(v).alpha > 0.0; }, 64);
-  EXPECT_EQ(weights, again);
+// ------------------------------------------------ counted-cost slabs ----
+
+std::vector<double> even_costs(int parts, double cost) {
+  return std::vector<double>(static_cast<std::size_t>(parts), cost);
+}
+
+void expect_tiles_z(const std::vector<Box>& boxes, const Dims& dims) {
+  int next = 0;
+  for (const Box& b : boxes) {
+    EXPECT_EQ(b.lo[2], next);
+    EXPECT_GE(b.hi[2] - b.lo[2], 1);
+    EXPECT_EQ(b.lo[0], 0);
+    EXPECT_EQ(b.lo[1], 0);
+    EXPECT_EQ(b.hi[0], dims.nx);
+    EXPECT_EQ(b.hi[1], dims.ny);
+    next = b.hi[2];
+  }
+  EXPECT_EQ(next, dims.nz);
+}
+
+TEST(RebalanceSlabs, EqualCostsKeepEvenSlabsEven) {
+  // Slabs of equal and of unequal plane counts (10 planes split 3, 3, 2,
+  // 2) that cost the same stay where they are. Where every slab has the
+  // same planes, a boundary's prefix equals its share up to roundoff (8
+  // planes in 4 slabs of cost 1 moved without the placement's slack).
+  for (const int nz : {8, 9, 10, 104}) {
+    const Dims dims{8, 8, nz};
+    for (const int parts : {1, 2, 3, 4, 7}) {
+      const auto even = field::decompose_slabs(dims, parts, 2);
+      for (const double cost : {1.0, 2.5e6})
+        EXPECT_EQ(field::rebalance_slabs(dims, even, even_costs(parts, cost)),
+                  even)
+            << "nz=" << nz << " parts=" << parts << " cost=" << cost;
+    }
+  }
+}
+
+TEST(RebalanceSlabs, CostlySlabGetsThinner) {
+  // The jet's shape at P=4: the two middle slabs carry most of the work.
+  const Dims dims{129, 129, 104};
+  const auto even = field::decompose_slabs(dims, 4, 2);
+  const std::vector<double> costs = {1.0e5, 2.3e7, 2.3e7, 4.0e6};
+  const auto next = field::rebalance_slabs(dims, even, costs);
+  expect_tiles_z(next, dims);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const int before = even[i].hi[2] - even[i].lo[2];
+    const int after = next[i].hi[2] - next[i].lo[2];
+    if (costs[i] > 1.0e7)
+      EXPECT_LT(after, before) << i;
+    else
+      EXPECT_GT(after, before) << i;
+  }
+}
+
+TEST(RebalanceSlabs, TilesZInRankOrder) {
+  util::Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Dims dims{5, 7, 1 + static_cast<int>(rng.below(40))};
+    const int parts = 1 + static_cast<int>(rng.below(
+                              static_cast<std::uint64_t>(dims.nz)));
+    std::vector<Box> slabs = field::decompose_slabs(dims, parts, 2);
+    // A few rounds of feedback from random costs, zeros included.
+    for (int round = 0; round < 4; ++round) {
+      std::vector<double> costs;
+      for (int i = 0; i < parts; ++i)
+        costs.push_back(rng.below(4) == 0 ? 0.0 : rng.uniform(0.0, 1e7));
+      slabs = field::rebalance_slabs(dims, slabs, costs);
+      ASSERT_EQ(static_cast<int>(slabs.size()), parts);
+      expect_tiles_z(slabs, dims);
+    }
+  }
+}
+
+TEST(RebalanceSlabs, MoreRanksThanPlanesKeepsTheInputSlabs) {
+  const Dims dims{4, 4, 3};
+  const auto even = field::decompose_slabs(dims, 5, 2);  // two are empty
+  const std::vector<double> costs = {9.0, 1.0, 1.0, 0.0, 0.0};
+  EXPECT_EQ(field::rebalance_slabs(dims, even, costs), even);
+}
+
+TEST(RebalanceSlabs, SameInputsGiveTheSameSlabs) {
+  const Dims dims{33, 33, 26};
+  const auto even = field::decompose_slabs(dims, 4, 2);
+  const std::vector<double> costs = {3.0e5, 1.1e7, 9.7e6, 2.2e6};
+  const auto first = field::rebalance_slabs(dims, even, costs);
+  for (int i = 0; i < 10; ++i)
+    EXPECT_EQ(field::rebalance_slabs(dims, even, costs), first);
+  EXPECT_NE(first, even);
+}
+
+TEST(RebalanceSlabs, RejectsBadArguments) {
+  const Dims dims{4, 4, 8};
+  const auto even = field::decompose_slabs(dims, 2, 2);
+  EXPECT_THROW(field::rebalance_slabs(dims, even, even_costs(3, 1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(field::rebalance_slabs(dims, {}, {}), std::invalid_argument);
+  EXPECT_THROW(field::rebalance_slabs(dims, even, std::vector<double>{1.0, -1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      field::rebalance_slabs(dims, even, std::vector<double>{1.0, std::nan("")}),
+      std::invalid_argument);
+  // Slabs that leave a gap, or stop short of nz.
+  auto gap = even;
+  gap[1].lo[2] += 1;
+  EXPECT_THROW(field::rebalance_slabs(dims, gap, even_costs(2, 1.0)),
+               std::invalid_argument);
+  const Dims deeper{4, 4, 9};
+  EXPECT_THROW(field::rebalance_slabs(deeper, even, even_costs(2, 1.0)),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------- balanced session ----
 
 TEST(LoadBalancedSession, SameImagesAsEvenSplit) {
+  // A group's first step renders even slabs, and every later step the
+  // slabs its previous step's counted cost placed. In the exact-tiling
+  // configuration (see RayCastTiling: unshaded, no early out) every tiling
+  // composites to the single-node image, so every frame, even or balanced,
+  // must match a single-node render of its step. Four steps per group at
+  // L=2, eight at L=1.
   core::SessionConfig cfg;
-  cfg.dataset = field::scaled(field::turbulent_jet_desc(), 5, 3);
+  cfg.dataset = field::scaled(field::turbulent_jet_desc(), 5, 8);
   cfg.processors = 4;
-  cfg.groups = 1;
   cfg.image_width = cfg.image_height = 40;
   cfg.codec = "raw";
   cfg.keep_frames = true;
-  // Exact-tiling configuration (see RayCastTiling): unshaded, no early out.
   cfg.render_options.shading = false;
   cfg.render_options.early_termination = 2.0;
 
-  const auto even = core::run_session(cfg);
-  cfg.load_balanced = true;
+  const render::RayCaster caster(cfg.render_options);
+  const render::Camera camera(cfg.image_width, cfg.image_height,
+                              cfg.camera_azimuth, cfg.camera_elevation,
+                              cfg.camera_zoom);
+  const auto tf = render::TransferFunction::fire();
+  std::vector<Image> single;
+  for (int step = 0; step < cfg.dataset.steps; ++step)
+    single.push_back(
+        caster.render_full(field::generate(cfg.dataset, step), camera, tf));
+
+  for (int groups : {1, 2}) {
+    cfg.groups = groups;
+    const auto result = core::run_session(cfg);
+    ASSERT_EQ(result.displayed.size(), single.size());
+    for (std::size_t step = 0; step < single.size(); ++step)
+      EXPECT_GE(render::psnr(single[step], result.displayed[step]), 45.0)
+          << "L=" << groups << " step " << step;
+  }
+}
+
+TEST(LoadBalancedSession, LaterStepsRenderRebalancedSlabs) {
+  // The jet's middle slabs carry most of the samples, so a group's second
+  // step renders other boundaries than an even split. Shaded frames show
+  // the boundaries in their lowest bits: the second step differs from the
+  // same step rendered as a group's first step (a one-step preview), and
+  // both show the same image.
+  core::SessionConfig cfg;
+  cfg.dataset = field::scaled(field::turbulent_jet_desc(), 2, 2);
+  cfg.processors = 4;
+  cfg.groups = 1;
+  cfg.image_width = cfg.image_height = 64;
+  cfg.codec = "raw";
+  cfg.keep_frames = true;
   const auto balanced = core::run_session(cfg);
-  ASSERT_EQ(even.displayed.size(), balanced.displayed.size());
-  for (std::size_t i = 0; i < even.displayed.size(); ++i)
-    EXPECT_GT(render::psnr(even.displayed[i], balanced.displayed[i]), 45.0);
+  cfg.step_map = {1};
+  const auto even = core::run_session(cfg);
+  ASSERT_EQ(balanced.displayed.size(), 2u);
+  ASSERT_EQ(even.displayed.size(), 1u);
+  const double db = render::psnr(balanced.displayed[1], even.displayed[0]);
+  EXPECT_FALSE(std::isinf(db));
+  EXPECT_GE(db, 45.0);
 }
 
 }  // namespace

@@ -506,9 +506,82 @@ TEST(BinarySwap, EmptyPartialsSendOnlyHeaders) {
     const auto slice = binary_swap(comm, empty, kW, kH);
     (void)gather_frame(comm, slice, kW, kH);
   });
-  const std::uint64_t sent = messages.value() - messages0;
-  EXPECT_GT(sent, 0u);
-  EXPECT_EQ(bytes.value() - bytes0, sent * PartialImage().serialize().size());
+  // Two swap rounds of four messages, each a 24-byte PartialImage header
+  // (rectangle and depth), then three gather messages, each a 16-byte
+  // rectangle: 8 x 24 + 3 x 16 = 240 bytes.
+  EXPECT_EQ(messages.value() - messages0, 11u);
+  EXPECT_EQ(PartialImage().serialize().size(), 24u);
+  EXPECT_EQ(bytes.value() - bytes0, 240u);
+}
+
+TEST(BinarySwap, GatherQuantizesAsTheF32Exchange) {
+  // Just below a rounding midpoint, a channel quantizes one step lower in
+  // double than after the f32 rounding of binary swap's exchanges. The
+  // gathered frame must be the splat of the f32 rectangle, bit for bit.
+  constexpr int kW = 4, kH = 4;
+  const double v = 12.5 / 255.0 - 1e-9;
+  PartialImage part(1, 1, 2, 2);
+  for (Rgba& px : part.pixels()) px = Rgba{v, v, v, v, 0.0};
+  Image expected(kW, kH);
+  PartialImage::deserialize(part.serialize()).splat_to(expected);
+  ASSERT_EQ(expected.pixel(1, 1)[0], 13);
+  Image frame;
+  vmp::Cluster::run(1, [&](vmp::Communicator& comm) {
+    frame = gather_frame(comm, compositing::FrameSlice{0, kH, part}, kW, kH);
+  });
+  EXPECT_EQ(frame, expected);
+}
+
+/// What gather_frame ships for a rectangle: x0, y0, width, height, then
+/// `pixel_bytes` bytes of 8-bit RGBA.
+util::Bytes rgba8_payload(int x0, int y0, int w, int h,
+                          std::size_t pixel_bytes) {
+  util::ByteWriter out;
+  out.u32(static_cast<std::uint32_t>(x0));
+  out.u32(static_cast<std::uint32_t>(y0));
+  out.u32(static_cast<std::uint32_t>(w));
+  out.u32(static_cast<std::uint32_t>(h));
+  for (std::size_t i = 0; i < pixel_bytes; ++i) out.u8(200);
+  return out.take();
+}
+
+/// The message gather_frame's root throws when rank 1 sends `payload`.
+std::string gather_error(const util::Bytes& payload) {
+  constexpr int kW = 16, kH = 16;
+  try {
+    vmp::Cluster::run(2, [&](vmp::Communicator& comm) {
+      if (comm.rank() == 0) {
+        PartialImage mine(0, 0, 4, 4);
+        (void)gather_frame(comm, compositing::FrameSlice{0, 8, mine}, kW, kH);
+      } else {
+        (void)comm.gather(0, util::Bytes(payload));
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(BinarySwap, GatherRejectsARectangleOutsideTheFrame) {
+  // A 16x16 frame: each rectangle below has pixels outside it.
+  const struct {
+    int x0, y0, w, h;
+  } outside[] = {{14, 0, 4, 2}, {0, 15, 2, 2}, {-1, 0, 2, 2}, {0, -3, 2, 4},
+                 {0, 0, 17, 1}};
+  for (const auto& r : outside)
+    EXPECT_EQ(gather_error(rgba8_payload(r.x0, r.y0, r.w, r.h,
+                                         static_cast<std::size_t>(r.w) * r.h * 4)),
+              "gather_frame: rectangle outside the frame")
+        << r.x0 << "," << r.y0 << " " << r.w << "x" << r.h;
+  // Inside the frame, but the payload is not exactly header + 4 w h.
+  for (const std::size_t pixel_bytes : {0, 15, 17, 100})
+    EXPECT_EQ(gather_error(rgba8_payload(2, 3, 2, 2, pixel_bytes)),
+              "gather_frame: payload length mismatch")
+        << pixel_bytes;
+  EXPECT_EQ(gather_error(util::Bytes{1, 2, 3}),
+            "gather_frame: payload length mismatch");
+  EXPECT_EQ(gather_error(rgba8_payload(2, 3, 2, 2, 16)), "no error");
 }
 
 }  // namespace

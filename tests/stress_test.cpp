@@ -54,10 +54,9 @@ TEST(VmpStress, RepeatedSplitsAndCollectives) {
   vmp::Cluster::run(8, [](vmp::Communicator& comm) {
     for (int round = 0; round < 20; ++round) {
       vmp::Communicator sub = comm.split((comm.rank() + round) % 3);
-      const auto sum = sub.allreduce({1.0}, vmp::ReduceOp::kSum);
+      const auto sum = sub.allreduce({1.0});
       EXPECT_DOUBLE_EQ(sum[0], sub.size());
-      const auto rank_sum = sub.allreduce(
-          {static_cast<double>(comm.rank())}, vmp::ReduceOp::kSum);
+      const auto rank_sum = sub.allreduce({static_cast<double>(comm.rank())});
       // Verify against a direct computation of the group's members.
       double expect = 0.0;
       for (int r = 0; r < 8; ++r)

@@ -12,7 +12,6 @@ using vmp::Cluster;
 using vmp::Communicator;
 using vmp::kAnySource;
 using vmp::kAnyTag;
-using vmp::ReduceOp;
 
 util::Bytes bytes_of(std::initializer_list<std::uint8_t> init) {
   return util::Bytes(init);
@@ -118,32 +117,10 @@ TEST_P(VmpCollectives, GatherCollectsInRankOrder) {
   });
 }
 
-TEST_P(VmpCollectives, ReduceSumMinMax) {
-  const int p = GetParam();
-  Cluster::run(p, [&](Communicator& comm) {
-    const double r = comm.rank();
-    const auto sum = comm.reduce(0, {r, 1.0}, ReduceOp::kSum);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(sum.size(), 2u);
-      EXPECT_DOUBLE_EQ(sum[0], p * (p - 1) / 2.0);
-      EXPECT_DOUBLE_EQ(sum[1], p);
-    }
-    const auto mn = comm.reduce(0, {r}, ReduceOp::kMin);
-    if (comm.rank() == 0) {
-      EXPECT_DOUBLE_EQ(mn[0], 0.0);
-    }
-    const auto mx = comm.reduce(0, {r}, ReduceOp::kMax);
-    if (comm.rank() == 0) {
-      EXPECT_DOUBLE_EQ(mx[0], p - 1.0);
-    }
-  });
-}
-
 TEST_P(VmpCollectives, AllreduceAgreesEverywhere) {
   const int p = GetParam();
   Cluster::run(p, [&](Communicator& comm) {
-    const auto out = comm.allreduce({1.0, static_cast<double>(comm.rank())},
-                                    ReduceOp::kSum);
+    const auto out = comm.allreduce({1.0, static_cast<double>(comm.rank())});
     ASSERT_EQ(out.size(), 2u);
     EXPECT_DOUBLE_EQ(out[0], p);
     EXPECT_DOUBLE_EQ(out[1], p * (p - 1) / 2.0);
@@ -158,7 +135,7 @@ TEST_P(VmpCollectives, SplitByParity) {
     EXPECT_EQ(sub.size(), expected_size);
     EXPECT_EQ(sub.rank(), comm.rank() / 2);
     // Traffic stays inside the split group.
-    const auto sum = sub.allreduce({1.0}, ReduceOp::kSum);
+    const auto sum = sub.allreduce({1.0});
     EXPECT_DOUBLE_EQ(sum[0], expected_size);
   });
 }

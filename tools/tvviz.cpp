@@ -175,7 +175,6 @@ int cmd_play(const util::Flags& flags) {
   if (flags.has("store")) cfg.store_dir = flags.get("store", "data");
   cfg.wait_for_store = flags.get_bool("follow", false);
   cfg.use_tcp = flags.get_bool("tcp", false);
-  cfg.load_balanced = flags.get_bool("balance", false);
   const std::string compression = flags.get_choice(
       "compression", "assembled", {"assembled", "pieces", "collective"});
   if (compression == "pieces")

@@ -16,8 +16,8 @@
 //                    every display tick. Every warp in the run is a real
 //                    render::Warper invocation against depth planes that
 //                    round-tripped the ZPL1 wire codec, so the quality
-//                    numbers (hole ratio, staleness) are the shipping
-//                    path's, not a model.
+//                    numbers (hole ratio, staleness) are measured, not
+//                    modelled.
 //
 // The headline metric is
 //
@@ -65,9 +65,8 @@ struct Run {
   double max_stale_deg = 0.0;
 };
 
-/// Render one 2.5D frame at `azimuth` and round-trip its depth plane
-/// through the ZPL1 wire codec, exactly as the session's leader/viewer
-/// pair would.
+/// Render one 2.5D frame at `azimuth` on a single node and round-trip its
+/// depth plane through the ZPL1 wire codec.
 render::DepthFrame depth_frame_at(const field::VolumeF& vol,
                                   const render::TransferFunction& tf,
                                   double azimuth, int size, int step = 0) {

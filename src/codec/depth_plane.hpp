@@ -1,6 +1,5 @@
-// Wire codec for the depth plane of a depth-container frame
-// (render/warp.hpp): the per-pixel view depths that turn a color frame into
-// a warpable 2.5D frame.
+// Wire codec (ZPL1) for the depth plane of a 2.5D frame (render/warp.hpp):
+// the per-pixel view depths that turn a color frame into a warpable one.
 //
 // Layout: depths are quantized to u16 against the frame's own [near, far]
 // range (background keeps a reserved sentinel), the little-endian u16 plane

@@ -197,28 +197,6 @@ render::Image gather_frame(const vmp::Communicator& comm,
   return frame;
 }
 
-render::PartialImage gather_frame_float(const vmp::Communicator& comm,
-                                        const FrameSlice& slice, int width,
-                                        int height, int root) {
-  auto gathered = comm.gather(root, slice.image.serialize());
-  if (comm.rank() != root) return {};
-  render::PartialImage frame(0, 0, width, height);
-  for (const auto& bytes : gathered) {
-    const auto part = render::PartialImage::deserialize(bytes);
-    // Slice rectangles lie in disjoint row bands; copy, don't composite.
-    for (int y = 0; y < part.height(); ++y) {
-      const int fy = part.y0() + y;
-      if (fy < 0 || fy >= height) continue;
-      for (int x = 0; x < part.width(); ++x) {
-        const int fx = part.x0() + x;
-        if (fx < 0 || fx >= width) continue;
-        frame.at(fx, fy) = part.at(x, y);
-      }
-    }
-  }
-  return frame;
-}
-
 render::Image tree_composite(const vmp::Communicator& comm,
                              const render::PartialImage& mine, int width,
                              int height) {

@@ -54,14 +54,6 @@ render::Image gather_frame(const vmp::Communicator& comm,
                            const FrameSlice& slice, int width, int height,
                            int root = 0);
 
-/// Like gather_frame, but keeps the full-precision float pixels: the root
-/// gets a full-frame PartialImage (x0 = y0 = 0) instead of an 8-bit splat.
-/// The depth-warping path needs this — the per-pixel z channel is only
-/// recoverable before quantization. Collective over `comm`.
-render::PartialImage gather_frame_float(const vmp::Communicator& comm,
-                                        const FrameSlice& slice, int width,
-                                        int height, int root = 0);
-
 /// Binary-tree compositing: pairs merge and forward up log2(P) levels until
 /// rank 0 holds the frame. The classic middle ground between direct-send
 /// (flat, collector-bound) and binary-swap (fully balanced): communication

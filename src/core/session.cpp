@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "codec/depth_plane.hpp"
 #include "codec/image_codec.hpp"
 #include "compositing/binary_swap.hpp"
 #include "compositing/collective_compress.hpp"
@@ -19,7 +18,6 @@
 #include "net/link.hpp"
 #include "net/tcp.hpp"
 #include "obs/trace.hpp"
-#include "render/warp.hpp"
 #include "util/log.hpp"
 #include "util/mutex.hpp"
 #include "util/timer.hpp"
@@ -131,10 +129,6 @@ SessionResult run_session(const SessionConfig& cfg) {
     throw std::invalid_argument(
         "session: wait_for_store requires store_dir (only a store can be "
         "waited on)");
-  if (cfg.use_warp && cfg.compression != SessionConfig::Compression::kAssembled)
-    throw std::invalid_argument(
-        "session: use_warp requires assembled compression (the depth plane "
-        "exists only for whole gathered frames)");
   const Partition partition(cfg.processors, cfg.groups);
   const int steps = cfg.effective_steps();
   const std::size_t pixels =
@@ -227,14 +221,11 @@ SessionResult run_session(const SessionConfig& cfg) {
   // The primary viewer decodes, records metrics, runs on_frame and acks;
   // auxiliary viewers (use_hub fan-out) drain and count.
   const auto connect_viewer =
-      [&](const std::string& id, bool wants_depth,
+      [&](const std::string& id,
           bool slow) -> std::unique_ptr<DisplayPortIface> {
     if (hub_server) {
       hub::HubTcpViewer::Options vo;
       vo.client_id = id;
-      // Without the depth capability the hub strips depth containers down
-      // to their color half before they reach this viewer.
-      vo.wants_depth = wants_depth;
       auto dp = std::make_unique<HubTcpDisplayPort>();
       dp->viewer = std::make_unique<hub::HubTcpViewer>(hub_server->port(), vo);
       return dp;
@@ -251,12 +242,12 @@ SessionResult run_session(const SessionConfig& cfg) {
     return dp;
   };
   const std::unique_ptr<DisplayPortIface> display =
-      connect_viewer("primary", cfg.use_warp, false);
+      connect_viewer("primary", false);
   std::vector<std::thread> aux_threads;
   for (int k = 0; k < aux_clients; ++k) {
     const bool slow = cfg.hub_slow_client_scale > 0.0 && k == aux_clients - 1;
     aux_threads.emplace_back([viewer = connect_viewer(
-                                  "viewer-" + std::to_string(k), false, slow),
+                                  "viewer-" + std::to_string(k), slow),
                               groups = cfg.groups] {
       int shutdowns = 0;
       while (auto msg = viewer->next()) {
@@ -280,23 +271,6 @@ SessionResult run_session(const SessionConfig& cfg) {
   // Frames can arrive out of step order (groups finish independently);
   // keep them keyed by step so SessionResult::displayed is step-ordered.
   std::map<int, render::Image> kept_frames;
-  // Warp state and accounting: written only by the client thread, read
-  // after its join.
-  std::optional<render::Warper> warper;
-  if (cfg.use_warp) warper.emplace(cfg.dataset.dims);
-  int warp_frames = 0;
-  double warp_hole_sum = 0.0, warp_psnr_sum = 0.0;
-  // The camera the renderers used for a given step (the warp target; §5
-  // control events are assumed quiet in warp mode).
-  const auto camera_of_step = [&cfg](int step) {
-    const int dataset_step =
-        cfg.step_map.empty() ? step
-                             : cfg.step_map[static_cast<std::size_t>(step)];
-    return render::Camera(
-        cfg.image_width, cfg.image_height,
-        cfg.camera_azimuth + cfg.azimuth_per_step * dataset_step,
-        cfg.camera_elevation, cfg.camera_zoom);
-  };
   std::thread client([&] {
     obs::set_thread_lane("display");
     int frames_done = 0;
@@ -322,31 +296,7 @@ SessionResult run_session(const SessionConfig& cfg) {
       obs::Span display_span("display", msg->frame_index);
 
       render::Image frame;
-      if (net::is_depth_frame(*msg)) {
-        // 2.5D frame: predict it first by warping the previous frame to
-        // this step's camera (what a live viewer would have shown while
-        // this frame was in flight), then decode the truth and measure how
-        // good the guess was.
-        const auto parts = net::split_depth_frame(*msg);
-        const auto codec =
-            codec::make_image_codec(parts.color.codec, cfg.jpeg_quality);
-        frame = codec->decode(parts.color.payload);
-        if (warper) {
-          const render::Camera now = camera_of_step(msg->frame_index);
-          if (warper->has_frame()) {
-            const render::WarpResult wr = warper->warp(now);
-            ++warp_frames;
-            warp_hole_sum += wr.hole_ratio;
-            warp_psnr_sum += std::min(render::psnr(wr.image, frame), 99.0);
-          }
-          render::DepthFrame df;
-          df.color = frame;
-          df.depth = codec::decode_depth_plane(parts.depth_plane);
-          df.camera = now;
-          df.step = msg->frame_index;
-          warper->set_frame(std::move(df));
-        }
-      } else if (net::is_pieces_frame(*msg)) {
+      if (net::is_pieces_frame(*msg)) {
         // Parallel compression: decode every node's piece on its own and
         // copy its rows into place.
         const auto parts = net::split_pieces_frame(*msg);
@@ -554,33 +504,6 @@ SessionResult run_session(const SessionConfig& cfg) {
           wire_bytes.fetch_add(msg.payload.size());
           ports[static_cast<std::size_t>(g)]->send(std::move(msg));
         }
-      } else if (cfg.use_warp) {
-        // 2.5D path: gather at full float precision (the z channel dies in
-        // the 8-bit splat), encode color through the normal image codec and
-        // the depth plane through the SIMD row-delta codec, and ship both
-        // as one depth-container frame.
-        const render::PartialImage full = compositing::gather_frame_float(
-            group, slice, cfg.image_width, cfg.image_height);
-        if (leader) {
-          obs::Span compress_span("compress", step, g);
-          render::Image frame(cfg.image_width, cfg.image_height);
-          full.splat_to(frame);
-          const auto image_codec =
-              codec::make_image_codec(view.codec, cfg.jpeg_quality);
-          net::NetMessage color;
-          color.type = net::MsgType::kFrame;
-          color.frame_index = step;
-          color.codec = view.codec;
-          color.payload =
-              image_codec->encode_shared(frame, util::BufferPool::global());
-          const util::Bytes depth_plane =
-              codec::encode_depth_plane(render::extract_depth(full));
-          net::NetMessage msg = net::make_depth_frame(color, depth_plane);
-          compress_span.end();
-          obs::Span send_span("send", step, g);
-          wire_bytes.fetch_add(msg.payload.size());
-          ports[static_cast<std::size_t>(g)]->send(std::move(msg));
-        }
       } else {
         const render::Image frame = compositing::gather_frame(
             group, slice, cfg.image_width, cfg.image_height);
@@ -636,11 +559,6 @@ SessionResult run_session(const SessionConfig& cfg) {
   result.hub_client_stats = frame_hub.client_stats();
   if (renderer_error) std::rethrow_exception(renderer_error);
   result.adaptive_codec_switches = adaptive_switches.load();
-  result.warp_frames = warp_frames;
-  if (warp_frames > 0) {
-    result.warp_mean_hole_ratio = warp_hole_sum / warp_frames;
-    result.warp_mean_psnr = warp_psnr_sum / warp_frames;
-  }
 
   result.wire_bytes = wire_bytes.load();
   for (auto& [step, image] : kept_frames)
@@ -655,25 +573,6 @@ SessionResult run_session(const SessionConfig& cfg) {
     for (auto& [step, rec] : records) result.frames.push_back(rec);
   result.metrics = Metrics::from_records(result.frames);
   return result;
-}
-
-SessionConfig trans_pacific_orbit_preset() {
-  SessionConfig cfg;
-  cfg.use_hub = true;
-  cfg.use_tcp = true;
-  cfg.use_warp = true;
-  // An interactive orbit: ~2.9 degrees of azimuth per time step, about what
-  // a user dragging the view covers in one 150 ms trans-Pacific round trip
-  // at a 20 Hz display tick. Each arriving frame is therefore one orbit
-  // step stale — exactly the staleness the warper has to hide.
-  cfg.azimuth_per_step = 0.05;
-  cfg.dataset = field::scaled(field::turbulent_jet_desc(), 4, 4);
-  cfg.dataset.steps = 6;
-  cfg.image_width = 96;
-  cfg.image_height = 96;
-  cfg.processors = 4;
-  cfg.groups = 2;
-  return cfg;
 }
 
 }  // namespace tvviz::core

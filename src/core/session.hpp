@@ -98,22 +98,7 @@ struct SessionConfig {
   /// per-frame display budget and feeds its codec switches back to the
   /// renderers (per-client quality downgrade under backpressure).
   double adaptive_target_frame_s = 0.0;
-  /// Latency-hiding viewer: leaders ship depth-container frames (color +
-  /// the ray-caster's opacity-weighted termination depth) and the primary
-  /// client runs a render::Warper — each arriving frame is first predicted
-  /// by forward-reprojecting the previous 2.5D frame to the new step's
-  /// camera, and the warp's hole ratio and PSNR against the real decode
-  /// are recorded in the result. Requires kAssembled compression (the
-  /// depth plane only exists for whole gathered frames).
-  bool use_warp = false;
 };
-
-/// The trans-Pacific interactive-orbit scenario (bench/ablation_warp): a
-/// hub-served session with the warping viewer on and the camera orbiting
-/// azimuth_per_step per time step — the regime where frames arrive ~150 ms
-/// stale and the warper must hide the round trip. Small enough to run in a
-/// test; callers scale dataset/image up for real measurements.
-SessionConfig trans_pacific_orbit_preset();
 
 struct SessionResult {
   Metrics metrics;  ///< Wall-clock, relative to session start.
@@ -125,12 +110,6 @@ struct SessionResult {
   /// Per-client delivery/drop/resume stats; the primary viewer first.
   std::vector<hub::ClientStats> hub_client_stats;
   int adaptive_codec_switches = 0;  ///< When adaptive_target_frame_s > 0.
-  // Warp-quality accounting of the primary viewer (use_warp; see
-  // render/warp.hpp). PSNR terms are clamped to 99 dB so an identity warp
-  // (infinite PSNR) keeps the mean finite.
-  int warp_frames = 0;               ///< Frames predicted by reprojection.
-  double warp_mean_hole_ratio = 0.0; ///< Mean reprojection-hole ratio.
-  double warp_mean_psnr = 0.0;       ///< Mean warped-vs-decoded PSNR (dB).
 };
 
 /// Run the full pipeline to completion. Throws on configuration errors or

@@ -81,23 +81,6 @@ std::optional<HelloInfo> validate_hello(TcpConnection& conn,
   return info;
 }
 
-obs::Counter& depth_stripped_ctr() {
-  static obs::Counter& c = obs::counter("net.hub.depth_stripped");
-  return c;
-}
-
-/// Depth-container frames leave the hub intact only toward viewers whose
-/// hello set the depth capability; everyone else gets the color
-/// half (a zero-copy payload view, no re-encode). kFrameData is never
-/// rewritten — fetched bodies must still hash to the advertised ContentId
-/// at the receiving edge.
-NetMessage outbound_frame(const NetMessage& msg, bool wants_depth) {
-  if (wants_depth || msg.type != MsgType::kFrame || !net::is_depth_frame(msg))
-    return msg;
-  depth_stripped_ctr().add(1);
-  return net::strip_depth(msg);
-}
-
 /// The owner handoff behind every socket write. The job that set `owned`
 /// (schedule_drain / schedule_control_drain) is the socket's only writer
 /// until it clears the flag, and it clears the flag only once `drain` has
@@ -146,10 +129,6 @@ struct HubTcpServer::Session {
   /// its reply is out, so nothing is written ahead of the hello-ack.
   std::atomic<bool> drain_scheduled{true};
   std::atomic<bool> control_scheduled{true};
-  /// Depth capability: frames keep their depth plane on the way out.
-  /// Written once in handle_hello before the first drain, read by drain
-  /// jobs.
-  std::atomic<bool> wants_depth{false};
 };
 
 HubTcpServer::HubTcpServer(int port, HubConfig config)
@@ -372,7 +351,6 @@ void HubTcpServer::handle_hello(const std::shared_ptr<Session>& session,
     }
     if (info->last_acked_step >= 0)
       session->client_port->ack(info->last_acked_step);
-    session->wants_depth.store(info->wants_depth);
     session->client_port->set_ready_callback([this, ws] {
       if (auto s = ws.lock()) schedule_drain(s);
     });
@@ -408,14 +386,13 @@ void HubTcpServer::schedule_drain(const std::shared_ptr<Session>& session) {
 
 void HubTcpServer::drain_display(const std::shared_ptr<Session>& session) {
   const auto& port = session->client_port;
-  const bool wants_depth = session->wants_depth.load();
   drain_as_owner(
       session->drain_scheduled,
       [&] {
         if (session->dead.load()) return false;
         while (auto msg = port->try_next()) {
           try {
-            session->conn->send_message(outbound_frame(*msg, wants_depth));
+            session->conn->send_message(*msg);
           } catch (const net::TimeoutError&) {
             // Zero bytes accepted within the deadline: the viewer stopped
             // reading. Evict it instead of letting it pin a worker.
@@ -586,7 +563,6 @@ std::shared_ptr<TcpConnection> HubTcpViewer::connect_and_handshake() {
   hello.last_acked_step = last_acked_.load();
   hello.queue_frames = options_.queue_frames;
   hello.wants_frame_refs = options_.wants_frame_refs;
-  hello.wants_depth = options_.wants_depth;
   std::string id = net::handshake(*conn, hello);
   util::LockGuard lock(state_mutex_);
   assigned_id_ = std::move(id);

@@ -119,10 +119,6 @@ class HubTcpViewer {
     /// with kFrameData. For relay edges (hub/relay.hpp), not end viewers —
     /// whoever sets this owns a content cache to resolve refs against.
     bool wants_frame_refs = false;
-    /// Announce the depth capability: depth-container frames arrive intact
-    /// (for the render::Warper) instead of being stripped to their color
-    /// half at the hub.
-    bool wants_depth = false;
   };
 
   /// Connects and completes the handshake. Throws std::runtime_error on

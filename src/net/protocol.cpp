@@ -13,7 +13,6 @@ namespace {
 
 // Capability bits of the hello mask.
 constexpr std::uint32_t kCapFrameRefs = 1u << 0;
-constexpr std::uint32_t kCapDepth = 1u << 1;
 
 }  // namespace
 
@@ -26,8 +25,7 @@ util::Bytes HelloInfo::serialize() const {
   w.str(client_id);
   w.u32(static_cast<std::uint32_t>(last_acked_step));
   w.u32(queue_frames);
-  w.u32((wants_frame_refs ? kCapFrameRefs : 0u) |
-        (wants_depth ? kCapDepth : 0u));
+  w.u32(wants_frame_refs ? kCapFrameRefs : 0u);
   return w.take();
 }
 
@@ -42,11 +40,10 @@ HelloInfo HelloInfo::deserialize(std::span<const std::uint8_t> payload) {
     info.last_acked_step = static_cast<std::int32_t>(r.u32());
     info.queue_frames = r.u32();
     const std::uint32_t caps = r.u32();
-    if (caps & ~(kCapFrameRefs | kCapDepth))
+    if (caps & ~kCapFrameRefs)
       throw WireError("net: unknown hello capability bits in mask " +
                       std::to_string(caps));
     info.wants_frame_refs = (caps & kCapFrameRefs) != 0;
-    info.wants_depth = (caps & kCapDepth) != 0;
     if (!r.done())
       throw WireError("net: " + std::to_string(r.remaining()) +
                       " trailing bytes after the hello");
@@ -275,71 +272,11 @@ NetMessage make_frame_data(const NetMessage& frame) {
   return data;
 }
 
-// --------------------------------------------------------- depth planes --
+// ------------------------------------------------------- parallel pieces --
 
 namespace {
-
-const std::string kDepthPrefixStr = kDepthCodecPrefix;
 const std::string kPiecesPrefixStr = kPiecesCodecPrefix;
-
-/// Parse a depth container's payload: returns {color_offset, color_len}.
-/// Depth bytes are everything after the color slice.
-std::pair<std::size_t, std::size_t> parse_depth_container(
-    const NetMessage& msg) {
-  if (!is_depth_frame(msg))
-    throw WireError("net: not a depth-container frame (codec '" + msg.codec +
-                    "')");
-  try {
-    util::ByteReader r(msg.payload);
-    const std::size_t color_len = r.varint();
-    if (color_len > r.remaining())
-      throw WireError("net: depth container advertises " +
-                      std::to_string(color_len) + " color bytes but only " +
-                      std::to_string(r.remaining()) + " remain");
-    const auto s = r.raw(color_len);
-    return {static_cast<std::size_t>(s.data() - msg.payload.data()),
-            color_len};
-  } catch (const std::out_of_range&) {
-    throw WireError("net: truncated depth-container payload");
-  }
-}
-
 }  // namespace
-
-bool is_depth_frame(const NetMessage& msg) noexcept {
-  return (msg.type == MsgType::kFrame || msg.type == MsgType::kFrameData) &&
-         msg.codec.starts_with(kDepthPrefixStr);
-}
-
-NetMessage make_depth_frame(const NetMessage& color,
-                            std::span<const std::uint8_t> depth_plane) {
-  util::ByteWriter w(util::varint_size(color.payload.size()) +
-                     color.payload.size() + depth_plane.size());
-  w.varint(color.payload.size());
-  w.raw(color.payload);
-  w.raw(depth_plane);
-  NetMessage msg = color;
-  msg.codec = kDepthPrefixStr + color.codec;
-  msg.payload = w.take();
-  return msg;
-}
-
-NetMessage strip_depth(const NetMessage& msg) {
-  return split_depth_frame(msg).color;
-}
-
-DepthFrameParts split_depth_frame(const NetMessage& msg) {
-  const auto [offset, len] = parse_depth_container(msg);
-  DepthFrameParts parts;
-  parts.color = msg;
-  parts.color.codec = msg.codec.substr(kDepthPrefixStr.size());
-  parts.color.payload = msg.payload.view(offset, len);
-  parts.depth_plane =
-      msg.payload.view(offset + len, msg.payload.size() - offset - len);
-  return parts;
-}
-
-// ------------------------------------------------------- parallel pieces --
 
 util::Bytes pack_piece(int row0, std::span<const std::uint8_t> encoded) {
   util::ByteWriter w(4 + util::varint_size(encoded.size()) + encoded.size());

@@ -51,9 +51,8 @@ using ContentId = std::uint64_t;
 ///   u32 version | str role | str client_id | u32 last_acked_step |
 ///   u32 queue_frames | u32 capability mask
 ///
-/// The capabilities travel as mask bits: bit 0 frame refs, bit 1 depth.
-/// Any other bit, a short payload or trailing bytes make the hello
-/// malformed.
+/// The capabilities travel as mask bits: bit 0 frame refs. Any other bit,
+/// a short payload or trailing bytes make the hello malformed.
 struct HelloInfo {
   std::uint32_t version = kProtocolVersion;
   std::string role;            ///< "renderer" or "display".
@@ -63,9 +62,6 @@ struct HelloInfo {
   /// This display keeps a content-addressed cache and wants frames
   /// advertised as kFrameRef instead of shipped in full (relay edges).
   bool wants_frame_refs = false;
-  /// This display runs a render::Warper and wants 2.5D depth-container
-  /// frames. Hubs strip the depth plane for peers that did not ask for it.
-  bool wants_depth = false;
 
   util::Bytes serialize() const;
   /// Reads the version first. A hello of another version is returned with
@@ -183,45 +179,6 @@ ContentId parse_frame_fetch(const NetMessage& msg);
 /// the receiver knows to match it against its pending fetches by recomputed
 /// ContentId rather than display it directly.
 NetMessage make_frame_data(const NetMessage& frame);
-
-// --------------------------------------------------------- depth planes --
-//
-// A 2.5D frame travels as an ordinary kFrame whose payload is a container:
-//
-//   varint(color_len) | color bytes (inner image codec) | depth-plane bytes
-//
-// and whose codec name is the inner codec's prefixed with kDepthCodecPrefix
-// ("zd4+jpeg75", "zd4+raw", ...). Riding *inside* the payload — rather than
-// as trailing frame bytes — keeps parse_frame's no-trailing-bytes contract
-// intact and lets relays treat the container as an opaque cached body
-// (ContentId covers codec + payload as usual). A hub strips the plane for
-// any viewer whose hello lacks the depth bit, so a plain decoder never sees
-// the container codec name.
-
-/// Codec-name prefix marking a depth-container frame.
-inline constexpr const char* kDepthCodecPrefix = "zd4+";
-
-/// True when `msg` is a kFrame (or kFrameData) whose codec carries the
-/// depth-container prefix.
-bool is_depth_frame(const NetMessage& msg) noexcept;
-
-/// Wrap a color frame and an encoded depth plane (codec/depth_plane.hpp)
-/// into a depth-container kFrame. Header fields mirror `color`'s.
-NetMessage make_depth_frame(const NetMessage& color,
-                            std::span<const std::uint8_t> depth_plane);
-
-/// The color frame inside a depth container, with the inner codec name
-/// restored and the payload an aliasing view (no copy) of `msg`'s. Throws
-/// WireError if `msg` is not a well-formed depth container.
-NetMessage strip_depth(const NetMessage& msg);
-
-/// Both halves of a depth container: the color frame (as strip_depth) plus
-/// an aliasing view of the encoded depth-plane bytes.
-struct DepthFrameParts {
-  NetMessage color;
-  util::SharedBytes depth_plane;
-};
-DepthFrameParts split_depth_frame(const NetMessage& msg);
 
 // ------------------------------------------------------- parallel pieces --
 //

@@ -21,30 +21,45 @@ void Image::write_ppm(const std::filesystem::path& path) const {
   if (!out) throw std::runtime_error("Image: write failed " + path.string());
 }
 
+namespace {
+constexpr std::size_t kPartialHeader = 24;  // x0, y0, width, height, depth
+constexpr std::size_t kPartialPixel = 16;   // r, g, b, a as f32
+}  // namespace
+
 util::Bytes PartialImage::serialize() const {
-  util::ByteWriter w(pixels_.size() * 20 + 32);
+  util::ByteWriter w(kPartialHeader + pixels_.size() * kPartialPixel);
   w.u32(static_cast<std::uint32_t>(x0_));
   w.u32(static_cast<std::uint32_t>(y0_));
   w.u32(static_cast<std::uint32_t>(width_));
   w.u32(static_cast<std::uint32_t>(height_));
   w.f64(depth_);
   // f32 per channel keeps exchange volume realistic for the network model.
+  // `z` stays home: nothing reads a composited depth.
   for (const Rgba& p : pixels_) {
     w.f32(static_cast<float>(p.r));
     w.f32(static_cast<float>(p.g));
     w.f32(static_cast<float>(p.b));
     w.f32(static_cast<float>(p.a));
-    w.f32(static_cast<float>(p.z));
   }
   return w.take();
 }
 
 PartialImage PartialImage::deserialize(std::span<const std::uint8_t> data) {
+  if (data.size() < kPartialHeader)
+    throw std::runtime_error("PartialImage: payload length mismatch");
   util::ByteReader r(data);
   const int x0 = static_cast<int>(r.u32());
   const int y0 = static_cast<int>(r.u32());
   const int w = static_cast<int>(r.u32());
   const int h = static_cast<int>(r.u32());
+  // Both checks come before the pixels allocate: the extents are wire data.
+  if (w < 0 || h < 0)
+    throw std::runtime_error("PartialImage: negative size");
+  const std::size_t body = data.size() - kPartialHeader;
+  if (body % kPartialPixel != 0 ||
+      body / kPartialPixel != static_cast<std::uint64_t>(w) *
+                                  static_cast<std::uint64_t>(h))
+    throw std::runtime_error("PartialImage: payload length mismatch");
   PartialImage img(x0, y0, w, h);
   img.set_depth(r.f64());
   for (Rgba& p : img.pixels_) {
@@ -52,7 +67,6 @@ PartialImage PartialImage::deserialize(std::span<const std::uint8_t> data) {
     p.g = r.f32();
     p.b = r.f32();
     p.a = r.f32();
-    p.z = r.f32();
   }
   return img;
 }

@@ -15,10 +15,11 @@ namespace tvviz::render {
 
 /// Premultiplied RGBA color (compositing math operates on these). The `z`
 /// channel is the opacity-weighted view depth (sum of w * camera-depth over
-/// the ray samples, exactly like the color channels): premultiplied like
-/// this, depth composes linearly under `over`, so binary-swap threads a
-/// correct 2.5D depth plane through unchanged. The display normalizes by
-/// alpha (z / a) to recover the ray's mean termination depth.
+/// the ray samples, exactly like the color channels), so it composes
+/// linearly under `over`; extract_depth normalizes by alpha (z / a) to
+/// recover the ray's mean termination depth. Only a single-node render has
+/// a meaningful `z`: rank exchanges (PartialImage::serialize) do not carry
+/// it.
 struct Rgba {
   double r = 0.0, g = 0.0, b = 0.0, a = 0.0;
   double z = 0.0;
@@ -108,7 +109,10 @@ class PartialImage {
   std::span<const Rgba> pixels() const noexcept { return pixels_; }
   std::span<Rgba> pixels() noexcept { return pixels_; }
 
-  /// Serialize to bytes (for exchange between ranks) and back.
+  /// Serialize to bytes (for exchange between ranks) and back: a 24-byte
+  /// header, then r, g, b, a as f32 (16 bytes a pixel; `z` is not sent).
+  /// deserialize throws std::runtime_error, before allocating, for a
+  /// negative extent or a payload that is not exactly 24 + 16·w·h bytes.
   util::Bytes serialize() const;
   static PartialImage deserialize(std::span<const std::uint8_t> data);
 

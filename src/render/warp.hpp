@@ -1,10 +1,11 @@
-// Depth-image warping (ROADMAP item 4, after Zellmann's image-warping
-// remote volume rendering): the renderer ships 2.5D frames — color plus the
-// ray-caster's opacity-weighted termination depth — and the viewer
-// forward-reprojects the last received frame against its *current* camera
+// Depth-image warping (after Zellmann's image-warping remote volume
+// rendering): a renderer that ships 2.5D frames — color plus the
+// ray-caster's opacity-weighted termination depth — lets the viewer
+// forward-reproject the last received frame against its *current* camera
 // while the next frame is still in flight. Interaction latency then tracks
 // the local display tick, not the WAN round trip; the arriving frame merely
-// corrects the extrapolation.
+// corrects the extrapolation. bench/ablation_warp measures this on
+// single-node renders; the session ships color frames only.
 //
 // The reprojection is a forward splat: every source pixel with depth is
 // lifted to its world point through the source camera, projected through
@@ -56,10 +57,10 @@ class DepthImage {
 };
 
 /// Extract the alpha-normalized depth plane from a full-frame float image
-/// (the leader's gathered binary-swap result): z / a where the ray hit
-/// anything (a > alpha_floor), kEmpty where it saw background. The floor
-/// defaults to zero so every pixel with visible colour carries depth —
-/// an identity warp then reproduces the colour frame exactly.
+/// (a single-node render: rank exchanges do not carry z): z / a where the
+/// ray hit anything (a > alpha_floor), kEmpty where it saw background. The
+/// floor defaults to zero so every pixel with visible colour carries depth
+/// — an identity warp then reproduces the colour frame exactly.
 DepthImage extract_depth(const PartialImage& frame,
                          double alpha_floor = 0.0);
 

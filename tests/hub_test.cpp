@@ -117,23 +117,19 @@ TEST(FrameCache, AccumulatesBytes) {
 
 TEST(Hello, CapabilityRoundTrip) {
   for (const bool refs : {false, true}) {
-    for (const bool depth : {false, true}) {
-      net::HelloInfo info;
-      info.role = "display";
-      info.client_id = "viewer-7";
-      info.last_acked_step = 41;
-      info.queue_frames = 12;
-      info.wants_frame_refs = refs;
-      info.wants_depth = depth;
-      const auto out = net::parse_hello(net::make_hello(info));
-      EXPECT_EQ(out.version, net::kProtocolVersion);
-      EXPECT_EQ(out.role, "display");
-      EXPECT_EQ(out.client_id, "viewer-7");
-      EXPECT_EQ(out.last_acked_step, 41);
-      EXPECT_EQ(out.queue_frames, 12u);
-      EXPECT_EQ(out.wants_frame_refs, refs);
-      EXPECT_EQ(out.wants_depth, depth);
-    }
+    net::HelloInfo info;
+    info.role = "display";
+    info.client_id = "viewer-7";
+    info.last_acked_step = 41;
+    info.queue_frames = 12;
+    info.wants_frame_refs = refs;
+    const auto out = net::parse_hello(net::make_hello(info));
+    EXPECT_EQ(out.version, net::kProtocolVersion);
+    EXPECT_EQ(out.role, "display");
+    EXPECT_EQ(out.client_id, "viewer-7");
+    EXPECT_EQ(out.last_acked_step, 41);
+    EXPECT_EQ(out.queue_frames, 12u);
+    EXPECT_EQ(out.wants_frame_refs, refs);
   }
 }
 
@@ -1343,52 +1339,6 @@ TEST(HubSession, MatchesSingleClientPipelineLosslessly) {
     EXPECT_EQ(c.steps_skipped, 0u) << c.id;
     EXPECT_EQ(c.last_acked_step, 3) << c.id;
   }
-}
-
-// ------------------------------------------------------- depth planes ----
-
-/// A depth-container frame: "raw" color bytes wrapped with a fake encoded
-/// depth plane (the hub treats both halves as opaque).
-NetMessage depth_frame_msg(int step) {
-  NetMessage color = frame_msg(step, {1, 2, 3, 4});
-  return net::make_depth_frame(color, util::Bytes(16, 0xAB));
-}
-
-TEST(HubTcpDepth, DepthContainerReachesWantingViewerIntact) {
-  hub::HubTcpServer server;
-  hub::HubTcpViewer::Options o;
-  o.client_id = "warper";
-  o.wants_depth = true;
-  hub::HubTcpViewer viewer(server.port(), o);
-  net::TcpRendererLink renderer(server.port());
-  renderer.send(depth_frame_msg(0));
-  const auto got = viewer.next();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(net::is_depth_frame(*got));
-  const auto parts = net::split_depth_frame(*got);
-  EXPECT_EQ(parts.color.codec, "raw");
-  EXPECT_EQ(parts.color.payload, util::Bytes({1, 2, 3, 4}));
-  EXPECT_EQ(parts.depth_plane, util::Bytes(16, 0xAB));
-  server.shutdown();
-}
-
-TEST(HubTcpDepth, DepthStrippedForViewerWithoutCapability) {
-  // A viewer that never announced wants_depth must receive a plain frame an
-  // old decoder understands: inner codec name, color-only payload.
-  static obs::Counter& stripped = obs::counter("net.hub.depth_stripped");
-  const auto before = stripped.value();
-  hub::HubTcpServer server;
-  hub::HubTcpViewer viewer(server.port());  // defaults: no wants_depth
-  net::TcpRendererLink renderer(server.port());
-  renderer.send(depth_frame_msg(3));
-  const auto got = viewer.next();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(net::is_depth_frame(*got));
-  EXPECT_EQ(got->codec, "raw");
-  EXPECT_EQ(got->frame_index, 3);
-  EXPECT_EQ(got->payload, util::Bytes({1, 2, 3, 4}));
-  EXPECT_GE(stripped.value(), before + 1);
-  server.shutdown();
 }
 
 TEST(HubSession, RunsOverTcpWithSlowClientInProcess) {

@@ -453,23 +453,28 @@ TEST(Protocol, DeserializeFrameValidatesLikeDeserializeMessage) {
 // ----------------------------------------------------- protocol v4 ----
 
 TEST(ProtocolV4, HelloCarriesWantsDepthAndDegradesByTruncation) {
+  // Bit 1 of the capability mask once asked for depth frames. No frame
+  // carries depth any more, so it is an unknown bit and the hello is
+  // refused, like any other unknown bit.
   net::HelloInfo info;
   info.role = "display";
   info.wants_frame_refs = true;
-  info.wants_depth = true;
-  const auto echoed = net::parse_hello(net::make_hello(info));
-  EXPECT_EQ(echoed.version, net::kProtocolVersion);
-  EXPECT_TRUE(echoed.wants_frame_refs);
-  EXPECT_TRUE(echoed.wants_depth);
+  const auto hello = net::make_hello(info);
+  EXPECT_TRUE(net::parse_hello(hello).wants_frame_refs);
+  util::Bytes depth_bit(hello.payload.begin(), hello.payload.end());
+  depth_bit[depth_bit.size() - 4] |= 1u << 1;  // the mask's low byte (LE)
+  NetMessage asks_depth = hello;
+  asks_depth.payload = std::move(depth_bit);
+  EXPECT_THROW(net::parse_hello(asks_depth), std::runtime_error);
 
   // The capabilities share one u32 mask, so a truncated hello no longer
   // degrades to an older generation's capabilities: it is refused whole.
-  auto cut = net::make_hello(info);
+  auto cut = hello;
   cut.payload = cut.payload.view(0, cut.payload.size() - 1);
   EXPECT_THROW(net::parse_hello(cut), std::runtime_error);
 }
 
-// ----------------------------------------------------- depth planes ----
+// ------------------------------------------------- malformed containers ----
 
 NetMessage color_frame(int step) {
   NetMessage msg;
@@ -480,63 +485,11 @@ NetMessage color_frame(int step) {
   return msg;
 }
 
-TEST(ProtocolV4, DepthContainerSurvivesTheWire) {
-  const util::Bytes plane(32, 0x5A);
-  const NetMessage container = net::make_depth_frame(color_frame(7), plane);
-  EXPECT_TRUE(net::is_depth_frame(container));
-  EXPECT_EQ(container.codec, "zd4+jpeg+lzo");
-  EXPECT_EQ(container.frame_index, 7);
-
-  const auto wire = net::serialize_message(container);
-  const NetMessage back = net::deserialize_message(wire);
-  ASSERT_TRUE(net::is_depth_frame(back));
-  const auto parts = net::split_depth_frame(back);
-  EXPECT_EQ(parts.color.codec, "jpeg+lzo");
-  EXPECT_EQ(parts.color.frame_index, 7);
-  EXPECT_EQ(parts.color.payload, (util::Bytes{10, 20, 30, 40, 50}));
-  EXPECT_EQ(parts.depth_plane, plane);
-}
-
-TEST(ProtocolV4, StripDepthIsAZeroCopyView) {
-  const NetMessage container =
-      net::make_depth_frame(color_frame(0), util::Bytes(8, 1));
-  const NetMessage color = net::strip_depth(container);
-  EXPECT_FALSE(net::is_depth_frame(color));
-  EXPECT_EQ(color.codec, "jpeg+lzo");
-  // The stripped payload aliases the container's allocation.
-  EXPECT_GE(color.payload.data(), container.payload.data());
-  EXPECT_LE(color.payload.data() + color.payload.size(),
-            container.payload.data() + container.payload.size());
-}
-
-TEST(ProtocolV4, DepthContainerRidesFrameDataUnchanged) {
-  // Relay caches ship containers as kFrameData; the ContentId must cover
-  // the container bytes so the edge's integrity check still holds.
-  const NetMessage container =
-      net::make_depth_frame(color_frame(2), util::Bytes(8, 9));
-  const NetMessage data = net::make_frame_data(container);
-  EXPECT_TRUE(net::is_depth_frame(data));
-  EXPECT_EQ(net::content_id_of(data), net::content_id_of(container));
-}
-
 TEST(ProtocolV4, MalformedContainersFailLoudly) {
-  // Not a container at all.
-  EXPECT_THROW(net::strip_depth(color_frame(0)), net::WireError);
-  // Advertised color length exceeding the payload.
-  NetMessage bogus = color_frame(0);
-  bogus.codec = "zd4+raw";
-  util::ByteWriter w;
-  w.varint(1000);
-  w.raw(util::Bytes(4, 0));
-  bogus.payload = w.take();
-  EXPECT_THROW(net::split_depth_frame(bogus), net::WireError);
-  // Truncated before the varint completes.
-  bogus.payload = util::Bytes{0xFF};
-  EXPECT_THROW(net::split_depth_frame(bogus), net::WireError);
-
   // The pieces container: not one, a record advertising more bytes than
   // remain, and a record cut inside its row field.
   EXPECT_THROW(net::split_pieces_frame(color_frame(0)), net::WireError);
+  NetMessage bogus = color_frame(0);
   bogus.codec = "pieces+raw";
   util::ByteWriter rec;
   rec.u32(0);
@@ -560,7 +513,6 @@ TEST(ProtocolPieces, ContainerSurvivesTheWireInRankOrder) {
   EXPECT_EQ(msg.frame_index, 9);
   EXPECT_EQ(msg.codec, "pieces+lzo");
   EXPECT_TRUE(net::is_pieces_frame(msg));
-  EXPECT_FALSE(net::is_depth_frame(msg));
   EXPECT_EQ(msg.payload.size(), records[0].size() + records[2].size());
 
   const NetMessage back =

@@ -172,7 +172,6 @@ TEST(ProtocolV3, HelloCarriesWantsFrameRefsAndStaysV2Compatible) {
   info.wants_frame_refs = true;
   const auto echoed = net::parse_hello(net::make_hello(info));
   EXPECT_TRUE(echoed.wants_frame_refs);
-  EXPECT_FALSE(echoed.wants_depth);
   EXPECT_EQ(echoed.version, net::kProtocolVersion);
 
   // Compatibility with older peers is now a refusal, not a degrade: the

@@ -388,35 +388,6 @@ TEST(Session, InvalidConfigThrows) {
   EXPECT_THROW(core::run_session(cfg), std::invalid_argument);
 }
 
-TEST(Session, WarpViewerRecordsQuality) {
-  // The trans-Pacific orbit preset with the TCP transport swapped out for the
-  // in-process hub: depth containers reach the viewer intact and every frame
-  // after the first is predicted by reprojection before the real one lands
-  // — with the hub's fan-out settings applied or not.
-  SessionConfig cfg = core::trans_pacific_orbit_preset();
-  cfg.use_tcp = false;
-  cfg.dataset.steps = 4;
-  cfg.keep_frames = true;
-  for (const bool use_hub : {true, false}) {
-    SCOPED_TRACE(use_hub ? "use_hub" : "lone viewer");
-    cfg.use_hub = use_hub;
-    const SessionResult result = core::run_session(cfg);
-    EXPECT_EQ(result.displayed.size(), 4u);
-    EXPECT_EQ(result.warp_frames, 3);
-    EXPECT_LE(result.warp_mean_hole_ratio, 0.15);
-    EXPECT_GT(result.warp_mean_psnr, 10.0);
-  }
-}
-
-TEST(Session, UseWarpRequiresHubAndAssembled) {
-  // Every session runs a hub now, so only the assembled-compression rule
-  // is left to reject (WarpViewerRecordsQuality covers use_hub off).
-  SessionConfig pieces = core::trans_pacific_orbit_preset();
-  pieces.use_tcp = false;
-  pieces.compression = SessionConfig::Compression::kParallelPieces;
-  EXPECT_THROW(core::run_session(pieces), std::invalid_argument);
-}
-
 TEST(Session, NonPowerOfTwoGroupSizes) {
   SessionConfig cfg = small_config();
   cfg.processors = 5;

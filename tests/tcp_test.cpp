@@ -6,11 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <thread>
+#include <vector>
 
 #include "codec/image_codec.hpp"
 #include "core/session.hpp"
@@ -500,6 +503,51 @@ TEST(TcpChaos, LatencyChaosDeliversEveryFrameIntact) {
   // rate=1.0 guarantees the plan actually fired on every send.
   EXPECT_GE(scoped.injector().events().size(), 10u);
   server.shutdown();
+}
+
+TEST(TcpChaos, SessionDeliversEveryStepUnderLatencyChaos) {
+  // The whole session over real sockets with seeded latency chaos on every
+  // connection (the CI chaos job re-runs this under several
+  // TVVIZ_FAULT_SEED values): frames arrive late and bunched, but no byte
+  // is lost, so every step must be displayed exactly once and as the same
+  // session shows it without faults.
+  std::uint64_t seed = 20260807;
+  if (const char* env = std::getenv("TVVIZ_FAULT_SEED"))
+    seed = std::strtoull(env, nullptr, 10);
+  core::SessionConfig cfg;
+  cfg.use_tcp = true;
+  cfg.codec = "jpeg+lzo";
+  cfg.processors = 4;
+  cfg.groups = 2;
+  cfg.image_width = cfg.image_height = 96;
+  cfg.dataset = field::scaled(field::turbulent_jet_desc(), 4, 4);
+  cfg.dataset.steps = 4;
+  cfg.azimuth_per_step = 0.05;
+  cfg.keep_frames = true;
+  const auto calm = core::run_session(cfg);
+  ASSERT_EQ(calm.displayed.size(), 4u);
+
+  std::vector<int> shown;  // written by the display thread only
+  cfg.on_frame = [&shown](int step, const render::Image&) {
+    shown.push_back(step);
+    return std::vector<ControlEvent>{};
+  };
+  core::SessionResult chaotic;
+  {
+    fault::ScopedFaultPlan chaos(fault::FaultPlan::latency_chaos(seed));
+    chaotic = core::run_session(cfg);
+    // Nightly artifact hook: dump the injector's canonical event log so a
+    // failing seed can be replayed byte-for-byte locally.
+    if (const char* log_path = std::getenv("TVVIZ_FAULT_LOG")) {
+      std::ofstream out(log_path, std::ios::app);
+      out << "seed=" << seed << "\n" << chaos.injector().event_log();
+    }
+  }
+  std::sort(shown.begin(), shown.end());
+  EXPECT_EQ(shown, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(chaotic.displayed.size(), calm.displayed.size());
+  for (std::size_t i = 0; i < calm.displayed.size(); ++i)
+    EXPECT_EQ(chaotic.displayed[i], calm.displayed[i]) << "step " << i;
 }
 
 // ------------------------------------------------------------ event loop ---

@@ -92,6 +92,7 @@ int main(int argc, char** argv) {
   const double min_seconds = flags.get_double("min-seconds", 0.4);
   const std::string json_path = flags.get("json", "");
   bench::init_observability(flags);
+  bench::reject_unused(flags);
 
   // Must land before the first TilePool::global() touch anywhere below.
   ::setenv("TVVIZ_CODEC_WORKERS", std::to_string(workers).c_str(),

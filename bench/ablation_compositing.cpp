@@ -22,8 +22,8 @@ render::PartialImage make_partial(int rank, int size) {
   util::Rng rng(static_cast<std::uint64_t>(rank) + 7);
   for (int y = 0; y < size; ++y)
     for (int x = 0; x < size; ++x) {
-      const double a = rng.uniform(0.0, 0.5);
-      p.at(x, y) = render::Rgba{a, a * 0.5, a * 0.25, a};
+      const auto a = static_cast<float>(rng.uniform(0.0, 0.5));
+      p.at(x, y) = render::Rgba{a, a * 0.5f, a * 0.25f, a};
     }
   return p;
 }

@@ -143,6 +143,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string json_path = flags.get("json", "");
   bench::init_observability(flags);
+  bench::reject_unused(flags);
 
   bench::print_header("Ablation: recovery under injected connection loss",
                       "auto-reconnect viewer vs per-send drop probability");

@@ -364,6 +364,7 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(flags.get_int("steps", 16));
   const auto bytes = static_cast<std::size_t>(flags.get_int("bytes", 4096));
   const std::string json_path = flags.get("json", "");
+  bench::reject_unused(flags);
 
   const int clients = cap_clients(requested);
   if (clients < requested)

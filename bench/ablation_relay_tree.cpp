@@ -155,6 +155,7 @@ int main(int argc, char** argv) {
   const int large = static_cast<int>(flags.get_int("large-viewers", 32));
   const std::string json_path = flags.get("json", "");
   bench::init_observability(flags);
+  bench::reject_unused(flags);
 
   bench::print_header("relay-tree root egress",
                       "1 root -> " + std::to_string(n_edges) +

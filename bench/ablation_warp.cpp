@@ -71,17 +71,13 @@ render::DepthFrame depth_frame_at(const field::VolumeF& vol,
                                   const render::TransferFunction& tf,
                                   double azimuth, int size, int step = 0) {
   const render::Camera cam(size, size, azimuth, 0.3);
-  const render::PartialImage part = render::RayCaster().render(
-      render::Subvolume::whole(vol), vol.dims(), cam, tf);
-  render::PartialImage full(0, 0, size, size);
-  for (int y = 0; y < part.height(); ++y)
-    for (int x = 0; x < part.width(); ++x)
-      full.at(part.x0() + x, part.y0() + y) = part.at(x, y);
   render::DepthFrame frame;
+  const render::PartialImage part = render::RayCaster().render(
+      render::Subvolume::whole(vol), vol.dims(), cam, tf, &frame.depth);
   frame.color = render::Image(size, size);
   part.splat_to(frame.color);
   frame.depth =
-      codec::decode_depth_plane(codec::encode_depth_plane(render::extract_depth(full)));
+      codec::decode_depth_plane(codec::encode_depth_plane(frame.depth));
   frame.camera = cam;
   frame.step = step;
   return frame;
@@ -105,6 +101,7 @@ int main(int argc, char** argv) {
   const double orbit_deg_s = flags.get_double("orbit-deg-s", 20.0);
   const std::string json_path = flags.get("json", "");
   bench::init_observability(flags);
+  bench::reject_unused(flags);
 
   bench::print_header("Ablation: depth-image warping vs ship-per-frame",
                       "interactive orbit over a simulated trans-Pacific link");

@@ -152,6 +152,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("bytes", 65536));
   const std::string json_path = flags.get("json", "");
   bench::init_observability(flags);
+  bench::reject_unused(flags);
 
   bench::print_header("Ablation: zero-copy frame path",
                       "seed (copying) vs pooled scatter-gather wire path");

@@ -1,5 +1,7 @@
 #include "bench/common.hpp"
 
+#include <cstdlib>
+
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -9,6 +11,15 @@ namespace {
 std::string g_trace_out;
 std::string g_counters_out;
 }  // namespace
+
+void reject_unused(const util::Flags& flags) {
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
 
 void init_observability(const util::Flags& flags) {
   g_trace_out = flags.get("trace-out", "");

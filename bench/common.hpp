@@ -40,6 +40,11 @@ std::string fmt_seconds(double s);
 /// Thousands-separated byte count.
 std::string fmt_bytes(double bytes);
 
+/// Exit 2, naming them on stderr, when the command line holds a flag the
+/// harness never read or a stray word (util::Flags::reject_unused). Call
+/// once every flag is read, before any work.
+void reject_unused(const util::Flags& flags);
+
 /// Observability plumbing shared by every harness: `--trace-out <file>`
 /// turns on span recording and arranges a Chrome trace_event JSON dump
 /// (loadable in Perfetto / chrome://tracing); `--counters-json <file>`

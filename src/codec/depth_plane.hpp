@@ -12,7 +12,7 @@
 
 #include <span>
 
-#include "render/warp.hpp"
+#include "render/image.hpp"
 #include "util/bytes.hpp"
 
 namespace tvviz::codec {

@@ -73,23 +73,18 @@ render::PartialImage receive_inside(std::span<const std::uint8_t> bytes,
 constexpr std::size_t kRectHeader = 16;  // x0, y0, width, height
 
 /// A slice's rectangle as gather_frame ships it: the rectangle, then its
-/// pixels as 8-bit RGBA. Each channel is rounded to f32 (the exchanges'
-/// precision) and then quantized as PartialImage::splat_to does, so the
-/// frame is bit for bit the one a gather of f32 rectangles splats.
+/// pixels as 8-bit RGBA, quantized as PartialImage::splat_to does.
 util::Bytes pack_rgba8(const render::PartialImage& part) {
   util::ByteWriter w(kRectHeader + part.pixels().size() * 4);
   w.u32(static_cast<std::uint32_t>(part.x0()));
   w.u32(static_cast<std::uint32_t>(part.y0()));
   w.u32(static_cast<std::uint32_t>(part.width()));
   w.u32(static_cast<std::uint32_t>(part.height()));
-  const auto q = [](double v) {
-    return render::quantize(static_cast<float>(v));
-  };
   for (const render::Rgba& p : part.pixels()) {
-    w.u8(q(p.r));
-    w.u8(q(p.g));
-    w.u8(q(p.b));
-    w.u8(q(p.a));
+    w.u8(render::quantize(p.r));
+    w.u8(render::quantize(p.g));
+    w.u8(render::quantize(p.b));
+    w.u8(render::quantize(p.a));
   }
   return w.take();
 }

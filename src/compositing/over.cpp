@@ -4,14 +4,13 @@
 
 namespace tvviz::compositing {
 
-render::PartialImage composite_reference_f(
-    std::vector<render::PartialImage> partials, int width, int height) {
+render::Image composite_reference(std::vector<render::PartialImage> partials,
+                                  int width, int height) {
   std::sort(partials.begin(), partials.end(),
             [](const render::PartialImage& a, const render::PartialImage& b) {
               return a.depth() < b.depth();
             });
   render::PartialImage frame(0, 0, width, height);
-  frame.set_depth(partials.empty() ? 0.0 : partials.front().depth());
   for (const auto& part : partials) {
     for (int y = 0; y < part.height(); ++y) {
       const int fy = part.y0() + y;
@@ -24,13 +23,6 @@ render::PartialImage composite_reference_f(
       }
     }
   }
-  return frame;
-}
-
-render::Image composite_reference(std::vector<render::PartialImage> partials,
-                                  int width, int height) {
-  const render::PartialImage frame =
-      composite_reference_f(std::move(partials), width, height);
   render::Image out(width, height);
   frame.splat_to(out);
   return out;

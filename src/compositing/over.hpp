@@ -13,8 +13,4 @@ namespace tvviz::compositing {
 render::Image composite_reference(std::vector<render::PartialImage> partials,
                                   int width, int height);
 
-/// Same, but keep the float/premultiplied result for further compositing.
-render::PartialImage composite_reference_f(
-    std::vector<render::PartialImage> partials, int width, int height);
-
 }  // namespace tvviz::compositing

@@ -33,13 +33,11 @@ util::Bytes PartialImage::serialize() const {
   w.u32(static_cast<std::uint32_t>(width_));
   w.u32(static_cast<std::uint32_t>(height_));
   w.f64(depth_);
-  // f32 per channel keeps exchange volume realistic for the network model.
-  // `z` stays home: nothing reads a composited depth.
   for (const Rgba& p : pixels_) {
-    w.f32(static_cast<float>(p.r));
-    w.f32(static_cast<float>(p.g));
-    w.f32(static_cast<float>(p.b));
-    w.f32(static_cast<float>(p.a));
+    w.f32(p.r);
+    w.f32(p.g);
+    w.f32(p.b);
+    w.f32(p.a);
   }
   return w.take();
 }

@@ -1,11 +1,14 @@
-// Image types: 8-bit RGBA for transport/display and premultiplied float RGBA
-// for compositing partial images across render nodes.
+// Image types: 8-bit RGBA for transport/display, premultiplied float RGBA
+// for compositing partial images across render nodes, and the view-depth
+// plane of a single-node render.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -13,32 +16,36 @@
 
 namespace tvviz::render {
 
-/// Premultiplied RGBA color (compositing math operates on these). The `z`
-/// channel is the opacity-weighted view depth (sum of w * camera-depth over
-/// the ray samples, exactly like the color channels), so it composes
-/// linearly under `over`; extract_depth normalizes by alpha (z / a) to
-/// recover the ray's mean termination depth. Only a single-node render has
-/// a meaningful `z`: rank exchanges (PartialImage::serialize) do not carry
-/// it.
+/// Premultiplied RGBA color, four f32 channels: the compositing pixel and
+/// the exchange format ranks ship (PartialImage::serialize), so every rank
+/// composites exactly what it receives.
 struct Rgba {
-  double r = 0.0, g = 0.0, b = 0.0, a = 0.0;
-  double z = 0.0;
+  float r = 0.0f, g = 0.0f, b = 0.0f, a = 0.0f;
 
   /// Front-to-back "over": this (front) over `back`.
   Rgba over(const Rgba& back) const noexcept {
-    const double t = 1.0 - a;
-    return {r + t * back.r, g + t * back.g, b + t * back.b, a + t * back.a,
-            z + t * back.z};
+    const float t = 1.0f - a;
+    return {r + t * back.r, g + t * back.g, b + t * back.b, a + t * back.a};
   }
 };
+static_assert(sizeof(Rgba) == 16, "Rgba is the 16-byte exchange pixel");
+
+/// `extent` itself, checked before a pixel buffer is sized: a negative
+/// extent would otherwise wrap the pixel count. Throws
+/// std::invalid_argument naming `type`.
+inline int checked_extent(int extent, const char* type) {
+  if (extent < 0)
+    throw std::invalid_argument(std::string(type) + ": negative size");
+  return extent;
+}
 
 /// 8-bit RGBA raster, row-major, top-left origin.
 class Image {
  public:
   Image() = default;
   Image(int width, int height)
-      : width_(checked(width)),
-        height_(checked(height)),
+      : width_(checked_extent(width, "Image")),
+        height_(checked_extent(height, "Image")),
         pixels_(static_cast<std::size_t>(width) * height * 4, 0) {}
 
   int width() const noexcept { return width_; }
@@ -67,13 +74,6 @@ class Image {
   bool operator==(const Image&) const = default;
 
  private:
-  /// Validates before pixels_ allocates: a negative extent would otherwise
-  /// wrap the byte count to a huge size and fail the allocation instead.
-  static int checked(int extent) {
-    if (extent < 0) throw std::invalid_argument("Image: negative size");
-    return extent;
-  }
-
   int width_ = 0;
   int height_ = 0;
   std::vector<std::uint8_t> pixels_;
@@ -85,8 +85,11 @@ class Image {
 class PartialImage {
  public:
   PartialImage() = default;
+  /// Throws std::invalid_argument for a negative extent.
   PartialImage(int x0, int y0, int width, int height)
-      : x0_(x0), y0_(y0), width_(width), height_(height),
+      : x0_(x0), y0_(y0),
+        width_(checked_extent(width, "PartialImage")),
+        height_(checked_extent(height, "PartialImage")),
         pixels_(static_cast<std::size_t>(width) * height) {}
 
   int x0() const noexcept { return x0_; }
@@ -110,7 +113,7 @@ class PartialImage {
   std::span<Rgba> pixels() noexcept { return pixels_; }
 
   /// Serialize to bytes (for exchange between ranks) and back: a 24-byte
-  /// header, then r, g, b, a as f32 (16 bytes a pixel; `z` is not sent).
+  /// header, then each pixel's r, g, b, a as they are (16 bytes a pixel).
   /// deserialize throws std::runtime_error, before allocating, for a
   /// negative extent or a payload that is not exactly 24 + 16·w·h bytes.
   util::Bytes serialize() const;
@@ -130,6 +133,36 @@ class PartialImage {
   int width_ = 0, height_ = 0;
   double depth_ = 0.0;
   std::vector<Rgba> pixels_;
+};
+
+/// Per-pixel view depth (camera-axis distance, voxel units) accompanying a
+/// color frame. Background pixels — rays that gathered no opacity — carry
+/// kEmpty and are never splatted.
+class DepthImage {
+ public:
+  static constexpr float kEmpty = std::numeric_limits<float>::infinity();
+
+  DepthImage() = default;
+  DepthImage(int width, int height)
+      : width_(width),
+        height_(height),
+        depth_(static_cast<std::size_t>(width) * height, kEmpty) {}
+
+  int width() const noexcept { return width_; }
+  int height() const noexcept { return height_; }
+  float at(int x, int y) const {
+    return depth_[static_cast<std::size_t>(y) * width_ + x];
+  }
+  void set(int x, int y, float d) {
+    depth_[static_cast<std::size_t>(y) * width_ + x] = d;
+  }
+  std::size_t size() const noexcept { return depth_.size(); }
+  const std::vector<float>& plane() const noexcept { return depth_; }
+  std::vector<float>& plane() noexcept { return depth_; }
+
+ private:
+  int width_ = 0, height_ = 0;
+  std::vector<float> depth_;
 };
 
 /// A premultiplied channel as 8 bits, the way frames store it: clamped to

@@ -210,9 +210,12 @@ struct Pass {
     return specular[i] + t * (specular[i + 1] - specular[i]);
   }
 
-  Rgba march(const util::Ray& ray, double t0, double t1,
-             RenderCounts& counts) const noexcept {
-    Rgba acc;  // premultiplied, front-to-back
+  /// One ray's premultiplied colour, accumulated front to back in double
+  /// and rounded once; `depth` receives its opacity-weighted mean view
+  /// depth z / a, or DepthImage::kEmpty when it gathered no opacity.
+  Rgba march(const util::Ray& ray, double t0, double t1, RenderCounts& counts,
+             float& depth) const noexcept {
+    double r_acc = 0.0, g_acc = 0.0, b_acc = 0.0, a_acc = 0.0, z_acc = 0.0;
     const double step = opt.step;
     // Opacity-weighted view depth (the 2.5D plane the warping viewer
     // reprojects): for the orthographic camera p.dot(view_dir) is
@@ -266,15 +269,18 @@ struct Pass {
           b *= flat_lum;
         }
       }
-      const double w = (1.0 - acc.a) * s.alpha;
-      acc.r += w * r;
-      acc.g += w * g;
-      acc.b += w * b;
-      acc.a += w;
-      acc.z += w * (depth0 + t);
-      if (acc.a >= opt.early_termination) break;
+      const double w = (1.0 - a_acc) * s.alpha;
+      r_acc += w * r;
+      g_acc += w * g;
+      b_acc += w * b;
+      a_acc += w;
+      z_acc += w * (depth0 + t);
+      if (a_acc >= opt.early_termination) break;
     }
-    return acc;
+    depth = a_acc > 0.0 ? static_cast<float>(z_acc / a_acc)
+                        : DepthImage::kEmpty;
+    return {static_cast<float>(r_acc), static_cast<float>(g_acc),
+            static_cast<float>(b_acc), static_cast<float>(a_acc)};
   }
 };
 
@@ -301,9 +307,10 @@ RayCaster::RayCaster(RenderOptions options)
 
 PartialImage RayCaster::render(const Subvolume& sub,
                                const field::Dims& global_dims,
-                               const Camera& camera,
-                               const TransferFunction& tf) const {
+                               const Camera& camera, const TransferFunction& tf,
+                               DepthImage* depth) const {
   counts_ = {};
+  if (depth) *depth = DepthImage(camera.width(), camera.height());
   const Camera::Basis view = camera.basis(global_dims);
   const field::Box& box = sub.render_box;
   const double box_lo[3] = {static_cast<double>(box.lo[0]),
@@ -378,8 +385,10 @@ PartialImage RayCaster::render(const Subvolume& sub,
       // sample the same points and parallel == serial compositing holds.
       const double snapped = std::ceil(t0 / options_.step) * options_.step;
       ++counts.rays;
+      float ray_depth = DepthImage::kEmpty;
       out.at(px - rect.x0, py - rect.y0) =
-          pass.march(ray, snapped, t1, counts);
+          pass.march(ray, snapped, t1, counts, ray_depth);
+      if (depth) depth->set(px, py, ray_depth);
     }
   }
   counts_ = counts;

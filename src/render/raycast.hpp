@@ -75,8 +75,15 @@ class RayCaster {
   /// screen-space bounding box; with a skipper attached, only the part of
   /// that box whose rays can reach a visible block (0x0 when none can).
   /// Pixels outside the result are exactly transparent.
+  ///
+  /// With `depth`, also fill it with a camera-sized plane of each ray's
+  /// opacity-weighted mean view depth: the depth of a 2.5D frame
+  /// (render/warp.hpp), which only a single-node render has. Every ray that
+  /// gathered any opacity gets one, so an identity warp reproduces the
+  /// colour frame exactly; the rest of the plane is DepthImage::kEmpty.
   PartialImage render(const Subvolume& sub, const field::Dims& global_dims,
-                      const Camera& camera, const TransferFunction& tf) const;
+                      const Camera& camera, const TransferFunction& tf,
+                      DepthImage* depth = nullptr) const;
 
   /// Convenience: single-node render of a whole volume to an 8-bit frame.
   /// With `space_leaping`, a BlockVisibility structure is built first and

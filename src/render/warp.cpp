@@ -21,17 +21,6 @@ double angular_delta_deg(double a, double b) {
 
 }  // namespace
 
-DepthImage extract_depth(const PartialImage& frame, double alpha_floor) {
-  DepthImage depth(frame.width(), frame.height());
-  for (int y = 0; y < frame.height(); ++y)
-    for (int x = 0; x < frame.width(); ++x) {
-      const Rgba& p = frame.at(x, y);
-      if (p.a > alpha_floor)
-        depth.set(x, y, static_cast<float>(p.z / p.a));
-    }
-  return depth;
-}
-
 WarpResult Warper::warp(const Camera& target) const {
   if (!has_frame()) throw std::logic_error("Warper: no frame to warp");
   const Camera& src = frame_.camera;

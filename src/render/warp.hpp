@@ -17,52 +17,12 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
-#include <vector>
 
 #include "field/volume.hpp"
 #include "render/camera.hpp"
 #include "render/image.hpp"
 
 namespace tvviz::render {
-
-/// Per-pixel view depth (camera-axis distance, voxel units) accompanying a
-/// color frame. Background pixels — rays that accumulated ~no opacity —
-/// carry kEmpty and are never splatted.
-class DepthImage {
- public:
-  static constexpr float kEmpty = std::numeric_limits<float>::infinity();
-
-  DepthImage() = default;
-  DepthImage(int width, int height)
-      : width_(width),
-        height_(height),
-        depth_(static_cast<std::size_t>(width) * height, kEmpty) {}
-
-  int width() const noexcept { return width_; }
-  int height() const noexcept { return height_; }
-  float at(int x, int y) const {
-    return depth_[static_cast<std::size_t>(y) * width_ + x];
-  }
-  void set(int x, int y, float d) {
-    depth_[static_cast<std::size_t>(y) * width_ + x] = d;
-  }
-  std::size_t size() const noexcept { return depth_.size(); }
-  const std::vector<float>& plane() const noexcept { return depth_; }
-  std::vector<float>& plane() noexcept { return depth_; }
-
- private:
-  int width_ = 0, height_ = 0;
-  std::vector<float> depth_;
-};
-
-/// Extract the alpha-normalized depth plane from a full-frame float image
-/// (a single-node render: rank exchanges do not carry z): z / a where the
-/// ray hit anything (a > alpha_floor), kEmpty where it saw background. The
-/// floor defaults to zero so every pixel with visible colour carries depth
-/// — an identity warp then reproduces the colour frame exactly.
-DepthImage extract_depth(const PartialImage& frame,
-                         double alpha_floor = 0.0);
 
 /// A received 2.5D frame: what the warping viewer holds between arrivals.
 struct DepthFrame {

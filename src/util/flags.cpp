@@ -93,4 +93,10 @@ std::vector<std::string> Flags::unused() const {
   return result;
 }
 
+void Flags::reject_unused() const {
+  std::string names;
+  for (const auto& arg : unused()) names += (names.empty() ? "" : ", ") + arg;
+  if (!names.empty()) throw UsageError("unknown argument " + names);
+}
+
 }  // namespace tvviz::util

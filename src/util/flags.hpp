@@ -6,10 +6,17 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace tvviz::util {
+
+/// A command line the program cannot honour (Flags::reject_unused); the
+/// programs exit 2 on it.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 class Flags {
  public:
@@ -33,6 +40,12 @@ class Flags {
   /// flag never queried ("--typo"), then each word that is neither a flag
   /// nor a flag's value ("-size", or the "32" of "--size 16 32"), in order.
   std::vector<std::string> unused() const;
+
+  /// Throw UsageError("unknown argument --typo, 32") unless unused() is
+  /// empty. Call once every flag is read and before any work: a flag never
+  /// read is a typo or belongs to another program, a stray word is a typo
+  /// or a value too many, and running on would silently ignore either.
+  void reject_unused() const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -30,8 +30,9 @@ PartialImage monotone_partial(int rank, int w, int h) {
   p.set_depth(rank);
   for (int y = 0; y < h; ++y)
     for (int x = 0; x < w; ++x) {
-      const double a = rng.uniform(0.0, 0.7);
-      p.at(x, y) = Rgba{a * rng.uniform(), a * rng.uniform(), a, a};
+      const auto a = static_cast<float>(rng.uniform(0.0, 0.7));
+      p.at(x, y) = Rgba{a * static_cast<float>(rng.uniform()),
+                        a * static_cast<float>(rng.uniform()), a, a};
     }
   return p;
 }

@@ -22,6 +22,14 @@ using render::Image;
 using render::PartialImage;
 using render::Rgba;
 
+/// A random premultiplied pixel: opacity a in [0, 0.8), each colour below it.
+Rgba random_pixel(util::Rng& rng) {
+  const double a = rng.uniform(0.0, 0.8);
+  return {static_cast<float>(a * rng.uniform()),
+          static_cast<float>(a * rng.uniform()),
+          static_cast<float>(a * rng.uniform()), static_cast<float>(a)};
+}
+
 /// Deterministic pseudo-random partial image for `rank`: random footprint,
 /// random semi-transparent pixels, depth = rank with a shuffled offset.
 PartialImage random_partial(int rank, int frame_w, int frame_h,
@@ -33,11 +41,7 @@ PartialImage random_partial(int rank, int frame_w, int frame_h,
   const int y0 = static_cast<int>(rng.below(static_cast<std::uint64_t>(frame_h - h + 1)));
   PartialImage p(x0, y0, w, h);
   p.set_depth(rng.uniform(-10.0, 10.0));
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x) {
-      const double a = rng.uniform(0.0, 0.8);
-      p.at(x, y) = Rgba{a * rng.uniform(), a * rng.uniform(), a * rng.uniform(), a};
-    }
+  for (Rgba& px : p.pixels()) px = random_pixel(rng);
   return p;
 }
 
@@ -379,10 +383,7 @@ PartialImage layout_partial(Layout layout, int rank, int ranks, int frame_w,
       PartialImage wide(top_left ? -3 - rank : frame_w / 2,
                         top_left ? -2 : frame_h / 2 - rank,
                         frame_w / 2 + 4, frame_h / 2 + 5 + rank);
-      for (Rgba& px : wide.pixels()) {
-        const double a = rng.uniform(0.0, 0.8);
-        px = Rgba{a * rng.uniform(), a * rng.uniform(), a * rng.uniform(), a};
-      }
+      for (Rgba& px : wide.pixels()) px = random_pixel(rng);
       p = std::move(wide);
       break;
     }
@@ -486,24 +487,6 @@ TEST(BinarySwap, EmptyPartialsSendOnlyHeaders) {
   EXPECT_EQ(messages.value() - messages0, 11u);
   EXPECT_EQ(PartialImage().serialize().size(), 24u);
   EXPECT_EQ(bytes.value() - bytes0, 240u);
-}
-
-TEST(BinarySwap, GatherQuantizesAsTheF32Exchange) {
-  // Just below a rounding midpoint, a channel quantizes one step lower in
-  // double than after the f32 rounding of binary swap's exchanges. The
-  // gathered frame must be the splat of the f32 rectangle, bit for bit.
-  constexpr int kW = 4, kH = 4;
-  const double v = 12.5 / 255.0 - 1e-9;
-  PartialImage part(1, 1, 2, 2);
-  for (Rgba& px : part.pixels()) px = Rgba{v, v, v, v, 0.0};
-  Image expected(kW, kH);
-  PartialImage::deserialize(part.serialize()).splat_to(expected);
-  ASSERT_EQ(expected.pixel(1, 1)[0], 13);
-  Image frame;
-  vmp::Cluster::run(1, [&](vmp::Communicator& comm) {
-    frame = gather_frame(comm, compositing::FrameSlice{0, kH, part}, kW, kH);
-  });
-  EXPECT_EQ(frame, expected);
 }
 
 /// What gather_frame ships for a rectangle: x0, y0, width, height, then

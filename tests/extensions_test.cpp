@@ -140,22 +140,21 @@ TEST(MinMaxGrid, RejectsAnEmptyVolume) {
 
 // ------------------------------------------------------------ spaceskip ----
 
-/// `part` placed in a transparent frame of the camera's size, five f32
-/// channels per pixel: the precision PartialImage::serialize ships.
+/// `part` placed in a transparent frame of the camera's size, as its four
+/// f32 channels per pixel.
 std::vector<float> in_frame(const render::PartialImage& part,
                             const Camera& cam) {
   std::vector<float> frame(
-      static_cast<std::size_t>(cam.width()) * cam.height() * 5, 0.0f);
+      static_cast<std::size_t>(cam.width()) * cam.height() * 4, 0.0f);
   for (int y = 0; y < part.height(); ++y)
     for (int x = 0; x < part.width(); ++x) {
       const render::Rgba& p = part.at(x, y);
       const std::size_t i = (static_cast<std::size_t>(part.y0() + y) *
-                                 cam.width() + (part.x0() + x)) * 5;
-      frame[i] = static_cast<float>(p.r);
-      frame[i + 1] = static_cast<float>(p.g);
-      frame[i + 2] = static_cast<float>(p.b);
-      frame[i + 3] = static_cast<float>(p.a);
-      frame[i + 4] = static_cast<float>(p.z);
+                                 cam.width() + (part.x0() + x)) * 4;
+      frame[i] = p.r;
+      frame[i + 1] = p.g;
+      frame[i + 2] = p.b;
+      frame[i + 3] = p.a;
     }
   return frame;
 }
@@ -310,17 +309,18 @@ TEST(SpaceLeaping, ImageIsBitIdentical) {
     // ghost layer, every one rendered with the skipper attached. Leaping
     // shrinks the partial to the rays that can reach a visible block,
     // inside the plain footprint; placed in the frame, the two agree float
-    // for float.
+    // for float, and so do their depth planes.
     for (const auto& box : field::decompose_slabs(desc.dims, 4, /*axis=*/2)) {
       SCOPED_TRACE(::testing::Message()
                    << "slab z " << box.lo[2] << ".." << box.hi[2]);
       const field::Box ghost = field::with_ghost(box, desc.dims, 1);
       Subvolume sub{field::generate_box(desc, 1, ghost), ghost, box, nullptr};
+      render::DepthImage depth_plain, depth_leaping;
       const render::PartialImage slab_plain =
-          caster.render(sub, desc.dims, cam, tf);
+          caster.render(sub, desc.dims, cam, tf, &depth_plain);
       sub.attach_skipper(tf);
       const render::PartialImage slab_leaping =
-          caster.render(sub, desc.dims, cam, tf);
+          caster.render(sub, desc.dims, cam, tf, &depth_leaping);
       if (slab_leaping.width() > 0 && slab_leaping.height() > 0) {
         EXPECT_GE(slab_leaping.x0(), slab_plain.x0());
         EXPECT_GE(slab_leaping.y0(), slab_plain.y0());
@@ -331,6 +331,7 @@ TEST(SpaceLeaping, ImageIsBitIdentical) {
       }
       EXPECT_EQ(slab_leaping.depth(), slab_plain.depth());
       EXPECT_EQ(in_frame(slab_plain, cam), in_frame(slab_leaping, cam));
+      EXPECT_EQ(depth_plain.plane(), depth_leaping.plane());
     }
   }
 }

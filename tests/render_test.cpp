@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -102,7 +103,7 @@ TEST(Image, PpmRoundTrip) {
 TEST(PartialImage, SerializeRoundTrip) {
   PartialImage p(3, 5, 4, 2);
   p.set_depth(-7.25);
-  p.at(1, 1) = Rgba{0.25, 0.5, 0.75, 1.0};
+  p.at(1, 1) = Rgba{0.25f, 1.0f / 3.0f, 0.7f, 0.9f};
   const auto bytes = p.serialize();
   const PartialImage q = PartialImage::deserialize(bytes);
   EXPECT_EQ(q.x0(), 3);
@@ -110,13 +111,23 @@ TEST(PartialImage, SerializeRoundTrip) {
   EXPECT_EQ(q.width(), 4);
   EXPECT_EQ(q.height(), 2);
   EXPECT_DOUBLE_EQ(q.depth(), -7.25);
-  EXPECT_NEAR(q.at(1, 1).g, 0.5, 1e-6);
+  // The pixels travel as they are.
+  EXPECT_EQ(std::memcmp(q.pixels().data(), p.pixels().data(),
+                        p.pixels().size_bytes()),
+            0);
 }
 
 TEST(PartialImage, ExchangeCarriesSixteenBytesAPixel) {
-  // A 24-byte header (rectangle and depth), then r, g, b, a as f32: the
-  // depth channel `z` stays home.
+  // A 24-byte header (rectangle and depth), then r, g, b, a as f32.
   EXPECT_EQ(PartialImage(0, 0, 3, 2).serialize().size(), 24u + 6 * 16);
+}
+
+TEST(PartialImage, NegativeExtentThrowsInvalidArgument) {
+  // Checked before the pixels are sized: -2 x -3 used to wrap to six
+  // pixels and build an image with a negative width.
+  for (const auto& [w, h] : {std::pair{-2, -3}, {-1, 0}, {0, -1}})
+    EXPECT_THROW((void)PartialImage(0, 0, w, h), std::invalid_argument)
+        << w << "x" << h;
 }
 
 /// A PartialImage exchange header for a w x h rectangle, then `body`
@@ -663,12 +674,15 @@ class ReferenceVisibility {
   std::vector<bool> visible_;
 };
 
-/// `skipper` is null for a render without leaping.
+/// `skipper` is null for a render without leaping. Accumulates in double
+/// and rounds to the f32 pixel once.
 Rgba reference_march(const util::Ray& ray, double t0, double t1,
                      const Subvolume& sub, const ReferenceVisibility* skipper,
                      const TransferFunction& tf, const RenderOptions& options,
                      std::size_t& samples) {
-  Rgba acc;
+  struct {
+    double r = 0.0, g = 0.0, b = 0.0, a = 0.0;
+  } acc;
   const double step = options.step;
   const util::Vec3 light = options.light_dir.normalized();
   for (double t = t0; t < t1; t += step) {
@@ -722,10 +736,10 @@ Rgba reference_march(const util::Ray& ray, double t0, double t1,
     acc.g += w * g;
     acc.b += w * b;
     acc.a += w;
-    acc.z += w * (ray.origin.dot(ray.direction) + t);
     if (acc.a >= options.early_termination) break;
   }
-  return acc;
+  return {static_cast<float>(acc.r), static_cast<float>(acc.g),
+          static_cast<float>(acc.b), static_cast<float>(acc.a)};
 }
 
 PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
@@ -778,7 +792,7 @@ PartialImage reference_render(const Subvolume& sub, const Dims& global_dims,
 /// rays can reach a visible block, and every oracle pixel outside it must be
 /// exactly transparent.
 bool transparent(const Rgba& p) {
-  return p.r == 0.0 && p.g == 0.0 && p.b == 0.0 && p.a == 0.0 && p.z == 0.0;
+  return p.r == 0.0f && p.g == 0.0f && p.b == 0.0f && p.a == 0.0f;
 }
 
 void expect_matches_reference(const field::DatasetDesc& desc,
@@ -955,33 +969,35 @@ TEST(ShearWarp, PreprocessingIsPerTimeStep) {
 
 // ------------------------------------------------- depth + warping ----
 
-TEST(DepthChannel, OverComposesDepthLikeColor) {
-  const Rgba front{0.2, 0.1, 0.0, 0.5, 10.0};
-  const Rgba back{0.0, 0.3, 0.1, 0.4, 24.0};
-  const Rgba out = front.over(back);
-  EXPECT_DOUBLE_EQ(out.z, 10.0 + 0.5 * 24.0);
-  EXPECT_DOUBLE_EQ(out.a, 0.5 + 0.5 * 0.4);
-}
-
 TEST(DepthChannel, RayCasterDepthsLieInsideTheVolume) {
   auto desc = field::scaled(field::turbulent_jet_desc(), 8, 2);
   const VolumeF vol = field::generate(desc, 1);
   const Camera cam(32, 32, 0.7, 0.3);
   const auto tf = TransferFunction::fire();
+  render::DepthImage depth;
   const PartialImage part =
-      RayCaster().render(Subvolume::whole(vol), vol.dims(), cam, tf);
+      RayCaster().render(Subvolume::whole(vol), vol.dims(), cam, tf, &depth);
+  ASSERT_EQ(depth.width(), cam.width());
+  ASSERT_EQ(depth.height(), cam.height());
   // The mean termination depth of any hit ray can be at most the bounding
   // sphere's radius away from the volume-center depth.
   const double center_depth = cam.depth_of(cam.center(vol.dims()));
   const double radius = cam.half_extent(vol.dims());
   int hits = 0;
-  // The partial covers only the volume's footprint (30x30 here).
-  for (int y = 0; y < part.height(); ++y)
-    for (int x = 0; x < part.width(); ++x) {
-      const Rgba& p = part.at(x, y);
-      if (p.a < 0.05) continue;
+  for (int y = 0; y < cam.height(); ++y)
+    for (int x = 0; x < cam.width(); ++x) {
+      // The partial covers only the volume's footprint (30x30 here); every
+      // pixel outside it is transparent.
+      const int px = x - part.x0(), py = y - part.y0();
+      const bool inside =
+          px >= 0 && px < part.width() && py >= 0 && py < part.height();
+      const float a = inside ? part.at(px, py).a : 0.0f;
+      const float d = depth.at(x, y);
+      // Depth exactly where the ray gathered opacity.
+      EXPECT_EQ(d < render::DepthImage::kEmpty, a > 0.0f) << x << "," << y;
+      if (a <= 0.0f) continue;
       ++hits;
-      EXPECT_NEAR(p.z / p.a, center_depth, radius + 1.0);
+      EXPECT_NEAR(d, center_depth, radius + 1.0);
     }
   EXPECT_GT(hits, 0);
 }
@@ -992,18 +1008,11 @@ render::DepthFrame depth_frame_at(const VolumeF& vol,
                                   const TransferFunction& tf, double azimuth,
                                   int size, int step = 0) {
   const Camera cam(size, size, azimuth, 0.3);
-  const PartialImage part =
-      RayCaster().render(Subvolume::whole(vol), vol.dims(), cam, tf);
   render::DepthFrame frame;
+  const PartialImage part = RayCaster().render(
+      Subvolume::whole(vol), vol.dims(), cam, tf, &frame.depth);
   frame.color = Image(size, size);
   part.splat_to(frame.color);
-  // The partial covers only the projected bounding box; expand it to the
-  // full frame before extracting depth so color and depth sizes agree.
-  render::PartialImage full(0, 0, size, size);
-  for (int y = 0; y < part.height(); ++y)
-    for (int x = 0; x < part.width(); ++x)
-      full.at(part.x0() + x, part.y0() + y) = part.at(x, y);
-  frame.depth = render::extract_depth(full);
   frame.camera = cam;
   frame.step = step;
   return frame;

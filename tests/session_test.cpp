@@ -86,26 +86,32 @@ TEST(Session, LosslessTransportMatchesLocalRender) {
 }
 
 TEST(Session, ParallelCompressionMatchesAssembled) {
-  // The pieces container crosses the in-process hub and, with use_tcp, a
-  // real socket and the TCP hub.
-  SessionConfig cfg = small_config();
-  cfg.codec = "lzo";  // lossless so the two paths must agree exactly
-  cfg.dataset.steps = 2;
-  const SessionResult assembled = core::run_session(cfg);
-  cfg.compression = SessionConfig::Compression::kParallelPieces;
-  for (const bool use_tcp : {false, true}) {
-    SCOPED_TRACE(use_tcp ? "tcp" : "in process");
-    cfg.use_tcp = use_tcp;
-    const SessionResult pieces = core::run_session(cfg);
-    ASSERT_EQ(assembled.displayed.size(), pieces.displayed.size());
-    for (std::size_t i = 0; i < assembled.displayed.size(); ++i) {
-      const auto& a = assembled.displayed[i];
-      const auto& b = pieces.displayed[i];
-      for (int y = 0; y < a.height(); y += 5)
-        for (int x = 0; x < a.width(); x += 5) {
-          EXPECT_EQ(a.pixel(x, y)[0], b.pixel(x, y)[0]) << x << "," << y;
-          EXPECT_EQ(a.pixel(x, y)[2], b.pixel(x, y)[2]) << x << "," << y;
-        }
+  // With the lossless raw codec both paths quantize the same f32 pixels, so
+  // every displayed frame must agree byte for byte. The pieces container
+  // crosses the in-process hub and, with use_tcp, a real socket and the TCP
+  // hub. The vortex session is one where the two used to differ: while the
+  // band a rank kept stayed double and its exchanges were f32, pieces
+  // quantized one and assembled frames the other.
+  SessionConfig jet = small_config();
+  jet.codec = "raw";
+  jet.dataset.steps = 2;
+  SessionConfig vortex = jet;
+  vortex.dataset = field::scaled(field::turbulent_vortex_desc(), 3, 8);
+  vortex.colormap = "dense";
+  vortex.groups = 1;
+  vortex.image_width = vortex.image_height = 128;
+  for (SessionConfig cfg : {jet, vortex}) {
+    SCOPED_TRACE(field::dataset_name(cfg.dataset.kind));
+    const SessionResult assembled = core::run_session(cfg);
+    cfg.compression = SessionConfig::Compression::kParallelPieces;
+    for (const bool use_tcp : {false, true}) {
+      SCOPED_TRACE(use_tcp ? "tcp" : "in process");
+      cfg.use_tcp = use_tcp;
+      const SessionResult pieces = core::run_session(cfg);
+      ASSERT_EQ(assembled.displayed.size(), pieces.displayed.size());
+      for (std::size_t i = 0; i < assembled.displayed.size(); ++i)
+        EXPECT_TRUE(assembled.displayed[i] == pieces.displayed[i])
+            << "frame " << i;
     }
   }
 }

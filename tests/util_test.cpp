@@ -295,6 +295,14 @@ TEST(Flags, TracksUnusedFlags) {
   const auto unused = flags.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "--typo");
+  try {
+    flags.reject_unused();
+    ADD_FAILURE() << "reject_unused accepted --typo";
+  } catch (const util::UsageError& e) {
+    EXPECT_STREQ(e.what(), "unknown argument --typo");
+  }
+  (void)flags.get_int("typo", 0);
+  EXPECT_NO_THROW(flags.reject_unused());
 }
 
 TEST(Flags, ReportsStrayWordsAsUnused) {

@@ -40,23 +40,6 @@ using namespace tvviz;
 
 namespace {
 
-/// A command line the subcommand cannot honour: main() exits 2.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Every subcommand calls this once it has read all of its flags and before
-/// it starts work: a flag it never read is a typo or belongs to another
-/// subcommand, a word outside any flag is a typo or a value too many, and
-/// running on would silently ignore either.
-void reject_unused(const util::Flags& flags) {
-  const auto unused = flags.unused();
-  if (unused.empty()) return;
-  std::string names;
-  for (const auto& arg : unused) names += (names.empty() ? "" : ", ") + arg;
-  throw UsageError("unknown argument " + names);
-}
-
 field::DatasetDesc dataset_from_flags(const util::Flags& flags) {
   const std::string name =
       flags.get_choice("dataset", "jet", {"jet", "vortex", "mixing"});
@@ -83,7 +66,7 @@ render::TransferFunction colormap_for(const field::DatasetDesc& desc) {
 }
 
 int cmd_info(const util::Flags& flags) {
-  reject_unused(flags);
+  flags.reject_unused();
   std::printf("datasets (paper presets; shrink with --scale/--steps):\n");
   for (const auto& desc :
        {field::turbulent_jet_desc(), field::turbulent_vortex_desc(),
@@ -105,7 +88,7 @@ int cmd_info(const util::Flags& flags) {
 int cmd_materialize(const util::Flags& flags) {
   const auto desc = dataset_from_flags(flags);
   const std::filesystem::path dir = flags.get("dir", "data");
-  reject_unused(flags);
+  flags.reject_unused();
   util::WallTimer timer;
   const std::size_t bytes = field::VolumeStore(dir).materialize(desc);
   std::printf("materialized %s: %d steps, %.1f MB -> %s in %.1f s\n",
@@ -128,7 +111,7 @@ int cmd_render(const util::Flags& flags) {
   const bool space_leap = flags.get_bool("space-leap", true);
   const std::string codec_name = flags.get("codec", "jpeg+lzo");
   const int quality = static_cast<int>(flags.get_int("quality", 75));
-  reject_unused(flags);
+  flags.reject_unused();
 
   const auto volume = field::generate(desc, step);
   const auto tf = colormap_for(desc);
@@ -184,7 +167,7 @@ int cmd_play(const util::Flags& flags) {
   const bool save = flags.has("outdir");
   const std::filesystem::path outdir = flags.get("outdir", "frames");
   cfg.keep_frames = save;
-  reject_unused(flags);
+  flags.reject_unused();
 
   const auto result = core::run_session(cfg);
   std::printf("frames: %zu | startup %.3f s | overall %.3f s | "
@@ -227,7 +210,7 @@ int cmd_hub(const util::Flags& flags) {
   cfg.hub_heartbeat_timeout_s = flags.get_double("heartbeat-timeout", 0.0);
   cfg.hub_slow_client_scale = flags.get_double("slow-client", 0.0);
   cfg.adaptive_target_frame_s = flags.get_double("adaptive", 0.0);
-  reject_unused(flags);
+  flags.reject_unused();
 
   const auto result = core::run_session(cfg);
   std::printf("frames: %zu | startup %.3f s | overall %.3f s | "
@@ -270,7 +253,7 @@ int cmd_relay(const util::Flags& flags) {
       static_cast<std::size_t>(flags.get_int("queue-frames", 8));
   // Serve until the root signs off (or --duration seconds, for scripting).
   const double duration = flags.get_double("duration", 0.0);
-  reject_unused(flags);
+  flags.reject_unused();
   relay::EdgeHub edge(cfg);
   std::printf("edge '%s' up: upstream 127.0.0.1:%d -> viewers on port %d\n",
               edge.upstream_id().c_str(), upstream, edge.port());
@@ -306,7 +289,7 @@ int cmd_sweep(const util::Flags& flags) {
                   : core::StageCosts::rwcp_paper();
   cfg.codec = core::CodecProfile::paper(flags.get("codec", "jpeg+lzo"));
   cfg.io_servers = static_cast<int>(flags.get_int("io-servers", 1));
-  reject_unused(flags);
+  flags.reject_unused();
 
   std::printf("%-6s %-12s %-12s %-12s\n", "L", "overall", "startup",
               "inter-frame");
@@ -332,7 +315,7 @@ int cmd_analyze(const util::Flags& flags) {
   const auto desc = dataset_from_flags(flags);
   const int probes = static_cast<int>(flags.get_int("probes", 1024));
   const int budget = static_cast<int>(flags.get_int("budget", 8));
-  reject_unused(flags);
+  flags.reject_unused();
   const auto summary = field::TemporalSummary::analyze(desc, probes);
   std::printf("%s: %d steps, total change %.3f\n",
               field::dataset_name(desc.kind), summary.steps(),
@@ -352,7 +335,7 @@ int cmd_codecs(const util::Flags& flags) {
   const auto desc = dataset_from_flags(flags);
   const int size = static_cast<int>(flags.get_int("size", 256));
   const int quality = static_cast<int>(flags.get_int("quality", 75));
-  reject_unused(flags);
+  flags.reject_unused();
   render::RayCaster caster;
   const auto frame =
       caster.render_full(field::generate(desc, desc.steps / 2),
@@ -469,7 +452,7 @@ int main(int argc, char** argv) {
     }
     dump_observability();
     return rc;
-  } catch (const UsageError& e) {
+  } catch (const util::UsageError& e) {
     std::fprintf(stderr, "tvviz %s: %s\n", command.c_str(), e.what());
     return 2;
   } catch (const std::exception& e) {

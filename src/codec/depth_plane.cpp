@@ -92,6 +92,8 @@ render::DepthImage decode_depth_plane(std::span<const std::uint8_t> data) {
       throw std::runtime_error("depth plane: bad magic");
     const int w = static_cast<int>(r.u32());
     const int h = static_cast<int>(r.u32());
+    // Before the size check: size_t(w) * h * 2 can wrap to a small count.
+    if (w < 0 || h < 0) throw std::runtime_error("depth plane: negative size");
     const float near = r.f32();
     const float far = r.f32();
     const std::size_t packed_len = r.varint();

@@ -17,6 +17,7 @@
 #include "hub/tcp_hub.hpp"
 #include "net/link.hpp"
 #include "net/tcp.hpp"
+#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "util/mutex.hpp"
@@ -356,6 +357,10 @@ SessionResult run_session(const SessionConfig& cfg) {
       renderer_error = std::current_exception();
     }
   };
+  // Counted render work (RayCaster::last_counts) of every rank and step.
+  obs::Counter& render_samples = obs::counter("render.samples");
+  obs::Counter& render_rays = obs::counter("render.rays");
+  obs::Counter& render_leaps = obs::counter("render.leaps");
   run_ranks([&](vmp::Communicator& world) {
     obs::set_thread_lane("rank " + std::to_string(world.rank()));
     const int g = partition.group_of_rank(world.rank());
@@ -444,6 +449,10 @@ SessionResult run_session(const SessionConfig& cfg) {
       sub.attach_skipper(tf);
       const render::PartialImage partial =
           caster.render(sub, cfg.dataset.dims, camera, tf);
+      const render::RenderCounts counts = caster.last_counts();
+      render_samples.add(counts.samples);
+      render_rays.add(counts.rays);
+      render_leaps.add(counts.leaps);
       render_span.end();
       const double render_done = clock.seconds();
 
@@ -457,7 +466,7 @@ SessionResult run_session(const SessionConfig& cfg) {
       // for the slowest slab is charged to compositing, as binary swap's is.
       std::vector<double> costs(slabs.size(), 0.0);
       costs[static_cast<std::size_t>(group.rank())] =
-          slab_cost_ns(caster.last_counts(), ghost_box);
+          slab_cost_ns(counts, ghost_box);
       slabs = field::rebalance_slabs(cfg.dataset.dims, slabs,
                                      group.allreduce(std::move(costs)));
       composite_span.end();

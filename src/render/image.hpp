@@ -143,9 +143,10 @@ class DepthImage {
   static constexpr float kEmpty = std::numeric_limits<float>::infinity();
 
   DepthImage() = default;
+  /// Throws std::invalid_argument for a negative extent.
   DepthImage(int width, int height)
-      : width_(width),
-        height_(height),
+      : width_(checked_extent(width, "DepthImage")),
+        height_(checked_extent(height, "DepthImage")),
         depth_(static_cast<std::size_t>(width) * height, kEmpty) {}
 
   int width() const noexcept { return width_; }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace tvviz::render {
 
@@ -108,12 +110,105 @@ struct Classified {
   double r = 0.0, g = 0.0, b = 0.0, alpha = 0.0;
 };
 
+/// Floats per gradient record: a voxel's central differences along x, y
+/// and z. The march reads the value from the voxels themselves, so that the
+/// many samples that classify as transparent touch only the voxels.
+constexpr std::ptrdiff_t kRecord = 3;
+
+/// Voxel spans [x0, x1] of a row, inclusive.
+using Spans = std::vector<std::pair<int, int>>;
+
+/// Write the records of the voxels in `spans` of row (y, z) of `volume` to
+/// `records` (kRecord floats per voxel, in the voxels' order). Each
+/// difference, V[x+1] - V[x-1] and so on, is between the neighbours clamped
+/// to the storage box. It is taken in float, which gives the difference
+/// taken in double and rounded to float once bit for bit: double carries
+/// more than 2 * 24 + 2 bits, so rounding twice equals rounding once.
+void fill_row(const field::VolumeF& volume, int y, int z, const Spans& spans,
+              float* records) {
+  const field::Dims& d = volume.dims();
+  const std::ptrdiff_t row = d.nx;
+  const std::ptrdiff_t slice = row * d.ny;
+  const float* v = volume.data().data();
+  const auto at = [&](int yy, int zz) {
+    return v + std::clamp(zz, 0, d.nz - 1) * slice +
+           std::clamp(yy, 0, d.ny - 1) * row;
+  };
+  const float* c = at(y, z);
+  const float *ym = at(y - 1, z), *yp = at(y + 1, z);
+  const float *zm = at(y, z - 1), *zp = at(y, z + 1);
+  float* out = records + (z * slice + y * row) * kRecord;
+  for (const auto& [x0, x1] : spans)
+    for (int x = x0; x <= x1; ++x) {
+      float* r = out + x * kRecord;
+      r[0] = c[std::min(x + 1, d.nx - 1)] - c[std::max(x - 1, 0)];
+      r[1] = yp[x] - ym[x];
+      r[2] = zp[x] - zm[x];
+    }
+}
+
+/// Fill the records a march over `volume` can read. Without a skipper that
+/// is every voxel. With one, a sample is evaluated only inside a visible
+/// block, and a sample in block k of an axis reads planes k*B .. (k+1)*B
+/// of it, clipped to the volume (the first and last block are open toward
+/// the volume's edge, where the cell clamps). So only the planes of visible
+/// blocks are filled, each voxel once: a row over the x-planes of the
+/// visible blocks whose y- and z-planes hold it, adjacent spans merged.
+void build_records(const field::VolumeF& volume,
+                   const BlockVisibility* skipper, std::vector<float>& out) {
+  const field::Dims& d = volume.dims();
+  const std::size_t floats = d.voxels() * kRecord;
+  if (out.size() < floats) out.resize(floats);
+  float* records = out.data();
+  if (!skipper) {
+    const Spans whole{{0, d.nx - 1}};
+    for (int z = 0; z < d.nz; ++z)
+      for (int y = 0; y < d.ny; ++y) fill_row(volume, y, z, whole, records);
+    return;
+  }
+  const int b = skipper->block_size();
+  const field::Dims g = skipper->grid_dims();
+  // Blocks of an axis whose planes include plane p: p / B, and the block
+  // before it when p is that block's far plane.
+  const auto blocks_of = [b](int p) {
+    const int last = p / b;
+    return std::pair{p > 0 && p % b == 0 ? last - 1 : last, last};
+  };
+  // The row's spans, recomputed only when the blocks covering it change.
+  Spans spans;
+  std::pair<int, int> spans_y{-1, -1}, spans_z{-1, -1};
+  for (int z = 0; z < d.nz; ++z) {
+    const auto bz = blocks_of(z);
+    for (int y = 0; y < d.ny; ++y) {
+      const auto by = blocks_of(y);
+      if (by != spans_y || bz != spans_z) {
+        spans_y = by;
+        spans_z = bz;
+        spans.clear();
+        for (int bx = 0; bx < g.nx; ++bx) {
+          bool visible = false;
+          for (int k = bz.first; k <= bz.second; ++k)
+            for (int j = by.first; j <= by.second; ++j)
+              visible = visible || skipper->visible(bx, j, k);
+          if (!visible) continue;
+          const int x1 = std::min((bx + 1) * b, d.nx - 1);
+          if (!spans.empty() && spans.back().second == bx * b)
+            spans.back().second = x1;
+          else
+            spans.emplace_back(bx * b, x1);
+        }
+      }
+      fill_row(volume, y, z, spans, records);
+    }
+  }
+}
+
 /// The sample's cell: trilinear corner weights (x fastest) and, per axis,
-/// the clamped voxel offsets of planes x0-1 .. x0+2 (y and z pre-multiplied
-/// by their strides). Corners use entries 1..2, central differences 0..3.
+/// the clamped voxel offsets of planes x0 and x0+1 (y and z pre-multiplied
+/// by their strides).
 struct Cell {
   double w[8];
-  std::ptrdiff_t x[4], y[4], z[4];
+  std::ptrdiff_t x[2], y[2], z[2];
 };
 
 /// Everything one render() holds constant across its rays and samples.
@@ -126,6 +221,7 @@ struct Pass {
   std::vector<Classified> lut;  ///< kLutSize entries plus a copy of the last.
 
   const float* voxels;
+  const float* records;  ///< Gradient records; null when not shading.
   int nx, ny, nz;
   std::ptrdiff_t row, slice;  ///< Strides of y and z.
   double lo[3];               ///< Storage-box origin in global coordinates.
@@ -137,10 +233,10 @@ struct Pass {
     const int z0 = static_cast<int>(std::floor(z));
     const double fx = x - x0, fy = y - y0, fz = z - z0;
     Cell c{};
-    for (int k = 0; k < 4; ++k) {
-      c.x[k] = std::clamp(x0 - 1 + k, 0, nx - 1);
-      c.y[k] = std::clamp(y0 - 1 + k, 0, ny - 1) * row;
-      c.z[k] = std::clamp(z0 - 1 + k, 0, nz - 1) * slice;
+    for (int k = 0; k < 2; ++k) {
+      c.x[k] = std::clamp(x0 + k, 0, nx - 1);
+      c.y[k] = std::clamp(y0 + k, 0, ny - 1) * row;
+      c.z[k] = std::clamp(z0 + k, 0, nz - 1) * slice;
     }
     int i = 0;
     for (int dz = 0; dz <= 1; ++dz)
@@ -160,30 +256,31 @@ struct Pass {
   double value(const Cell& c) const noexcept {
     double v = 0.0;
     int i = 0;
-    for (int dz = 1; dz <= 2; ++dz)
-      for (int dy = 1; dy <= 2; ++dy)
-        for (int dx = 1; dx <= 2; ++dx)
+    for (int dz = 0; dz <= 1; ++dz)
+      for (int dy = 0; dy <= 1; ++dy)
+        for (int dx = 0; dx <= 1; ++dx)
           v += c.w[i++] * voxel(c.z[dz] + c.y[dy] + c.x[dx]);
     return v;
   }
 
-  /// Trilinear interpolation of the corners' central differences. Equal to
-  /// field::Volume::gradient (sample(x+1) - sample(x-1), ...): shifting by
-  /// a whole voxel keeps the fractional weights, so each of its six
-  /// trilinear samples is these weights over corners shifted by one plane.
-  util::Vec3 gradient(const Cell& c) const noexcept {
+  /// Trilinear interpolation, with the value's weights and order, of the
+  /// corners' central differences from their records. This is
+  /// field::Volume::gradient (sample(x+1) - sample(x-1), ...) up to each
+  /// difference's rounding to float: shifting by a whole voxel keeps the
+  /// fractional weights, so each of its six trilinear samples is these
+  /// weights over corners shifted by one plane.
+  util::Vec3 record_gradient(const Cell& c) const noexcept {
     util::Vec3 g;
     int i = 0;
-    for (int dz = 1; dz <= 2; ++dz)
-      for (int dy = 1; dy <= 2; ++dy)
-        for (int dx = 1; dx <= 2; ++dx) {
+    for (int dz = 0; dz <= 1; ++dz)
+      for (int dy = 0; dy <= 1; ++dy)
+        for (int dx = 0; dx <= 1; ++dx) {
           const double w = c.w[i++];
-          const std::ptrdiff_t yz = c.y[dy] + c.z[dz];
-          const std::ptrdiff_t xz = c.x[dx] + c.z[dz];
-          const std::ptrdiff_t xy = c.x[dx] + c.y[dy];
-          g.x += w * (voxel(yz + c.x[dx + 1]) - voxel(yz + c.x[dx - 1]));
-          g.y += w * (voxel(xz + c.y[dy + 1]) - voxel(xz + c.y[dy - 1]));
-          g.z += w * (voxel(xy + c.z[dz + 1]) - voxel(xy + c.z[dz - 1]));
+          const float* r =
+              records + (c.z[dz] + c.y[dy] + c.x[dx]) * kRecord;
+          g.x += w * static_cast<double>(r[0]);
+          g.y += w * static_cast<double>(r[1]);
+          g.z += w * static_cast<double>(r[2]);
         }
     return g;
   }
@@ -252,7 +349,7 @@ struct Pass {
       if (s.alpha <= 0.0) continue;
       double r = s.r, g = s.g, b = s.b;
       if (opt.shading) {
-        const util::Vec3 grad = gradient(c);
+        const util::Vec3 grad = record_gradient(c);
         const double len = grad.length();
         if (len > 1e-8) {
           const double inv = 1.0 / len;
@@ -348,6 +445,10 @@ PartialImage RayCaster::render(const Subvolume& sub,
   out.set_depth(camera.depth_of(box_center));
 
   const field::Dims& dims = sub.data.dims();
+  // Shading reads the gradient records; a render that casts no ray builds
+  // none.
+  const bool shaded = options_.shading && !rect.empty();
+  if (shaded) build_records(sub.data, sub.skipper.get(), records_);
   Pass pass{.opt = options_,
             .specular = specular_,
             .light = light_,
@@ -355,6 +456,7 @@ PartialImage RayCaster::render(const Subvolume& sub,
             .flat_lum = options_.ambient + 0.5 * options_.diffuse,
             .lut = {},
             .voxels = sub.data.data().data(),
+            .records = shaded ? records_.data() : nullptr,
             .nx = dims.nx,
             .ny = dims.ny,
             .nz = dims.nz,

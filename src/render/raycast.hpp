@@ -102,6 +102,12 @@ class RayCaster {
   /// plus a copy of the last entry so interpolation needs no bounds branch.
   std::vector<double> specular_;
   mutable RenderCounts counts_;
+  /// A shaded render's gradient records, three floats per voxel of the
+  /// subvolume (its central differences along x, y and z). Kept across
+  /// renders so a rank's steps reuse one buffer; each render fills the
+  /// records its samples can read and reads no others. Like counts_, this
+  /// makes render() unsafe to call concurrently on one instance.
+  mutable std::vector<float> records_;
 };
 
 }  // namespace tvviz::render

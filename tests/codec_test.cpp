@@ -1028,6 +1028,21 @@ TEST(DepthPlane, TruncatedAndCorruptStreamsFailLoudly) {
   EXPECT_THROW(codec::decode_depth_plane(bad_magic), std::runtime_error);
 }
 
+TEST(DepthPlane, NegativeExtentsAreRejected) {
+  // A -2 x -3 plane: size_t(-2) * -3 * 2 wraps to 12, so a 12-byte body
+  // would pass the size check if the extents were not checked first.
+  util::ByteWriter w;
+  w.u32(0x5a504c31);  // "ZPL1"
+  w.u32(static_cast<std::uint32_t>(-2));
+  w.u32(static_cast<std::uint32_t>(-3));
+  w.f32(1.0f);
+  w.f32(2.0f);
+  const Bytes body = LzCodec().encode(Bytes(12, 0));
+  w.varint(body.size());
+  w.raw(body);
+  EXPECT_THROW(codec::decode_depth_plane(w.take()), std::runtime_error);
+}
+
 TEST(DepthPlane, EncodeIsIsaIndependent) {
   // The row-delta filter runs through the dispatched SIMD kernels; every
   // ISA tier must produce the identical byte stream.

@@ -336,6 +336,43 @@ TEST(SpaceLeaping, ImageIsBitIdentical) {
   }
 }
 
+TEST(SpaceLeaping, ReusedCasterMatchesAFreshOne) {
+  // A caster keeps its gradient records from render to render, and a
+  // render refills only the planes of its own visible blocks. The second
+  // of two steps must therefore read nothing the first one left behind:
+  // rendered by the same caster, it equals a fresh caster's float for float.
+  const auto desc = field::scaled(field::turbulent_jet_desc(), 2, 3);
+  const auto tf = TransferFunction::fire();
+  const field::Box box = field::decompose_slabs(desc.dims, 4, /*axis=*/2)[1];
+  const field::Box ghost = field::with_ghost(box, desc.dims, 1);
+  const auto slab = [&](int step) {
+    Subvolume sub{field::generate_box(desc, step, ghost), ghost, box, nullptr};
+    sub.attach_skipper(tf);
+    return sub;
+  };
+  const Subvolume first = slab(1), second = slab(2);
+  // Step 1 fills blocks that step 2 does not.
+  const Dims grid = first.skipper->grid_dims();
+  int only_first = 0;
+  for (int bz = 0; bz < grid.nz; ++bz)
+    for (int by = 0; by < grid.ny; ++by)
+      for (int bx = 0; bx < grid.nx; ++bx)
+        only_first += first.skipper->visible(bx, by, bz) &&
+                      !second.skipper->visible(bx, by, bz);
+  ASSERT_GT(only_first, 0);
+
+  const RayCaster reused;
+  (void)reused.render(first, desc.dims, Camera(72, 72, 0.7, 0.3), tf);
+  const Camera cam(72, 72, 2.2, 0.3);
+  const render::PartialImage again = reused.render(second, desc.dims, cam, tf);
+  const render::PartialImage fresh =
+      RayCaster().render(second, desc.dims, cam, tf);
+  EXPECT_GT(reused.last_counts().samples, 0u);
+  EXPECT_EQ(again.x0(), fresh.x0());
+  EXPECT_EQ(again.y0(), fresh.y0());
+  EXPECT_EQ(in_frame(again, cam), in_frame(fresh, cam));
+}
+
 TEST(SpaceLeaping, SlabWithNoVisibleBlockCastsNoRays) {
   // A blob in the low-z slab only; the high-z slab is all below the fire
   // threshold, so every one of its blocks is invisible.

@@ -130,6 +130,13 @@ TEST(PartialImage, NegativeExtentThrowsInvalidArgument) {
         << w << "x" << h;
 }
 
+TEST(DepthImage, NegativeExtentThrowsInvalidArgument) {
+  // Checked before the plane is sized, as Image and PartialImage do.
+  EXPECT_THROW((void)render::DepthImage(-1, 0), std::invalid_argument);
+  EXPECT_THROW((void)render::DepthImage(0, -1), std::invalid_argument);
+  EXPECT_EQ(render::DepthImage(0, 0).size(), 0u);
+}
+
 /// A PartialImage exchange header for a w x h rectangle, then `body`
 /// payload bytes.
 util::Bytes partial_payload(std::int32_t w, std::int32_t h, std::size_t body) {

@@ -85,6 +85,41 @@ TEST(Session, LosslessTransportMatchesLocalRender) {
   EXPECT_GT(render::psnr(local, result.displayed[0]), 32.0);
 }
 
+TEST(Session, RenderCountersMatchRenderFull) {
+  // One rank renders the whole volume with the skipper attached, as
+  // render_full with leaping does, so the render.* counters must grow by
+  // the sum of render_full's counts over the same steps and camera.
+  SessionConfig cfg = small_config();
+  cfg.processors = 1;
+  cfg.groups = 1;
+  cfg.dataset.steps = 3;
+  const auto value = [](const char* name) {
+    return obs::counter(name).value();
+  };
+  const std::uint64_t samples = value("render.samples");
+  const std::uint64_t rays = value("render.rays");
+  const std::uint64_t leaps = value("render.leaps");
+  const SessionResult result = core::run_session(cfg);
+  ASSERT_EQ(result.displayed.size(), 3u);
+
+  const render::RayCaster caster(cfg.render_options);
+  const render::Camera camera(cfg.image_width, cfg.image_height,
+                              cfg.camera_azimuth, cfg.camera_elevation,
+                              cfg.camera_zoom);
+  render::RenderCounts want;
+  for (int step = 0; step < cfg.dataset.steps; ++step) {
+    (void)caster.render_full(field::generate(cfg.dataset, step), camera,
+                             render::TransferFunction::fire(), true);
+    want.samples += caster.last_counts().samples;
+    want.rays += caster.last_counts().rays;
+    want.leaps += caster.last_counts().leaps;
+  }
+  EXPECT_GT(want.leaps, 0u);
+  EXPECT_EQ(value("render.samples") - samples, want.samples);
+  EXPECT_EQ(value("render.rays") - rays, want.rays);
+  EXPECT_EQ(value("render.leaps") - leaps, want.leaps);
+}
+
 TEST(Session, ParallelCompressionMatchesAssembled) {
   // With the lossless raw codec both paths quantize the same f32 pixels, so
   // every displayed frame must agree byte for byte. The pieces container

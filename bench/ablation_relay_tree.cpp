@@ -8,15 +8,16 @@
 //     linearly with the viewer count;
 //   * tree runs put 4 EdgeHubs in front and split the same viewers across
 //     them: root egress is the sum of the edges' upstream wire bytes, and
-//     quadrupling the viewers must leave it flat — each step's payload
-//     crosses the root-to-edge link once per edge, however many viewers an
-//     edge re-serves from its content-addressed cache.
+//     quadrupling the viewers must leave it flat — each step crosses the
+//     root-to-edge link once per edge, as one kFrame, however many viewers
+//     an edge re-serves from its own hub.
 //
 // The gated metric (tools/bench_gate.py --metric root_egress_ratio) is
 // tree-egress-at-32-viewers / tree-egress-at-8-viewers: ~1.0 while the
-// relay dedups correctly, creeping toward 4.0 if a regression starts
-// re-shipping payloads per viewer. Both sides run on the same machine in
-// the same process, so the ratio is host-independent.
+// root pays per edge, creeping toward 4.0 if a regression starts
+// re-shipping frames per viewer. Both sides run on the same machine in
+// the same process, so the ratio is host-independent. stream_s (first
+// send to last viewer done) is reported, not gated.
 //
 //   ./ablation_relay_tree [--steps 24] [--bytes 32768] [--edges 4]
 //                         [--small-viewers 8] [--large-viewers 32]
@@ -51,8 +52,7 @@ struct RunResult {
 
 /// One deployment: `n_edges` EdgeHubs under a root (0 = flat), `viewers`
 /// split round-robin across the edges (or all on the root), a producer
-/// streaming `steps` distinct frames. Distinct payloads per step, so tree
-/// egress reflects genuine transfer, not content dedup between steps.
+/// streaming `steps` distinct frames.
 RunResult run_case(std::string name, int n_edges, int viewers, int steps,
                    std::size_t frame_bytes) {
   hub::HubConfig cfg;

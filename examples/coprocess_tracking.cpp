@@ -22,13 +22,19 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int steps = static_cast<int>(flags.get_int("steps", 10));
   const int sim_delay_ms = static_cast<int>(flags.get_int("sim-delay-ms", 120));
+  const int size = static_cast<int>(flags.get_int("size", 96));
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   core::SessionConfig cfg;
   cfg.dataset = field::scaled(field::turbulent_jet_desc(), 4, steps);
   cfg.processors = 4;
   cfg.groups = 2;
-  cfg.image_width = cfg.image_height =
-      static_cast<int>(flags.get_int("size", 96));
+  cfg.image_width = cfg.image_height = size;
   cfg.codec = "jpeg+lzo";
   cfg.wait_for_store = true;
 

@@ -24,6 +24,12 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(flags.get_int("steps", 10));
   const int size = static_cast<int>(flags.get_int("size", 128));
   const std::string codec_name = flags.get("codec", "jpeg+lzo");
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   hub::HubConfig config;
   // One lossless display: a queue bound the run cannot reach.

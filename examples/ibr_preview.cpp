@@ -21,6 +21,12 @@ int main(int argc, char** argv) {
   const int views = static_cast<int>(flags.get_int("views", 12));
   const int size = static_cast<int>(flags.get_int("size", 128));
   const int probes = static_cast<int>(flags.get_int("probes", 8));
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   const auto desc = field::scaled(field::turbulent_jet_desc(), 2, 150);
   const field::VolumeF volume = field::generate(desc, 75);

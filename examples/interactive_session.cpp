@@ -27,6 +27,13 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("size", 128));
   cfg.codec = "jpeg+lzo";
   cfg.keep_frames = true;
+  const std::filesystem::path outdir = flags.get("outdir", "steered");
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   // The scripted user: rotate after frame 2, switch colormap after frame 5,
   // drop to a lossless codec after frame 8 (e.g. to grab exact stills).
@@ -71,7 +78,6 @@ int main(int argc, char** argv) {
               "of current frames is never interrupted)\n",
               result.metrics.inter_frame_delay);
 
-  const std::filesystem::path outdir = flags.get("outdir", "steered");
   std::filesystem::create_directories(outdir);
   for (std::size_t i = 0; i < result.displayed.size(); ++i) {
     char name[48];

@@ -29,6 +29,12 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(flags.get_int("steps", 12));
   const int size = static_cast<int>(flags.get_int("size", 128));
   const std::string codec_name = flags.get("codec", "jpeg+lzo");
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   hub::HubConfig hub_cfg;
   hub_cfg.cache_steps = 64;      // wide resume window for the reconnect demo

@@ -32,6 +32,12 @@ int main(int argc, char** argv) {
                 : dataset == "mixing" ? field::shock_mixing_desc()
                                       : field::turbulent_jet_desc();
   cfg.codec = core::CodecProfile::paper(flags.get("codec", "jpeg+lzo"));
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   std::printf("partition sweep: %s on %s, P=%d, %d steps, %dx%d\n\n",
               dataset.c_str(), machine.c_str(), cfg.processors,

@@ -24,6 +24,12 @@ int main(int argc, char** argv) {
   const field::DatasetDesc jet = field::turbulent_jet_desc();
   const int step = static_cast<int>(
       flags.get_int("step", jet.steps / 2));
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   std::printf("dataset: %s, %dx%dx%d, %d steps (%.1f MB/step)\n",
               field::dataset_name(jet.kind), jet.dims.nx, jet.dims.ny,
               jet.dims.nz, jet.steps,

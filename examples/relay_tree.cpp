@@ -5,10 +5,9 @@
 //
 //   * the root serves 2 edges, the 4 viewers hang off the edges — root
 //     egress pays per edge, not per viewer;
-//   * frames travel upstream as content advertisements (kFrameRef): each
-//     edge fetches a payload once, re-serves it from its own cache, and a
-//     repeated frame (a paused simulation re-sending the same image) never
-//     crosses the root link again;
+//   * each frame crosses the root link once per edge, as the same kFrame a
+//     viewer gets, and each edge re-serves it to its viewers from its own
+//     hub;
 //   * a viewer joining late is caught up entirely from its edge's cache —
 //     zero extra bytes from the root.
 //
@@ -31,6 +30,12 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(flags.get_int("steps", 10));
   const int size = static_cast<int>(flags.get_int("size", 128));
   const std::string codec_name = flags.get("codec", "jpeg+lzo");
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   hub::HubConfig hub_cfg;
   hub_cfg.cache_steps = 64;
@@ -79,11 +84,8 @@ int main(int argc, char** argv) {
   const auto tf = render::TransferFunction::fire();
   render::RayCaster caster;
   for (int s = 0; s < steps; ++s) {
-    // The last two steps repeat the previous camera — an identical frame,
-    // which the edges will recognise by content and never re-fetch.
-    const int pose = std::min(s, steps - 2);
-    const auto volume = field::generate(desc, pose);
-    const render::Camera camera(size, size, 0.6 + 0.05 * pose, 0.35, 1.0);
+    const auto volume = field::generate(desc, s);
+    const render::Camera camera(size, size, 0.6 + 0.05 * s, 0.35, 1.0);
     const render::Image frame = caster.render_full(volume, camera, tf, true);
     net::NetMessage msg;
     msg.type = net::MsgType::kFrame;
@@ -101,11 +103,8 @@ int main(int argc, char** argv) {
               root.hub().client_stats().size(), static_cast<int>(viewers.size()));
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto s = edges[e]->stats();
-    std::printf("  [edge-%zu] refs %llu (hits %llu) | saved %.1f kB | "
-                "upstream %.1f kB\n",
-                e, static_cast<unsigned long long>(s.refs_seen),
-                static_cast<unsigned long long>(s.ref_hits),
-                static_cast<double>(s.fetch_bytes_saved) / 1024.0,
+    std::printf("  [edge-%zu] forwarded %llu | upstream %.1f kB\n", e,
+                static_cast<unsigned long long>(s.frames_forwarded),
                 static_cast<double>(s.upstream_bytes) / 1024.0);
     edges[e]->shutdown();
   }

@@ -52,6 +52,13 @@ int main(int argc, char** argv) {
     cfg.compression = core::SessionConfig::Compression::kParallelPieces;
   cfg.azimuth_per_step = flags.get_double("spin", 0.05);
   cfg.keep_frames = true;
+  const std::filesystem::path outdir = flags.get("outdir", "frames");
+  try {
+    flags.reject_unused();
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   std::printf("remote viewer: %s (%dx%dx%d x %d steps), P=%d, L=%d, "
               "%dx%d, codec=%s%s\n",
@@ -75,7 +82,6 @@ int main(int argc, char** argv) {
               static_cast<double>(result.raw_bytes) /
                   static_cast<double>(result.wire_bytes));
 
-  const std::filesystem::path outdir = flags.get("outdir", "frames");
   std::filesystem::create_directories(outdir);
   for (std::size_t i = 0; i < result.displayed.size(); ++i) {
     char name[64];

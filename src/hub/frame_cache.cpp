@@ -21,14 +21,6 @@ obs::Counter& misses_ctr() {
   static obs::Counter& c = obs::counter("net.hub.cache.misses");
   return c;
 }
-obs::Counter& content_hits_ctr() {
-  static obs::Counter& c = obs::counter("net.hub.cache.content_hits");
-  return c;
-}
-obs::Counter& content_misses_ctr() {
-  static obs::Counter& c = obs::counter("net.hub.cache.content_misses");
-  return c;
-}
 obs::Gauge& occupancy_gauge() {
   static obs::Gauge& g = obs::gauge("net.hub.cache.occupancy_steps");
   return g;
@@ -53,32 +45,20 @@ std::uint64_t evicted_gap(int after_step, int oldest) noexcept {
 FrameCache::FrameCache(std::size_t capacity_steps)
     : capacity_(capacity_steps == 0 ? 1 : capacity_steps) {}
 
-void FrameCache::release_locked(const CachedMessage& entry) {
-  bytes_ -= entry.frame->wire_size();
-  // An id shared with a step still cached (identical payload at two steps)
-  // keeps its entry.
-  auto it = by_content_.find(entry.content);
-  if (it != by_content_.end() && --it->second.refs == 0) by_content_.erase(it);
-}
-
 void FrameCache::evict_oldest_locked() {
   auto oldest = steps_.begin();
-  release_locked(oldest->second);
+  bytes_ -= oldest->second->wire_size();
   steps_.erase(oldest);
   evictions_ctr().add(1);
 }
 
-CachedMessage FrameCache::insert(int step, net::NetMessage msg) {
+FramePtr FrameCache::insert(int step, net::NetMessage msg) {
   auto shared = std::make_shared<const net::NetMessage>(std::move(msg));
-  // Hashed exactly once per cached message, outside the lock.
-  const net::ContentId content = net::content_id_of(*shared);
   util::LockGuard lock(mutex_);
   auto [it, fresh] = steps_.try_emplace(step);
-  if (!fresh) release_locked(it->second);
-  it->second = CachedMessage{shared, content};
+  if (!fresh) bytes_ -= it->second->wire_size();
+  it->second = shared;
   bytes_ += shared->wire_size();
-  auto& slot = by_content_[content];
-  if (slot.refs++ == 0) slot.frame = shared;
   inserts_ctr().add(1);
   // Evict by step age until back within the ring capacity. The evicted
   // buffers stay alive for any client queue still holding them — eviction
@@ -89,7 +69,7 @@ CachedMessage FrameCache::insert(int step, net::NetMessage msg) {
   while (steps_.size() > capacity_) evict_oldest_locked();
   occupancy_gauge().set(static_cast<std::int64_t>(steps_.size()));
   bytes_gauge().set(static_cast<std::int64_t>(bytes_));
-  return CachedMessage{std::move(shared), content};
+  return shared;
 }
 
 FramePtr FrameCache::lookup(int step) {
@@ -100,29 +80,18 @@ FramePtr FrameCache::lookup(int step) {
     return nullptr;
   }
   hits_ctr().add(1);
-  return it->second.frame;
+  return it->second;
 }
 
-std::vector<CachedMessage> FrameCache::entries_after(int after_step) {
+std::vector<FramePtr> FrameCache::entries_after(int after_step) {
   util::LockGuard lock(mutex_);
-  std::vector<CachedMessage> out;
+  std::vector<FramePtr> out;
   if (!steps_.empty())
     misses_ctr().add(evicted_gap(after_step, steps_.begin()->first));
   for (auto it = steps_.upper_bound(after_step); it != steps_.end(); ++it)
     out.push_back(it->second);
   hits_ctr().add(out.size());
   return out;
-}
-
-FramePtr FrameCache::lookup_content(net::ContentId content) {
-  util::LockGuard lock(mutex_);
-  const auto it = by_content_.find(content);
-  if (it == by_content_.end()) {
-    content_misses_ctr().add(1);
-    return nullptr;
-  }
-  content_hits_ctr().add(1);
-  return it->second.frame;
 }
 
 void FrameCache::note_fanout_hits(std::uint64_t n) { hits_ctr().add(n); }
@@ -135,11 +104,6 @@ std::size_t FrameCache::occupancy() const {
 std::size_t FrameCache::bytes() const {
   util::LockGuard lock(mutex_);
   return bytes_;
-}
-
-std::size_t FrameCache::content_entries() const {
-  util::LockGuard lock(mutex_);
-  return by_content_.size();
 }
 
 std::optional<int> FrameCache::oldest_step() const {

@@ -12,12 +12,8 @@ namespace {
 
 bool droppable(const FramePtr& msg) {
   // Only image traffic participates in newest-frame-wins; control-plane
-  // messages (kShutdown in particular) must always reach the client. A
-  // kFrameRef stands in for the frame it advertises (same frame_index), so
-  // it drops like one; a kFrameData answers an explicit fetch and must
-  // always arrive — dropping it would strand the requester's pending ref.
-  return msg->type == net::MsgType::kFrame ||
-         msg->type == net::MsgType::kFrameRef;
+  // messages (kShutdown in particular) must always reach the client.
+  return msg->type == net::MsgType::kFrame;
 }
 
 obs::Gauge& clients_gauge() {
@@ -38,9 +34,6 @@ struct FrameHub::ClientState {
   std::size_t capacity = 8;
   net::LinkModel link{};
   double link_scale = 0.0;
-  /// Immutable after connect: image traffic goes out as kFrameRef
-  /// advertisements instead of full frames (relay peers).
-  bool wants_refs = false;
 
   mutable util::Mutex mutex;
   util::CondVar cv;
@@ -170,11 +163,6 @@ void FrameHub::ClientPort::send_control(const net::ControlEvent& event) {
   hub_->inbox_.push(Inbound{true, {}, event});
 }
 
-void FrameHub::ClientPort::request_content(net::ContentId content) {
-  state_->last_seen_s.store(hub_->now_s());  // a fetch is liveness too
-  hub_->serve_fetch(state_, content);
-}
-
 const std::string& FrameHub::ClientPort::id() const { return state_->id; }
 
 bool FrameHub::ClientPort::closed() const {
@@ -265,7 +253,6 @@ std::shared_ptr<FrameHub::ClientPort> FrameHub::connect_client(
                                               : config_.client_queue_frames;
   state->link = options.link;
   state->link_scale = options.link_time_scale;
-  state->wants_refs = options.wants_frame_refs;
   // A requested resume point declares everything up to it displayed: fix
   // the floor here, inside the same critical section the fan-out snapshots
   // under, so a step the client already saw elsewhere (viewer following a
@@ -289,14 +276,7 @@ std::shared_ptr<FrameHub::ClientPort> FrameHub::connect_client(
       obs::Span resume_span("resume", resume_after);
       auto cached = cache_.entries_after(resume_after);
       state->resumed = cached.size();
-      // Resume-through-the-tree dedup: a reconnecting edge is replayed
-      // advertisements, not bodies — it fetches only the steps its own
-      // cache actually lost.
-      for (auto& m : cached)
-        state->queue.push_back(
-            state->wants_refs ? std::make_shared<const net::NetMessage>(
-                                    net::make_frame_ref(*m.frame, m.content))
-                              : std::move(m.frame));
+      for (auto& m : cached) state->queue.push_back(std::move(m));
       static obs::Counter& resumes = obs::counter("net.hub.resumes");
       resumes.add(1);
     }
@@ -402,23 +382,6 @@ std::vector<ClientStats> FrameHub::client_stats() const {
   return out;
 }
 
-void FrameHub::serve_fetch(const std::shared_ptr<ClientState>& client,
-                           net::ContentId content) {
-  static obs::Counter& served = obs::counter("net.relay.fetches_served");
-  static obs::Counter& missed = obs::counter("net.relay.fetch_misses");
-  auto frame = cache_.lookup_content(content);
-  if (!frame) {
-    // Advertised, then evicted before the fetch landed: the requester skips
-    // that step, the same outcome as a backpressure drop. Nothing to send —
-    // a kFrameData must carry the bytes its ContentId hashes to.
-    missed.add(1);
-    return;
-  }
-  deliver(client, std::make_shared<const net::NetMessage>(
-                      net::make_frame_data(*frame)));
-  served.add(1);
-}
-
 void FrameHub::broadcast_control(const net::ControlEvent& event) {
   static obs::Counter& controls = obs::counter("net.hub.controls_broadcast");
   controls.add(1);
@@ -442,13 +405,7 @@ void FrameHub::deliver(const std::shared_ptr<ClientState>& client,
   {
     util::LockGuard lock(client->mutex);
     if (client->closed) return;
-    // Newest-frame-wins never applies to a relay peer: its queue IS the
-    // stream, and the edge's dedup watermark assumes a gapless prefix — a
-    // step dropped here would be skipped as "already seen" by every later
-    // resume replay, punching a permanent hole in the whole subtree. The
-    // queue rides out bursts unbounded instead; refs are ~a hundred bytes
-    // and a dead edge is reaped by the idle timeout like any client.
-    if (image && !client->wants_refs) {
+    if (image) {
       // Newest-frame-wins: make room by dropping the oldest queued frame (a
       // step is one message, so a drop never leaves part of one behind).
       // Non-droppable messages are kept, and so is the replayed-history
@@ -533,26 +490,15 @@ void FrameHub::relay_loop() {
     // client connecting concurrently either sees this message in its replay
     // — and is not in this snapshot — or receives it live, never both.
     FramePtr shared;
-    net::ContentId content = 0;
     std::vector<std::shared_ptr<ClientState>> targets;
     {
       util::LockGuard lock(clients_mutex_);
       if (is_shutdown) stream_ended_.store(true);
-      if (image) {
-        auto cached = cache_.insert(msg.frame_index, std::move(msg));
-        shared = std::move(cached.frame);
-        content = cached.content;
-      } else {
-        shared = std::make_shared<const net::NetMessage>(std::move(msg));
-      }
+      shared = image ? cache_.insert(msg.frame_index, std::move(msg))
+                     : std::make_shared<const net::NetMessage>(std::move(msg));
       for (auto& c : clients_)
         if (c->connected.load()) targets.push_back(c);
     }
-    // Relay peers get the advertisement, everyone else the frame itself.
-    // One ref message serves every such peer (built only if one is
-    // attached); it carries the frame's header fields, so the drop policy
-    // above treats it exactly like the frame it stands for.
-    FramePtr ref;
     for (auto& c : targets) {
       // A step at or below the client's connect-time resume point is never
       // re-delivered: a restarted relay edge re-injects history it
@@ -561,14 +507,7 @@ void FrameHub::relay_loop() {
       // connect — comparing against the live ack instead would drop
       // legitimate out-of-order steps from a pipelined renderer.
       if (image && shared->frame_index <= c->resume_floor.load()) continue;
-      if (image && c->wants_refs) {
-        if (!ref)
-          ref = std::make_shared<const net::NetMessage>(
-              net::make_frame_ref(*shared, content));
-        deliver(c, ref);
-      } else {
-        deliver(c, shared);
-      }
+      deliver(c, shared);
     }
     fanout_ctr.add(targets.size());
     if (image && !targets.empty())

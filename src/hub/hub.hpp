@@ -13,7 +13,7 @@
 //    drop policy: a slow client loses its own oldest frames (counted) and
 //    never stalls the renderer or the other clients. A bound no session
 //    can reach makes a client lossless;
-//  * clients carry liveness state (reads, acks, fetches); a configurable
+//  * clients carry liveness state (reads and acks); a configurable
 //    idle timeout reaps dead clients, and a returning client reconnects by id
 //    and is resumed from the cache starting after its last acked step;
 //  * per-client LinkModel throttling simulates heterogeneous WAN paths in
@@ -42,7 +42,7 @@ struct HubConfig {
   std::size_t cache_steps = 32;         ///< Frame-cache ring capacity.
   std::size_t client_queue_frames = 8;  ///< Default per-client send bound.
   std::size_t max_clients = 64;
-  /// Reap a client idle (no pop/ack/fetch) longer than this. 0 = never.
+  /// Reap a client idle (no pop/ack) longer than this. 0 = never.
   double heartbeat_timeout_s = 0.0;
 
   /// I/O deadline installed on accepted hub sockets; a display that stops
@@ -64,11 +64,6 @@ struct ClientOptions {
   /// resume): every cached step > replay_after_step is queued on connect.
   bool replay_cache = false;
   int replay_after_step = -1;
-  /// Frame-by-reference delivery (the relay tree): this client
-  /// keeps its own content-addressed cache, so image traffic — live and
-  /// replayed — is queued as kFrameRef advertisements; the client answers
-  /// with request_content() only on a cache miss.
-  bool wants_frame_refs = false;
 };
 
 struct ClientStats {
@@ -133,12 +128,6 @@ class FrameHub {
     void ack(int step);
     /// User-control event toward every renderer interface.
     void send_control(const net::ControlEvent& event);
-    /// Cache-miss follow-up to a kFrameRef (wants_frame_refs clients): the
-    /// hub answers with a kFrameData on this client's own queue — through
-    /// the normal delivery path, so it never interleaves with an in-flight
-    /// send — or counts net.relay.fetch_misses if the content was evicted
-    /// (the edge skips that step, exactly like a backpressure drop).
-    void request_content(net::ContentId content);
 
     const std::string& id() const;
     bool closed() const;
@@ -194,10 +183,6 @@ class FrameHub {
   };
 
   void relay_loop() TVVIZ_EXCLUDES(clients_mutex_);
-  /// Answer one client's kFrameFetch from the content index (see
-  /// ClientPort::request_content).
-  void serve_fetch(const std::shared_ptr<ClientState>& client,
-                   net::ContentId content) TVVIZ_EXCLUDES(clients_mutex_);
   void broadcast_control(const net::ControlEvent& event)
       TVVIZ_EXCLUDES(clients_mutex_);
   /// Fan-out delivery happens strictly outside the clients_mutex_ snapshot

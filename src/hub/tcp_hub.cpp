@@ -286,17 +286,6 @@ void HubTcpServer::on_readable(const std::shared_ptr<Session>& session) {
             return;
           }
           break;
-        case MsgType::kFrameFetch:
-          // The reply rides the client's own queue (normal drain path), so
-          // it can never interleave with an in-flight worker send.
-          try {
-            session->client_port->request_content(
-                net::parse_frame_fetch(*msg));
-          } catch (const std::exception&) {
-            evict(session);  // malformed fetch: treat like any wire error
-            return;
-          }
-          break;
         default:
           // A display endpoint has no business sending frame/hello types;
           // log rather than drop silently so an unexpected type is visible
@@ -334,7 +323,6 @@ void HubTcpServer::handle_hello(const std::shared_ptr<Session>& session,
     ClientOptions options;
     options.id = info->client_id;
     options.queue_frames = info->queue_frames;
-    options.wants_frame_refs = info->wants_frame_refs;
     if (info->last_acked_step >= 0) {
       // An explicit resume point also applies to ids the hub has never seen
       // (e.g. the hub restarted and lost its registry but the cache
@@ -562,7 +550,6 @@ std::shared_ptr<TcpConnection> HubTcpViewer::connect_and_handshake() {
   }
   hello.last_acked_step = last_acked_.load();
   hello.queue_frames = options_.queue_frames;
-  hello.wants_frame_refs = options_.wants_frame_refs;
   std::string id = net::handshake(*conn, hello);
   util::LockGuard lock(state_mutex_);
   assigned_id_ = std::move(id);
@@ -645,18 +632,6 @@ void HubTcpViewer::ack(int step) {
   } catch (const std::exception&) {
     // The resume point is already recorded locally; a reconnecting viewer
     // re-announces it in the next hello. Fail-fast viewers keep throwing.
-    if (!options_.auto_reconnect) throw;
-  }
-}
-
-void HubTcpViewer::request_frame(net::ContentId content) {
-  util::LockGuard lock(send_mutex_);
-  if (!open_.load()) return;
-  try {
-    current()->send_message(net::make_frame_fetch(content));
-  } catch (const std::exception&) {
-    // The pending ref stays unresolved; the reconnect's resume replays the
-    // advertisement and the edge asks again. Fail-fast endpoints throw.
     if (!options_.auto_reconnect) throw;
   }
 }

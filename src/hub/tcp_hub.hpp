@@ -2,9 +2,8 @@
 // over TCP, and the wide-area deployment of the multi-client broker.
 // Renderer processes (net::TcpRendererLink) and display clients
 // (HubTcpViewer) open with the same hello (net::handshake) — a display's
-// carries a stable client id, a resume point, a queue bound and its
-// capabilities — and get back a kHelloAck, or a kError frame explaining
-// why they were refused.
+// carries a stable client id, a resume point and a queue bound — and get
+// back a kHelloAck, or a kError frame explaining why they were refused.
 //
 // Transport architecture (DESIGN.md §14): a readiness-based core — one
 // epoll loop thread owns the listening socket and every connection, and a
@@ -114,11 +113,6 @@ class HubTcpViewer {
     /// is installed on the socket, so a stalled hub surfaces as a
     /// TimeoutError instead of a hang).
     fault::RetryPolicy retry{};
-    /// Announce the frame-ref capability: the hub sends kFrameRef
-    /// advertisements instead of frame bodies and answers request_frame()
-    /// with kFrameData. For relay edges (hub/relay.hpp), not end viewers —
-    /// whoever sets this owns a content cache to resolve refs against.
-    bool wants_frame_refs = false;
   };
 
   /// Connects and completes the handshake. Throws std::runtime_error on
@@ -151,11 +145,6 @@ class HubTcpViewer {
   void ack(int step) TVVIZ_EXCLUDES(send_mutex_);
   void send_control(const net::ControlEvent& event)
       TVVIZ_EXCLUDES(send_mutex_);
-  /// Cache-miss reply to a kFrameRef: ask the hub for the body; it arrives
-  /// as a kFrameData on the normal next() stream. Requires
-  /// wants_frame_refs. A send failure under auto_reconnect is
-  /// swallowed — the reconnect replays the ref and the edge re-requests.
-  void request_frame(net::ContentId content) TVVIZ_EXCLUDES(send_mutex_);
 
   /// Contract (PR 4 review): close() must never wait on send_mutex_ — a
   /// sender blocked inside send_message() holds it and is unblocked only by
@@ -182,7 +171,7 @@ class HubTcpViewer {
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   util::Rng retry_rng_{0x76696577ULL};  ///< Jitter stream for reconnects.
-  /// Serializes the senders (ack/control/fetch). May be held for as long
+  /// Serializes the senders (ack/control). May be held for as long
   /// as a send blocks, so close() must never wait on it.
   mutable util::Mutex send_mutex_ TVVIZ_ACQUIRED_BEFORE(state_mutex_);
   /// Guards the conn_ pointer and assigned_id_ — held only for snapshots and

@@ -1,7 +1,6 @@
 #include "net/protocol.hpp"
 
 #include "net/errors.hpp"
-#include "util/hash.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -9,23 +8,15 @@
 
 namespace tvviz::net {
 
-namespace {
-
-// Capability bits of the hello mask.
-constexpr std::uint32_t kCapFrameRefs = 1u << 0;
-
-}  // namespace
-
 util::Bytes HelloInfo::serialize() const {
   util::ByteWriter w(4 + util::varint_size(role.size()) + role.size() +
                      util::varint_size(client_id.size()) + client_id.size() +
-                     4 + 4 + 4);
+                     4 + 4);
   w.u32(version);
   w.str(role);
   w.str(client_id);
   w.u32(static_cast<std::uint32_t>(last_acked_step));
   w.u32(queue_frames);
-  w.u32(wants_frame_refs ? kCapFrameRefs : 0u);
   return w.take();
 }
 
@@ -39,11 +30,6 @@ HelloInfo HelloInfo::deserialize(std::span<const std::uint8_t> payload) {
     info.client_id = r.str();
     info.last_acked_step = static_cast<std::int32_t>(r.u32());
     info.queue_frames = r.u32();
-    const std::uint32_t caps = r.u32();
-    if (caps & ~kCapFrameRefs)
-      throw WireError("net: unknown hello capability bits in mask " +
-                      std::to_string(caps));
-    info.wants_frame_refs = (caps & kCapFrameRefs) != 0;
     if (!r.done())
       throw WireError("net: " + std::to_string(r.remaining()) +
                       " trailing bytes after the hello");
@@ -200,78 +186,6 @@ NetMessage deserialize_frame(util::SharedBytes body) {
   return msg;
 }
 
-// --------------------------------------------------- frame-by-reference --
-
-ContentId content_id_of(const NetMessage& msg) noexcept {
-  return util::fnv1a(msg.payload, util::fnv1a(msg.codec));
-}
-
-util::Bytes FrameRefInfo::serialize() const {
-  util::ByteWriter w(8 + util::varint_size(payload_bytes));
-  w.u64(content);
-  w.varint(payload_bytes);
-  return w.take();
-}
-
-FrameRefInfo FrameRefInfo::deserialize(std::span<const std::uint8_t> payload) {
-  try {
-    util::ByteReader r(payload);
-    FrameRefInfo info;
-    info.content = r.u64();
-    info.payload_bytes = r.varint();
-    if (!r.done())
-      throw WireError("net: " + std::to_string(r.remaining()) +
-                      " trailing bytes after the frame ref");
-    return info;
-  } catch (const std::out_of_range&) {
-    throw WireError("net: truncated frame-ref payload");
-  }
-}
-
-NetMessage make_frame_ref(const NetMessage& frame, ContentId content) {
-  FrameRefInfo info;
-  info.content = content;
-  info.payload_bytes = frame.payload.size();
-  NetMessage ref;
-  ref.type = MsgType::kFrameRef;
-  ref.frame_index = frame.frame_index;
-  ref.codec = frame.codec;
-  ref.payload = info.serialize();
-  return ref;
-}
-
-FrameRefInfo parse_frame_ref(const NetMessage& msg) {
-  if (msg.type != MsgType::kFrameRef)
-    throw WireError("net: parse_frame_ref on a non-ref message");
-  return FrameRefInfo::deserialize(msg.payload);
-}
-
-NetMessage make_frame_fetch(ContentId content) {
-  util::ByteWriter w(8);
-  w.u64(content);
-  NetMessage msg;
-  msg.type = MsgType::kFrameFetch;
-  msg.payload = w.take();
-  return msg;
-}
-
-ContentId parse_frame_fetch(const NetMessage& msg) {
-  if (msg.type != MsgType::kFrameFetch)
-    throw WireError("net: parse_frame_fetch on a non-fetch message");
-  try {
-    util::ByteReader r(msg.payload);
-    return r.u64();
-  } catch (const std::out_of_range&) {
-    throw WireError("net: truncated frame-fetch payload");
-  }
-}
-
-NetMessage make_frame_data(const NetMessage& frame) {
-  NetMessage data = frame;  // payload is refcounted, never copied
-  data.type = MsgType::kFrameData;
-  return data;
-}
-
 // ------------------------------------------------------- parallel pieces --
 
 namespace {
@@ -301,8 +215,7 @@ NetMessage make_pieces_frame(int step, const std::string& codec,
 }
 
 bool is_pieces_frame(const NetMessage& msg) noexcept {
-  return (msg.type == MsgType::kFrame || msg.type == MsgType::kFrameData) &&
-         msg.codec.starts_with(kPiecesPrefixStr);
+  return msg.type == MsgType::kFrame && msg.codec.starts_with(kPiecesPrefixStr);
 }
 
 PiecesFrameParts split_pieces_frame(const NetMessage& msg) {

@@ -20,48 +20,29 @@ enum class MsgType : std::uint8_t {
   kHelloAck = 4,     ///< Hub accepts a hello (codec: the client id it assigned).
   kAck = 5,          ///< Client acknowledges display of frame_index.
   kError = 6,        ///< Descriptive failure (payload: UTF-8 message), then close.
-  // Frame-by-reference (the relay tree). Frames travel by reference between
-  // hubs that keep content-addressed caches: the upstream hub advertises a
-  // frame with kFrameRef (step + ContentId + size, no payload bytes); the
-  // downstream edge answers kFrameFetch only when its cache misses and the
-  // payload itself crosses the wire once, as kFrameData. Sent only to peers
-  // whose hello carries the frame-refs capability bit.
-  kFrameRef = 7,     ///< Frame advertisement by content id (FrameRefInfo payload).
-  kFrameFetch = 8,   ///< Cache-miss request for a ContentId (8-byte payload).
-  kFrameData = 9,    ///< Fetched frame body; header mirrors the original frame.
 };
 
 /// Highest MsgType value a well-formed frame may carry (wire validation).
 inline constexpr std::uint8_t kMaxMsgType =
-    static_cast<std::uint8_t>(MsgType::kFrameData);
+    static_cast<std::uint8_t>(MsgType::kError);
 
 /// Version of the hello handshake and the frame header. Every endpoint ships
 /// from this repo, so there is one generation: a hub refuses a hello of any
 /// other version.
-inline constexpr std::uint32_t kProtocolVersion = 7;
-
-/// Stable identity of one encoded frame payload: FNV-1a over the codec-name
-/// bytes then the payload bytes (see content_id_of). Computed once at cache
-/// insert; any peer can recompute it from a received frame, which doubles as
-/// an integrity check on fetched bodies.
-using ContentId = std::uint64_t;
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
 /// Payload of a kHello, the same fixed layout from renderers and viewers:
 ///
 ///   u32 version | str role | str client_id | u32 last_acked_step |
-///   u32 queue_frames | u32 capability mask
+///   u32 queue_frames
 ///
-/// The capabilities travel as mask bits: bit 0 frame refs. Any other bit,
-/// a short payload or trailing bytes make the hello malformed.
+/// A short payload or trailing bytes make the hello malformed.
 struct HelloInfo {
   std::uint32_t version = kProtocolVersion;
   std::string role;            ///< "renderer" or "display".
   std::string client_id;       ///< Stable viewer identity; empty = assign one.
   std::int32_t last_acked_step = -1;  ///< Resume point; -1 = from live stream.
   std::uint32_t queue_frames = 0;     ///< Requested send-queue bound; 0 = default.
-  /// This display keeps a content-addressed cache and wants frames
-  /// advertised as kFrameRef instead of shipped in full (relay edges).
-  bool wants_frame_refs = false;
 
   util::Bytes serialize() const;
   /// Reads the version first. A hello of another version is returned with
@@ -97,7 +78,7 @@ struct ControlEvent {
 /// Framed daemon message.
 struct NetMessage {
   MsgType type = MsgType::kHello;
-  std::int32_t frame_index = -1;  ///< Time step of a kFrame (or its ref).
+  std::int32_t frame_index = -1;  ///< Time step of a kFrame.
   std::string codec;              ///< Codec name the payload was encoded with.
   /// Refcounted: copying a NetMessage (hub fan-out, cache, resume replay)
   /// shares the payload allocation instead of duplicating it.
@@ -141,45 +122,6 @@ NetMessage make_error(const std::string& message);
 /// The payload of a kError frame as a string.
 std::string error_text(const NetMessage& msg);
 
-// --------------------------------------------------- frame-by-reference --
-
-/// The ContentId of a frame message: util::fnv1a over the codec-name bytes,
-/// chained over the payload bytes. Including the codec keeps two encodings
-/// of the same bitstream distinct; hashing only wire-visible bytes means a
-/// receiver can recompute the id from a kFrameData it just parsed.
-ContentId content_id_of(const NetMessage& msg) noexcept;
-
-/// Body of a kFrameRef: everything an edge needs to reconstruct the kFrame
-/// once it has (or fetches) the payload. The ref message's header fields
-/// (frame_index/codec) mirror the original frame's, so step-level drop
-/// policies treat refs exactly like the frames they stand for.
-struct FrameRefInfo {
-  ContentId content = 0;
-  std::uint64_t payload_bytes = 0;  ///< Size of the advertised payload.
-
-  util::Bytes serialize() const;
-  /// Throws WireError on a truncated payload or trailing bytes.
-  static FrameRefInfo deserialize(std::span<const std::uint8_t> payload);
-};
-
-/// Advertise `frame` by reference: a kFrameRef with `frame`'s header fields
-/// and a FrameRefInfo payload (no frame bytes).
-NetMessage make_frame_ref(const NetMessage& frame, ContentId content);
-
-/// Parse a kFrameRef body. Throws WireError on a non-ref or malformed
-/// message.
-FrameRefInfo parse_frame_ref(const NetMessage& msg);
-
-/// Cache-miss request for one ContentId.
-NetMessage make_frame_fetch(ContentId content);
-ContentId parse_frame_fetch(const NetMessage& msg);
-
-/// Ship a cached frame in answer to a fetch: same header fields and (shared,
-/// never copied) payload as `frame`, with the type swapped to kFrameData so
-/// the receiver knows to match it against its pending fetches by recomputed
-/// ContentId rather than display it directly.
-NetMessage make_frame_data(const NetMessage& frame);
-
 // ------------------------------------------------------- parallel pieces --
 //
 // A parallel-compressed frame (§6: every node compresses its own rows) is
@@ -202,7 +144,7 @@ util::Bytes pack_piece(int row0, std::span<const std::uint8_t> encoded);
 NetMessage make_pieces_frame(int step, const std::string& codec,
                              std::span<const util::SharedBytes> records);
 
-/// True when `msg` is a kFrame (or kFrameData) with the pieces prefix.
+/// True when `msg` is a kFrame with the pieces prefix.
 bool is_pieces_frame(const NetMessage& msg) noexcept;
 
 /// A pieces container split into its inner codec name and its records, in

@@ -1,25 +1,23 @@
 // The relay tree: hub-of-hubs distribution after the LBNL network-data-
 // cache idea. A root FrameHub serves a handful of EdgeHubs instead of every
-// viewer; each edge re-serves its region's viewers from its own
-// content-addressed FrameCache, so root egress scales with the number of
-// edges, not the number of viewers (bench/ablation_relay_tree holds the
-// ratio near 1.0 as viewers quadruple).
+// viewer; each edge re-serves its region's viewers from its own FrameCache,
+// so root egress scales with the number of edges, not the number of viewers
+// (bench/ablation_relay_tree holds the ratio near 1.0 as viewers quadruple).
 //
 // An EdgeHub is pure composition of existing pieces:
 //
-//   * upstream: a HubTcpViewer whose hello sets wants_frame_refs —
-//     auto-reconnect under the PR 4 retry/backoff policy, acking whole
-//     frames so a killed-and-restarted edge resumes from its last acked
-//     step (the root replays kFrameRef advertisements, and the edge fetches
-//     only what its cache actually lost);
+//   * upstream: a HubTcpViewer — the root sends it every frame as a kFrame,
+//     exactly as it sends a viewer. Its hello asks for a queue bound no
+//     stream reaches, so the root never drops a step on the edge's behalf;
+//     it auto-reconnects under the PR 4 retry/backoff policy and acks whole
+//     frames, so a killed-and-restarted edge resumes from its last acked
+//     step;
 //   * downstream: a HubTcpServer on the PR 6 event loop — its FrameHub's
-//     FrameCache doubles as the edge's content store, its client queues and
-//     drop policy govern the edge's viewers exactly as at the root;
-//   * between them: a single pump thread resolving advertisements against
-//     the local cache (ref hit: reinject the cached payload; miss: send
-//     kFrameFetch, park the advertisement until the kFrameData arrives,
-//     matched by recomputed ContentId — which doubles as an integrity
-//     check on the fetched bytes).
+//     FrameCache serves the edge's viewers' resumes, and its client queues
+//     and drop policy govern those viewers exactly as at the root;
+//   * between them: a single pump thread forwarding each frame into the
+//     downstream hub, skipping only steps this edge already injected (the
+//     overlap a reconnect's resume replay re-ships).
 //
 // Edges chain: an EdgeHub's upstream_port may be another edge's port(),
 // forming deeper trees (tree_depth is advertised on the net.relay.tree_depth
@@ -29,12 +27,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "fault/retry.hpp"
 #include "hub/tcp_hub.hpp"
@@ -46,8 +41,8 @@ namespace tvviz::relay {
 struct EdgeHubConfig {
   int upstream_port = 0;  ///< Root (or parent edge) hub port on 127.0.0.1.
   int listen_port = 0;    ///< Downstream viewer port; 0 = ephemeral.
-  /// Downstream hub shape. cache_steps is the edge's content store: it
-  /// bounds both viewer resume depth and ref-dedup reach.
+  /// Downstream hub shape. cache_steps bounds the edge's viewers' resume
+  /// depth.
   hub::HubConfig hub{};
   /// Stable upstream identity. A restarted edge reclaiming its id is
   /// resumed by the root from the last step the old incarnation acked.
@@ -68,10 +63,6 @@ class EdgeHub {
   /// Point-in-time snapshot of this edge's relay activity (per-instance;
   /// the net.relay.* counters aggregate across every edge in the process).
   struct Stats {
-    std::uint64_t refs_seen = 0;        ///< kFrameRef advertisements received.
-    std::uint64_t ref_hits = 0;         ///< Resolved from the local cache.
-    std::uint64_t ref_misses = 0;       ///< Required an upstream fetch.
-    std::uint64_t fetch_bytes_saved = 0;  ///< Payload bytes NOT re-shipped.
     std::uint64_t frames_forwarded = 0;   ///< Messages injected downstream.
     std::uint64_t upstream_bytes = 0;     ///< Wire bytes read upstream.
     std::uint64_t upstream_reconnects = 0;
@@ -85,8 +76,7 @@ class EdgeHub {
 
   /// Downstream viewer port (resolves an ephemeral listen_port).
   int port() const noexcept { return server_.port(); }
-  /// The downstream hub (cache occupancy, client stats) — the edge's own
-  /// content store.
+  /// The downstream hub (cache occupancy, client stats).
   hub::FrameHub& hub() noexcept { return server_.hub(); }
   /// Identity the upstream hub filed this edge under.
   std::string upstream_id() const { return upstream_.assigned_id(); }
@@ -104,25 +94,21 @@ class EdgeHub {
   /// (it runs on the downstream hub's broadcast path), and an upstream
   /// send can.
   void control_loop() TVVIZ_EXCLUDES(control_mutex_);
-  /// Forward one display-ready message into the downstream hub (which
-  /// caches image traffic under the edge's own ContentId index) and advance
-  /// the upstream ack frontier.
+  /// Forward one upstream frame downstream unless this edge already
+  /// injected its step, then advance the upstream ack.
+  void forward(net::NetMessage frame);
+  /// Hand one message to the downstream hub, which caches image traffic
+  /// and fans out to the edge's viewers with the root's exact delivery
+  /// semantics.
   void inject(net::NetMessage msg);
-  void handle_ref(const net::NetMessage& ref);
-  void handle_data(const net::NetMessage& data);
-  /// Inject queued advertisements from the front while their bodies are
-  /// available — strictly in arrival order, so a cache hit behind a
-  /// still-in-flight fetch waits its turn and viewers never see steps
-  /// reordered.
-  void drain_queue();
   /// The newest step this edge may ack upstream: the minimum last-acked
   /// step over its *connected* downstream viewers (never past what they
   /// have displayed, so a killed-and-restarted edge is resumed early enough
-  /// that no viewer skips a frame), or the injected frontier when no viewer
-  /// is attached.
+  /// that no viewer skips a frame), or the newest injected step when no
+  /// viewer is attached.
   int ack_floor();
-  /// Ack ack_floor() once nothing is parked — never past a step whose
-  /// fetch is still in flight, so an upstream resume cannot skip it.
+  /// Ack ack_floor() when it moved, and forget the injected steps at or
+  /// below it: a resume replays only the steps after the ack.
   void maybe_ack();
 
   EdgeHubConfig config_;
@@ -133,31 +119,19 @@ class EdgeHub {
   std::shared_ptr<hub::FrameHub::RendererPort> injector_;
   hub::HubTcpViewer upstream_;
 
-  /// One advertisement awaiting injection (its body, or its turn).
-  struct Parked {
-    net::NetMessage ref;
-    net::FrameRefInfo info;
-  };
-
-  /// Pump-thread-only state (single consumer of upstream_.next(); no lock):
-  /// advertisements are parked in arrival order and injected strictly from
-  /// the front, so a frame whose body is still in flight holds back later
-  /// steps instead of being overtaken by them.
-  std::deque<Parked> queue_;
-  /// Fetched bodies not yet drained into the queue (several parked steps
-  /// may share one body). Cleared once the queue empties — by then the
-  /// bodies live in the downstream cache.
-  std::unordered_map<net::ContentId, util::SharedBytes> arrived_;
-  std::unordered_set<net::ContentId> fetched_;  ///< Fetches outstanding.
-  int max_ready_step_ = -1;       ///< Newest whole frame injected.
+  // Pump-thread-only state (single consumer of upstream_.next(); no lock).
+  /// Steps injected since the last upstream ack. A reconnect's resume
+  /// replays every step after that ack, so these are the only steps the
+  /// root can send twice; a step the edge has not injected is forwarded
+  /// whatever its order (group leaders finish out of step order). While a
+  /// connected viewer never acks, the ack stays put and this grows by one
+  /// entry per step.
+  std::set<int> injected_;
+  int max_injected_step_ = -1;    ///< Newest frame injected.
   int last_acked_step_ = -1;      ///< Newest step acked upstream.
   std::uint64_t seen_reconnects_ = 0;  ///< upstream_.reconnects() watermark.
 
   // Cross-thread stats (pump writes, stats() reads).
-  std::atomic<std::uint64_t> refs_seen_{0};
-  std::atomic<std::uint64_t> ref_hits_{0};
-  std::atomic<std::uint64_t> ref_misses_{0};
-  std::atomic<std::uint64_t> bytes_saved_{0};
   std::atomic<std::uint64_t> frames_forwarded_{0};
   std::atomic<std::uint64_t> upstream_reconnects_{0};
   std::atomic<bool> stream_ended_{false};

@@ -147,7 +147,8 @@ void fill_row(const field::VolumeF& volume, int y, int z, const Spans& spans,
     }
 }
 
-/// Fill the records a march over `volume` can read. Without a skipper that
+/// Fill the records a march over `volume` can read into `records` (room for
+/// kRecord floats per voxel of `volume`). Without a skipper that
 /// is every voxel. With one, a sample is evaluated only inside a visible
 /// block, and a sample in block k of an axis reads planes k*B .. (k+1)*B
 /// of it, clipped to the volume (the first and last block are open toward
@@ -155,11 +156,8 @@ void fill_row(const field::VolumeF& volume, int y, int z, const Spans& spans,
 /// blocks are filled, each voxel once: a row over the x-planes of the
 /// visible blocks whose y- and z-planes hold it, adjacent spans merged.
 void build_records(const field::VolumeF& volume,
-                   const BlockVisibility* skipper, std::vector<float>& out) {
+                   const BlockVisibility* skipper, float* records) {
   const field::Dims& d = volume.dims();
-  const std::size_t floats = d.voxels() * kRecord;
-  if (out.size() < floats) out.resize(floats);
-  float* records = out.data();
   if (!skipper) {
     const Spans whole{{0, d.nx - 1}};
     for (int z = 0; z < d.nz; ++z)
@@ -448,7 +446,14 @@ PartialImage RayCaster::render(const Subvolume& sub,
   // Shading reads the gradient records; a render that casts no ray builds
   // none.
   const bool shaded = options_.shading && !rect.empty();
-  if (shaded) build_records(sub.data, sub.skipper.get(), records_);
+  if (shaded) {
+    const std::size_t floats = dims.voxels() * kRecord;
+    if (records_floats_ < floats) {
+      records_ = std::make_unique_for_overwrite<float[]>(floats);
+      records_floats_ = floats;
+    }
+    build_records(sub.data, sub.skipper.get(), records_.get());
+  }
   Pass pass{.opt = options_,
             .specular = specular_,
             .light = light_,
@@ -456,7 +461,7 @@ PartialImage RayCaster::render(const Subvolume& sub,
             .flat_lum = options_.ambient + 0.5 * options_.diffuse,
             .lut = {},
             .voxels = sub.data.data().data(),
-            .records = shaded ? records_.data() : nullptr,
+            .records = shaded ? records_.get() : nullptr,
             .nx = dims.nx,
             .ny = dims.ny,
             .nz = dims.nz,

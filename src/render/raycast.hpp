@@ -105,9 +105,12 @@ class RayCaster {
   /// A shaded render's gradient records, three floats per voxel of the
   /// subvolume (its central differences along x, y and z). Kept across
   /// renders so a rank's steps reuse one buffer; each render fills the
-  /// records its samples can read and reads no others. Like counts_, this
-  /// makes render() unsafe to call concurrently on one instance.
-  mutable std::vector<float> records_;
+  /// records its samples can read and reads no others, so the buffer is
+  /// never value-initialized: zero-filling it would touch, and page-fault,
+  /// the invisible blocks' records too. Like counts_, this makes render()
+  /// unsafe to call concurrently on one instance.
+  mutable std::unique_ptr<float[]> records_;
+  mutable std::size_t records_floats_ = 0;  ///< Capacity of records_.
 };
 
 }  // namespace tvviz::render

@@ -1,8 +1,7 @@
-// The project's one payload hash: FNV-1a, 64-bit. Chosen over std::hash
-// because its output is implementation-independent — a ContentId computed
-// by a renderer build must match the one an edge hub recomputes from the
-// same bytes, and a named client's fault stream must replay across
-// compilers. Everything in src/ that hashes raw bytes goes through here
+// The project's one byte hash: FNV-1a, 64-bit. Chosen over std::hash
+// because its output is implementation-independent — a named client's
+// retry-jitter stream, seeded from its id, must replay across compilers.
+// Everything in src/ that hashes raw bytes goes through here
 // (tools/lint_invariants.py flags stray copies of the FNV constants).
 #pragma once
 
@@ -17,8 +16,7 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
 
 /// FNV-1a over raw bytes. `seed` defaults to the standard offset basis;
-/// passing a previous fnv1a result chains hashes over discontiguous parts
-/// (the ContentId hashes codec-name bytes, then payload bytes).
+/// passing a previous fnv1a result chains hashes over discontiguous parts.
 constexpr std::uint64_t fnv1a(std::span<const std::uint8_t> data,
                               std::uint64_t seed = kFnv1aOffset) noexcept {
   std::uint64_t h = seed;

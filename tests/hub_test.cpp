@@ -76,31 +76,26 @@ TEST(FrameCache, SharedBuffersSurviveEviction) {
   const auto kept = cache.insert(0, frame_msg(0, {42}));
   cache.insert(1, frame_msg(1, {43}));  // evicts step 0
   EXPECT_EQ(cache.lookup(0), nullptr);
-  EXPECT_EQ(kept.frame->payload[0], 42);  // a queue's reference keeps it alive
+  EXPECT_EQ(kept->payload[0], 42);  // a queue's reference keeps it alive
 }
 
 TEST(FrameCache, MessagesAfterReturnsStepOrderedTail) {
   // A step is one frame: a second insert for a cached step replaces the
-  // first and unpins its payload from the content index.
+  // first and releases its bytes.
   FrameCache cache(8);
-  std::vector<net::ContentId> replaced;
   for (int s = 0; s < 6; ++s) {
-    replaced.push_back(
-        cache.insert(s, frame_msg(s, {static_cast<std::uint8_t>(s)})).content);
+    cache.insert(s, frame_msg(s, {static_cast<std::uint8_t>(s)}));
     cache.insert(s, frame_msg(s, {static_cast<std::uint8_t>(s + 100)}));
   }
   const auto tail = cache.entries_after(3);
   ASSERT_EQ(tail.size(), 2u);  // steps 4 and 5, one frame each
-  EXPECT_EQ(tail[0].frame->frame_index, 4);
-  EXPECT_EQ(tail[0].frame->payload[0], 104);
-  EXPECT_EQ(tail[1].frame->frame_index, 5);
-  EXPECT_EQ(tail[1].frame->payload[0], 105);
+  EXPECT_EQ(tail[0]->frame_index, 4);
+  EXPECT_EQ(tail[0]->payload[0], 104);
+  EXPECT_EQ(tail[1]->frame_index, 5);
+  EXPECT_EQ(tail[1]->payload[0], 105);
   EXPECT_TRUE(cache.entries_after(5).empty());
   EXPECT_EQ(cache.occupancy(), 6u);
-  EXPECT_EQ(cache.bytes(), 6 * tail[0].frame->wire_size());
-  EXPECT_EQ(cache.content_entries(), 6u);
-  for (const net::ContentId id : replaced)
-    EXPECT_EQ(cache.lookup_content(id), nullptr);
+  EXPECT_EQ(cache.bytes(), 6 * tail[0]->wire_size());
 }
 
 TEST(FrameCache, AccumulatesBytes) {
@@ -116,21 +111,17 @@ TEST(FrameCache, AccumulatesBytes) {
 // ------------------------------------------------------------ handshake ----
 
 TEST(Hello, CapabilityRoundTrip) {
-  for (const bool refs : {false, true}) {
-    net::HelloInfo info;
-    info.role = "display";
-    info.client_id = "viewer-7";
-    info.last_acked_step = 41;
-    info.queue_frames = 12;
-    info.wants_frame_refs = refs;
-    const auto out = net::parse_hello(net::make_hello(info));
-    EXPECT_EQ(out.version, net::kProtocolVersion);
-    EXPECT_EQ(out.role, "display");
-    EXPECT_EQ(out.client_id, "viewer-7");
-    EXPECT_EQ(out.last_acked_step, 41);
-    EXPECT_EQ(out.queue_frames, 12u);
-    EXPECT_EQ(out.wants_frame_refs, refs);
-  }
+  net::HelloInfo info;
+  info.role = "display";
+  info.client_id = "viewer-7";
+  info.last_acked_step = 41;
+  info.queue_frames = 12;
+  const auto out = net::parse_hello(net::make_hello(info));
+  EXPECT_EQ(out.version, net::kProtocolVersion);
+  EXPECT_EQ(out.role, "display");
+  EXPECT_EQ(out.client_id, "viewer-7");
+  EXPECT_EQ(out.last_acked_step, 41);
+  EXPECT_EQ(out.queue_frames, 12u);
 }
 
 TEST(Hello, TruncatedCapabilityPayloadThrows) {
@@ -673,19 +664,22 @@ const RefusedHello kRefusedHellos[] = {
      "1 trailing bytes after the hello"},
     {"UnknownCapabilityBit",
      [] {
+       // Version 7's layout under this version's number: the hello ends at
+       // queue_frames now, so the old capability mask (bit 0 asked for frame
+       // refs) is four bytes too many.
        util::ByteWriter w;
        w.u32(net::kProtocolVersion);
        w.str("display");
        w.str("");
        w.u32(static_cast<std::uint32_t>(-1));
        w.u32(0);
-       w.u32(1u << 2);  // bits 0 and 1 are the only capabilities
+       w.u32(1u << 0);
        NetMessage msg;
        msg.type = MsgType::kHello;
        msg.payload = w.take();
        return msg;
      },
-     "unknown hello capability bits"},
+     "4 trailing bytes after the hello"},
     {"FrameFirst", [] { return frame_msg(0, {1}); },
      "expected a hello first, got message type 1"},
 };

@@ -334,9 +334,14 @@ TEST(Protocol, RejectsInvalidMessageType) {
   NetMessage msg;
   msg.type = MsgType::kFrame;
   msg.payload = {1, 2, 3};
-  auto wire = net::serialize_message(msg);
-  wire[0] = 0xEE;  // not a MsgType
-  EXPECT_THROW(net::deserialize_message(wire), std::runtime_error);
+  // kError is the last type; 7-9 were the frame-by-reference types.
+  for (const std::uint8_t type : {std::uint8_t{7}, std::uint8_t{8},
+                                  std::uint8_t{9}, std::uint8_t{0xEE}}) {
+    auto wire = net::serialize_message(msg);
+    wire[0] = type;  // not a MsgType
+    EXPECT_THROW(net::deserialize_message(wire), std::runtime_error)
+        << int{type};
+  }
 }
 
 TEST(Protocol, RejectsTruncatedFrame) {
@@ -453,22 +458,26 @@ TEST(Protocol, DeserializeFrameValidatesLikeDeserializeMessage) {
 // ----------------------------------------------------- protocol v4 ----
 
 TEST(ProtocolV4, HelloCarriesWantsDepthAndDegradesByTruncation) {
-  // Bit 1 of the capability mask once asked for depth frames. No frame
-  // carries depth any more, so it is an unknown bit and the hello is
-  // refused, like any other unknown bit.
+  // Bit 1 of the hello's old capability mask asked for depth frames, bit 0
+  // for frame refs. Neither exists any more, and neither does the mask: a
+  // hello that still carries it, with any bits, is refused for its
+  // trailing bytes.
   net::HelloInfo info;
   info.role = "display";
-  info.wants_frame_refs = true;
   const auto hello = net::make_hello(info);
-  EXPECT_TRUE(net::parse_hello(hello).wants_frame_refs);
-  util::Bytes depth_bit(hello.payload.begin(), hello.payload.end());
-  depth_bit[depth_bit.size() - 4] |= 1u << 1;  // the mask's low byte (LE)
-  NetMessage asks_depth = hello;
-  asks_depth.payload = std::move(depth_bit);
-  EXPECT_THROW(net::parse_hello(asks_depth), std::runtime_error);
+  for (const std::uint8_t bits :
+       {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}}) {
+    util::Bytes with_mask(hello.payload.begin(), hello.payload.end());
+    for (const std::uint8_t b : {bits, std::uint8_t{0}, std::uint8_t{0},
+                                 std::uint8_t{0}})
+      with_mask.push_back(b);  // the u32 mask, little-endian
+    NetMessage asks = hello;
+    asks.payload = std::move(with_mask);
+    EXPECT_THROW(net::parse_hello(asks), std::runtime_error) << int{bits};
+  }
 
-  // The capabilities share one u32 mask, so a truncated hello no longer
-  // degrades to an older generation's capabilities: it is refused whole.
+  // A truncated hello does not degrade to an older generation's fields: it
+  // is refused whole.
   auto cut = hello;
   cut.payload = cut.payload.view(0, cut.payload.size() - 1);
   EXPECT_THROW(net::parse_hello(cut), std::runtime_error);

@@ -1,8 +1,7 @@
-// Tests for the relay-tree subsystem (PR 7): the util::fnv1a hash the
-// ContentId scheme is built on, the frame-by-reference wire forms, the FrameCache content index (plus step-arithmetic regressions),
-// frame-ref delivery through the in-process hub, and the EdgeHub — a hub of
-// hubs whose edges serve their own viewers from a content-addressed cache,
-// so root egress scales with edges, not viewers. The RelayChaos suite
+// Tests for the relay-tree subsystem (PR 7): the util::fnv1a hash, FrameCache
+// step-arithmetic regressions, and the EdgeHub — a hub of hubs whose edges
+// forward every frame by value and serve their own viewers from their own
+// hub, so root egress scales with edges, not viewers. The RelayChaos suite
 // replays edge death, upstream partition, and late-joiner catch-up under
 // seeded fault plans (the CI chaos matrix re-runs it per TVVIZ_FAULT_SEED).
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "hub/frame_cache.hpp"
 #include "hub/hub.hpp"
 #include "hub/tcp_hub.hpp"
-#include "net/errors.hpp"
 #include "net/protocol.hpp"
 #include "net/tcp.hpp"
 #include "obs/counters.hpp"
@@ -79,8 +77,8 @@ TEST(Fnv1a, MatchesKnownVectors) {
 }
 
 TEST(Fnv1a, SeedChainingEqualsConcatenation) {
-  // fnv1a(b, fnv1a(a)) must equal fnv1a(a+b): the property content_id_of
-  // relies on to hash codec-name bytes then payload bytes in one stream.
+  // fnv1a(b, fnv1a(a)) must equal fnv1a(a+b): a seeded hash over
+  // discontiguous parts is the hash of their concatenation.
   const auto chained =
       util::fnv1a(std::string_view{"bar"}, util::fnv1a(std::string_view{"foo"}));
   EXPECT_EQ(chained, util::fnv1a(std::string_view{"foobar"}));
@@ -92,136 +90,7 @@ TEST(Fnv1a, SpanAndStringViewOverloadsAgree) {
             util::fnv1a(std::string_view{"jpeg"}));
 }
 
-// ----------------------------------------------------- frame-by-reference --
-
-TEST(ProtocolV3, FrameRefRoundTripMirrorsFrameHeader) {
-  NetMessage frame;
-  frame.type = MsgType::kFrame;
-  frame.frame_index = 42;
-  frame.codec = "jpeg+lzo";
-  frame.payload = util::Bytes{9, 8, 7, 6, 5};
-  const net::ContentId content = net::content_id_of(frame);
-
-  const NetMessage ref = net::make_frame_ref(frame, content);
-  EXPECT_EQ(ref.type, MsgType::kFrameRef);
-  // Header fields mirror the frame so step-level drop policies treat the
-  // advertisement exactly like the frame it stands for.
-  EXPECT_EQ(ref.frame_index, 42);
-  EXPECT_EQ(ref.codec, "jpeg+lzo");
-  EXPECT_LT(ref.payload.size(), 32u);  // no frame bytes travel with a ref
-
-  const auto info = net::parse_frame_ref(ref);
-  EXPECT_EQ(info.content, content);
-  EXPECT_EQ(info.payload_bytes, 5u);
-}
-
-TEST(ProtocolV3, ParseFrameRefRejectsMalformed) {
-  NetMessage frame = frame_msg(0, {1, 2, 3});
-  EXPECT_THROW(net::parse_frame_ref(frame), net::WireError);  // not a ref
-
-  auto ref = net::make_frame_ref(frame, net::content_id_of(frame));
-  ref.payload = ref.payload.view(0, 3);  // truncated body
-  EXPECT_THROW(net::parse_frame_ref(ref), net::WireError);
-
-  // Bytes past the advertised size must be refused: a well-formed ref
-  // carries nothing else, so they can only be wire corruption.
-  auto evil = net::make_frame_ref(frame, 7);
-  util::Bytes longer(evil.payload.begin(), evil.payload.end());
-  longer.push_back(0);
-  evil.payload = std::move(longer);
-  EXPECT_THROW(net::parse_frame_ref(evil), net::WireError);
-}
-
-TEST(ProtocolV3, FrameFetchRoundTrip) {
-  const net::ContentId content = 0x0123456789abcdefULL;
-  const NetMessage fetch = net::make_frame_fetch(content);
-  EXPECT_EQ(fetch.type, MsgType::kFrameFetch);
-  EXPECT_EQ(net::parse_frame_fetch(fetch), content);
-
-  NetMessage truncated = fetch;
-  truncated.payload = truncated.payload.view(0, 4);
-  EXPECT_THROW(net::parse_frame_fetch(truncated), net::WireError);
-}
-
-TEST(ProtocolV3, FrameDataSharesPayloadAndHashesIdentically) {
-  NetMessage frame = frame_msg(3, util::Bytes(256, 0x5a), "lzo");
-  const NetMessage data = net::make_frame_data(frame);
-  EXPECT_EQ(data.type, MsgType::kFrameData);
-  EXPECT_EQ(data.frame_index, 3);
-  EXPECT_EQ(data.codec, "lzo");
-  // The body is refcount-shared, never copied...
-  EXPECT_TRUE(data.payload.shares_storage_with(frame.payload));
-  // ...and the receiver can recompute the exact ContentId from it — the
-  // integrity check the edge matches fetched bodies with.
-  EXPECT_EQ(net::content_id_of(data), net::content_id_of(frame));
-}
-
-TEST(ProtocolV3, ContentIdDistinguishesCodecAndPayload) {
-  const auto a = net::content_id_of(frame_msg(0, {1, 2, 3}, "raw"));
-  const auto b = net::content_id_of(frame_msg(9, {1, 2, 3}, "raw"));
-  const auto c = net::content_id_of(frame_msg(0, {1, 2, 3}, "lzo"));
-  const auto d = net::content_id_of(frame_msg(0, {1, 2, 4}, "raw"));
-  EXPECT_EQ(a, b);  // identity is content, never the step
-  EXPECT_NE(a, c);  // same bytes under another codec decode differently
-  EXPECT_NE(a, d);
-}
-
-TEST(ProtocolV3, HelloCarriesWantsFrameRefsAndStaysV2Compatible) {
-  net::HelloInfo info;
-  info.role = "display";
-  info.wants_frame_refs = true;
-  const auto echoed = net::parse_hello(net::make_hello(info));
-  EXPECT_TRUE(echoed.wants_frame_refs);
-  EXPECT_EQ(echoed.version, net::kProtocolVersion);
-
-  // Compatibility with older peers is now a refusal, not a degrade: the
-  // shorter payloads a v2 or v3 endpoint sent cut into the capability word
-  // and throw instead of parsing with the capabilities defaulted off.
-  for (const std::size_t cut : {1u, 2u}) {
-    auto older = net::make_hello(info);
-    older.payload = older.payload.view(0, older.payload.size() - cut);
-    EXPECT_THROW(net::parse_hello(older), std::runtime_error) << cut;
-  }
-}
-
-// --------------------------------------------------- FrameCache content ----
-
-TEST(FrameCacheContent, IdenticalPayloadsShareOneIndexEntry) {
-  FrameCache cache(8);
-  const auto first = cache.insert(0, frame_msg(0, util::Bytes(32, 7)));
-  const auto second = cache.insert(1, frame_msg(1, util::Bytes(32, 7)));
-  EXPECT_EQ(first.content, second.content);
-  EXPECT_EQ(cache.content_entries(), 1u);
-
-  const auto hit = cache.lookup_content(first.content);
-  ASSERT_TRUE(hit);
-  EXPECT_EQ(hit->payload.size(), 32u);
-
-  cache.insert(2, frame_msg(2, util::Bytes(32, 8)));
-  EXPECT_EQ(cache.content_entries(), 2u);
-}
-
-TEST(FrameCacheContent, SharedContentSurvivesPartialEviction) {
-  FrameCache cache(2);
-  const auto kept = cache.insert(0, frame_msg(0, util::Bytes(16, 1)));
-  cache.insert(1, frame_msg(1, util::Bytes(16, 1)));  // same content
-  cache.insert(2, frame_msg(2, util::Bytes(16, 2)));  // evicts step 0
-  EXPECT_EQ(cache.lookup(0), nullptr);
-  // Step 1 still advertises this content: the index must not forget it
-  // just because one of the two steps aged out.
-  EXPECT_TRUE(cache.lookup_content(kept.content));
-
-  cache.insert(3, frame_msg(3, util::Bytes(16, 3)));  // evicts step 1 too
-  EXPECT_FALSE(cache.lookup_content(kept.content));
-  EXPECT_EQ(cache.content_entries(), 2u);  // steps 2 and 3
-}
-
-TEST(FrameCacheContent, MissesAreCounted) {
-  FrameCache cache(2);
-  const auto before = obs::counter("net.hub.cache.content_misses").value();
-  EXPECT_FALSE(cache.lookup_content(0xdeadbeefULL));
-  EXPECT_EQ(obs::counter("net.hub.cache.content_misses").value(), before + 1);
-}
+// ------------------------------------------------------- FrameCache ----
 
 // Regression: the resume walk computed the evicted-step gap with int
 // arithmetic — a walk after INT_MAX on a warm cache and resume points far
@@ -234,8 +103,8 @@ TEST(FrameCacheRegression, MessagesAfterExtremeStepsDoNotOverflow) {
   EXPECT_TRUE(cache.entries_after(cache.newest_step().value()).empty());
   const auto all = cache.entries_after(INT_MIN);
   ASSERT_EQ(all.size(), 2u);  // steps 2 and 3 survive a capacity-2 ring
-  EXPECT_EQ(all[0].frame->frame_index, 2);
-  EXPECT_EQ(all[1].frame->frame_index, 3);
+  EXPECT_EQ(all[0]->frame_index, 2);
+  EXPECT_EQ(all[1]->frame_index, 3);
 }
 
 TEST(FrameCacheRegression, CapacityOneRingStaysCoherent) {
@@ -243,78 +112,19 @@ TEST(FrameCacheRegression, CapacityOneRingStaysCoherent) {
   cache.insert(5, frame_msg(5, {5}));
   // Inserting a step older than everything cached while full evicts that
   // same step right back out (documented semantics): the newest step must
-  // survive and the content index must not leak the transient entry.
-  cache.insert(3, frame_msg(3, {3}));
+  // survive and the byte count must not keep the transient entry.
+  const auto transient = cache.insert(3, frame_msg(3, {3}));
   EXPECT_EQ(cache.occupancy(), 1u);
   EXPECT_EQ(cache.lookup(3), nullptr);
-  ASSERT_NE(cache.lookup(5), nullptr);
-  EXPECT_EQ(cache.content_entries(), 1u);
+  const auto kept = cache.lookup(5);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(transient->frame_index, 3);  // the in-flight fan-out's handle
+  EXPECT_EQ(cache.bytes(), kept->wire_size());
   EXPECT_EQ(cache.oldest_step(), 5);
   EXPECT_EQ(cache.newest_step(), 5);
   const auto tail = cache.entries_after(INT_MIN);
   ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].frame->frame_index, 5);
-}
-
-// --------------------------------------------- in-process frame-ref hub ----
-
-TEST(HubRefs, WantsRefsClientGetsAdvertisementsAndFetchesBodies) {
-  FrameHub hub;
-  auto renderer = hub.connect_renderer();
-  hub::ClientOptions options;
-  options.id = "edge";
-  options.wants_frame_refs = true;
-  auto client = hub.connect_client(options);
-
-  NetMessage frame = frame_msg(0, util::Bytes(128, 0x11));
-  const auto expect_content = net::content_id_of(frame);
-  renderer->send(std::move(frame));
-
-  const auto ref = client->next_for(std::chrono::milliseconds(2000));
-  ASSERT_TRUE(ref);
-  ASSERT_EQ(ref->type, MsgType::kFrameRef);
-  const auto info = net::parse_frame_ref(*ref);
-  EXPECT_EQ(info.content, expect_content);
-  EXPECT_EQ(info.payload_bytes, 128u);
-
-  // Cache miss on the edge: fetch the body through the client port. It
-  // arrives on the same queue, so it can never interleave a frame send.
-  client->request_content(info.content);
-  const auto data = client->next_for(std::chrono::milliseconds(2000));
-  ASSERT_TRUE(data);
-  ASSERT_EQ(data->type, MsgType::kFrameData);
-  EXPECT_EQ(net::content_id_of(*data), expect_content);
-  EXPECT_EQ(data->payload.size(), 128u);
-
-  // Evicted/unknown content counts a fetch miss and sends nothing.
-  const auto misses_before = obs::counter("net.relay.fetch_misses").value();
-  client->request_content(0x1badc0deULL);
-  EXPECT_EQ(client->next_for(std::chrono::milliseconds(100)), nullptr);
-  EXPECT_EQ(obs::counter("net.relay.fetch_misses").value(), misses_before + 1);
-  hub.shutdown();
-}
-
-TEST(HubRefs, ResumeReplaysAdvertisementsNotBodies) {
-  FrameHub hub;
-  auto renderer = hub.connect_renderer();
-  for (int s = 0; s < 4; ++s) renderer->send(frame_msg(s, step_payload(s)));
-  for (int i = 0; i < 2000 && hub.steps_relayed() < 4; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(hub.steps_relayed(), 4u);
-
-  hub::ClientOptions options;
-  options.id = "late-edge";
-  options.wants_frame_refs = true;
-  options.replay_cache = true;
-  options.replay_after_step = 1;
-  auto client = hub.connect_client(options);
-  for (int expect = 2; expect < 4; ++expect) {
-    const auto msg = client->next_for(std::chrono::milliseconds(2000));
-    ASSERT_TRUE(msg) << "resume ref " << expect;
-    EXPECT_EQ(msg->type, MsgType::kFrameRef);
-    EXPECT_EQ(msg->frame_index, expect);
-  }
-  hub.shutdown();
+  EXPECT_EQ(tail[0]->frame_index, 5);
 }
 
 // ------------------------------------------------------- the relay tree ----
@@ -346,55 +156,9 @@ TEST(RelayTree, DeliversEveryFrameBitIdenticalThroughAnEdge) {
       v->ack(s);
     }
   }
-  const auto stats = edge.stats();
-  EXPECT_EQ(stats.refs_seen, static_cast<std::uint64_t>(kSteps));
-  EXPECT_EQ(stats.ref_misses, static_cast<std::uint64_t>(kSteps));
-  EXPECT_EQ(stats.frames_forwarded, static_cast<std::uint64_t>(kSteps));
+  EXPECT_EQ(edge.stats().frames_forwarded, static_cast<std::uint64_t>(kSteps));
   // Viewers hang off the edge; the root serves exactly one display client.
   EXPECT_EQ(root.hub().connected_clients(), 1u);
-  edge.shutdown();
-  root.shutdown();
-}
-
-TEST(RelayTree, IdenticalFramesResolveFromTheEdgeCache) {
-  hub::HubTcpServer root;
-  EdgeHubConfig cfg;
-  cfg.upstream_port = root.port();
-  cfg.edge_id = "edge-dedup";
-  EdgeHub edge(cfg);
-
-  hub::HubTcpViewer::Options vo;
-  vo.queue_frames = 16;
-  hub::HubTcpViewer viewer(edge.port(), vo);
-  auto renderer = root.hub().connect_renderer();
-
-  constexpr std::size_t kBytes = 32 * 1024;
-  const util::Bytes payload(kBytes, 0x5a);
-
-  // Step 0 crosses in full (miss + fetch). Receiving it downstream proves
-  // the edge cached it — the cache insert happens before fan-out.
-  renderer->send(frame_msg(0, payload));
-  auto got = viewer.next();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->frame_index, 0);
-
-  // Steps 1..5 advertise the same content: refs only, no payload bytes.
-  constexpr int kDupes = 5;
-  for (int s = 1; s <= kDupes; ++s) renderer->send(frame_msg(s, payload));
-  for (int s = 1; s <= kDupes; ++s) {
-    got = viewer.next();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->frame_index, s);
-    ASSERT_EQ(got->payload.size(), kBytes);
-    EXPECT_EQ(got->payload[0], 0x5a);
-  }
-
-  const auto stats = edge.stats();
-  EXPECT_EQ(stats.ref_misses, 1u);
-  EXPECT_EQ(stats.ref_hits, static_cast<std::uint64_t>(kDupes));
-  EXPECT_EQ(stats.fetch_bytes_saved, static_cast<std::uint64_t>(kDupes) * kBytes);
-  // Root egress carried one payload plus six small refs — never six bodies.
-  EXPECT_LT(stats.upstream_bytes, 2 * kBytes);
   edge.shutdown();
   root.shutdown();
 }
@@ -423,8 +187,9 @@ TEST(RelayTree, EdgesChainIntoDeeperTrees) {
     EXPECT_EQ(got->payload, step_payload(s));
     viewer.ack(s);
   }
-  // Both tiers spoke the ref protocol; the deep edge fetched through tier 1.
-  EXPECT_EQ(e2.stats().refs_seen, static_cast<std::uint64_t>(kSteps));
+  // Each step crossed each hop once.
+  EXPECT_EQ(e1.stats().frames_forwarded, static_cast<std::uint64_t>(kSteps));
+  EXPECT_EQ(e2.stats().frames_forwarded, static_cast<std::uint64_t>(kSteps));
   e2.shutdown();
   e1.shutdown();
   root.shutdown();
@@ -456,6 +221,77 @@ TEST(RelayTree, RendererErrorDoesNotEndAnEdgeStream) {
     EXPECT_EQ(got->frame_index, s);
     EXPECT_EQ(got->payload, step_payload(s));
   }
+  edge.shutdown();
+  root.shutdown();
+}
+
+TEST(RelayTree, ForwardsAStepThatArrivesAfterANewerOne) {
+  // Group leaders finish on their own schedules, so frames can reach the
+  // root out of step order. An edge must forward a late step it has not
+  // injected, exactly as the root delivers it to a viewer of its own.
+  hub::HubTcpServer root;
+  EdgeHubConfig cfg;
+  cfg.upstream_port = root.port();
+  cfg.edge_id = "edge-order";
+  EdgeHub edge(cfg);
+  hub::HubTcpViewer::Options vo;
+  vo.retry.io_timeout_ms = 3000.0;  // a dropped step fails, not hangs
+  hub::HubTcpViewer behind_edge(edge.port(), vo);
+  hub::HubTcpViewer on_root(root.port(), vo);
+
+  auto renderer = root.hub().connect_renderer();
+  const auto receive = [](hub::HubTcpViewer& viewer, int step) {
+    std::optional<NetMessage> got;
+    ASSERT_NO_THROW(got = viewer.next()) << "step " << step << " never arrived";
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->frame_index, step);
+    EXPECT_EQ(got->payload, step_payload(step));
+    viewer.ack(step);
+  };
+  for (const int s : {0, 2}) renderer->send(frame_msg(s, step_payload(s)));
+  for (auto* v : {&behind_edge, &on_root})
+    for (const int s : {0, 2}) receive(*v, s);
+  renderer->send(frame_msg(1, step_payload(1)));
+  for (auto* v : {&behind_edge, &on_root}) receive(*v, 1);
+  EXPECT_EQ(edge.stats().frames_forwarded, 3u);
+  edge.shutdown();
+  root.shutdown();
+}
+
+TEST(RelayTree, EdgeIsLosslessBehindATightRootQueue) {
+  // The root keeps one frame per display client, and a burst overruns any
+  // client that reads slower than the renderer sends. The edge's hello asks
+  // for a bound no stream reaches, so its queue at the root never drops a
+  // step and the burst reaches the viewer behind the edge whole.
+  HubConfig root_cfg;
+  root_cfg.client_queue_frames = 1;
+  hub::HubTcpServer root(0, root_cfg);
+  EdgeHubConfig cfg;
+  cfg.upstream_port = root.port();
+  cfg.edge_id = "edge-burst";
+  EdgeHub edge(cfg);
+
+  constexpr int kSteps = 32;
+  constexpr std::size_t kBytes = 64 * 1024;
+  hub::HubTcpViewer::Options vo;
+  vo.queue_frames = 2 * kSteps;
+  vo.retry.io_timeout_ms = 10000.0;  // a dropped step fails, not hangs
+  hub::HubTcpViewer viewer(edge.port(), vo);
+
+  auto renderer = root.hub().connect_renderer();
+  for (int s = 0; s < kSteps; ++s)
+    renderer->send(frame_msg(s, step_payload(s, kBytes)));
+  for (int s = 0; s < kSteps; ++s) {
+    std::optional<NetMessage> got;
+    ASSERT_NO_THROW(got = viewer.next()) << "step " << s << " never arrived";
+    ASSERT_TRUE(got.has_value());
+    ASSERT_EQ(got->frame_index, s) << "the root dropped steps for the edge";
+    EXPECT_TRUE(got->payload == step_payload(s, kBytes)) << "step " << s;
+  }
+  const auto stats = root.hub().client_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].id, "edge-burst");
+  EXPECT_EQ(stats[0].steps_skipped, 0u);
   edge.shutdown();
   root.shutdown();
 }
@@ -586,14 +422,21 @@ TEST(RelayChaos, EdgeDeathAndRestartResumesViewersExactlyOnce) {
 TEST(RelayChaos, UpstreamPartitionRecoversThroughBackoffReconnect) {
   // Every connection dies after a byte budget — the upstream link included
   // — so the run can only complete through the edge's retry/backoff
-  // reconnects and resume-as-refs replays. The viewer still collects every
-  // step bit-intact.
+  // reconnects and resume replays. The viewer still collects every step
+  // bit-intact.
   const std::uint64_t seed = chaos_seed();
   fault::FaultPlan plan;
   plan.seed = seed;
-  // Low enough that the upstream link (handshake + 10 refs + 10 bodies,
-  // ~1.6 KB) is guaranteed to die at least once per incarnation.
-  plan.drop_after_bytes(1000);
+  // The budget counts the bytes one side of a connection sends. The root
+  // sends the edge a 25-byte kHelloAck (4-byte length prefix, 5 bytes of
+  // type and step, the 14-byte edge id and its 1-byte length, a 1-byte
+  // empty payload length), then each step as one 78-byte kFrame (prefix 4,
+  // type and step 5, "raw" and its length 4, payload length 1, payload 64):
+  // 25 + 10 * 78 = 805 bytes for the whole stream. 600 cuts the first upstream
+  // connection inside its 8th frame (25 + 7 * 78 = 571), so the upstream
+  // link dies at least once, and every connection still carries 7 whole
+  // frames, more than a resume replays once the viewer's acks catch up.
+  plan.drop_after_bytes(600);
   fault::ScopedFaultPlan scoped(plan);
 
   hub::HubTcpServer root;

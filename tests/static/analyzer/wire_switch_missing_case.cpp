@@ -11,7 +11,6 @@ namespace fixture {
 bool is_frame_bearing(tvviz::net::MsgType type) {
   switch (type) {  // flagged: kControl, kShutdown, ... unhandled, no default
     case tvviz::net::MsgType::kFrame:
-    case tvviz::net::MsgType::kFrameData:
       return true;
     case tvviz::net::MsgType::kHello:
       return false;

@@ -19,9 +19,6 @@ const char* name_of(tvviz::net::MsgType type) {
     case MsgType::kHelloAck: return "hello_ack";
     case MsgType::kAck: return "ack";
     case MsgType::kError: return "error";
-    case MsgType::kFrameRef: return "frame_ref";
-    case MsgType::kFrameFetch: return "frame_fetch";
-    case MsgType::kFrameData: return "frame_data";
   }
   return "?";
 }

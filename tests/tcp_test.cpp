@@ -276,7 +276,7 @@ TEST(Tcp, UnknownRoleGetsDescriptiveError) {
 }
 
 TEST(Tcp, HelloFuzzDoesNotKillServer) {
-  // Throw random framed bytes and random hello capability payloads at the
+  // Throw random framed bytes and random hello payloads at the
   // handshake: every one must be refused or dropped connection-locally,
   // and a well-behaved pair must still be served afterwards.
   HubTcpServer server;
@@ -291,7 +291,7 @@ TEST(Tcp, HelloFuzzDoesNotKillServer) {
     if (len) ::send(bad->fd(), body.data(), len, MSG_NOSIGNAL);
   }
   for (int i = 0; i < 20; ++i) {
-    // Structurally valid kHello frames with garbage capability payloads:
+    // Structurally valid kHello frames with garbage payloads:
     // exercise HelloInfo::deserialize's truncation/value handling.
     auto bad = net::TcpConnection::connect_local(server.port());
     NetMessage msg;

@@ -345,9 +345,8 @@ class LoopCallbackCheck : public MatchFinder::MatchCallback {
     const auto thrower = stmt(anyOf(
         cxxThrowExpr(),
         callExpr(callee(functionDecl(hasAnyName(
-            "send_message", "recv_message", "parse_hello", "parse_frame_ref",
-            "parse_frame_fetch", "deserialize_message",
-            "deserialize_frame"))))));
+            "send_message", "recv_message", "parse_hello",
+            "deserialize_message", "deserialize_frame"))))));
     for (const auto& bound :
          match(stmt(forEachDescendant(thrower.bind("t"))), *body, ctx)) {
       const auto* node = bound.getNodeAs<Stmt>("t");

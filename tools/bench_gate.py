@@ -28,11 +28,12 @@ Supported metrics:
   root_egress_ratio           ablation_relay_tree vs BENCH_relay_tree.json:
                               root egress bytes with the relay tree at the
                               large viewer count divided by the same bytes
-                              at the small count.  ~1.0 while the edges
-                              dedup correctly (root pays per edge, not per
-                              viewer); a relay regression that re-ships
-                              payloads per viewer drags it toward the
-                              direct-attach ratio (viewers_large/small).
+                              at the small count.  ~1.0 while each frame
+                              crosses the root link once per edge (root
+                              pays per edge, not per viewer); a relay
+                              regression that re-ships frames per viewer
+                              drags it toward the direct-attach ratio
+                              (viewers_large/small).
 
   jpeg_encode_speedup         ablation_codec_simd vs BENCH_codec_simd.json:
                               MB/s of the tiled SIMD JPEG engine divided by

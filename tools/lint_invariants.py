@@ -33,9 +33,9 @@ Six checks, each a build-breaking invariant of this repository:
                      allowed.
 
 4. fnv-constants     The FNV-1a magic numbers may appear in ``src/`` only
-                     inside ``util/hash.hpp``.  A ContentId computed by one
-                     build must match the one another build recomputes from
-                     the same bytes, so every payload hash goes through
+                     inside ``util/hash.hpp``.  A hash computed by one
+                     build must match the one another build computes from
+                     the same bytes, so every byte hash goes through
                      ``util::fnv1a`` — a stray re-implementation forks the
                      hash the moment someone "fixes" one copy.
 
@@ -330,7 +330,7 @@ def check_fnv_constants(repo: pathlib.Path, out: Violations) -> None:
                 out.report(
                     f"{path.relative_to(repo)}:{lineno}",
                     f"raw FNV constant `{match.group(0)}` — hash through "
-                    "util::fnv1a (util/hash.hpp) so ContentIds and replay "
+                    "util::fnv1a (util/hash.hpp) so hashes and replay "
                     "streams stay identical across every build",
                 )
 

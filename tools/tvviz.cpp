@@ -264,12 +264,7 @@ int cmd_relay(const util::Flags& flags) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   const auto s = edge.stats();
-  std::printf("refs %llu (hits %llu, misses %llu) | saved %.1f kB | "
-              "forwarded %llu | upstream %.1f kB, %llu reconnects\n",
-              static_cast<unsigned long long>(s.refs_seen),
-              static_cast<unsigned long long>(s.ref_hits),
-              static_cast<unsigned long long>(s.ref_misses),
-              static_cast<double>(s.fetch_bytes_saved) / 1024.0,
+  std::printf("forwarded %llu | upstream %.1f kB, %llu reconnects\n",
               static_cast<unsigned long long>(s.frames_forwarded),
               static_cast<double>(s.upstream_bytes) / 1024.0,
               static_cast<unsigned long long>(s.upstream_reconnects));

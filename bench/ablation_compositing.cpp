@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int size = static_cast<int>(flags.get_int("size", 128));
   const int repeats = static_cast<int>(flags.get_int("repeats", 3));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — binary-swap vs direct-send compositing (vmp runtime)",

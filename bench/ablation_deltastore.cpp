@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int steps = static_cast<int>(flags.get_int("steps", 16));
   const int scale = static_cast<int>(flags.get_int("scale", 2));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — differential time-step storage (§2.1)",

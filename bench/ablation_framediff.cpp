@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int steps = static_cast<int>(flags.get_int("steps", 10));
   const int image = static_cast<int>(flags.get_int("image", 256));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — frame differencing vs per-frame compression (§7.1)",

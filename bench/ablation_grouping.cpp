@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const int size = static_cast<int>(flags.get_int("size", 512));
   const int nodes = static_cast<int>(flags.get_int("nodes", 64));
   const int repeats = static_cast<int>(flags.get_int("repeats", 5));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — hybrid sub-image grouping before compression (§6)",

@@ -187,6 +187,7 @@ int main(int argc, char** argv) {
   const auto frame_bytes =
       static_cast<std::size_t>(flags.get_int("bytes", 16384));
   const std::string transport_name = flags.get("transport", "inproc");
+  bench::reject_unused(flags);
   Transport transport;
   if (transport_name == "inproc") {
     transport = Transport::kInproc;

@@ -90,6 +90,7 @@ void print_row(int nodes, const char* policy, const PolicyRun& run) {
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int size = static_cast<int>(flags.get_int("size", 256));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — slabs balanced on counted cost",

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int steps = static_cast<int>(flags.get_int("steps", 10));
   const int image = static_cast<int>(flags.get_int("image", 256));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — MPEG-style coding vs the paper's choices (§4.2)",

@@ -14,6 +14,7 @@ using namespace tvviz;
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int p = static_cast<int>(flags.get_int("processors", 32));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — §7.1 parallel I/O: striping time steps across K servers",

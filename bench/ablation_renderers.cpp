@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(flags.get_int("steps", 6));
   const int image = static_cast<int>(flags.get_int("image", 192));
   const int scale = static_cast<int>(flags.get_int("scale", 2));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Ablation — ray casting vs shear-warp on a time-varying sequence",

@@ -5,14 +5,13 @@
 //
 //   seed: one flat serialize_message buffer per delivery (payload copied
 //         in) and a deserialize_message receive (payload copied back out)
-//         — the pre-pool path, two payload-sized copies per delivery;
+//         — the copying path, two payload-sized copies per delivery;
 //   zero: serialize_header + a payload view handed to scatter-gather send
-//         (no user-space payload copy), receive into a pooled buffer
-//         parsed by deserialize_frame (payload aliases the buffer).
+//         (no user-space payload copy), receive into a plain vector that
+//         deserialize_frame adopts (payload aliases the buffer).
 //
-// Metrics per run: payload bytes copied (util.shared_bytes counters),
-// buffer-pool hits/misses (allocations per frame at steady state), and the
-// per-client inter-frame delay. The claims under test: at 8 clients the
+// Metrics per run: payload bytes copied (util.shared_bytes counters) and
+// the per-client inter-frame delay. The claims under test: at 8 clients the
 // zero path copies at least 2x fewer payload bytes than the seed path, and
 // at 1 client its inter-frame delay is no worse.
 //
@@ -49,18 +48,18 @@ void wire_seed(const net::NetMessage& msg) {
 }
 
 /// Zero-copy wire emulation: header bytes + payload view on the send side,
-/// pooled buffer + deserialize_frame view on the receive side. The memcpy
-/// into `body` stands in for the socket transfer itself, which both
-/// generations pay identically.
-void wire_zero(const net::NetMessage& msg, util::BufferPool& pool) {
+/// an adopted receive vector + deserialize_frame view on the receive side.
+/// The memcpy into `body` stands in for the socket transfer itself, which
+/// both generations pay identically.
+void wire_zero(const net::NetMessage& msg) {
   const util::Bytes header = net::serialize_header(msg);
-  util::Bytes body = pool.acquire(header.size() + msg.payload.size());
+  util::Bytes body(header.size() + msg.payload.size());
   std::memcpy(body.data(), header.data(), header.size());
   if (!msg.payload.empty())
     std::memcpy(body.data() + header.size(), msg.payload.data(),
                 msg.payload.size());
-  const net::NetMessage back = net::deserialize_frame(
-      util::SharedBytes::adopt_pooled(std::move(body), pool));
+  const net::NetMessage back =
+      net::deserialize_frame(util::SharedBytes(std::move(body)));
   if (back.payload.size() != msg.payload.size()) std::abort();
 }
 
@@ -71,8 +70,6 @@ struct Run {
   double inter_frame_ms = 0.0;  ///< Mean per-client inter-frame delay.
   std::uint64_t bytes_copied = 0;
   std::uint64_t copies = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
 };
 
 Run run_path(const std::string& path, int clients, int steps, double period_s,
@@ -94,14 +91,13 @@ Run run_path(const std::string& path, int clients, int steps, double period_s,
   for (int k = 0; k < clients; ++k) {
     auto port = hub.connect_client();
     threads.emplace_back([port, zero, &run, &mutex, &delay_sum, &delay_count] {
-      util::BufferPool pool;  // per-client, like a per-connection receiver
       util::WallTimer clock;
       double first = -1.0, last = -1.0;
       int frames = 0;
       while (auto msg = port->next()) {
         if (msg->type == net::MsgType::kShutdown) break;
         if (zero)
-          wire_zero(*msg, pool);
+          wire_zero(*msg);
         else
           wire_seed(*msg);
         last = clock.seconds();
@@ -137,8 +133,6 @@ Run run_path(const std::string& path, int clients, int steps, double period_s,
   if (delay_count > 0) run.inter_frame_ms = delay_sum / delay_count * 1e3;
   run.bytes_copied = obs::counter("util.shared_bytes.copy_bytes").value();
   run.copies = obs::counter("util.shared_bytes.copies").value();
-  run.pool_hits = obs::counter("util.pool.hits").value();
-  run.pool_misses = obs::counter("util.pool.misses").value();
   return run;
 }
 
@@ -155,7 +149,7 @@ int main(int argc, char** argv) {
   bench::reject_unused(flags);
 
   bench::print_header("Ablation: zero-copy frame path",
-                      "seed (copying) vs pooled scatter-gather wire path");
+                      "seed (copying) vs scatter-gather wire path");
   std::printf("steps=%d  payload=%zu bytes  period=%.1f ms\n\n", steps,
               frame_bytes, period_s * 1e3);
 
@@ -164,16 +158,13 @@ int main(int argc, char** argv) {
     for (const char* path : {"seed", "zero"})
       runs.push_back(run_path(path, n, steps, period_s, frame_bytes));
 
-  std::printf("%-6s %8s %8s %14s %8s %12s %8s %8s\n", "path", "clients",
-              "frames", "bytes-copied", "copies", "inter-frame", "hits",
-              "misses");
+  std::printf("%-6s %8s %8s %14s %8s %12s\n", "path", "clients", "frames",
+              "bytes-copied", "copies", "inter-frame");
   for (const auto& r : runs)
-    std::printf("%-6s %8d %8d %14llu %8llu %9.2f ms %8llu %8llu\n",
-                r.path.c_str(), r.clients, r.frames,
+    std::printf("%-6s %8d %8d %14llu %8llu %9.2f ms\n", r.path.c_str(),
+                r.clients, r.frames,
                 static_cast<unsigned long long>(r.bytes_copied),
-                static_cast<unsigned long long>(r.copies), r.inter_frame_ms,
-                static_cast<unsigned long long>(r.pool_hits),
-                static_cast<unsigned long long>(r.pool_misses));
+                static_cast<unsigned long long>(r.copies), r.inter_frame_ms);
 
   const auto find = [&](const std::string& path, int clients) -> const Run& {
     for (const auto& r : runs)
@@ -215,13 +206,10 @@ int main(int argc, char** argv) {
           f,
           "    {\"path\": \"%s\", \"clients\": %d, \"frames\": %d,"
           " \"bytes_copied\": %llu, \"copies\": %llu,"
-          " \"inter_frame_ms\": %.4f, \"pool_hits\": %llu,"
-          " \"pool_misses\": %llu}%s\n",
+          " \"inter_frame_ms\": %.4f}%s\n",
           r.path.c_str(), r.clients, r.frames,
           static_cast<unsigned long long>(r.bytes_copied),
           static_cast<unsigned long long>(r.copies), r.inter_frame_ms,
-          static_cast<unsigned long long>(r.pool_hits),
-          static_cast<unsigned long long>(r.pool_misses),
           i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f,

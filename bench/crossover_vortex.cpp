@@ -25,6 +25,7 @@ using namespace tvviz;
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int size = static_cast<int>(flags.get_int("size", 512));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "§6 crossover — turbulent vortex: transport overtakes rendering",

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int steps = static_cast<int>(flags.get_int("steps", 128));
   const int image = static_cast<int>(flags.get_int("image", 256));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Figure 6 — overall execution time vs #partitions (RWCP cluster)",

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int p = static_cast<int>(flags.get_int("processors", 32));
   bench::init_observability(flags);
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Figure 7 — metrics vs #partitions, P = " + std::to_string(p) +

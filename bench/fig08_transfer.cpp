@@ -18,6 +18,7 @@ using namespace tvviz;
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int max_size = static_cast<int>(flags.get_int("max-size", 1024));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Figure 8 — per-frame send time, NASA Ames -> UC Davis",

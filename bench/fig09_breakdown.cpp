@@ -34,15 +34,16 @@ void run_chart(core::PipelineConfig cfg, const char* title) {
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  bench::init_observability(flags);
-  bench::print_header(
-      "Figure 9 — render vs display time per frame (16 procs, O2K)",
-      "turbulent jet; top: remote X; bottom: compression-based daemon");
-
   core::PipelineConfig cfg;
   cfg.processors = static_cast<int>(flags.get_int("processors", 16));
   // All 16 processors render each volume, matching the figure's setting.
   cfg.groups = static_cast<int>(flags.get_int("groups", 1));
+  bench::init_observability(flags);
+  bench::reject_unused(flags);
+  bench::print_header(
+      "Figure 9 — render vs display time per frame (16 procs, O2K)",
+      "turbulent jet; top: remote X; bottom: compression-based daemon");
+
   cfg.dataset = field::turbulent_jet_desc();
   cfg.steps_limit = 24;
   cfg.costs = core::StageCosts::o2k_paper();

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int size = static_cast<int>(flags.get_int("size", 512));
   const int repeats = static_cast<int>(flags.get_int("repeats", 5));
+  bench::reject_unused(flags);
 
   bench::print_header(
       "Figure 10 — decompression time vs number of sub-image pieces",

@@ -16,13 +16,14 @@ using namespace tvviz;
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
+  core::PipelineConfig cfg;
+  cfg.processors = static_cast<int>(flags.get_int("processors", 64));
+  cfg.groups = static_cast<int>(flags.get_int("groups", 4));
+  bench::reject_unused(flags);
   bench::print_header(
       "Figure 11 — overall time per frame, RWCP (Japan) -> UC Davis",
       "64 processors, remote X vs compression-based display daemon");
 
-  core::PipelineConfig cfg;
-  cfg.processors = static_cast<int>(flags.get_int("processors", 64));
-  cfg.groups = static_cast<int>(flags.get_int("groups", 4));
   cfg.dataset = field::turbulent_jet_desc();
   cfg.steps_limit = 24;
   cfg.costs = core::StageCosts::rwcp_paper();

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int max_size = static_cast<int>(flags.get_int("max-size", 1024));
   const int quality = static_cast<int>(flags.get_int("quality", 75));
+  bench::reject_unused(flags);
 
   bench::print_header("Table 1 — compressed image sizes in bytes",
                       "turbulent jet frames, measured with our codecs "

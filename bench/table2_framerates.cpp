@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int max_size = static_cast<int>(flags.get_int("max-size", 1024));
   bench::init_observability(flags);
+  bench::reject_unused(flags);
 
   bench::print_header("Table 2 — actual frame rates NASA Ames -> UC Davis "
                       "(frames/second)",

@@ -58,21 +58,6 @@ class InstrumentedImageCodec final : public ImageCodec {
     return out;
   }
 
-  util::SharedBytes encode_shared(const render::Image& image,
-                                  util::BufferPool& pool) const override {
-    const auto t0 = std::chrono::steady_clock::now();
-    util::SharedBytes out = inner_->encode_shared(image, pool);
-    const auto t1 = std::chrono::steady_clock::now();
-    encode_calls_->add(1);
-    encode_us_->add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count()));
-    bytes_in_->add(static_cast<std::uint64_t>(image.width()) *
-                   static_cast<std::uint64_t>(image.height()) * 3);
-    bytes_out_->add(out.size());
-    return out;
-  }
-
  private:
   std::shared_ptr<const ImageCodec> inner_;
   obs::Counter* encode_calls_;
@@ -82,8 +67,12 @@ class InstrumentedImageCodec final : public ImageCodec {
   obs::Counter* decode_calls_;
   obs::Counter* decode_us_;
 };
-/// Fill `w` with the RGB payload framing shared by Raw and ByteImageCodec.
-void write_rgb(util::ByteWriter& w, const render::Image& image) {
+
+/// The RGB payload framing shared by Raw and ByteImageCodec, written into
+/// an exactly reserved buffer.
+util::Bytes pack_rgb(const render::Image& image) {
+  util::ByteWriter w(
+      static_cast<std::size_t>(image.width()) * image.height() * 3 + 8);
   w.u32(static_cast<std::uint32_t>(image.width()));
   w.u32(static_cast<std::uint32_t>(image.height()));
   for (int y = 0; y < image.height(); ++y)
@@ -93,12 +82,6 @@ void write_rgb(util::ByteWriter& w, const render::Image& image) {
       w.u8(p[1]);
       w.u8(p[2]);
     }
-}
-
-util::Bytes pack_rgb(const render::Image& image) {
-  util::ByteWriter w(
-      static_cast<std::size_t>(image.width()) * image.height() * 3 + 8);
-  write_rgb(w, image);
   return w.take();
 }
 
@@ -118,25 +101,8 @@ render::Image unpack_rgb(std::span<const std::uint8_t> data) {
 }
 }  // namespace
 
-util::SharedBytes ImageCodec::encode_shared(const render::Image& image,
-                                            util::BufferPool& /*pool*/) const {
-  // Adopt the codec's own output vector: one allocation, zero copies.
-  return util::SharedBytes(encode(image));
-}
-
 util::Bytes RawImageCodec::encode(const render::Image& image) const {
   return pack_rgb(image);
-}
-
-util::SharedBytes RawImageCodec::encode_shared(const render::Image& image,
-                                               util::BufferPool& pool) const {
-  // Raw RGB has a known exact size, so the frame can be built directly in a
-  // pool-drawn buffer and recycled when the last consumer drops it.
-  const std::size_t exact =
-      8 + static_cast<std::size_t>(image.width()) * image.height() * 3;
-  util::ByteWriter w(pool.acquire(exact));
-  write_rgb(w, image);
-  return util::SharedBytes::adopt_pooled(w.take(), pool);
 }
 
 render::Image RawImageCodec::decode(std::span<const std::uint8_t> data) const {

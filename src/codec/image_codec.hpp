@@ -9,7 +9,6 @@
 
 #include "codec/byte_codec.hpp"
 #include "render/image.hpp"
-#include "util/shared_bytes.hpp"
 
 namespace tvviz::codec {
 
@@ -20,16 +19,10 @@ class ImageCodec {
   virtual std::string name() const = 0;
   virtual bool lossless() const = 0;
 
+  /// The encoded frame. The frame path adopts the vector as the message
+  /// payload (util::SharedBytes), so it is never copied.
   virtual util::Bytes encode(const render::Image& image) const = 0;
   virtual render::Image decode(std::span<const std::uint8_t> data) const = 0;
-
-  /// Encode straight into an immutable shared buffer — the frame path's
-  /// entry point. The base implementation adopts encode()'s vector (no
-  /// extra copy); codecs that know their exact output size up front
-  /// (e.g. raw RGB) override it to fill a pool-drawn buffer so
-  /// steady-state streaming allocates nothing.
-  virtual util::SharedBytes encode_shared(const render::Image& image,
-                                          util::BufferPool& pool) const;
 };
 
 /// Uncompressed RGB frames — the X-Window baseline's payload.
@@ -39,8 +32,6 @@ class RawImageCodec final : public ImageCodec {
   bool lossless() const override { return true; }
   util::Bytes encode(const render::Image& image) const override;
   render::Image decode(std::span<const std::uint8_t> data) const override;
-  util::SharedBytes encode_shared(const render::Image& image,
-                                  util::BufferPool& pool) const override;
 };
 
 /// Run a lossless byte codec (LZO, BZIP, RLE) over the raw RGB payload.

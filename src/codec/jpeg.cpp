@@ -535,8 +535,7 @@ void emit_strip(StripJob& job, const HuffmanCode& dc, const HuffmanCode& ac) {
 util::Bytes assemble_container(int w, int h, int quality, bool subsample,
                                const QuantTables& tables,
                                const HuffmanCode& dc, const HuffmanCode& ac,
-                               const std::vector<StripJob>& strips,
-                               util::BufferPool* pool) {
+                               const std::vector<StripJob>& strips) {
   util::ByteWriter head(640);
   head.u32(kMagic);
   head.u32(static_cast<std::uint32_t>(w));
@@ -550,18 +549,12 @@ util::Bytes assemble_container(int w, int h, int quality, bool subsample,
   head.u32(static_cast<std::uint32_t>(strips.size()));
   const util::Bytes head_bytes = head.take();
 
-  // Sizes are exact, so the output (pooled or not) is written once with no
-  // reallocation.
+  // Sizes are exact, so the output is written once with no reallocation.
   std::size_t total = head_bytes.size();
   for (const StripJob& j : strips)
     total += 8 + util::varint_size(j.payload.size()) + j.payload.size();
 
-  util::Bytes backing;
-  if (pool)
-    backing = pool->acquire(total);
-  else
-    backing.reserve(total);
-  util::ByteWriter out(std::move(backing));
+  util::ByteWriter out(total);
   out.raw(head_bytes);
   for (const StripJob& j : strips) {
     out.u32(static_cast<std::uint32_t>(j.y0));
@@ -642,8 +635,7 @@ JpegCodec::JpegCodec(int quality, bool subsample_chroma, int strips)
   if (strips < 0) throw std::invalid_argument("JpegCodec: negative strips");
 }
 
-util::Bytes JpegCodec::encode_impl(const render::Image& image,
-                                   util::BufferPool* pool) const {
+util::Bytes JpegCodec::encode(const render::Image& image) const {
   TilePool& tiles = TilePool::global();
   const int want = strips_ > 0 ? strips_ : tiles.workers();
   std::vector<StripJob> jobs = strip_jobs(image.height(), want);
@@ -671,16 +663,7 @@ util::Bytes JpegCodec::encode_impl(const render::Image& image,
 
   return detail::assemble_container(image.width(), image.height(), quality_,
                                     subsample_, *tables_, dc_code, ac_code,
-                                    jobs, pool);
-}
-
-util::Bytes JpegCodec::encode(const render::Image& image) const {
-  return encode_impl(image, nullptr);
-}
-
-util::SharedBytes JpegCodec::encode_shared(const render::Image& image,
-                                           util::BufferPool& pool) const {
-  return util::SharedBytes::adopt_pooled(encode_impl(image, &pool), pool);
+                                    jobs);
 }
 
 namespace {
@@ -757,7 +740,7 @@ util::Bytes JpegCodec::encode_reference(const render::Image& image) const {
   detail::emit_strip(jobs[0], dc_code, ac_code);
   return detail::assemble_container(image.width(), image.height(), quality_,
                                     subsample_, *tables_, dc_code, ac_code,
-                                    jobs, nullptr);
+                                    jobs);
 }
 
 namespace {

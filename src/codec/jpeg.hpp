@@ -43,8 +43,6 @@ class JpegCodec final : public ImageCodec {
   int strips() const noexcept { return strips_; }
 
   util::Bytes encode(const render::Image& image) const override;
-  util::SharedBytes encode_shared(const render::Image& image,
-                                  util::BufferPool& pool) const override;
   render::Image decode(std::span<const std::uint8_t> data) const override;
 
   /// The pre-SIMD encoder: double-precision matrix fDCT and color
@@ -63,9 +61,6 @@ class JpegCodec final : public ImageCodec {
                             int scale) const;
 
  private:
-  util::Bytes encode_impl(const render::Image& image,
-                          util::BufferPool* pool) const;
-
   int quality_;
   bool subsample_;
   int strips_;

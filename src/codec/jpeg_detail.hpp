@@ -12,7 +12,7 @@
 
 #include "codec/huffman.hpp"
 #include "render/image.hpp"
-#include "util/shared_bytes.hpp"
+#include "util/bytes.hpp"
 
 namespace tvviz::codec::detail {
 
@@ -138,11 +138,10 @@ void emit_strip(StripJob& job, const HuffmanCode& dc, const HuffmanCode& ac);
 
 /// The strip-framed container JpegCodec::decode reads: header, tables,
 /// Huffman code lengths, then each strip's (y0, h, payload) in the given
-/// order, which must be row order. `pool` (nullable) supplies the buffer.
+/// order, which must be row order.
 util::Bytes assemble_container(int w, int h, int quality, bool subsample,
                                const QuantTables& tables,
                                const HuffmanCode& dc, const HuffmanCode& ac,
-                               const std::vector<StripJob>& strips,
-                               util::BufferPool* pool);
+                               const std::vector<StripJob>& strips);
 
 }  // namespace tvviz::codec::detail

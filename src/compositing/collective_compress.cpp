@@ -13,11 +13,11 @@ namespace {
 
 constexpr bool kSubsample = true;
 
-/// `pool` selects where the root's container comes from (nullptr = plain
-/// heap vector). Returns the encoded frame at rank 0, {} elsewhere.
-util::Bytes encode_impl(const vmp::Communicator& comm,
-                        const render::Image& my_strip, int y0, int width,
-                        int height, int quality, util::BufferPool* pool) {
+}  // namespace
+
+util::Bytes collective_jpeg_encode(const vmp::Communicator& comm,
+                                   const render::Image& my_strip, int y0,
+                                   int width, int height, int quality) {
   namespace jd = codec::detail;
   const jd::QuantTables& tables = jd::quant_tables_for(quality);
   if (my_strip.height() > 0 && my_strip.width() != width)
@@ -93,27 +93,7 @@ util::Bytes encode_impl(const vmp::Communicator& comm,
   // A frame with no rows is JpegCodec's one empty strip.
   if (strips.empty()) strips.emplace_back();
   return jd::assemble_container(width, height, quality, kSubsample, tables,
-                                dc_code, ac_code, strips, pool);
-}
-
-}  // namespace
-
-util::Bytes collective_jpeg_encode(const vmp::Communicator& comm,
-                                   const render::Image& my_strip, int y0,
-                                   int width, int height, int quality) {
-  return encode_impl(comm, my_strip, y0, width, height, quality, nullptr);
-}
-
-util::SharedBytes collective_jpeg_encode_shared(const vmp::Communicator& comm,
-                                                const render::Image& my_strip,
-                                                int y0, int width, int height,
-                                                int quality,
-                                                util::BufferPool& pool) {
-  util::Bytes out =
-      encode_impl(comm, my_strip, y0, width, height, quality, &pool);
-  // Non-roots never drew a buffer; only the root's result is pool-backed.
-  if (comm.rank() != 0) return {};
-  return util::SharedBytes::adopt_pooled(std::move(out), pool);
+                                dc_code, ac_code, strips);
 }
 
 }  // namespace tvviz::compositing

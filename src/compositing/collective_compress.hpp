@@ -29,14 +29,4 @@ util::Bytes collective_jpeg_encode(const vmp::Communicator& comm,
                                    const render::Image& my_strip, int y0,
                                    int width, int height, int quality = 75);
 
-/// Same collective encode, but the root assembles the frame in a buffer
-/// drawn from `pool` and returns it as an immutable SharedBytes that every
-/// downstream hop (hub, relay edges, viewers) shares without copying; the
-/// buffer recycles when the last reference drops. Non-roots return {}.
-util::SharedBytes collective_jpeg_encode_shared(const vmp::Communicator& comm,
-                                                const render::Image& my_strip,
-                                                int y0, int width, int height,
-                                                int quality,
-                                                util::BufferPool& pool);
-
 }  // namespace tvviz::compositing

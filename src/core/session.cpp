@@ -477,10 +477,9 @@ SessionResult run_session(const SessionConfig& cfg) {
         // coded in place with Huffman tables fitted to the whole frame; the
         // leader ships an ordinary JpegCodec stream.
         obs::Span compress_span("compress", step, g);
-        util::SharedBytes encoded = compositing::collective_jpeg_encode_shared(
+        util::Bytes encoded = compositing::collective_jpeg_encode(
             group, slice_rows(slice, cfg.image_width), slice.row0,
-            cfg.image_width, cfg.image_height, cfg.jpeg_quality,
-            util::BufferPool::global());
+            cfg.image_width, cfg.image_height, cfg.jpeg_quality);
         compress_span.end();
         if (leader) {
           obs::Span send_span("send", step, g);
@@ -524,8 +523,7 @@ SessionResult run_session(const SessionConfig& cfg) {
           msg.type = net::MsgType::kFrame;
           msg.frame_index = step;
           msg.codec = view.codec;
-          msg.payload =
-              image_codec->encode_shared(frame, util::BufferPool::global());
+          msg.payload = image_codec->encode(frame);
           compress_span.end();
           obs::Span send_span("send", step, g);
           wire_bytes.fetch_add(msg.payload.size());

@@ -36,25 +36,6 @@ class BlockingQueue {
     return true;
   }
 
-  /// Bounded-wait push: give up after `timeout` instead of blocking
-  /// indefinitely. Returns false if the queue is closed or still full when
-  /// the timeout expires. Used by flush paths that must make progress even
-  /// when a consumer has vanished.
-  bool push_for(T item, std::chrono::milliseconds timeout)
-      TVVIZ_EXCLUDES(mutex_) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    util::LockGuard lock(mutex_);
-    while (!closed_ && queue_.size() >= capacity_) {
-      if (not_full_.wait_until(mutex_, deadline) == std::cv_status::timeout &&
-          !closed_ && queue_.size() >= capacity_)
-        return false;
-    }
-    if (closed_) return false;
-    queue_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Block until an item is available. std::nullopt once closed and drained.
   std::optional<T> pop() TVVIZ_EXCLUDES(mutex_) {
     util::LockGuard lock(mutex_);

@@ -166,19 +166,19 @@ void TcpConnection::write_all(const std::uint8_t* data, std::size_t len,
   }
 }
 
-std::size_t TcpConnection::read_exact(std::uint8_t* data, std::size_t len,
-                                      double deadline_ms) {
-  // Loop over short reads until `len` bytes arrived or the stream ended.
-  // An orderly close (recv() == 0) or a peer reset reports how many bytes
-  // made it — the caller decides whether a partial read is a clean EOF
-  // (zero bytes, frame boundary) or a WireError (mid-frame). Other errors
-  // are real failures and throw instead of masquerading as a shutdown.
-  // A deadline that expires with bytes already consumed into the (discarded)
-  // destination buffer leaves the stream pointing mid-frame; retrying the
-  // receive would misparse from there. Only a zero-progress timeout is
-  // surfaced as the retryable TimeoutError.
-  std::size_t got = 0;
-  while (got < len) {
+bool TcpConnection::read_until(std::uint8_t* data, std::size_t& got,
+                               std::size_t until, std::size_t len,
+                               double deadline_ms) {
+  // Loop over short reads until `until` bytes arrived or the stream ended.
+  // An orderly close (recv() == 0) or a peer reset returns false with `got`
+  // telling how many bytes made it — the caller decides whether a partial
+  // read is a clean EOF (zero bytes, frame boundary) or a WireError
+  // (mid-frame). Other errors are real failures and throw instead of
+  // masquerading as a shutdown. A deadline that expires with bytes already
+  // consumed into the (discarded) destination buffer leaves the stream
+  // pointing mid-frame; retrying the receive would misparse from there.
+  // Only a zero-progress timeout is surfaced as the retryable TimeoutError.
+  while (got < until) {
     try {
       wait_ready(POLLIN, deadline_ms);
     } catch (const TimeoutError&) {
@@ -189,16 +189,16 @@ std::size_t TcpConnection::read_exact(std::uint8_t* data, std::size_t len,
                       " of " + std::to_string(len) +
                       " bytes were consumed; stream desynchronized");
     }
-    const ssize_t n = ::recv(fd_, data + got, len - got, 0);
-    if (n == 0) return got;  // orderly close
+    const ssize_t n = ::recv(fd_, data + got, until - got, 0);
+    if (n == 0) return false;  // orderly close
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      if (errno == ECONNRESET) return got;  // peer vanished mid-stream
+      if (errno == ECONNRESET) return false;  // peer vanished mid-stream
       throw_errno("recv");
     }
     got += static_cast<std::size_t>(n);
   }
-  return got;
+  return true;
 }
 
 void TcpConnection::writev_all(iovec* iov, int iov_count, double deadline_ms) {
@@ -326,7 +326,8 @@ std::optional<NetMessage> TcpConnection::recv_message() {
   }
   const double deadline = op_deadline_ms();
   std::uint8_t header[4];
-  const std::size_t prefix_got = read_exact(header, 4, deadline);
+  std::size_t prefix_got = 0;
+  read_until(header, prefix_got, 4, 4, deadline);
   if (prefix_got == 0) return std::nullopt;  // clean EOF at a frame boundary
   if (prefix_got < 4) {
     // Regression guard: a peer dying inside the 4-byte length prefix used
@@ -342,32 +343,35 @@ std::optional<NetMessage> TcpConnection::recv_message() {
                             (static_cast<std::uint32_t>(header[2]) << 16) |
                             (static_cast<std::uint32_t>(header[3]) << 24);
   if (len > (1u << 30)) throw WireError("tcp: absurd frame length");
-  // The body lands in a pooled buffer that becomes the message payload's
-  // backing storage (deserialize_frame takes a view) — one read, no copy,
-  // and the buffer returns to the pool when the last payload reference drops.
-  auto& pool = util::BufferPool::global();
-  util::Bytes body = pool.acquire(len);
+  // The body becomes the message payload's backing storage
+  // (deserialize_frame takes a view): one read, no copy. The buffer grows
+  // as bytes arrive, at most max(kBodyChunk, bytes so far) ahead of them,
+  // so a length the peer claims costs memory only once it sends the bytes;
+  // a body of kBodyChunk or less is one allocation.
+  constexpr std::size_t kBodyChunk = std::size_t{1} << 20;
+  util::Bytes body;
   std::size_t body_got = 0;
   try {
-    body_got = read_exact(body.data(), body.size(), deadline);
+    while (body_got < len) {
+      body.resize(body_got + std::min<std::size_t>(
+                                 len - body_got,
+                                 std::max(kBodyChunk, body_got)));
+      if (!read_until(body.data(), body_got, body.size(), len, deadline))
+        break;
+    }
   } catch (const TimeoutError&) {
     // Even a zero-progress body timeout is past the point of no return: the
     // 4-byte prefix is consumed, so a retried recv_message would parse body
     // bytes as a fresh prefix. Same desync as a mid-read timeout.
     static obs::Counter& desync = obs::counter("net.wire.desync_timeouts");
     desync.add(1);
-    pool.release(std::move(body));
     throw WireError(
         "tcp: I/O deadline expired between length prefix and frame body; "
         "stream desynchronized");
-  } catch (...) {
-    pool.release(std::move(body));
-    throw;
   }
-  if (body_got < body.size()) {
+  if (body_got < len) {
     static obs::Counter& partial = obs::counter("net.wire.partial_frame");
     partial.add(1);
-    pool.release(std::move(body));
     throw WireError("tcp: peer closed mid-frame (got " +
                     std::to_string(body_got) + " of " + std::to_string(len) +
                     " body bytes)");
@@ -376,7 +380,7 @@ std::optional<NetMessage> TcpConnection::recv_message() {
   static obs::Counter& bytes = obs::counter("net.tcp.bytes_received");
   msgs.add(1);
   bytes.add(body.size() + 4);
-  return deserialize_frame(util::SharedBytes::adopt_pooled(std::move(body), pool));
+  return deserialize_frame(util::SharedBytes(std::move(body)));
 }
 
 void TcpConnection::shutdown() {

@@ -87,10 +87,13 @@ class TcpConnection {
   void wait_ready(short events, double deadline_ms);
   void write_all(const std::uint8_t* data, std::size_t len, double deadline_ms);
   void writev_all(iovec* iov, int iov_count, double deadline_ms);
-  /// Read exactly `len` bytes unless the stream ends first; returns the
-  /// bytes actually read (== len unless the peer closed/reset mid-read).
-  std::size_t read_exact(std::uint8_t* data, std::size_t len,
-                         double deadline_ms);
+  /// Read into data[got, until) unless the stream ends first, advancing
+  /// `got`; false when the peer closed or reset before `until`. `got` and
+  /// `len` count the whole read (a frame's prefix, or its body across the
+  /// calls that grow its buffer): a deadline expiring at got == 0 throws
+  /// TimeoutError, a later one a WireError naming got of len.
+  bool read_until(std::uint8_t* data, std::size_t& got, std::size_t until,
+                  std::size_t len, double deadline_ms);
 
   int fd_;
   double io_timeout_ms_ = 0.0;

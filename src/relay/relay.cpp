@@ -71,8 +71,11 @@ void EdgeHub::control_loop() {
   for (;;) {
     {
       util::LockGuard lock(control_mutex_);
-      while (!control_signal_ && running_.load())
-        control_cv_.wait(control_mutex_);
+      const auto wake = std::chrono::steady_clock::now() + kAckPeriod;
+      while (!control_signal_ && running_.load() &&
+             control_cv_.wait_until(control_mutex_, wake) !=
+                 std::cv_status::timeout) {
+      }
       if (!running_.load()) return;
       control_signal_ = false;
     }
@@ -84,6 +87,11 @@ void EdgeHub::control_loop() {
         // event racing a dead link. Steering state is re-sent by users.
       }
     }
+    // The viewers' acks move the floor between frames too: the acks of the
+    // newest steps, and every ack after the last step, arrive with no frame
+    // behind them.
+    util::LockGuard lock(ack_mutex_);
+    maybe_ack();
   }
 }
 
@@ -134,6 +142,7 @@ void EdgeHub::pump_loop() {
 
 void EdgeHub::forward(NetMessage frame) {
   const int step = frame.frame_index;
+  util::LockGuard lock(ack_mutex_);
   if (injected_.insert(step).second) {
     max_injected_step_ = std::max(max_injected_step_, step);
     inject(std::move(frame));

@@ -17,7 +17,9 @@
 //     and drop policy govern those viewers exactly as at the root;
 //   * between them: a single pump thread forwarding each frame into the
 //     downstream hub, skipping only steps this edge already injected (the
-//     overlap a reconnect's resume replay re-ships).
+//     overlap a reconnect's resume replay re-ships), and a control thread
+//     forwarding viewer control events upstream and, every kAckPeriod, the
+//     viewers' acks, so an ack does not wait for the next frame.
 //
 // Edges chain: an EdgeHub's upstream_port may be another edge's port(),
 // forming deeper trees (tree_depth is advertised on the net.relay.tree_depth
@@ -26,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -60,6 +63,9 @@ struct EdgeHubConfig {
 /// shutdown() (or the destructor) tears both sides down.
 class EdgeHub {
  public:
+  /// How often the control thread acks upstream between frames.
+  static constexpr std::chrono::milliseconds kAckPeriod{50};
+
   /// Point-in-time snapshot of this edge's relay activity (per-instance;
   /// the net.relay.* counters aggregate across every edge in the process).
   struct Stats {
@@ -89,14 +95,14 @@ class EdgeHub {
 
  private:
   void pump_loop();
-  /// Forwards viewer control events upstream. A dedicated thread, woken by
-  /// the injector's control callback: the callback itself must not block
-  /// (it runs on the downstream hub's broadcast path), and an upstream
-  /// send can.
-  void control_loop() TVVIZ_EXCLUDES(control_mutex_);
+  /// Forwards viewer control events upstream, and acks upstream every
+  /// kAckPeriod. A dedicated thread, woken by the injector's control
+  /// callback: the callback itself must not block (it runs on the
+  /// downstream hub's broadcast path), and an upstream send can.
+  void control_loop() TVVIZ_EXCLUDES(control_mutex_, ack_mutex_);
   /// Forward one upstream frame downstream unless this edge already
   /// injected its step, then advance the upstream ack.
-  void forward(net::NetMessage frame);
+  void forward(net::NetMessage frame) TVVIZ_EXCLUDES(ack_mutex_);
   /// Hand one message to the downstream hub, which caches image traffic
   /// and fans out to the edge's viewers with the root's exact delivery
   /// semantics.
@@ -106,10 +112,10 @@ class EdgeHub {
   /// have displayed, so a killed-and-restarted edge is resumed early enough
   /// that no viewer skips a frame), or the newest injected step when no
   /// viewer is attached.
-  int ack_floor();
+  int ack_floor() TVVIZ_REQUIRES(ack_mutex_);
   /// Ack ack_floor() when it moved, and forget the injected steps at or
   /// below it: a resume replays only the steps after the ack.
-  void maybe_ack();
+  void maybe_ack() TVVIZ_REQUIRES(ack_mutex_);
 
   EdgeHubConfig config_;
   hub::HubTcpServer server_;
@@ -119,16 +125,23 @@ class EdgeHub {
   std::shared_ptr<hub::FrameHub::RendererPort> injector_;
   hub::HubTcpViewer upstream_;
 
-  // Pump-thread-only state (single consumer of upstream_.next(); no lock).
+  /// The ack state, shared by the pump (on each frame) and the control
+  /// thread (every kAckPeriod). Held across a forward's injection, so an
+  /// ack never runs ahead of the frames the downstream hub holds.
+  util::Mutex ack_mutex_;
   /// Steps injected since the last upstream ack. A reconnect's resume
   /// replays every step after that ack, so these are the only steps the
   /// root can send twice; a step the edge has not injected is forwarded
   /// whatever its order (group leaders finish out of step order). While a
   /// connected viewer never acks, the ack stays put and this grows by one
   /// entry per step.
-  std::set<int> injected_;
-  int max_injected_step_ = -1;    ///< Newest frame injected.
-  int last_acked_step_ = -1;      ///< Newest step acked upstream.
+  std::set<int> injected_ TVVIZ_GUARDED_BY(ack_mutex_);
+  /// Newest frame injected.
+  int max_injected_step_ TVVIZ_GUARDED_BY(ack_mutex_) = -1;
+  /// Newest step acked upstream.
+  int last_acked_step_ TVVIZ_GUARDED_BY(ack_mutex_) = -1;
+
+  // Pump-thread-only state (single consumer of upstream_.next(); no lock).
   std::uint64_t seen_reconnects_ = 0;  ///< upstream_.reconnects() watermark.
 
   // Cross-thread stats (pump writes, stats() reads).

@@ -33,7 +33,6 @@ class Resource {
 
   const std::string& name() const noexcept { return name_; }
   int busy() const noexcept { return busy_; }
-  std::size_t queue_length() const noexcept { return waiting_.size(); }
   std::uint64_t jobs_served() const noexcept { return served_; }
   Time total_busy_time() const noexcept { return busy_time_; }
   Time total_wait_time() const noexcept { return wait_time_; }

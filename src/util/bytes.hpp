@@ -32,12 +32,6 @@ class ByteWriter {
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
 
-  /// Reuse `backing`'s allocation as the output buffer (the pooled-buffer
-  /// encode path): contents are discarded, capacity is kept.
-  explicit ByteWriter(Bytes&& backing) : buf_(std::move(backing)) {
-    buf_.clear();
-  }
-
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
@@ -172,10 +166,6 @@ class BitWriter {
     return std::move(buf_);
   }
 
-  std::size_t bit_count() const noexcept {
-    return buf_.size() * 8 + static_cast<std::size_t>(nbits_);
-  }
-
  private:
   Bytes buf_;
   std::uint64_t acc_ = 0;
@@ -204,8 +194,6 @@ class BitReader {
     for (int i = 0; i < count; ++i) v = (v << 1) | (bit() ? 1u : 0u);
     return v;
   }
-
-  std::size_t bits_consumed() const noexcept { return pos_ * 8 - nbits_; }
 
  private:
   std::span<const std::uint8_t> data_;

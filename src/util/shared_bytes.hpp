@@ -1,29 +1,21 @@
-// Zero-copy buffer management for the frame path. Two pieces:
-//
-//  * SharedBytes — an immutable, reference-counted byte buffer with cheap
-//    aliasing views. A compressed frame is produced once (by a codec or a
-//    ByteWriter), wrapped, and then every hop of renderer -> hub -> N
-//    viewers shares the same allocation; "copying" a SharedBytes bumps a
-//    refcount. view() carves out a sub-range (e.g. the payload slice of a
-//    received wire frame) that keeps the whole backing buffer alive.
-//
-//  * BufferPool — a size-bucketed free list of byte vectors. The TCP
-//    receive path and the encode-into-pooled-buffer codec entry points
-//    draw their buffers here so steady-state streaming allocates nothing.
-//    A SharedBytes created with adopt_pooled() returns its storage to the
-//    pool when the last reference (message, cache entry, or view) drops.
+// Zero-copy buffer management for the frame path: SharedBytes, an
+// immutable, reference-counted byte buffer with cheap aliasing views. A
+// compressed frame is produced once (by a codec, a ByteWriter or a socket
+// read) as a plain vector, adopted without a copy, and then every hop of
+// renderer -> hub -> N viewers shares the same allocation; "copying" a
+// SharedBytes bumps a refcount. view() carves out a sub-range (e.g. the
+// payload slice of a received wire frame) that keeps the whole backing
+// buffer alive, and the last handle to drop frees it.
 //
 // Ownership rules (see DESIGN.md §11): whoever fills a buffer owns it
 // mutably exactly until it is wrapped in a SharedBytes; from then on the
 // bytes are immutable and ownership is collective. Nobody frees by hand.
 //
-// Counters/gauges: util.pool.{hits,misses,bytes_pooled,outstanding} and
-// util.shared_bytes.{copies,copy_bytes} (every deep copy is counted, so a
-// "zero-copy path" is checkable by assertion).
+// Counters: util.shared_bytes.{copies,copy_bytes} (every deep copy is
+// counted, so a "zero-copy path" is checkable by assertion).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -32,11 +24,8 @@
 #include <vector>
 
 #include "util/bytes.hpp"
-#include "util/mutex.hpp"
 
 namespace tvviz::util {
-
-class BufferPool;
 
 class SharedBytes {
  public:
@@ -53,10 +42,6 @@ class SharedBytes {
   /// Deep copy of arbitrary borrowed bytes (counted in
   /// util.shared_bytes.copy_bytes).
   static SharedBytes copy_of(std::span<const std::uint8_t> data);
-
-  /// Adopt a (typically pool-drawn) buffer whose storage goes back to
-  /// `pool` when the last reference — including every view — drops.
-  static SharedBytes adopt_pooled(Bytes&& bytes, BufferPool& pool);
 
   /// Aliasing sub-view [offset, offset + len): shares storage, no copy.
   /// Throws std::out_of_range past the end.
@@ -98,52 +83,10 @@ class SharedBytes {
   }
 
  private:
-  struct Storage;
-
-  std::shared_ptr<const Storage> storage_;
+  /// The single owner of the allocation, freed with the last handle.
+  std::shared_ptr<const Bytes> storage_;
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
-};
-
-/// Thread-safe, size-bucketed free list of byte vectors (buckets are
-/// powers of two). acquire() returns a vector resized to the request with
-/// bucket-rounded capacity; release() (or the destruction of a SharedBytes
-/// made with adopt_pooled) files it for reuse. Buffers beyond
-/// max_buffer_bytes, or landing in a full bucket, are simply freed.
-class BufferPool {
- public:
-  struct Config {
-    std::size_t min_bucket_bytes = 256;        ///< Smallest bucket size.
-    std::size_t max_buffer_bytes = 64u << 20;  ///< Larger buffers bypass.
-    std::size_t max_buffers_per_bucket = 32;
-  };
-
-  BufferPool();
-  explicit BufferPool(Config config);
-
-  /// Process-wide pool of the frame path (never destroyed, so buffers held
-  /// across static teardown stay safe to release).
-  static BufferPool& global();
-
-  /// A buffer of exactly `size` bytes; contents are unspecified.
-  Bytes acquire(std::size_t size) TVVIZ_EXCLUDES(mutex_);
-
-  /// File a buffer for reuse (by capacity bucket).
-  void release(Bytes&& buffer) TVVIZ_EXCLUDES(mutex_);
-
-  std::size_t pooled_bytes() const TVVIZ_EXCLUDES(mutex_);
-  std::size_t pooled_buffers() const TVVIZ_EXCLUDES(mutex_);
-
- private:
-  std::size_t bucket_of(std::size_t capacity) const noexcept;
-
-  Config config_;
-  /// acquire() minus release(); mirrored into util.pool.outstanding.
-  std::atomic<std::int64_t> outstanding_{0};
-  mutable Mutex mutex_;
-  /// bucket index -> free buffers of that capacity.
-  std::vector<std::vector<Bytes>> buckets_ TVVIZ_GUARDED_BY(mutex_);
-  std::size_t pooled_bytes_ TVVIZ_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace tvviz::util

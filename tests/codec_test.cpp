@@ -409,24 +409,17 @@ TEST(ImageCodecs, Table1NamesListed) {
 TEST(ImageCodecs, EveryListedCodecRoundTripsEmptyImages) {
   // Regression: JpegCodec threw "huffman: all frequencies zero" for a frame
   // with no pixels, and so did both JPEG chains, while raw, lzo and bzip
-  // round-tripped it. Both encode paths: encode and the session's
-  // encode_shared.
+  // round-tripped it.
   const auto& names = codec::image_codec_names();
   ASSERT_EQ(names.size(), 7u);  // Table 1's six rows, then rle
   EXPECT_EQ(names.back(), "rle");
-  util::BufferPool pool;
   for (const auto& name : names) {
     const auto codec = codec::make_image_codec(name, 75);
     for (const auto& [w, h] :
          {std::pair{0, 0}, std::pair{16, 0}, std::pair{0, 16}}) {
-      const Image empty(w, h);
-      for (const util::SharedBytes& packed :
-           {util::SharedBytes(codec->encode(empty)),
-            codec->encode_shared(empty, pool)}) {
-        const Image out = codec->decode(packed);
-        EXPECT_EQ(out.width(), w) << name << " " << w << "x" << h;
-        EXPECT_EQ(out.height(), h) << name << " " << w << "x" << h;
-      }
+      const Image out = codec->decode(codec->encode(Image(w, h)));
+      EXPECT_EQ(out.width(), w) << name << " " << w << "x" << h;
+      EXPECT_EQ(out.height(), h) << name << " " << w << "x" << h;
     }
   }
 }
@@ -781,16 +774,6 @@ TEST(SimdParity, JpegAutoStripsMatchesExplicit) {
 
 // ------------------------------------------------- strip engine specifics ----
 
-TEST(JpegEngine, EncodeSharedMatchesEncode) {
-  const Image frame = test_frame(96);
-  const JpegCodec codec(80, true, 3);
-  util::BufferPool pool;
-  const auto shared = codec.encode_shared(frame, pool);
-  const auto plain = codec.encode(frame);
-  ASSERT_EQ(shared.size(), plain.size());
-  EXPECT_TRUE(std::equal(plain.begin(), plain.end(), shared.span().begin()));
-}
-
 TEST(JpegEngine, ReferenceEncoderInterchangeable) {
   const Image frame = test_frame(128);
   const JpegCodec codec(80);
@@ -863,7 +846,7 @@ Bytes container_of(const Image& frame,
   const auto ac_code = codec::HuffmanCode::from_frequencies(ac);
   for (auto& strip : strips) jd::emit_strip(strip, dc_code, ac_code);
   return jd::assemble_container(frame.width(), frame.height(), quality, true,
-                                tables, dc_code, ac_code, strips, nullptr);
+                                tables, dc_code, ac_code, strips);
 }
 
 TEST(JpegEngine, StripsMayStartOnAnyRow) {

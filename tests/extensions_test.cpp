@@ -354,17 +354,25 @@ TEST(SpaceLeaping, ReusedCasterMatchesAFreshOne) {
   // render refills only the planes of its own visible blocks. The second
   // of two steps must therefore read nothing the first one left behind:
   // rendered by the same caster, it equals a fresh caster's float for float.
-  const auto desc = field::scaled(field::turbulent_jet_desc(), 2, 3);
-  const auto tf = TransferFunction::fire();
+  // Each step must also equal a plain render of it, which writes every
+  // record: two casters that both miss a plane agree with each other. The
+  // shock front puts visible blocks next to invisible ones whose samples
+  // still carry opacity, so a plane the visible blocks miss shows there.
+  const auto desc = field::scaled(field::shock_mixing_desc(), 8, 3);
+  const auto tf = TransferFunction::shock();
   const field::Box box = field::decompose_slabs(desc.dims, 4, /*axis=*/2)[1];
   const field::Box ghost = field::with_ghost(box, desc.dims, 1);
-  const auto slab = [&](int step) {
+  const auto slab = [&](int step, bool leaping) {
     Subvolume sub{field::generate_box(desc, step, ghost), ghost, box, nullptr};
-    sub.attach_skipper(tf);
+    if (leaping) sub.attach_skipper(tf);
     return sub;
   };
-  const Subvolume first = slab(1), second = slab(2);
-  // Step 1 fills blocks that step 2 does not.
+  const auto plain = [&](int step, const Camera& cam) {
+    return in_frame(RayCaster().render(slab(step, false), desc.dims, cam, tf),
+                    cam);
+  };
+  // The front spreads: step 2 fills blocks that step 1 does not.
+  const Subvolume first = slab(2, true), second = slab(1, true);
   const Dims grid = first.skipper->grid_dims();
   int only_first = 0;
   for (int bz = 0; bz < grid.nz; ++bz)
@@ -375,8 +383,9 @@ TEST(SpaceLeaping, ReusedCasterMatchesAFreshOne) {
   ASSERT_GT(only_first, 0);
 
   const RayCaster reused;
-  (void)reused.render(first, desc.dims, Camera(72, 72, 0.7, 0.3), tf);
-  const Camera cam(72, 72, 2.2, 0.3);
+  const Camera first_cam(72, 72, 0.7, 0.3), cam(72, 72, 2.2, 0.3);
+  const std::vector<float> once =
+      in_frame(reused.render(first, desc.dims, first_cam, tf), first_cam);
   const render::PartialImage again = reused.render(second, desc.dims, cam, tf);
   const render::PartialImage fresh =
       RayCaster().render(second, desc.dims, cam, tf);
@@ -384,6 +393,8 @@ TEST(SpaceLeaping, ReusedCasterMatchesAFreshOne) {
   EXPECT_EQ(again.x0(), fresh.x0());
   EXPECT_EQ(again.y0(), fresh.y0());
   EXPECT_EQ(in_frame(again, cam), in_frame(fresh, cam));
+  EXPECT_EQ(once, plain(2, first_cam));
+  EXPECT_EQ(in_frame(again, cam), plain(1, cam));
 }
 
 TEST(SpaceLeaping, SlabWithNoVisibleBlockCastsNoRays) {

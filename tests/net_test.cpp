@@ -1,8 +1,11 @@
 // Tests for the network layer: link models and presets, the X-display and
-// daemon transport models, the blocking queue, the wire protocol, and the
-// display daemon (hub::FrameHub in its single-viewer role) with its
-// control-event backchannel.
+// daemon transport models, the blocking queue, the wire protocol and its
+// framed receive, and the display daemon (hub::FrameHub in its single-viewer
+// role) with its control-event backchannel.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <limits>
 #include <thread>
@@ -14,6 +17,7 @@
 #include "net/link.hpp"
 #include "net/protocol.hpp"
 #include "net/queue.hpp"
+#include "net/tcp.hpp"
 
 namespace tvviz {
 namespace {
@@ -453,6 +457,33 @@ TEST(Protocol, DeserializeFrameValidatesLikeDeserializeMessage) {
   wire3.resize(wire3.size() - 1);
   EXPECT_THROW(net::deserialize_frame(util::SharedBytes(std::move(wire3))),
                std::runtime_error);
+}
+
+/// The process's peak resident set, in KiB (Linux reports ru_maxrss so).
+long max_rss_kib() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(FramedReceive, AClaimedLengthCostsMemoryOnlyAsTheBytesArrive) {
+  // Regression: the receiver sized the body from the 4-byte length prefix
+  // (capped at 1 GiB) before any body byte arrived, and the TCP hub runs it
+  // on the first message of every accepted connection, before any hello is
+  // checked. A peer claiming 256 MiB and sending 16 bytes cost 256 MiB.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  net::TcpConnection conn(sv[0]);
+  constexpr std::uint32_t kClaimed = 256u << 20;
+  std::uint8_t wire[4 + 16] = {};
+  for (int i = 0; i < 4; ++i)
+    wire[i] = static_cast<std::uint8_t>(kClaimed >> (8 * i));
+  ASSERT_EQ(::send(sv[1], wire, sizeof wire, 0),
+            static_cast<ssize_t>(sizeof wire));
+  ::close(sv[1]);
+  const long before = max_rss_kib();
+  EXPECT_THROW(conn.recv_message(), net::WireError);
+  EXPECT_LT(max_rss_kib() - before, 32 * 1024);
 }
 
 // ----------------------------------------------------- protocol v4 ----

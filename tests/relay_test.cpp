@@ -84,12 +84,6 @@ TEST(Fnv1a, SeedChainingEqualsConcatenation) {
   EXPECT_EQ(chained, util::fnv1a(std::string_view{"foobar"}));
 }
 
-TEST(Fnv1a, SpanAndStringViewOverloadsAgree) {
-  const std::uint8_t raw[] = {'j', 'p', 'e', 'g'};
-  EXPECT_EQ(util::fnv1a(std::span<const std::uint8_t>(raw, 4)),
-            util::fnv1a(std::string_view{"jpeg"}));
-}
-
 // ------------------------------------------------------- FrameCache ----
 
 // Regression: the resume walk computed the evicted-step gap with int
@@ -292,6 +286,46 @@ TEST(RelayTree, EdgeIsLosslessBehindATightRootQueue) {
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].id, "edge-burst");
   EXPECT_EQ(stats[0].steps_skipped, 0u);
+  edge.shutdown();
+  root.shutdown();
+}
+
+TEST(RelayTree, EdgeAcksItsViewersBetweenFrames) {
+  // Regression: an edge acked upstream only when a frame arrived, so the
+  // acks of its newest steps waited for the next frame, and those after the
+  // last step were never sent: a reconnect then re-shipped those bodies.
+  hub::HubTcpServer root;
+  EdgeHubConfig cfg;
+  cfg.upstream_port = root.port();
+  cfg.edge_id = "edge-ack";
+  EdgeHub edge(cfg);
+  constexpr int kSteps = 12;
+  hub::HubTcpViewer::Options vo;
+  vo.queue_frames = 2 * kSteps;
+  vo.retry.io_timeout_ms = 10000.0;  // a dropped step fails, not hangs
+  hub::HubTcpViewer viewer(edge.port(), vo);
+
+  auto renderer = root.hub().connect_renderer();
+  for (int s = 0; s < kSteps; ++s)
+    renderer->send(frame_msg(s, step_payload(s)));
+  for (int s = 0; s < kSteps; ++s) {
+    std::optional<NetMessage> got;
+    ASSERT_NO_THROW(got = viewer.next()) << "step " << s << " never arrived";
+    ASSERT_TRUE(got.has_value());
+    ASSERT_EQ(got->frame_index, s);
+    viewer.ack(s);
+  }
+  const auto edge_ack_at_root = [&root] {
+    for (const auto& stats : root.hub().client_stats())
+      if (stats.id == "edge-ack") return stats.last_acked_step;
+    return -1;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (edge_ack_at_root() != kSteps - 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(edge_ack_at_root(), kSteps - 1);
   edge.shutdown();
   root.shutdown();
 }

@@ -2,8 +2,8 @@
 //
 // Both sanctioned forms of keeping an alias: a class that stores the
 // SharedBytes handle next to the raw view, and a lambda that captures the
-// handle by value alongside the pointer. The handle keeps the storage (and
-// a pooled buffer's pool lease) alive as long as the alias.
+// handle by value alongside the pointer. The handle keeps the storage
+// alive as long as the alias.
 #include <cstddef>
 #include <cstdint>
 #include <functional>

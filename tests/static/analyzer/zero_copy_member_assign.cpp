@@ -1,8 +1,8 @@
 // expect-reject: zero-copy-escape
 //
 // A raw pointer obtained from SharedBytes::data() is stored into a member
-// of a class that keeps no SharedBytes handle: the bytes can be freed (or
-// returned to the pool) while `bytes_` still points at them.
+// of a class that keeps no SharedBytes handle: the bytes can be freed
+// while `bytes_` still points at them.
 #include <cstddef>
 #include <cstdint>
 

@@ -385,7 +385,7 @@ TEST(Tcp, RecvMessageNeverCopiesThePayload) {
   const auto before = copies.value();
   const auto got = receiver.recv_message();
   ASSERT_TRUE(got.has_value());
-  // The payload is a view into the pooled receive buffer, not a copy.
+  // The payload is a view into the receive buffer, not a copy.
   EXPECT_EQ(copies.value(), before);
   EXPECT_EQ(got->payload, msg.payload);
 }

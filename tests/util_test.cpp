@@ -6,8 +6,6 @@
 #include <set>
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -24,7 +22,6 @@ using util::BitReader;
 using util::BitWriter;
 using util::ByteReader;
 using util::Bytes;
-using util::BufferPool;
 using util::ByteWriter;
 using util::Rng;
 using util::SharedBytes;
@@ -410,103 +407,11 @@ TEST(SharedBytes, EmptyHandlesHoldNoStorage) {
   EXPECT_EQ(empty, SharedBytes{});
 }
 
-// --------------------------------------------------------- buffer pool ----
-
-TEST(BufferPool, RoundTripReusesTheAllocation) {
-  BufferPool pool;
-  Bytes first = pool.acquire(1000);
-  const std::uint8_t* raw = first.data();
-  EXPECT_EQ(first.size(), 1000u);
-  { const SharedBytes held = SharedBytes::adopt_pooled(std::move(first), pool); }
-  EXPECT_EQ(pool.pooled_buffers(), 1u);
-  Bytes again = pool.acquire(900);  // same power-of-two bucket
-  EXPECT_EQ(again.data(), raw);
-  EXPECT_EQ(again.size(), 900u);
-  EXPECT_EQ(pool.pooled_buffers(), 0u);
-  pool.release(std::move(again));
-}
-
-TEST(BufferPool, HitAndMissCountersTrackReuse) {
-  BufferPool pool;
-  const auto hits0 = obs::counter("util.pool.hits").value();
-  const auto misses0 = obs::counter("util.pool.misses").value();
-  pool.release(pool.acquire(4096));  // miss, then banked
-  Bytes b = pool.acquire(4096);      // hit
-  EXPECT_EQ(obs::counter("util.pool.hits").value(), hits0 + 1);
-  EXPECT_EQ(obs::counter("util.pool.misses").value(), misses0 + 1);
-  pool.release(std::move(b));
-}
-
-TEST(BufferPool, OversizeRequestsBypassTheFreeList) {
-  BufferPool::Config cfg;
-  cfg.max_buffer_bytes = 1024;
-  BufferPool pool(cfg);
-  Bytes big = pool.acquire(4096);
-  EXPECT_EQ(big.size(), 4096u);
-  pool.release(std::move(big));
-  EXPECT_EQ(pool.pooled_buffers(), 0u);  // never banked
-  EXPECT_EQ(pool.pooled_bytes(), 0u);
-}
-
-TEST(BufferPool, FullBucketsFreeInsteadOfGrowing) {
-  BufferPool::Config cfg;
-  cfg.max_buffers_per_bucket = 2;
-  BufferPool pool(cfg);
-  std::vector<Bytes> out;
-  for (int i = 0; i < 4; ++i) out.push_back(pool.acquire(512));
-  for (auto& b : out) pool.release(std::move(b));
-  EXPECT_EQ(pool.pooled_buffers(), 2u);
-}
-
-TEST(BufferPool, PooledSharedBytesReturnOnLastReferenceOnly) {
-  BufferPool pool;
-  SharedBytes a = SharedBytes::adopt_pooled(pool.acquire(256), pool);
-  SharedBytes view = a.view(10, 100);
-  a = {};
-  EXPECT_EQ(pool.pooled_buffers(), 0u);  // the view still pins the buffer
-  EXPECT_EQ(view.size(), 100u);
-  view = {};
-  EXPECT_EQ(pool.pooled_buffers(), 1u);  // last reference filed it back
-}
-
-TEST(BufferPool, ConcurrentCheckoutKeepsBuffersDistinct) {
-  // Hammer one pool from several threads; every thread writes a tag through
-  // its whole buffer and verifies it after a rescheduling point. Overlapping
-  // handouts or double-banked buffers would corrupt the tags. Run under
-  // TSan via tools/verify_tsan.sh.
-  BufferPool pool;
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 200;
-  std::atomic<int> corrupt{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int tid = 0; tid < kThreads; ++tid) {
-    threads.emplace_back([&, tid] {
-      const auto tag = static_cast<std::uint8_t>(tid + 1);
-      for (int round = 0; round < kRounds; ++round) {
-        const std::size_t n = 64 + static_cast<std::size_t>(tid) * 700 +
-                              static_cast<std::size_t>(round % 3) * 150;
-        Bytes buf = pool.acquire(n);
-        std::fill(buf.begin(), buf.end(), tag);
-        std::this_thread::yield();
-        SharedBytes held = SharedBytes::adopt_pooled(std::move(buf), pool);
-        for (std::size_t i = 0; i < held.size(); ++i)
-          if (held[i] != tag) {
-            corrupt.fetch_add(1);
-            break;
-          }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(corrupt.load(), 0);
-}
-
-TEST(ByteWriter, BackingBufferConstructorReusesCapacity) {
-  Bytes backing;
-  backing.reserve(1 << 12);
-  const std::uint8_t* raw = backing.data();
-  ByteWriter w(std::move(backing));
+TEST(ByteWriter, ExactReserveIsWrittenWithoutReallocating) {
+  // The codecs size their output exactly up front, so a frame is written
+  // into one allocation and take() hands that same buffer on.
+  ByteWriter w(std::size_t{4} << 10);
+  const std::uint8_t* raw = w.bytes().data();
   for (int i = 0; i < 1 << 10; ++i) w.u32(static_cast<std::uint32_t>(i));
   const Bytes out = w.take();
   EXPECT_EQ(out.data(), raw);  // never outgrew the reserved capacity

@@ -2,7 +2,7 @@
 # Build the tree with ThreadSanitizer and run the concurrency-heavy suites:
 # the vmp messaging layer, the network daemon/queues, the TCP transport,
 # the multi-client hub, the relay tree, the observability registries, and
-# the shared-buffer pool (concurrent checkout/return).
+# the util suite.
 #
 # Usage: tools/verify_tsan.sh [--static] [build-dir]
 #   --static  preflight the compile-time concurrency contracts first
